@@ -38,7 +38,7 @@ from .pipeline import (
     transform,
     write_dataset,
 )
-from .retrieval import RetrievalModel, train_retrieval
+from .retrieval import KEY_MODES, RetrievalModel, train_retrieval
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embed-dim", type=int, default=64, help="retrieval/extractor only")
     p.add_argument("--hidden", type=int, default=None, help="default: 64, generator 256")
-    p.add_argument("--key", choices=("definition", "idiom"), default="definition",
+    p.add_argument("--key", choices=KEY_MODES, default="definition",
                    help="retrieval only: candidate key")
     p.add_argument("--negatives", type=int, default=100,
                    help="retrieval only: negatives per positive")

@@ -14,15 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import SEP, IdiomEntry, ParallelPair, Vocabulary, derive_bio
+from .corpus import IdiomEntry, ParallelPair, derive_bio
 from .metrics import span_f1
 from .numerics import (
-    GruCell,
-    ParamStore,
     Tensor,
     adam_step,
-    bigru_encode,
     exp,
+    fit,
     logsumexp,
     no_grad,
     reshape,
@@ -30,6 +28,8 @@ from .numerics import (
     take_pairs,
     tsum,
 )
+from .numerics import bigru_encode  # noqa: F401  (perfbench traces it in every stage module)
+from .retrieval import PairEncoderModel
 from .rng import Rng
 
 log = logging.getLogger(__name__)
@@ -39,38 +39,22 @@ B, I, O = 0, 1, 2
 MARGINAL_WEIGHTS = {B: 0.48, I: 0.48, O: 0.04}
 
 
-class ExtractorModel:
+class ExtractorModel(PairEncoderModel):
     component = "extractor"
 
-    def __init__(self, vocab: Vocabulary, embed_dim: int = 64, hidden: int = 64, seed: int = 0):
-        self.vocab = vocab
-        self.embed_dim = embed_dim
-        self.hidden = hidden
-        self.seed = seed
-        rng = Rng(seed)
-        store = ParamStore()
-        self.embedding = store.add("embedding", (len(vocab), embed_dim), rng)
-        self.fwd = GruCell(store, "encoder.fwd", embed_dim, hidden, rng)
-        self.bwd = GruCell(store, "encoder.bwd", embed_dim, hidden, rng)
-        self.unary_w = store.add("unary.weight", (2 * hidden, 3), rng)
-        self.unary_b = store.add_zeros("unary.bias", (3,))
-        self.transitions = store.add("crf.transitions", (3, 3), rng)
-        self.start = store.add("crf.start", (3,), rng)
-        self.end = store.add("crf.end", (3,), rng)
-        self.store = store
-
-    def hyperparameters(self) -> dict:
-        return {"embed_dim": self.embed_dim, "hidden": self.hidden, "seed": self.seed}
+    def _build_head(self, rng: Rng) -> None:
+        self.unary_w = self.store.add("unary.weight", (2 * self.hidden, 3), rng)
+        self.unary_b = self.store.add_zeros("unary.bias", (3,))
+        self.transitions = self.store.add("crf.transitions", (3, 3), rng)
+        self.start = self.store.add("crf.start", (3,), rng)
+        self.end = self.store.add("crf.end", (3,), rng)
 
 
 def unary_scores(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str]) -> Tensor:
     """(n, 3) label scores for the n sentence positions."""
     if not sentence:
         raise ValueError("empty sentence")
-    tokens = list(sentence) + [SEP] + list(definition)
-    ids = model.vocab.encode_all(tokens)
-    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i] for i in ids])
-    sentence_states = stack(states[: len(sentence)])
+    sentence_states = stack(model.encode_pair(sentence, definition)[: len(sentence)])
     return sentence_states @ model.unary_w + model.unary_b
 
 
@@ -253,30 +237,12 @@ def train_extractor(
         instances.append((pair.literal, entry.senses[pair.sense_index], gold))
     if not instances:
         raise ValueError("no trainable pairs")
-    rng = Rng(seed)
-    losses: list[float] = []
-    val_f1s: list[float | None] = []
-    for epoch in range(epochs):
-        order = list(range(len(instances)))
-        rng.shuffle(order)
-        total = 0.0
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
-            model.store.zero_grads()
-            batch_loss: Tensor | None = None
-            for i in batch:
-                sentence, definition, gold = instances[i]
-                loss = extractor_loss(model, sentence, definition, gold)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            assert batch_loss is not None
-            batch_loss = batch_loss * (1.0 / len(batch))
-            total += batch_loss.item() * len(batch)
-            batch_loss.backward()
-            adam_step(model.store, lr)
-        losses.append(total / len(instances))
-        run_eval = bool(validation) and (epoch + 1) % eval_every == 0
-        f1 = validation_span_f1(model, validation, lexicon) if run_eval else None
-        val_f1s.append(f1)
-        if stop_at_f1 is not None and f1 is not None and f1 >= stop_at_f1:
-            break
+    losses, val_f1s = fit(
+        model.store, Rng(seed), lambda: instances, lambda inst: extractor_loss(model, *inst),
+        lambda: adam_step(model.store, lr),
+        epochs=epochs, batch_size=batch_size, eval_every=eval_every,
+        evaluate=(lambda: validation_span_f1(model, validation, lexicon)) if validation else None,
+        after_epoch=lambda f1: stop_at_f1 is not None and f1 is not None and f1 >= stop_at_f1,
+        name="extractor", metric_name="val_span_f1",
+    )
     return {"epoch_losses": losses, "val_span_f1": val_f1s}

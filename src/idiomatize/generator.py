@@ -30,6 +30,7 @@ from .numerics import (
     adam_step,
     bigru_encode,
     concat,
+    fit,
     gru_step,
     logsumexp,
     no_grad,
@@ -78,6 +79,14 @@ def build_unguided_input(
     kept = tuple(literal[:s]) + tuple(literal[e:])
     tokens = tuple(idiom) + (SEP,) + kept
     return GeneratorInput(tokens, (0,) * len(tokens))
+
+
+def build_generator_input(
+    idiom: Sequence[str], literal: Sequence[str], span: tuple[int, int] | None, guided: bool
+) -> GeneratorInput:
+    """The guided or the unguided encoder input for one rewrite."""
+    build = build_guided_input if guided else build_unguided_input
+    return build(idiom, literal, span)
 
 
 def rule_based_generate(
@@ -350,48 +359,42 @@ def train_generator(
 ) -> dict:
     """Teacher-forced NLL with batched Adam updates.
 
-    Reports per-epoch mean loss, running teacher-forced token accuracy
-    and (every ``eval_every`` epochs) greedy-decode BLEU on the
-    validation set.
+    Reports the per-epoch mean loss per instance, running teacher-forced
+    token accuracy and (every ``eval_every`` epochs) greedy-decode BLEU
+    on the validation set.
     """
     if not data:
         raise ValueError("no training instances")
-    rng = Rng(seed)
-    losses: list[float] = []
     accuracies: list[float] = []
-    val_bleu: list[float | None] = []
-    for epoch in range(epochs):
-        order = list(range(len(data)))
-        rng.shuffle(order)
-        total = 0.0
-        steps = 0
-        correct = 0
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
-            model.store.zero_grads()
-            batch_loss: Tensor | None = None
-            for i in batch:
-                inp, reference = data[i]
-                loss, n, c = _teacher_forced_pass(model, inp, reference, track_accuracy=True)
-                steps += n
-                correct += c
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            assert batch_loss is not None
-            batch_loss = batch_loss * (1.0 / len(batch))
-            total += batch_loss.item()
-            batch_loss.backward()
-            adam_step(model.store, lr)
-        losses.append(total / max(1, (len(order) + batch_size - 1) // batch_size))
+    counts = [0, 0]  # teacher-forced steps and correct argmax steps in this epoch
+
+    def loss(example: tuple[GeneratorInput, Sequence[str]]) -> Tensor:
+        value, steps, correct = _teacher_forced_pass(model, *example, track_accuracy=True)
+        counts[0] += steps
+        counts[1] += correct
+        return value
+
+    def greedy_bleu() -> float:
+        hyps = [beam_decode(model, inp, beam=1, max_len=max_len) for inp, _ in validation]
+        return bleu(hyps, [ref for _, ref in validation])
+
+    def after_epoch(_bleu: float | None) -> bool:
+        steps, correct = counts
+        counts[:] = [0, 0]
         accuracies.append(correct / steps if steps else 0.0)
-        if validation and (epoch + 1) % eval_every == 0:
-            hyps = [beam_decode(model, inp, beam=1, max_len=max_len) for inp, _ in validation]
-            val_bleu.append(bleu(hyps, [ref for _, ref in validation]))
-        else:
-            val_bleu.append(None)
-        if stop_at_token_accuracy is not None and accuracies[-1] >= stop_at_token_accuracy:
-            # Confirm with the post-update parameters before stopping.
-            if teacher_forced_accuracy(model, data) >= stop_at_token_accuracy:
-                break
+        # Confirm with the post-update parameters before stopping.
+        return (
+            stop_at_token_accuracy is not None
+            and accuracies[-1] >= stop_at_token_accuracy
+            and teacher_forced_accuracy(model, data) >= stop_at_token_accuracy
+        )
+
+    losses, val_bleu = fit(
+        model.store, Rng(seed), lambda: data, loss, lambda: adam_step(model.store, lr),
+        epochs=epochs, batch_size=batch_size, eval_every=eval_every,
+        evaluate=greedy_bleu if validation else None, after_epoch=after_epoch,
+        name="generator", metric_name="val_bleu",
+    )
     return {"epoch_losses": losses, "train_token_accuracy": accuracies, "val_bleu": val_bleu}
 
 

@@ -1,13 +1,18 @@
-"""Named parameter store and the Adam update used by every model."""
+"""Named parameter store, the Adam update and the training loop used by every model."""
 
 from __future__ import annotations
 
+import logging
 import math
+import time
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..rng import Rng
 from .tensor import NumericError, Tensor
+
+log = logging.getLogger(__name__)
 
 INIT_SCALE = 0.08
 
@@ -109,3 +114,61 @@ def adam_step(
         if not np.isfinite(t.data).all():
             raise NumericError(f"non-finite values in parameter {name!r} after update")
         t.grad = None
+
+
+def fit(
+    store: ParamStore,
+    rng: Rng,
+    draw: Callable[[], Sequence],
+    loss: Callable[..., Tensor],
+    step: Callable[[], object],
+    *,
+    epochs: int,
+    batch_size: int,
+    evaluate: Callable[[], float] | None,
+    eval_every: int,
+    after_epoch: Callable[[float | None], bool],
+    name: str,
+    metric_name: str,
+) -> tuple[list[float], list[float | None]]:
+    """Minibatch training; returns the per-epoch mean instance losses and metrics.
+
+    Each epoch visits the instances ``draw`` returns (it may consume
+    ``rng``) in an order shuffled by ``rng``, and steps once per batch on
+    the batch-mean loss.  Every ``eval_every`` epochs ``evaluate`` gives
+    the epoch's metric (None otherwise).  ``after_epoch(metric)`` returning
+    True stops training.  Each epoch logs one INFO line.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    losses: list[float] = []
+    metrics: list[float | None] = []
+    for epoch in range(epochs):
+        start = time.perf_counter()
+        instances = draw()
+        order = list(range(len(instances)))
+        rng.shuffle(order)
+        total = 0.0
+        for lo in range(0, len(order), batch_size):
+            batch = order[lo : lo + batch_size]
+            store.zero_grads()
+            batch_loss = loss(instances[batch[0]])
+            for i in batch[1:]:
+                batch_loss = batch_loss + loss(instances[i])
+            batch_loss = batch_loss * (1.0 / len(batch))
+            total += batch_loss.item() * len(batch)
+            batch_loss.backward()
+            step()
+        losses.append(total / len(instances))
+        metric = evaluate() if evaluate is not None and (epoch + 1) % eval_every == 0 else None
+        metrics.append(metric)
+        log.info(
+            "%s epoch %d/%d: loss %.6f, %s %s, %.2f s",
+            name, epoch + 1, epochs, losses[-1], metric_name,
+            "-" if metric is None else f"{metric:.4f}", time.perf_counter() - start,
+        )
+        if after_epoch(metric):
+            break
+    return losses, metrics

@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small tape: every operation returns a Tensor that remembers its parent
-tensors and a closure that scatters the output gradient back onto them.
+A small tape: every tracked operation returns a Tensor, built by
+``_node``, that remembers its parent tensors and a closure that scatters
+the output gradient back onto them.
 Only the operations the models in this package need are implemented.
 Gradients of broadcast operands are summed back to the operand's shape.
 
@@ -86,7 +87,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __add__(self, other):
         return add(self, other)
@@ -125,10 +126,29 @@ def _track(*tensors: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A tracked result; ``backward(g)`` scatters its gradient ``g`` onto ``parents``.
+
+    The closure gets ``g`` as an argument instead of reading it off the
+    result, so no node refers back to itself and a dropped graph is freed
+    by reference counting.
+    """
+    out = Tensor(data, requires_grad=True)
+    out._parents = parents
+    out._backward = backward
+    return out
+
+
+def _grad(t: Tensor) -> np.ndarray:
+    """``t``'s gradient buffer, zero-filled on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    return t.grad
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    buf = _grad(t)
+    buf += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -162,17 +182,14 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
     if not _track(a, b):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a, b)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
+            _accum(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _node(data, (a, b), bw)
 
 
 def sub(a, b) -> Tensor:
@@ -180,17 +197,14 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
     if not _track(a, b):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a, b)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
+            _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-out.grad, b.data.shape))
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _node(data, (a, b), bw)
 
 
 def mul(a, b) -> Tensor:
@@ -198,31 +212,25 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
     if not _track(a, b):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a, b)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = bw
-    return out
+    return _node(data, (a, b), bw)
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
     if not _track(a):
         return Tensor(-a.data)
-    out = Tensor(-a.data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, -out.grad)
+    def bw(g):
+        _accum(a, -g)
 
-    out._backward = bw
-    return out
+    return _node(-a.data, (a,), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -231,12 +239,9 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
     if not _track(a, b):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a, b)
     an, bn = a.ndim, b.ndim
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             if an == 2 and bn == 1:
                 ga = np.outer(g, b.data)
@@ -258,8 +263,7 @@ def matmul(a, b) -> Tensor:
                 gb = g * a.data
             _accum(b, gb)
 
-    out._backward = bw
-    return out
+    return _node(data, (a, b), bw)
 
 
 def tsum(a, axis: int | None = None) -> Tensor:
@@ -267,17 +271,13 @@ def tsum(a, axis: int | None = None) -> Tensor:
     data = a.data.sum(axis=axis)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape).copy())
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def tanh(a) -> Tensor:
@@ -285,14 +285,11 @@ def tanh(a) -> Tensor:
     data = np.tanh(a.data)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad * (1.0 - out.data**2))
+    def bw(g):
+        _accum(a, g * (1.0 - data**2))
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def sigmoid(a) -> Tensor:
@@ -300,14 +297,11 @@ def sigmoid(a) -> Tensor:
     data = _sigmoid_np(a.data)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad * out.data * (1.0 - out.data))
+    def bw(g):
+        _accum(a, g * data * (1.0 - data))
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def exp(a) -> Tensor:
@@ -315,14 +309,11 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad * out.data)
+    def bw(g):
+        _accum(a, g * data)
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def log(a) -> Tensor:
@@ -330,14 +321,11 @@ def log(a) -> Tensor:
     data = np.log(a.data)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad / a.data)
+    def bw(g):
+        _accum(a, g / a.data)
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def softplus(a) -> Tensor:
@@ -346,14 +334,11 @@ def softplus(a) -> Tensor:
     data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad * _sigmoid_np(a.data))
+    def bw(g):
+        _accum(a, g * _sigmoid_np(a.data))
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def logsumexp(a, axis: int | None = None) -> Tensor:
@@ -366,18 +351,14 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     data = full.reshape(()) if axis is None else np.squeeze(full, axis=axis)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
     weights = e / s
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
         _accum(a, g * weights)
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def softmax(a) -> Tensor:
@@ -390,19 +371,16 @@ def concat(parts: Sequence) -> Tensor:
     data = np.concatenate([p.data for p in parts])
     if not _track(*parts):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = tuple(parts)
 
-    def bw():
+    def bw(g):
         offset = 0
         for p in parts:
             n = p.data.shape[0]
             if p.requires_grad:
-                _accum(p, out.grad[offset : offset + n])
+                _accum(p, g[offset : offset + n])
             offset += n
 
-    out._backward = bw
-    return out
+    return _node(data, tuple(parts), bw)
 
 
 def stack(rows: Sequence) -> Tensor:
@@ -411,16 +389,13 @@ def stack(rows: Sequence) -> Tensor:
     data = np.stack([r.data for r in rows])
     if not _track(*rows):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = tuple(rows)
 
-    def bw():
+    def bw(g):
         for i, r in enumerate(rows):
             if r.requires_grad:
-                _accum(r, out.grad[i])
+                _accum(r, g[i])
 
-    out._backward = bw
-    return out
+    return _node(data, tuple(rows), bw)
 
 
 def take(a, indices: Iterable[int]) -> Tensor:
@@ -430,16 +405,11 @@ def take(a, indices: Iterable[int]) -> Tensor:
     data = a.data[idx]
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, out.grad)
+    def bw(g):
+        np.add.at(_grad(a), idx, g)
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def take_pairs(a, rows: Iterable[int], cols: Iterable[int]) -> Tensor:
@@ -450,16 +420,11 @@ def take_pairs(a, rows: Iterable[int], cols: Iterable[int]) -> Tensor:
     data = a.data[r, c]
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, (r, c), out.grad)
+    def bw(g):
+        np.add.at(_grad(a), (r, c), g)
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def getitem(a, key) -> Tensor:
@@ -467,16 +432,11 @@ def getitem(a, key) -> Tensor:
     data = a.data[key]
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += out.grad
+    def bw(g):
+        _grad(a)[key] += g
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)
 
 
 def reshape(a, shape) -> Tensor:
@@ -484,11 +444,8 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
     if not _track(a):
         return Tensor(data)
-    out = Tensor(data, requires_grad=True)
-    out._parents = (a,)
 
-    def bw():
-        _accum(a, out.grad.reshape(a.data.shape))
+    def bw(g):
+        _accum(a, g.reshape(a.data.shape))
 
-    out._backward = bw
-    return out
+    return _node(data, (a,), bw)

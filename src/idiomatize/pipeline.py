@@ -32,8 +32,7 @@ from .generator import (
     GeneratorInput,
     GeneratorModel,
     beam_decode,
-    build_guided_input,
-    build_unguided_input,
+    build_generator_input,
     rule_based_generate,
 )
 from .metrics import (
@@ -46,10 +45,9 @@ from .metrics import (
     span_f1,
     stratify_by_rigidity,
 )
-from .retrieval import RetrievalModel, retrieve_top1
+from .retrieval import KEY_MODES, RetrievalModel, entry_key, retrieve_top1
 
 ORDERS = ("retrieve_then_extract", "extract_then_retrieve")
-KEY_MODES = ("definition", "idiom")
 GENERATOR_MODES = ("guided", "unguided", "rule_based")
 
 CHECKPOINT_VERSION = 1
@@ -77,6 +75,10 @@ class PipelineConfig:
             raise ValueError(
                 f"generator_mode must be one of {GENERATOR_MODES}, got {self.generator_mode!r}"
             )
+        for name in ("beam", "max_len", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
         if self.max_len < 1:
@@ -89,6 +91,8 @@ class PipelineConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}: invalid JSON ({err.msg})") from err
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -139,6 +143,8 @@ def load_checkpoint(path: str):
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CheckpointError(f"{path}: not a valid checkpoint ({err})") from err
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: checkpoint must be a JSON object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -161,6 +167,8 @@ def load_checkpoint(path: str):
         extra = sorted(found - expected)
         raise CheckpointError(f"{path}: tensor name mismatch (missing {missing}, extra {extra})")
     for name, spec in tensors.items():
+        if not isinstance(spec, dict) or not {"shape", "values"} <= spec.keys():
+            raise CheckpointError(f"{path}: tensor {name!r} needs a shape and values")
         param = model.store[name]
         shape = tuple(spec["shape"])
         if shape != param.shape:
@@ -246,7 +254,7 @@ def transform_tokens(
             models.retrieval, tokens, lexicon, config.retrieval_key
         )
         entry = by_id[idiom_id]
-        key = entry.senses[sense_index] if config.retrieval_key == "definition" else entry.surface
+        key = entry_key(entry, sense_index, config.retrieval_key)
         prediction = extract_span(models.extractor, tokens, key)
     else:
         # Extract first with no definition, then retrieve on the span text
@@ -261,10 +269,8 @@ def transform_tokens(
     if config.generator_mode == "rule_based":
         output = rule_based_generate(tokens, prediction.span, entry.surface)
     else:
-        if config.generator_mode == "guided":
-            inp = build_guided_input(entry.surface, tokens, prediction.span)
-        else:
-            inp = build_unguided_input(entry.surface, tokens, prediction.span)
+        guided = config.generator_mode == "guided"
+        inp = build_generator_input(entry.surface, tokens, prediction.span, guided)
         output = beam_decode(models.generator, inp, beam=config.beam, max_len=config.max_len)
 
     return TransformResult(
@@ -340,15 +346,10 @@ def generator_training_data(
 ) -> list[tuple[GeneratorInput, tuple[str, ...]]]:
     """(input, reference) tuples from gold idiom surfaces and spans."""
     by_id = {e.id: e for e in lexicon}
-    data = []
-    for pair in pairs:
-        surface = by_id[pair.idiom_id].surface
-        if guided:
-            inp = build_guided_input(surface, pair.literal, pair.span)
-        else:
-            inp = build_unguided_input(surface, pair.literal, pair.span)
-        data.append((inp, pair.idiomatic))
-    return data
+    return [
+        (build_generator_input(by_id[p.idiom_id].surface, p.literal, p.span, guided), p.idiomatic)
+        for p in pairs
+    ]
 
 
 @dataclass

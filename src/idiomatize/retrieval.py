@@ -19,6 +19,7 @@ from .numerics import (
     Tensor,
     adam_step,
     bigru_encode,
+    fit,
     neg,
     no_grad,
     softplus,
@@ -32,8 +33,12 @@ log = logging.getLogger(__name__)
 KEY_MODES = ("definition", "idiom")
 
 
-class RetrievalModel:
-    component = "retrieval"
+class PairEncoderModel:
+    """Embedding and BiGRU over [sentence, <sep>, key], shared by retrieval and extraction.
+
+    The seeded draw order is embedding, forward cell, backward cell, then
+    the head each subclass adds to ``self.store`` in ``_build_head(rng)``.
+    """
 
     def __init__(self, vocab: Vocabulary, embed_dim: int = 64, hidden: int = 64, seed: int = 0):
         self.vocab = vocab
@@ -41,26 +46,34 @@ class RetrievalModel:
         self.hidden = hidden
         self.seed = seed
         rng = Rng(seed)
-        store = ParamStore()
-        self.embedding = store.add("embedding", (len(vocab), embed_dim), rng)
-        self.fwd = GruCell(store, "encoder.fwd", embed_dim, hidden, rng)
-        self.bwd = GruCell(store, "encoder.bwd", embed_dim, hidden, rng)
-        self.score_w = store.add("score.weight", (2 * hidden,), rng)
-        self.score_b = store.add_zeros("score.bias", ())
-        self.store = store
+        self.store = ParamStore()
+        self.embedding = self.store.add("embedding", (len(vocab), embed_dim), rng)
+        self.fwd = GruCell(self.store, "encoder.fwd", embed_dim, hidden, rng)
+        self.bwd = GruCell(self.store, "encoder.bwd", embed_dim, hidden, rng)
+        self._build_head(rng)
 
     def hyperparameters(self) -> dict:
         return {"embed_dim": self.embed_dim, "hidden": self.hidden, "seed": self.seed}
+
+    def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> list[Tensor]:
+        """Per-position [forward ; backward] states over [sentence, <sep>, key]."""
+        ids = self.vocab.encode_all(list(sentence) + [SEP] + list(key))
+        return bigru_encode(self.fwd, self.bwd, [self.embedding[i] for i in ids])
+
+
+class RetrievalModel(PairEncoderModel):
+    component = "retrieval"
+
+    def _build_head(self, rng: Rng) -> None:
+        self.score_w = self.store.add("score.weight", (2 * self.hidden,), rng)
+        self.score_b = self.store.add_zeros("score.bias", ())
 
 
 def encode_candidate(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
     """Sum-pooled BiGRU states over [sentence, <sep>, key]."""
     if not sentence or not key:
         raise ValueError("sentence and key must be non-empty")
-    tokens = list(sentence) + [SEP] + list(key)
-    ids = model.vocab.encode_all(tokens)
-    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i] for i in ids])
-    return tsum(stack(states), axis=0)
+    return tsum(stack(model.encode_pair(sentence, key)), axis=0)
 
 
 def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
@@ -71,6 +84,11 @@ def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
 def score_pair(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> float:
     with no_grad():
         return score(model, encode_candidate(model, sentence, key)).item()
+
+
+def entry_key(entry: IdiomEntry, sense_index: int, key_mode: str) -> tuple[str, ...]:
+    """The key for one sense of an idiom: its definition, or its surface form."""
+    return entry.senses[sense_index] if key_mode == "definition" else entry.surface
 
 
 def candidate_keys(entry: IdiomEntry, key_mode: str) -> list[tuple[int, tuple[str, ...]]]:
@@ -160,47 +178,28 @@ def train_retrieval(
         )
     by_id = {e.id: e for e in lexicon}
     rng = Rng(seed)
-    losses: list[float] = []
-    val_acc: list[float | None] = []
-    for epoch in range(epochs):
-        instances: list[tuple[tuple[str, ...], tuple[str, ...], int]] = []
+
+    def draw() -> list[tuple[tuple[str, ...], tuple[str, ...], int]]:
+        instances = []
         for pair in pairs:
             entry = by_id.get(pair.idiom_id)
             if entry is None:
                 log.warning("skipping pair with unknown idiom %r", pair.idiom_id)
                 continue
-            if key_mode == "definition":
-                positive_key = entry.senses[pair.sense_index]
-            else:
-                positive_key = entry.surface
-            instances.append((pair.literal, positive_key, 1))
+            instances.append((pair.literal, entry_key(entry, pair.sense_index, key_mode), 1))
             others = [e for e in lexicon if e.id != pair.idiom_id]
             for neg_entry in rng.sample(others, negatives_per_positive):
-                if key_mode == "definition":
-                    key = neg_entry.senses[rng.randint(len(neg_entry.senses))]
-                else:
-                    key = neg_entry.surface
-                instances.append((pair.literal, key, 0))
+                sense = rng.randint(len(neg_entry.senses)) if key_mode == "definition" else 0
+                instances.append((pair.literal, entry_key(neg_entry, sense, key_mode), 0))
         if not instances:
             raise ValueError("no trainable pairs")
-        rng.shuffle(instances)
-        total = 0.0
-        for lo in range(0, len(instances), batch_size):
-            batch = instances[lo : lo + batch_size]
-            model.store.zero_grads()
-            batch_loss: Tensor | None = None
-            for sentence, key, label in batch:
-                loss = _bce_loss(model, sentence, key, label)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
-            assert batch_loss is not None
-            batch_loss = batch_loss * (1.0 / len(batch))
-            total += batch_loss.item() * len(batch)
-            batch_loss.backward()
-            adam_step(model.store, lr)
-        losses.append(total / len(instances))
-        run_eval = bool(validation) and (epoch + 1) % eval_every == 0
-        acc = evaluate_retrieval(model, validation, lexicon, key_mode) if run_eval else None
-        val_acc.append(acc)
-        if stop_at_accuracy is not None and acc is not None and acc >= stop_at_accuracy:
-            break
+        return instances
+
+    losses, val_acc = fit(
+        model.store, rng, draw, lambda inst: _bce_loss(model, *inst), lambda: adam_step(model.store, lr),
+        epochs=epochs, batch_size=batch_size, eval_every=eval_every,
+        evaluate=(lambda: evaluate_retrieval(model, validation, lexicon, key_mode)) if validation else None,
+        after_epoch=lambda acc: stop_at_accuracy is not None and acc is not None and acc >= stop_at_accuracy,
+        name="retrieval", metric_name="val_retrieval_accuracy",
+    )
     return {"epoch_losses": losses, "val_retrieval_accuracy": val_acc}

@@ -206,6 +206,26 @@ def test_train_generator_checkpoint(demo_files, tmp_path):
     assert model.hidden == 16
 
 
+@pytest.mark.parametrize("flag, value", [("--batch", "-1"), ("--batch", "0"), ("--epochs", "-1")])
+def test_train_bad_sizes_exit_two(demo_files, tmp_path, capsys, flag, value):
+    out = str(tmp_path / "extractor.json")
+    code = cli.main(
+        [
+            "--quiet",
+            "train", "extractor",
+            "--data", demo_files["dataset"],
+            "--out", out,
+            "--embed-dim", "8",
+            "--hidden", "8",
+            flag, value,
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be >=" in err
+    assert not os.path.exists(out)
+
+
 # ------------------------------------------------------------- transform
 
 def test_transform_inline_input(config_file, demo_files, ckpt_dir, capsys):
@@ -330,7 +350,7 @@ def test_transform_mode_mismatch_exits_two(demo_files, ckpt_dir, tmp_path, capsy
     assert "guided" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ['{"beam": 2, "widths": 3}', "{oops"])
+@pytest.mark.parametrize("content", ['{"beam": 2, "widths": 3}', "{oops", "[]", '{"beam": "4"}'])
 def test_transform_bad_config_exits_two(
     demo_files, ckpt_dir, tmp_path, capsys, content
 ):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, extract_span, train_extractor
-from idiomatize.corpus import BioSequence
+from idiomatize.corpus import BioSequence, derive_bio
 from idiomatize.extractor import (
+    LABELS,
     extractor_loss,
     repair_labels,
     unary_scores,
@@ -167,6 +171,41 @@ def test_train_deterministic(tiny_vocab):
     m2, h2 = run()
     assert h1 == h2
     assert all(np.array_equal(t.data, m2.store[n].data) for n, t in m1.store.items())
+
+
+def _three_pairs():
+    return [
+        ParallelPair("a", 0, ("the", "cat", "sat"), ("z",), (1, 2)),
+        ParallelPair("a", 0, ("a", "dog", "ran"), ("z",), (1, 3)),
+        ParallelPair("a", 0, ("the", "dog", "sat", "down"), ("z",), (2, 4)),
+    ]
+
+
+def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
+    pairs = _three_pairs()
+    lexicon = _lexicon_for(pairs)
+    model = ExtractorModel(tiny_vocab, embed_dim=8, hidden=8, seed=4)
+    history = train_extractor(model, pairs, lexicon, epochs=1, lr=0.0, batch_size=2)
+    definition = lexicon[0].senses[0]
+    per_instance = [
+        extractor_loss(model, p.literal, definition, [LABELS.index(l) for l in derive_bio(p).labels]).item()
+        for p in pairs
+    ]
+    assert abs(history["epoch_losses"][0] - sum(per_instance) / len(pairs)) <= 1e-12
+
+
+def test_train_logs_one_info_record_per_epoch(tiny_vocab, caplog):
+    pairs = _three_pairs()
+    model = ExtractorModel(tiny_vocab, embed_dim=8, hidden=8, seed=4)
+    with caplog.at_level(logging.INFO, logger="idiomatize"):
+        train_extractor(model, pairs, _lexicon_for(pairs), epochs=2, validation=pairs)
+    records = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert len(records) == 2
+    for epoch, record in enumerate(records, start=1):
+        assert re.fullmatch(
+            rf"extractor epoch {epoch}/2: loss \d+\.\d+, val_span_f1 \d\.\d{{4}}, \d+\.\d+ s",
+            record.getMessage(),
+        )
 
 
 def test_sentinel_task_reaches_f1(sentinel_extractor):

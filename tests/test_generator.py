@@ -417,6 +417,20 @@ def test_train_deterministic(tiny_vocab):
     assert all(np.array_equal(t.data, m2.store[n].data) for n, t in m1.store.items())
 
 
+def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
+    model = GeneratorModel(
+        tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=True, seed=3
+    )
+    data = [
+        (_demo_input(), ("the", "cat", "ran", "fast")),
+        (build_guided_input(("slow",), ("a", "dog", "ran"), (2, 3)), ("a", "dog", "slow")),
+        (build_guided_input(("ran",), ("the", "cat", "sat"), (2, 3)), ("the", "cat", "ran")),
+    ]
+    history = train_generator(model, data, epochs=1, batch_size=2, lr=0.0)
+    per_instance = [teacher_forced_loss(model, inp, ref).item() for inp, ref in data]
+    assert abs(history["epoch_losses"][0] - sum(per_instance) / len(data)) <= 1e-12
+
+
 def test_train_history_shape_and_eval_cadence(tiny_vocab):
     data = [(_demo_input(), ("the", "cat", "ran", "fast"))]
     model = GeneratorModel(

@@ -164,6 +164,10 @@ def _corrupt(payload, mutation):
         del payload["hyperparameters"]
     elif mutation == "bad_hyperparameter":
         payload["hyperparameters"]["momentum"] = 0.9
+    elif mutation == "not_object":
+        return [payload]
+    elif mutation == "tensor_without_values":
+        del payload["tensors"][sorted(payload["tensors"])[0]]["values"]
     return payload
 
 
@@ -179,6 +183,8 @@ def _corrupt(payload, mutation):
         ("nonfinite_values", "non-finite"),
         ("no_hyperparameters", "bad checkpoint structure"),
         ("bad_hyperparameter", "bad checkpoint structure"),
+        ("not_object", "JSON object"),
+        ("tensor_without_values", "shape and values"),
     ],
 )
 def test_load_rejects_corrupt_checkpoint(tiny_models, tmp_path, mutation, message):
