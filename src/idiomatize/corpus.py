@@ -242,14 +242,18 @@ def load_lexicon(path: str) -> list[IdiomEntry]:
         except KeyError as err:
             raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
         rigidity = rec.get("rigidity")
+        if not isinstance(idiom_id, str) or not isinstance(text, str):
+            raise CorpusError(f"{path}:{lineno}: 'id' and 'text' must be strings")
         if idiom_id in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate idiom id {idiom_id!r}")
         seen.add(idiom_id)
         if not isinstance(definitions, list) or not definitions:
             raise CorpusError(f"{path}:{lineno}: 'definitions' must be a non-empty list")
+        if not all(isinstance(d, str) for d in definitions):
+            raise CorpusError(f"{path}:{lineno}: 'definitions' must be strings")
         try:
             entry = IdiomEntry(
-                id=str(idiom_id),
+                id=idiom_id,
                 surface=tuple(tokenize(text)),
                 senses=tuple(tuple(tokenize(d)) for d in definitions),
                 rigidity=rigidity,
@@ -273,6 +277,8 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
             span = rec["span"]
         except KeyError as err:
             raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+        if not all(isinstance(v, str) for v in (idiom_id, literal, idiomatic)):
+            raise CorpusError(f"{path}:{lineno}: 'idiom_id', 'literal' and 'idiomatic' must be strings")
         entry = by_id.get(idiom_id)
         if entry is None:
             raise CorpusError(f"{path}:{lineno}: unknown idiom id {idiom_id!r}")
@@ -281,15 +287,15 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
                 f"{path}:{lineno}: sense_index {sense_index!r} out of range "
                 f"for idiom {idiom_id!r} with {len(entry.senses)} senses"
             )
-        if not (isinstance(span, list) and len(span) == 2):
-            raise CorpusError(f"{path}:{lineno}: 'span' must be a [start, end] list")
+        if not (isinstance(span, list) and len(span) == 2 and all(isinstance(v, int) for v in span)):
+            raise CorpusError(f"{path}:{lineno}: 'span' must be a [start, end] list of integers")
         try:
             pair = ParallelPair(
-                idiom_id=str(idiom_id),
+                idiom_id=idiom_id,
                 sense_index=sense_index,
                 literal=tuple(tokenize(literal)),
                 idiomatic=tuple(tokenize(idiomatic)),
-                span=(int(span[0]), int(span[1])),
+                span=(span[0], span[1]),
             )
         except CorpusError as err:
             raise CorpusError(f"{path}:{lineno}: {err}") from err

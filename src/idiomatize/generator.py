@@ -213,10 +213,15 @@ def step_scores(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> tuple[T
 
 @dataclass
 class StepDistribution:
-    """One decoding step's output distribution, collapsed by surface token."""
+    """One decoding step's output distribution over an extended vocabulary.
 
-    probs: dict[str, float]
-    copy_probs: dict[str, float]
+    ``tokens`` is the vocabulary followed by the input tokens it lacks, in
+    first-occurrence order; ``probs`` and ``copy_probs`` are arrays over it.
+    """
+
+    tokens: tuple[str, ...]
+    probs: np.ndarray
+    copy_probs: np.ndarray
     p_copy: float
     p_gen: float
 
@@ -228,13 +233,15 @@ def _distribution(
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
     z = e_copy.sum() + e_gen.sum()
-    probs = dict(zip(vocab.tokens, (e_gen / z).tolist()))
-    copy_probs: dict[str, float] = {}
-    for j, tok in enumerate(inp_tokens):
-        w = float(e_copy[j]) / z
-        probs[tok] = probs.get(tok, 0.0) + w
-        copy_probs[tok] = copy_probs.get(tok, 0.0) + w
+    tokens = vocab.tokens + tuple(dict.fromkeys(t for t in inp_tokens if t not in vocab))
+    slots = [vocab.get(t) if t in vocab else tokens.index(t, len(vocab)) for t in inp_tokens]
+    probs = np.concatenate([e_gen / z, np.zeros(len(tokens) - len(vocab))])
+    copy_probs = np.zeros(len(tokens))
+    # np.add.at adds position by position, so a repeated token sums in input order.
+    np.add.at(probs, slots, e_copy / z)
+    np.add.at(copy_probs, slots, e_copy / z)
     return StepDistribution(
+        tokens=tokens,
         probs=probs,
         copy_probs=copy_probs,
         p_copy=float(e_copy.sum() / z),
@@ -305,7 +312,7 @@ def teacher_forced_loss(
 
 
 def _teacher_forced_pass(
-    model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str], track_accuracy: bool = False
+    model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str]
 ) -> tuple[Tensor, int, int]:
     if not reference:
         raise ValueError("empty reference")
@@ -321,11 +328,10 @@ def _teacher_forced_pass(
         idxs = _target_indices(model.vocab, inp.tokens, target)
         step_nll = logsumexp(all_scores) - logsumexp(take(all_scores, idxs))
         loss = step_nll if loss is None else loss + step_nll
-        if track_accuracy:
-            dist = _distribution(model.vocab, inp.tokens, copy_s.data, gen_s.data)
-            predicted = max(dist.probs.items(), key=lambda kv: kv[1])[0]
-            reachable = target in input_tokens or target in model.vocab
-            correct += predicted == (target if reachable else model.vocab.decode(1))
+        dist = _distribution(model.vocab, inp.tokens, copy_s.data, gen_s.data)
+        predicted = dist.tokens[int(np.argmax(dist.probs))]
+        reachable = target in input_tokens or target in model.vocab
+        correct += predicted == (target if reachable else model.vocab.decode(1))
         label = 1 if (model.guided and target in input_tokens) else 0
         state = replace(state, y_prev=target, l_prev=label)
     assert loss is not None
@@ -338,7 +344,7 @@ def teacher_forced_accuracy(model: GeneratorModel, data: Sequence[tuple[Generato
     correct = 0
     with no_grad():
         for inp, reference in data:
-            _, n, c = _teacher_forced_pass(model, inp, reference, track_accuracy=True)
+            _, n, c = _teacher_forced_pass(model, inp, reference)
             steps += n
             correct += c
     return correct / steps if steps else 0.0
@@ -369,7 +375,7 @@ def train_generator(
     counts = [0, 0]  # teacher-forced steps and correct argmax steps in this epoch
 
     def loss(example: tuple[GeneratorInput, Sequence[str]]) -> Tensor:
-        value, steps, correct = _teacher_forced_pass(model, *example, track_accuracy=True)
+        value, steps, correct = _teacher_forced_pass(model, *example)
         counts[0] += steps
         counts[1] += correct
         return value
@@ -425,12 +431,12 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
             for hyp in alive:
                 state, dist = decode_step(model, hyp.state, inp)
                 label = infer_label(dist)
-                ranked = sorted(dist.probs.items(), key=lambda kv: -kv[1])[:beam]
-                for token, p in ranked:
+                for k in np.argsort(-dist.probs, kind="stable")[:beam]:
+                    token = dist.tokens[k]
                     candidates.append(
                         _Hypothesis(
                             tokens=hyp.tokens + (token,),
-                            logp=hyp.logp + np.log(p),
+                            logp=hyp.logp + np.log(dist.probs[k]),
                             steps=hyp.steps + 1,
                             state=replace(state, y_prev=token, l_prev=label),
                         )

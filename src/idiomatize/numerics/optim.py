@@ -143,6 +143,8 @@ def fit(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if evaluate is not None and eval_every < 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     losses: list[float] = []
     metrics: list[float | None] = []
     for epoch in range(epochs):

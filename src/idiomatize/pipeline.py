@@ -160,6 +160,8 @@ def load_checkpoint(path: str):
     except (KeyError, TypeError, CorpusError, ValueError) as err:
         raise CheckpointError(f"{path}: bad checkpoint structure ({err})") from err
     tensors = payload.get("tensors", {})
+    if not isinstance(tensors, dict):
+        raise CheckpointError(f"{path}: 'tensors' must be an object")
     expected = set(model.store.params)
     found = set(tensors)
     if expected != found:
@@ -170,10 +172,13 @@ def load_checkpoint(path: str):
         if not isinstance(spec, dict) or not {"shape", "values"} <= spec.keys():
             raise CheckpointError(f"{path}: tensor {name!r} needs a shape and values")
         param = model.store[name]
-        shape = tuple(spec["shape"])
+        try:
+            shape = tuple(spec["shape"])
+            values = np.asarray(spec["values"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or values ({err})") from err
         if shape != param.shape:
             raise CheckpointError(f"{path}: tensor {name!r} shape {shape} != {param.shape}")
-        values = np.asarray(spec["values"], dtype=np.float64)
         if values.size != param.data.size:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has {values.size} values, expected {param.data.size}"

@@ -123,6 +123,27 @@ def reference_logsumexp(values):
     return shift + math.log(math.fsum(math.exp(v - shift) for v in values))
 
 
+def reference_step_distribution(vocab_tokens, inp_tokens, copy_scores, gen_scores):
+    """One copy+generate decoder step as dicts keyed by surface token.
+
+    Generate mass is laid out over the vocabulary, then each input
+    position's copy mass is added to its token in input order; input
+    tokens outside the vocabulary are appended in first-occurrence order.
+    Returns (probs, copy_probs, p_copy, p_gen).
+    """
+    shift = max(copy_scores.max(), gen_scores.max())
+    e_copy = np.exp(copy_scores - shift)
+    e_gen = np.exp(gen_scores - shift)
+    z = e_copy.sum() + e_gen.sum()
+    probs = dict(zip(vocab_tokens, (e_gen / z).tolist()))
+    copy_probs = {}
+    for j, tok in enumerate(inp_tokens):
+        w = float(e_copy[j]) / z
+        probs[tok] = probs.get(tok, 0.0) + w
+        copy_probs[tok] = copy_probs.get(tok, 0.0) + w
+    return probs, copy_probs, float(e_copy.sum() / z), float(e_gen.sum() / z)
+
+
 # 20 hypothesis/reference pairs exercising clipping, brevity, repeats,
 # reordering, and length extremes; shared by the metric oracle tests.
 METRIC_PAIRS: list[tuple[list[str], list[str]]] = [

@@ -126,9 +126,9 @@ def test_distribution_validity(record_criterion):
         h = Tensor(npr.normal(scale=2.0, size=(12,)))
         with no_grad():
             dist, _ = step_distribution(model, h, memory, inp)
-        worst_sum = max(worst_sum, abs(sum(dist.probs.values()) - 1.0))
+        worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
         worst_split = max(worst_split, abs(dist.p_copy + dist.p_gen - 1.0))
-        leaked = leaked or not set(dist.copy_probs) <= set(inp.tokens)
+        leaked = leaked or not {t for t, c in zip(dist.tokens, dist.copy_probs) if c} <= set(inp.tokens)
     ok = worst_sum <= 1e-6 and worst_split <= 1e-6 and not leaked
     record_criterion(
         3, ok, f"1000 states: max |sum(p)-1| {worst_sum:.1e}, "

@@ -216,6 +216,9 @@ def test_load_lexicon_error_positions(tmp_path):
         "dup.jsonl": good + "\n" + good,
         "defs.jsonl": good + '{"id": "b", "text": "x", "definitions": []}\n',
         "rigid.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y"], "rigidity": 9}\n',
+        "text_int.jsonl": good + '{"id": "b", "text": 5, "definitions": ["y"]}\n',
+        "def_int.jsonl": good + '{"id": "b", "text": "x", "definitions": [3]}\n',
+        "id_list.jsonl": good + '{"id": ["b"], "text": "x", "definitions": ["y"]}\n',
     }
     for name, text in cases.items():
         path = _write(tmp_path / name, text)
@@ -257,6 +260,8 @@ def test_load_pairs_errors(tmp_path):
         as_line(span="1-2"),
         as_line(span=[3, 9]),
         as_line(literal=None),
+        as_line(literal=7),
+        as_line(span=["a", 1]),
     ]
     for i, line in enumerate(cases):
         path = _write(tmp_path / f"pairs{i}.jsonl", line)

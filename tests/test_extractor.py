@@ -194,6 +194,15 @@ def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
     assert abs(history["epoch_losses"][0] - sum(per_instance) / len(pairs)) <= 1e-12
 
 
+@pytest.mark.parametrize("eval_every", [0, -1])
+def test_train_rejects_eval_every_below_one_with_validation(tiny_vocab, eval_every):
+    pairs = _three_pairs()
+    model = ExtractorModel(tiny_vocab, embed_dim=8, hidden=8, seed=4)
+    with pytest.raises(ValueError, match="eval_every"):
+        train_extractor(model, pairs, _lexicon_for(pairs), epochs=1, validation=pairs, eval_every=eval_every)
+    assert model.store.step_count == 0
+
+
 def test_train_logs_one_info_record_per_epoch(tiny_vocab, caplog):
     pairs = _three_pairs()
     model = ExtractorModel(tiny_vocab, embed_dim=8, hidden=8, seed=4)

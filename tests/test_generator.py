@@ -37,6 +37,8 @@ from idiomatize.generator import (
 )
 from idiomatize.numerics import Tensor, no_grad
 
+from oracles import reference_step_distribution
+
 words = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
 
@@ -227,17 +229,18 @@ def test_distribution_matches_manual_normalization(tiny_vocab):
     dist = _distribution(tiny_vocab, inp_tokens, copy_s, gen_s)
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert dist.p_copy + dist.p_gen == pytest.approx(1.0, abs=1e-12)
     assert dist.p_copy == pytest.approx(np.exp(copy_s - shift).sum() / z, abs=1e-12)
     expect_the = (
         np.exp(gen_s[tiny_vocab.encode("the")] - shift) + np.exp(copy_s[0] - shift)
     ) / z
-    assert dist.probs["the"] == pytest.approx(expect_the, abs=1e-12)
-    assert set(dist.copy_probs) == {"the", "cat", "zzz"}
+    assert dist.probs[dist.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
+    assert {t for t, c in zip(dist.tokens, dist.copy_probs) if c} == {"the", "cat", "zzz"}
     # The OOV token is reachable through the copy route only.
-    assert dist.probs["zzz"] == pytest.approx(dist.copy_probs["zzz"], abs=1e-15)
-    assert dist.probs["zzz"] > 0.0
+    zzz = dist.tokens.index("zzz")
+    assert dist.probs[zzz] == pytest.approx(dist.copy_probs[zzz], abs=1e-15)
+    assert dist.probs[zzz] > 0.0
 
 
 def test_distribution_merges_repeated_tokens(tiny_vocab):
@@ -247,15 +250,42 @@ def test_distribution_merges_repeated_tokens(tiny_vocab):
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     both = (np.exp(copy_s[0] - shift) + np.exp(copy_s[2] - shift)) / z
-    assert dist.copy_probs["cat"] == pytest.approx(both, abs=1e-15)
+    assert dist.copy_probs[dist.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distribution_equals_dict_oracle(tiny_vocab, seed):
+    rng = np.random.default_rng(seed)
+    # In-vocabulary words repeat, two OOV words repeat, <sep> sits in the input.
+    pool = ("the", "cat", "the", "dog", "zzz", "qqq", "zzz", "<sep>")
+    inp_tokens = tuple(rng.choice(pool, size=rng.integers(1, 13)).tolist())
+    copy_s = rng.normal(scale=2.0, size=len(inp_tokens))
+    gen_s = rng.normal(scale=2.0, size=len(tiny_vocab))
+    if seed % 3 == 0:
+        gen_s[:] = 0.7  # exact ties across the whole vocabulary
+    if seed % 6 == 0:
+        copy_s[:] = 0.7
+    dist = _distribution(tiny_vocab, inp_tokens, copy_s, gen_s)
+    probs, copy_probs, p_copy, p_gen = reference_step_distribution(
+        tiny_vocab.tokens, inp_tokens, copy_s, gen_s
+    )
+    assert dist.tokens == tuple(probs)
+    assert dist.probs.tolist() == list(probs.values())
+    assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in dist.tokens]
+    assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
+    order = np.argsort(-dist.probs, kind="stable")
+    ranked = sorted(probs.items(), key=lambda kv: -kv[1])
+    for k in range(1, 9):
+        assert [dist.tokens[i] for i in order[:k]] == [t for t, _ in ranked[:k]]
 
 
 def test_infer_label_strictly_greater():
-    tie = StepDistribution(probs={}, copy_probs={}, p_copy=0.5, p_gen=0.5)
+    empty = np.zeros(0)
+    tie = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.5, p_gen=0.5)
     assert infer_label(tie) == 0
-    copyish = StepDistribution(probs={}, copy_probs={}, p_copy=0.6, p_gen=0.4)
+    copyish = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.6, p_gen=0.4)
     assert infer_label(copyish) == 1
-    genish = StepDistribution(probs={}, copy_probs={}, p_copy=0.4, p_gen=0.6)
+    genish = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.4, p_gen=0.6)
     assert infer_label(genish) == 0
 
 
@@ -265,7 +295,7 @@ def test_step_distribution_sums_to_one_from_real_state(gen_model):
         memory = encode_input(gen_model, inp)
         state = decode_init(gen_model, memory)
         dist, psi = step_distribution(gen_model, state.hidden, memory, inp)
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert psi.shape == (len(inp.tokens),)
 
 
@@ -296,7 +326,7 @@ def test_decode_step_keeps_memory_and_prev_fields(gen_model):
     assert new_state.y_prev == state.y_prev
     assert new_state.l_prev == state.l_prev
     assert new_state.psi_prev is not None
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unguided_model_ignores_label_channel(unguided_model):
@@ -331,7 +361,7 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
         input_tokens = set(inp.tokens)
         for target in list(reference) + [EOS]:
             state, dist = decode_step(gen_model, state, inp)
-            manual -= math.log(dist.probs[target])
+            manual -= math.log(dist.probs[dist.tokens.index(target)])
             label = 1 if (gen_model.guided and target in input_tokens) else 0
             state = replace(state, y_prev=target, l_prev=label)
     assert loss == pytest.approx(manual, abs=1e-10)
@@ -357,12 +387,22 @@ def test_beam_one_is_greedy(gen_model):
         tokens = []
         for _ in range(10):
             state, dist = decode_step(gen_model, state, inp)
-            token = max(dist.probs.items(), key=lambda kv: kv[1])[0]
+            token = dist.tokens[int(np.argmax(dist.probs))]
             if token == EOS:
                 break
             tokens.append(token)
             state = replace(state, y_prev=token, l_prev=infer_label(dist))
     assert got == tuple(tokens)
+
+
+@pytest.mark.parametrize("beam", [1, 4])
+def test_beam_decode_breaks_exact_ties_by_vocabulary_id(tiny_vocab, beam):
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
+    model.w_gen.data[:] = 0.0  # every generate and copy score is 0 at every step
+    model.u_copy.data[:] = 0.0
+    inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
+    # The input's in-vocabulary tokens tie for the most mass; "the" has the lowest id.
+    assert beam_decode(model, inp, beam=beam, max_len=3) == ("the", "the", "the")
 
 
 def test_beam_decode_argument_validation(gen_model):

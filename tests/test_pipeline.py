@@ -168,6 +168,14 @@ def _corrupt(payload, mutation):
         return [payload]
     elif mutation == "tensor_without_values":
         del payload["tensors"][sorted(payload["tensors"])[0]]["values"]
+    elif mutation == "tensors_list":
+        payload["tensors"] = sorted(payload["tensors"])
+    elif mutation == "shape_int":
+        payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = 5
+    elif mutation == "shape_null":
+        payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = None
+    elif mutation == "nonnumeric_values":
+        payload["tensors"][sorted(payload["tensors"])[0]]["values"][0] = "x"
     return payload
 
 
@@ -185,6 +193,10 @@ def _corrupt(payload, mutation):
         ("bad_hyperparameter", "bad checkpoint structure"),
         ("not_object", "JSON object"),
         ("tensor_without_values", "shape and values"),
+        ("tensors_list", "'tensors' must be an object"),
+        ("shape_int", "malformed shape or values"),
+        ("shape_null", "malformed shape or values"),
+        ("nonnumeric_values", "malformed shape or values"),
     ],
 )
 def test_load_rejects_corrupt_checkpoint(tiny_models, tmp_path, mutation, message):
