@@ -216,6 +216,11 @@ def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry], mi
     return Vocabulary(RESERVED + tuple(ordered))
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``true``/``false`` and floats such as ``1.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,6 +256,8 @@ def load_lexicon(path: str) -> list[IdiomEntry]:
             raise CorpusError(f"{path}:{lineno}: 'definitions' must be a non-empty list")
         if not all(isinstance(d, str) for d in definitions):
             raise CorpusError(f"{path}:{lineno}: 'definitions' must be strings")
+        if rigidity is not None and not _is_int(rigidity):
+            raise CorpusError(f"{path}:{lineno}: 'rigidity' must be 1, 2, 3 or null")
         try:
             entry = IdiomEntry(
                 id=idiom_id,
@@ -282,12 +289,12 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
         entry = by_id.get(idiom_id)
         if entry is None:
             raise CorpusError(f"{path}:{lineno}: unknown idiom id {idiom_id!r}")
-        if not isinstance(sense_index, int) or not 0 <= sense_index < len(entry.senses):
+        if not _is_int(sense_index) or not 0 <= sense_index < len(entry.senses):
             raise CorpusError(
                 f"{path}:{lineno}: sense_index {sense_index!r} out of range "
                 f"for idiom {idiom_id!r} with {len(entry.senses)} senses"
             )
-        if not (isinstance(span, list) and len(span) == 2 and all(isinstance(v, int) for v in span)):
+        if not (isinstance(span, list) and len(span) == 2 and all(_is_int(v) for v in span)):
             raise CorpusError(f"{path}:{lineno}: 'span' must be a [start, end] list of integers")
         try:
             pair = ParallelPair(

@@ -78,23 +78,23 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
     clip_norm: float | None = 5.0,
-) -> None:
+) -> float:
     """One bias-corrected Adam update over every parameter in the store.
 
-    Gradients are consumed: a second call without a fresh backward pass
-    raises instead of silently re-stepping on stale gradients.
+    Returns the global gradient norm before clipping.  Gradients are
+    consumed: a second call without a fresh backward pass raises instead
+    of silently re-stepping on stale gradients.
     """
     for name, t in store.params.items():
         if t.grad is None:
             raise NumericError(f"adam_step: no gradient for parameter {name!r}")
         if not np.isfinite(t.grad).all():
             raise NumericError(f"adam_step: non-finite gradient for parameter {name!r}")
-    if clip_norm is not None:
-        norm = global_grad_norm(store)
-        if norm > clip_norm:
-            scale = clip_norm / norm
-            for t in store.params.values():
-                t.grad *= scale
+    norm = global_grad_norm(store)
+    if clip_norm is not None and norm > clip_norm:
+        scale = clip_norm / norm
+        for t in store.params.values():
+            t.grad *= scale
     store.step_count += 1
     c1 = 1.0 - beta1**store.step_count
     c2 = 1.0 - beta2**store.step_count
@@ -114,6 +114,7 @@ def adam_step(
         if not np.isfinite(t.data).all():
             raise NumericError(f"non-finite values in parameter {name!r} after update")
         t.grad = None
+    return norm
 
 
 def fit(
@@ -121,7 +122,7 @@ def fit(
     rng: Rng,
     draw: Callable[[], Sequence],
     loss: Callable[..., Tensor],
-    step: Callable[[], object],
+    step: Callable[[], float],
     *,
     epochs: int,
     batch_size: int,
@@ -135,9 +136,11 @@ def fit(
 
     Each epoch visits the instances ``draw`` returns (it may consume
     ``rng``) in an order shuffled by ``rng``, and steps once per batch on
-    the batch-mean loss.  Every ``eval_every`` epochs ``evaluate`` gives
+    the batch-mean loss; ``step`` returns the gradient norm before
+    clipping.  Every ``eval_every`` epochs ``evaluate`` gives
     the epoch's metric (None otherwise).  ``after_epoch(metric)`` returning
-    True stops training.  Each epoch logs one INFO line.
+    True stops training.  Each epoch logs one INFO line, with the
+    epoch's largest gradient norm.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -153,6 +156,7 @@ def fit(
         order = list(range(len(instances)))
         rng.shuffle(order)
         total = 0.0
+        max_norm = 0.0
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
             store.zero_grads()
@@ -162,14 +166,14 @@ def fit(
             batch_loss = batch_loss * (1.0 / len(batch))
             total += batch_loss.item() * len(batch)
             batch_loss.backward()
-            step()
+            max_norm = max(max_norm, step())
         losses.append(total / len(instances))
         metric = evaluate() if evaluate is not None and (epoch + 1) % eval_every == 0 else None
         metrics.append(metric)
         log.info(
-            "%s epoch %d/%d: loss %.6f, %s %s, %.2f s",
+            "%s epoch %d/%d: loss %.6f, %s %s, max grad norm %.4f, %.2f s",
             name, epoch + 1, epochs, losses[-1], metric_name,
-            "-" if metric is None else f"{metric:.4f}", time.perf_counter() - start,
+            "-" if metric is None else f"{metric:.4f}", max_norm, time.perf_counter() - start,
         )
         if after_epoch(metric):
             break

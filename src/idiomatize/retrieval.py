@@ -2,7 +2,8 @@
 
 The key for a candidate idiom is one of its definitions (default) or its
 surface form.  A BiGRU reads [sentence, <sep>, key]; states are
-sum-pooled and a linear head produces the match score.  Training is
+sum-pooled and a linear head produces the match score.  A query scores
+the whole lexicon in one batched, tape-free pass.  Training is
 binary classification of the gold key against uniformly sampled
 negative idioms, resampled every epoch.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import logging
 from typing import Sequence
 
+import numpy as np
+
 from .corpus import SEP, IdiomEntry, ParallelPair, Vocabulary
 from .numerics import (
     GruCell,
@@ -20,6 +23,7 @@ from .numerics import (
     adam_step,
     bigru_encode,
     fit,
+    gru_pool,
     neg,
     no_grad,
     softplus,
@@ -100,6 +104,39 @@ def candidate_keys(entry: IdiomEntry, key_mode: str) -> list[tuple[int, tuple[st
     raise ValueError(f"unknown key mode {key_mode!r}")
 
 
+def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Sequence[str]]) -> np.ndarray:
+    """``score_pair`` for every key at once, as one tape-free batched pass.
+
+    The forward states over ``sentence + <sep>`` do not depend on the key,
+    and the backward states over a key do not depend on the sentence.  So
+    the forward prefix runs once, the forward and backward passes over the
+    keys run as one ragged batch, and the backward prefix pass starts from
+    each key's final state.  Each distinct encoded key is scored once, so
+    keys that encode alike (duplicates, or all-<unk>) score exactly alike.
+    """
+    if not sentence or not keys or not all(keys):
+        raise ValueError("sentence and key must be non-empty")
+    unique: dict[tuple[int, ...], int] = {}
+    rows = [unique.setdefault(tuple(model.vocab.encode_all(key)), len(unique)) for key in keys]
+    n = len(unique)
+    longest = max(len(ids) for ids in unique)
+    fwd_ids = np.zeros((longest, n), dtype=np.int64)
+    bwd_ids = np.zeros((longest, n), dtype=np.int64)
+    mask = np.zeros((longest, n), dtype=bool)
+    for j, ids in enumerate(unique):
+        fwd_ids[: len(ids), j] = ids
+        bwd_ids[: len(ids), j] = ids[::-1]
+        mask[: len(ids), j] = True
+    emb = model.embedding.data
+    prefix = emb[model.vocab.encode_all(list(sentence) + [SEP])][:, None, :]
+    f_prefix, h = gru_pool(model.fwd, prefix, np.zeros((1, model.hidden)))
+    f_key, _ = gru_pool(model.fwd, emb[fwd_ids], np.repeat(h, n, axis=0), mask)
+    b_key, h = gru_pool(model.bwd, emb[bwd_ids], np.zeros((n, model.hidden)), mask)
+    b_prefix, _ = gru_pool(model.bwd, prefix[::-1], h)
+    pooled = np.concatenate([f_prefix + f_key, b_key + b_prefix], axis=1)
+    return (pooled @ model.score_w.data + model.score_b.data)[rows]
+
+
 def retrieve_top1(
     model: RetrievalModel,
     sentence: Sequence[str],
@@ -113,18 +150,13 @@ def retrieve_top1(
     """
     if not lexicon:
         raise ValueError("empty lexicon")
-    best: tuple[str, int, float] | None = None
-    for entry in lexicon:
-        entry_best: tuple[int, float] | None = None
-        for sense_index, key in candidate_keys(entry, key_mode):
-            s = score_pair(model, sentence, key)
-            if entry_best is None or s > entry_best[1]:
-                entry_best = (sense_index, s)
-        assert entry_best is not None
-        if best is None or entry_best[1] > best[2]:
-            best = (entry.id, entry_best[0], entry_best[1])
-    assert best is not None
-    return best
+    candidates = [(entry.id, sense, key) for entry in lexicon for sense, key in candidate_keys(entry, key_mode)]
+    scores = score_keys(model, sentence, [key for _, _, key in candidates])
+    # Candidates run idiom by idiom and sense by sense, so the first maximum
+    # is the earliest idiom's earliest sense among the tied ones.
+    best = int(np.argmax(scores))
+    idiom_id, sense_index, _ = candidates[best]
+    return idiom_id, sense_index, float(scores[best])
 
 
 def evaluate_retrieval(

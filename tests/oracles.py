@@ -111,6 +111,27 @@ def reference_gru_step(weights, h_prev, x):
     return (1.0 - z) * h_prev + z * cand
 
 
+def reference_retrieve_top1(score, candidates):
+    """Best (idiom id, sense index, score) by scoring one key at a time.
+
+    ``candidates`` are (idiom id, sense index, key) in lexicon order and
+    ``score(key)`` scores one key.  Per idiom the best-scoring sense wins
+    (earlier sense on ties); across idioms the earlier idiom wins ties.
+    """
+    if not candidates:
+        raise ValueError("empty lexicon")
+    per_idiom = {}
+    for idiom_id, sense_index, key in candidates:
+        s = score(key)
+        if idiom_id not in per_idiom or s > per_idiom[idiom_id][1]:
+            per_idiom[idiom_id] = (sense_index, s)
+    best = None
+    for idiom_id, (sense_index, s) in per_idiom.items():
+        if best is None or s > best[2]:
+            best = (idiom_id, sense_index, s)
+    return best
+
+
 def reference_softmax(values):
     shift = max(values)
     exps = [math.exp(v - shift) for v in values]

@@ -219,6 +219,8 @@ def test_load_lexicon_error_positions(tmp_path):
         "text_int.jsonl": good + '{"id": "b", "text": 5, "definitions": ["y"]}\n',
         "def_int.jsonl": good + '{"id": "b", "text": "x", "definitions": [3]}\n',
         "id_list.jsonl": good + '{"id": ["b"], "text": "x", "definitions": ["y"]}\n',
+        "rigid_bool.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y"], "rigidity": true}\n',
+        "rigid_float.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y"], "rigidity": 1.0}\n',
     }
     for name, text in cases.items():
         path = _write(tmp_path / name, text)
@@ -262,6 +264,10 @@ def test_load_pairs_errors(tmp_path):
         as_line(literal=None),
         as_line(literal=7),
         as_line(span=["a", 1]),
+        as_line(sense_index=True),
+        as_line(sense_index=0.0),
+        as_line(span=[False, True]),
+        as_line(span=[1.0, 2]),
     ]
     for i, line in enumerate(cases):
         path = _write(tmp_path / f"pairs{i}.jsonl", line)

@@ -212,7 +212,7 @@ def test_train_logs_one_info_record_per_epoch(tiny_vocab, caplog):
     assert len(records) == 2
     for epoch, record in enumerate(records, start=1):
         assert re.fullmatch(
-            rf"extractor epoch {epoch}/2: loss \d+\.\d+, val_span_f1 \d\.\d{{4}}, \d+\.\d+ s",
+            rf"extractor epoch {epoch}/2: loss \d+\.\d+, val_span_f1 \d\.\d{{4}}, max grad norm \d+\.\d{{4}}, \d+\.\d+ s",
             record.getMessage(),
         )
 

@@ -21,6 +21,7 @@ from idiomatize.numerics import (
     getitem,
     global_grad_norm,
     grad_check,
+    gru_pool,
     gru_run,
     gru_step,
     log,
@@ -342,6 +343,56 @@ def test_bigru_encode_concatenates_directions():
     assert bigru_encode(fwd, bwd, []) == []
 
 
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_gru_pool_matches_reference_steps(batch, steps, shared, seed):
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 4, Rng(seed))
+    weights = _cell_weights(cell)
+    xs = rng.normal(size=(steps, 1 if shared else batch, 3))
+    h0 = rng.normal(size=(batch, 4))
+    mask = rng.random((steps, batch)) < 0.6
+    pooled, final = gru_pool(cell, xs, h0, mask)
+    assert np.array_equal(gru_pool(cell, xs, h0)[0], gru_pool(cell, xs, h0, np.ones_like(mask))[0])
+    for b in range(batch):
+        h, total = h0[b], np.zeros(4)
+        for t in range(steps):
+            if mask[t, b]:
+                h = reference_gru_step(weights, h, xs[t, 0 if shared else b])
+                total = total + h
+        assert np.allclose(pooled[b], total, rtol=0, atol=1e-12)
+        assert np.allclose(final[b], h, rtol=0, atol=1e-12)
+    # A masked step leaves the row's state bit for bit where it was.
+    before = h0
+    for t in range(steps):
+        after = gru_pool(cell, xs[: t + 1], h0, mask[: t + 1])[1]
+        assert np.array_equal(after[~mask[t]], before[~mask[t]])
+        before = after
+
+
+def test_gru_pool_shape_errors():
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 5, Rng(0))
+    xs, h0 = np.zeros((2, 4, 3)), np.zeros((4, 5))
+    with pytest.raises(ValueError):
+        gru_pool(cell, xs, np.zeros((4, 6)))
+    with pytest.raises(ValueError):
+        gru_pool(cell, xs, np.zeros(5))
+    with pytest.raises(ValueError):
+        gru_pool(cell, np.zeros((2, 4, 2)), h0)
+    with pytest.raises(ValueError):
+        gru_pool(cell, np.zeros((2, 3, 3)), h0)
+    with pytest.raises(ValueError):
+        gru_pool(cell, np.zeros((4, 3)), h0)
+    with pytest.raises(ValueError):
+        gru_pool(cell, xs, h0, np.ones((2, 3), dtype=bool))
+
+
 def test_gru_gradients():
     def loss(cell_holder):
         def inner(_s):
@@ -383,7 +434,7 @@ def test_adam_first_step_matches_formula():
     w.data[:] = [1.0, -2.0, 0.5]
     g = np.array([0.3, -0.1, 0.02])
     w.grad = g.copy()
-    adam_step(store, lr=0.1, clip_norm=None)
+    assert adam_step(store, lr=0.1, clip_norm=None) == np.sqrt((g**2).sum())
     # First step: bias correction cancels, update = lr * g / (|g| + eps).
     expect = np.array([1.0, -2.0, 0.5]) - 0.1 * g / (np.abs(g) + 1e-8)
     assert np.allclose(w.data, expect, atol=1e-12)
@@ -406,7 +457,8 @@ def test_adam_clips_global_norm():
     w.data[:] = [0.0, 0.0]
     g = np.array([30.0, 40.0])  # norm 50 -> scaled to 5
     w.grad = g.copy()
-    adam_step(store, lr=0.1, clip_norm=5.0)
+    norm = global_grad_norm(store)
+    assert adam_step(store, lr=0.1, clip_norm=5.0) == norm == 50.0
     clipped = g * (5.0 / 50.0)
     expect = -0.1 * clipped / (np.abs(clipped) + 1e-8)
     assert np.allclose(w.data, expect, atol=1e-12)

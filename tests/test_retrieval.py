@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idiomatize import IdiomEntry, ParallelPair, RetrievalModel, build_vocab, retrieve_top1, train_retrieval
+from idiomatize.corpus import RESERVED, Vocabulary
 from idiomatize.numerics import bigru_encode, no_grad, stack, tsum
 from idiomatize.retrieval import (
+    KEY_MODES,
     candidate_keys,
     encode_candidate,
     evaluate_retrieval,
+    score_keys,
     score_pair,
 )
 from idiomatize.toydata import synthetic_retrieval_data
+
+from oracles import reference_retrieve_top1
 
 
 def _separable_corpus():
@@ -67,19 +74,85 @@ def test_candidate_keys_modes():
         candidate_keys(entry, "surface")
 
 
-def test_retrieve_top1_scans_every_sense(tiny_retrieval, monkeypatch):
-    model, lexicon, _ = tiny_retrieval
-    multi = lexicon + [IdiomEntry(id="e4", surface=("a",), senses=(("b",), ("c",), ("d",)))]
-    calls = []
-    monkeypatch.setattr(
-        "idiomatize.retrieval.score_pair",
-        lambda m, s, k: calls.append(tuple(k)) or 0.0,
-    )
-    retrieve_top1(model, ("this", "alpha"), multi, key_mode="definition")
-    assert len(calls) == sum(len(e.senses) for e in multi)
-    calls.clear()
-    retrieve_top1(model, ("this", "alpha"), multi, key_mode="idiom")
-    assert calls == [e.surface for e in multi]
+def _oracle_top1(model, sentence, lexicon, key_mode):
+    candidates = [(e.id, sense, key) for e in lexicon for sense, key in candidate_keys(e, key_mode)]
+    return reference_retrieve_top1(lambda key: score_pair(model, sentence, key), candidates)
+
+
+def _ranked_words(model, sentence):
+    """One-word keys from the vocabulary, lowest score first."""
+    return sorted(((w,) for w in model.vocab.tokens[len(RESERVED):]), key=lambda k: score_pair(model, sentence, k))
+
+
+def test_retrieve_top1_scans_every_sense(tiny_retrieval):
+    model, _, _ = tiny_retrieval
+    sentence = ("this", "alpha")
+    ranked = _ranked_words(model, sentence)
+    best = ranked[-1]
+    assert score_pair(model, sentence, best) > score_pair(model, sentence, ranked[-2])
+    # The best key sits in the last sense of a multi-sense entry (definition
+    # keys) or on that entry's surface (idiom keys).
+    for key_mode, last_sense, surface, expected_sense in (
+        ("definition", best, ranked[5], 2),
+        ("idiom", ranked[5], best, 0),
+    ):
+        lexicon = [
+            IdiomEntry(id="e1", surface=ranked[0], senses=(ranked[1], ranked[2])),
+            IdiomEntry(id="e2", surface=surface, senses=(ranked[3], ranked[4], last_sense)),
+        ]
+        got = retrieve_top1(model, sentence, lexicon, key_mode)
+        expected = _oracle_top1(model, sentence, lexicon, key_mode)
+        assert got[:2] == expected[:2] == ("e2", expected_sense)
+        assert got[2] == pytest.approx(expected[2], abs=1e-12)
+
+
+def test_retrieve_top1_duplicate_keys_tie_exactly(tiny_retrieval):
+    model, _, _ = tiny_retrieval
+    sentence = ("this", "gamma", "there")
+    ranked = _ranked_words(model, sentence)
+    low, best = ranked[0], ranked[-1]
+    lexicon = [
+        IdiomEntry(id="a", surface=("x",), senses=(low,)),
+        IdiomEntry(id="b", surface=("x",), senses=(low, best, best)),
+        IdiomEntry(id="c", surface=("x",), senses=(best,)),
+    ]
+    assert retrieve_top1(model, sentence, lexicon)[:2] == ("b", 1)
+    assert retrieve_top1(model, sentence, lexicon, "idiom")[:2] == ("a", 0)
+    scores = score_keys(model, sentence, [key for e in lexicon for key in e.senses])
+    assert scores[2] == scores[3] == scores[4]
+    # Out-of-vocabulary keys encode alike, so they score alike.
+    unk = score_keys(model, sentence, [("zzz", "yyy"), best, ("qqq", "www")])
+    assert unk[0] == unk[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(KEY_MODES),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_retrieve_top1_matches_per_key_oracle(n_idioms, hidden, key_mode, seed):
+    rng = np.random.default_rng(seed)
+    known = [f"w{i}" for i in range(8)]
+    words = known + ["oov1", "oov2"]
+
+    def phrase(max_len):
+        return tuple(rng.choice(words, size=int(rng.integers(1, max_len + 1))).tolist())
+
+    lexicon = [
+        IdiomEntry(id=f"i{i}", surface=phrase(3), senses=tuple(phrase(4) for _ in range(int(rng.integers(1, 4)))))
+        for i in range(n_idioms)
+    ]
+    model = RetrievalModel(Vocabulary(RESERVED + tuple(known)), embed_dim=3, hidden=hidden, seed=seed % 1000)
+    sentence = phrase(6)
+    got = retrieve_top1(model, sentence, lexicon, key_mode)
+    expected = _oracle_top1(model, sentence, lexicon, key_mode)
+    assert got[:2] == expected[:2]
+    assert abs(got[2] - expected[2]) <= 1e-12
+    keys = [key for e in lexicon for _, key in candidate_keys(e, key_mode)]
+    scalar = [score_pair(model, sentence, key) for key in keys]
+    assert np.abs(score_keys(model, sentence, keys) - scalar).max() <= 1e-12
 
 
 def test_retrieve_top1_tie_breaks_to_earliest(tiny_retrieval):
@@ -106,9 +179,15 @@ def test_retrieve_top1_scale_invariance(tiny_retrieval):
 
 
 def test_retrieve_top1_empty_lexicon(tiny_retrieval):
-    model, _, _ = tiny_retrieval
+    model, lexicon, _ = tiny_retrieval
     with pytest.raises(ValueError):
         retrieve_top1(model, ("a",), [])
+    with pytest.raises(ValueError):
+        retrieve_top1(model, (), lexicon)
+    with pytest.raises(ValueError):
+        score_keys(model, ("a",), [("b",), ()])
+    with pytest.raises(ValueError):
+        score_keys(model, ("a",), [])
 
 
 def test_evaluate_retrieval_empty_pairs(tiny_retrieval):
