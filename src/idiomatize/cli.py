@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _tolerance(text: str) -> float:
+    """A non-negative error bound; NaN would let every comparison pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a non-negative number, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="idiomatize", description=__doc__)
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
@@ -105,7 +116,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--module", choices=sorted(ALL_CHECKS), help="default: all three")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=GRADCHECK_TOLERANCE)
+    p.add_argument("--tolerance", type=_tolerance, default=GRADCHECK_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

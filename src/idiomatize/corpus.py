@@ -78,6 +78,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _is_int(value: object) -> bool:
+    """An integer proper: booleans and floats such as ``1.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IdiomEntry:
     id: str
@@ -92,7 +97,7 @@ class IdiomEntry:
             raise CorpusError(f"idiom {self.id!r}: empty surface form")
         if not self.senses or any(not s for s in self.senses):
             raise CorpusError(f"idiom {self.id!r}: needs at least one non-empty definition")
-        if self.rigidity is not None and self.rigidity not in (1, 2, 3):
+        if self.rigidity is not None and not (_is_int(self.rigidity) and self.rigidity in (1, 2, 3)):
             raise CorpusError(f"idiom {self.id!r}: rigidity must be 1, 2, 3 or null")
 
 
@@ -105,6 +110,8 @@ class ParallelPair:
     span: tuple[int, int]
 
     def __post_init__(self):
+        if not (_is_int(self.sense_index) and all(_is_int(v) for v in self.span)):
+            raise CorpusError(f"pair for {self.idiom_id!r}: sense index and span ends must be integers")
         if not self.literal or not self.idiomatic:
             raise CorpusError(f"pair for {self.idiom_id!r}: empty sentence")
         s, e = self.span
@@ -216,11 +223,6 @@ def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry], mi
     return Vocabulary(RESERVED + tuple(ordered))
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: ``true``/``false`` and floats such as ``1.0`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -256,8 +258,6 @@ def load_lexicon(path: str) -> list[IdiomEntry]:
             raise CorpusError(f"{path}:{lineno}: 'definitions' must be a non-empty list")
         if not all(isinstance(d, str) for d in definitions):
             raise CorpusError(f"{path}:{lineno}: 'definitions' must be strings")
-        if rigidity is not None and not _is_int(rigidity):
-            raise CorpusError(f"{path}:{lineno}: 'rigidity' must be 1, 2, 3 or null")
         try:
             entry = IdiomEntry(
                 id=idiom_id,
@@ -289,12 +289,7 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
         entry = by_id.get(idiom_id)
         if entry is None:
             raise CorpusError(f"{path}:{lineno}: unknown idiom id {idiom_id!r}")
-        if not _is_int(sense_index) or not 0 <= sense_index < len(entry.senses):
-            raise CorpusError(
-                f"{path}:{lineno}: sense_index {sense_index!r} out of range "
-                f"for idiom {idiom_id!r} with {len(entry.senses)} senses"
-            )
-        if not (isinstance(span, list) and len(span) == 2 and all(_is_int(v) for v in span)):
+        if not (isinstance(span, list) and len(span) == 2):
             raise CorpusError(f"{path}:{lineno}: 'span' must be a [start, end] list of integers")
         try:
             pair = ParallelPair(
@@ -306,6 +301,11 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
             )
         except CorpusError as err:
             raise CorpusError(f"{path}:{lineno}: {err}") from err
+        if sense_index >= len(entry.senses):
+            raise CorpusError(
+                f"{path}:{lineno}: sense_index {sense_index!r} out of range "
+                f"for idiom {idiom_id!r} with {len(entry.senses)} senses"
+            )
         pairs.append(pair)
     return pairs
 

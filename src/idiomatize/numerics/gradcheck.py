@@ -28,6 +28,9 @@ def grad_check(loss_fn: Callable[[ParamStore], Tensor], store: ParamStore, eps: 
         raise NumericError("grad_check: loss is not finite")
     loss.backward()
     analytic = {name: t.grad.copy() for name, t in store.items()}
+    for name, grad in analytic.items():
+        if not np.isfinite(grad).all():
+            raise NumericError(f"grad_check: analytic gradient of {name!r} is not finite")
     worst = 0.0
     with no_grad():
         for name, t in store.items():
@@ -41,6 +44,8 @@ def grad_check(loss_fn: Callable[[ParamStore], Tensor], store: ParamStore, eps: 
                 f_lo = float(loss_fn(store).data)
                 flat[i] = keep
                 numeric = (f_hi - f_lo) / (2.0 * eps)
+                if not np.isfinite(numeric):
+                    raise NumericError(f"grad_check: numeric gradient of {name!r} entry {i} is not finite")
                 err = abs(ana[i] - numeric) / max(abs(ana[i]), abs(numeric), 1e-8)
                 worst = max(worst, err)
     store.clear_grads()

@@ -1,14 +1,4 @@
-"""GRU recurrences shared by every encoder and the decoder.
-
-Gate convention:
-
-    z = sigmoid(W_z x + U_z h + b_z)
-    r = sigmoid(W_r x + U_r h + b_r)
-    c = tanh(W_h x + U_h (r * h) + b_h)
-    h' = (1 - z) * h + z * c
-
-so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).
-"""
+"""GRU recurrences shared by every encoder and the decoder, all built on ``gru_step``."""
 
 from __future__ import annotations
 
@@ -18,7 +8,7 @@ import numpy as np
 
 from ..rng import Rng
 from .optim import ParamStore
-from .tensor import Tensor, _sigmoid_np, concat, sigmoid, tanh, zeros
+from .tensor import Tensor, _accum, _node, _sigmoid_np, _track, concat, no_grad, zeros
 
 
 class GruCell:
@@ -39,14 +29,53 @@ class GruCell:
 
 
 def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
-    if h_prev.shape != (cell.hidden_size,):
-        raise ValueError(f"hidden state shape {h_prev.shape} != ({cell.hidden_size},)")
-    if x.shape != (cell.input_size,):
-        raise ValueError(f"input shape {x.shape} != ({cell.input_size},)")
-    z = sigmoid(cell.w_z @ x + cell.u_z @ h_prev + cell.b_z)
-    r = sigmoid(cell.w_r @ x + cell.u_r @ h_prev + cell.b_r)
-    cand = tanh(cell.w_h @ x + cell.u_h @ (r * h_prev) + cell.b_h)
-    return (1.0 - z) * h_prev + z * cand
+    """One GRU step as one tape node: ``h_prev`` [H] and ``x`` [I] give
+
+        z = sigmoid(W_z x + U_z h + b_z)
+        r = sigmoid(W_r x + U_r h + b_r)
+        c = tanh(W_h x + U_h (r * h) + b_h)
+        h' = (1 - z) * h + z * c
+
+    so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Untracked
+    calls also take rows: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared
+    by every row.  The backward adds each gradient's terms in the order the
+    composed matmul, add, sigmoid, tanh and mul ops did, bit for bit.
+    """
+    rows = h_prev.ndim == 2
+    want = (h_prev.shape[0], cell.hidden_size) if rows else (cell.hidden_size,)
+    if h_prev.shape != want:
+        raise ValueError(f"hidden state shape {h_prev.shape} != {want}")
+    if x.shape not in ({(1, cell.input_size), (want[0], cell.input_size)} if rows else {(cell.input_size,)}):
+        raise ValueError(f"input shape {x.shape} != {(*want[:-1], cell.input_size)}")
+    params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
+    h, xd = h_prev.data, x.data
+    z = _sigmoid_np(xd @ w_z.data.T + h @ u_z.data.T + b_z.data)
+    r = _sigmoid_np(xd @ w_r.data.T + h @ u_r.data.T + b_r.data)
+    cand = np.tanh(xd @ w_h.data.T + (r * h) @ u_h.data.T + b_h.data)
+    data = (1.0 - z) * h + z * cand
+    if not _track(x, h_prev, *params):
+        return Tensor(data)
+    if rows:
+        raise ValueError("gru_step tracks gradients only for one [H] state and one [I] input")
+
+    def bw(g):
+        d_z = (g * cand - g * h) * z * (1.0 - z)
+        d_c = g * z * (1.0 - cand**2)
+        d_rh = u_h.data.T @ d_c
+        d_r = d_rh * h * r * (1.0 - r)
+        if h_prev.requires_grad:
+            _accum(h_prev, g * (1.0 - z))
+        for d, w, u, b, u_in in ((d_z, w_z, u_z, b_z, h), (d_c, w_h, u_h, b_h, r * h), (d_r, w_r, u_r, b_r, h)):
+            _accum(b, d)
+            _accum(w, np.outer(d, xd))
+            if x.requires_grad:
+                _accum(x, w.data.T @ d)
+            _accum(u, np.outer(d, u_in))
+            if h_prev.requires_grad:
+                _accum(h_prev, d_rh * r if u is u_h else u.data.T @ d)
+
+    return _node(data, (x, *params, h_prev), bw)
 
 
 def gru_run(cell: GruCell, inputs: Sequence[Tensor], h0: Tensor | None = None) -> list[Tensor]:
@@ -74,36 +103,21 @@ def gru_pool(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tape-free recurrence of ``B`` rows at once: (sum of states, final state), each [B,H].
 
-    ``xs`` is [T,B,I], or [T,1,I] for inputs every row shares, which are
-    projected once per step and broadcast.  ``h0`` is [B,H].  Where the
-    [T,B] ``mask`` is False a row keeps its state exactly and adds nothing
-    to its sum.  The gates use one (I,3H) input projection concatenated
-    from ``w_z, w_r, w_h`` at call time, so parameters stay as stored.
+    ``xs`` is [T,B,I], or [T,1,I] for inputs every row shares; ``h0`` is
+    [B,H].  Each step is ``gru_step`` on rows, which checks their shapes.
+    Where the [T,B] ``mask`` is False a row keeps its state exactly and
+    adds nothing to its sum.
     """
-    hidden = cell.hidden_size
     h = np.asarray(h0, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != hidden:
-        raise ValueError(f"initial state shape {h.shape} != (B, {hidden})")
-    if xs.ndim != 3 or xs.shape[1] not in (1, h.shape[0]) or xs.shape[2] != cell.input_size:
-        raise ValueError(f"input shape {xs.shape} != (T, 1 or {h.shape[0]}, {cell.input_size})")
+    if h.ndim != 2 or xs.ndim != 3:
+        raise ValueError(f"initial state {h.shape} and inputs {xs.shape} must be [B,H] and [T,B or 1,I]")
     if mask is not None and mask.shape != (xs.shape[0], h.shape[0]):
         raise ValueError(f"mask shape {mask.shape} != ({xs.shape[0]}, {h.shape[0]})")
-    w_x = np.concatenate([cell.w_z.data, cell.w_r.data, cell.w_h.data]).T
-    u_zr = np.concatenate([cell.u_z.data, cell.u_r.data]).T
-    u_h = cell.u_h.data.T
-    b_zr = np.concatenate([cell.b_z.data, cell.b_r.data])
+    keep = np.ones((xs.shape[0], h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
     total = np.zeros_like(h)
-    for t in range(xs.shape[0]):
-        gx = xs[t] @ w_x
-        zr = _sigmoid_np(gx[:, : 2 * hidden] + h @ u_zr + b_zr)
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        cand = np.tanh(gx[:, 2 * hidden :] + (r * h) @ u_h + cell.b_h.data)
-        new = (1.0 - z) * h + z * cand
-        if mask is None:
-            h = new
-            total += h
-        else:
-            keep = mask[t][:, None]
-            h = np.where(keep, new, h)
-            total += np.where(keep, new, 0.0)
+    with no_grad():
+        for t in range(xs.shape[0]):
+            new = gru_step(cell, Tensor(h), Tensor(xs[t])).data
+            total += np.where(keep[t], new, 0.0)
+            h = np.where(keep[t], new, h)
     return total, h

@@ -288,18 +288,6 @@ def tanh(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    data = _sigmoid_np(a.data)
-    if not _track(a):
-        return Tensor(data)
-
-    def bw(g):
-        _accum(a, g * data * (1.0 - data))
-
-    return _node(data, (a,), bw)
-
-
 def exp(a) -> Tensor:
     a = _wrap(a)
     data = np.exp(a.data)

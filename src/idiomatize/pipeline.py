@@ -393,10 +393,21 @@ def write_dataset(out_dir: str, dataset: Dataset) -> None:
 
 def load_dataset(data_dir: str) -> Dataset:
     lexicon = load_lexicon(os.path.join(data_dir, "lexicon.jsonl"))
-    with open(os.path.join(data_dir, "vocab.json"), encoding="utf-8") as fh:
-        vocab = Vocabulary(json.load(fh)["tokens"])
-    with open(os.path.join(data_dir, "meta.json"), encoding="utf-8") as fh:
+    vocab_path = os.path.join(data_dir, "vocab.json")
+    with open(vocab_path, encoding="utf-8") as fh:
+        tokens = json.load(fh)
+    tokens = tokens.get("tokens") if isinstance(tokens, dict) else None
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise CorpusError(f"{vocab_path}: expected an object with a 'tokens' list of strings")
+    vocab = Vocabulary(tokens)
+    meta_path = os.path.join(data_dir, "meta.json")
+    with open(meta_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise CorpusError(f"{meta_path}: expected a JSON object")
+    annotated = meta.get("annotated_ids", [])
+    if not (isinstance(annotated, list) and all(isinstance(i, str) for i in annotated)):
+        raise CorpusError(f"{meta_path}: 'annotated_ids' must be a list of strings")
     split = SplitCorpus(
         train=tuple(load_pairs(os.path.join(data_dir, "train.jsonl"), lexicon)),
         validation=tuple(load_pairs(os.path.join(data_dir, "validation.jsonl"), lexicon)),
@@ -407,6 +418,6 @@ def load_dataset(data_dir: str) -> Dataset:
         lexicon=lexicon,
         split=split,
         vocab=vocab,
-        annotated_ids=tuple(meta.get("annotated_ids", ())),
+        annotated_ids=tuple(annotated),
         seed=meta.get("seed", 0),
     )

@@ -10,12 +10,15 @@ import io
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from idiomatize import cli, load_checkpoint
+from idiomatize.numerics import ParamStore, exp, grad_check, log, tsum
 from idiomatize.pipeline import load_dataset
 
 from conftest import write_config
@@ -226,6 +229,27 @@ def test_train_bad_sizes_exit_two(demo_files, tmp_path, capsys, flag, value):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("vocab.json", "{}"),
+        ("vocab.json", '{"tokens": 5}'),
+        ("meta.json", "[]"),
+        ("meta.json", '{"seed": 0, "annotated_ids": 5}'),
+    ],
+)
+def test_train_malformed_dataset_exits_two(demo_files, tmp_path, capsys, name, content):
+    data = tmp_path / "dataset"
+    shutil.copytree(demo_files["dataset"], data)
+    (data / name).write_text(content, encoding="utf-8")
+    out = str(tmp_path / "extractor.json")
+    code = cli.main(["--quiet", "train", "extractor", "--data", str(data), "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not os.path.exists(out)
+
+
 # ------------------------------------------------------------- transform
 
 def test_transform_inline_input(config_file, demo_files, ckpt_dir, capsys):
@@ -408,6 +432,27 @@ def test_gradcheck_strict_tolerance_exits_three(capsys):
     )
     assert code == 3
     assert "gradcheck failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1e-4"])
+def test_gradcheck_bad_tolerance_exits_one(capsys, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--quiet", "gradcheck", "--module", "extractor", f"--tolerance={tolerance}"])
+    assert exc.value.code == 1
+    assert "tolerance must be a non-negative number" in capsys.readouterr().err
+
+
+def test_gradcheck_nonfinite_gradient_exits_three(monkeypatch, capsys):
+    def nan_check(seed):
+        # exp(log(0)) is a finite 0 whose backward divides 0 by 0.
+        store = ParamStore()
+        w = store.add_zeros("w", (2,))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return grad_check(lambda _s: tsum(exp(log(w))), store)
+
+    monkeypatch.setitem(cli.ALL_CHECKS, "extractor", nan_check)
+    assert cli.main(["--quiet", "gradcheck", "--module", "extractor"]) == 3
+    assert "analytic gradient of 'w' is not finite" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ subprocess

@@ -79,6 +79,9 @@ def test_idiom_entry_validation():
         IdiomEntry(id="x", surface=("a",), senses=((),))
     with pytest.raises(CorpusError):
         IdiomEntry(id="x", surface=("a",), senses=(("c",),), rigidity=4)
+    for rigidity in (True, 2.0):
+        with pytest.raises(CorpusError, match="rigidity"):
+            IdiomEntry(id="x", surface=("a",), senses=(("c",),), rigidity=rigidity)
     assert IdiomEntry(id="x", surface=("a",), senses=(("c",),), rigidity=None).rigidity is None
 
 
@@ -97,6 +100,9 @@ def test_parallel_pair_validation():
         ParallelPair("x", 0, ("a", "b"), ("d",), (-1, 1))
     with pytest.raises(CorpusError):
         ParallelPair("x", -1, ("a", "b"), ("d",), (0, 1))
+    for sense_index, span in ((True, (0, 1)), (0.0, (0, 2)), (0, (0, True)), (0, (0.0, 2)), (0, (False, 1))):
+        with pytest.raises(CorpusError, match="integers"):
+            ParallelPair("x", sense_index, ("a", "b"), ("d",), span)
 
 
 def test_bio_sequence_validation():

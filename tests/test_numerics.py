@@ -30,7 +30,6 @@ from idiomatize.numerics import (
     mul,
     no_grad,
     reshape,
-    sigmoid,
     softmax,
     softplus,
     stack,
@@ -41,6 +40,7 @@ from idiomatize.numerics import (
     zeros,
 )
 from idiomatize.numerics.optim import INIT_SCALE
+from idiomatize.numerics.tensor import _accum, _node
 from idiomatize.rng import Rng
 
 from oracles import reference_gru_step, reference_logsumexp, reference_softmax
@@ -232,7 +232,6 @@ OP_CASES = {
     "matmul_vm": (lambda a, b: tsum(a @ b), [(3,), (3, 4)]),
     "matmul_vv": (lambda a, b: a @ b, [(6,), (6,)]),
     "tanh": (lambda a: tsum(tanh(a)), [(7,)]),
-    "sigmoid": (lambda a: tsum(sigmoid(a)), [(7,)]),
     "exp": (lambda a: tsum(exp(a)), [(5,)]),
     "log_shifted": (lambda a: tsum(log(a * a + 1.5)), [(5,)]),
     "softplus": (lambda a: tsum(softplus(a * 3.0)), [(6,)]),
@@ -264,6 +263,21 @@ def test_grad_check_eps_validation():
         grad_check(lambda _s: tsum(store["w"]), store, eps=1e-7)
     with pytest.raises(ValueError):
         grad_check(lambda _s: tsum(store["w"]), store, eps=1e-2)
+
+
+def test_grad_check_rejects_nonfinite_gradients():
+    store = ParamStore()
+    w = store.add_zeros("w", (2,))
+    w.data[:] = [5e-6, 1.0]
+
+    def nan_backward(a):
+        return _node(a.data.copy(), (a,), lambda g: _accum(a, np.full_like(g, np.nan)))
+
+    with pytest.raises(NumericError, match="analytic gradient of 'w'"):
+        grad_check(lambda _s: tsum(nan_backward(w)), store)
+    # log(w) is finite at w but NaN one eps below w[0].
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="numeric gradient of 'w'"):
+        grad_check(lambda _s: tsum(log(w)), store, eps=1e-5)
 
 
 # --- GRU ----------------------------------------------------------------
@@ -391,6 +405,90 @@ def test_gru_pool_shape_errors():
         gru_pool(cell, np.zeros((4, 3)), h0)
     with pytest.raises(ValueError):
         gru_pool(cell, xs, h0, np.ones((2, 3), dtype=bool))
+
+
+def _composed_step(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
+    """The step built from separate tape ops, with sigmoid(a) = exp(-softplus(-a))."""
+    sig = lambda a: exp(-softplus(-a))
+    z = sig(cell.w_z @ x + cell.u_z @ h + cell.b_z)
+    r = sig(cell.w_r @ x + cell.u_r @ h + cell.b_r)
+    cand = tanh(cell.w_h @ x + cell.u_h @ (r * h) + cell.b_h)
+    return (1.0 - z) * h + z * cand
+
+
+def _chain_grads(step, store, cell, h0, inputs, coeffs):
+    """Gradients of sum_t <h_t, coeffs_t> over a chain of ``step`` calls."""
+    store.zero_grads()
+    h, loss = h0, None
+    for x, c in zip(inputs, coeffs):
+        h = step(cell, h, x)
+        term = tsum(h * Tensor(c))
+        loss = term if loss is None else loss + term
+    loss.backward()
+    return {name: t.grad.copy() for name, t in store.items()}
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+    st.floats(min_value=0.5, max_value=20.0),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_gru_step_gradients_match_composed_ops(picks, gain, seed):
+    # Inputs come from a pool of three tensors, so most chains feed one
+    # input to several steps and its gradient sums terms across them.
+    rng = Rng(seed)
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 4, rng)
+    for t in store.params.values():
+        t.data *= gain
+    pool = [store.add(f"x{i}", (3,), rng, scale=2.0) for i in range(3)]
+    h0 = store.add("h0", (4,), rng, scale=1.0)
+    coeffs = np.random.default_rng(seed).normal(size=(len(picks), 4))
+    inputs = [pool[i] for i in picks]
+    got = _chain_grads(gru_step, store, cell, h0, inputs, coeffs)
+    want = _chain_grads(_composed_step, store, cell, h0, inputs, coeffs)
+    for name in want:
+        assert np.allclose(got[name], want[name], rtol=0, atol=1e-12), name
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_gru_step_rows_match_single_rows(batch, shared, seed):
+    rng = np.random.default_rng(seed)
+    cell = GruCell(ParamStore(), "cell", 3, 4, Rng(seed))
+    h = rng.normal(size=(batch, 4))
+    x = rng.normal(size=(1 if shared else batch, 3))
+    with no_grad():
+        rows = gru_step(cell, Tensor(h), Tensor(x))
+        with pytest.raises(ValueError):
+            gru_step(cell, Tensor(h), Tensor(np.zeros((batch + 1, 3))))
+    assert rows.shape == (batch, 4) and not rows.requires_grad
+    for b in range(batch):
+        one = gru_step(cell, Tensor(h[b]), Tensor(x[0 if shared else b]))
+        assert np.allclose(rows.data[b], one.data, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        gru_step(cell, Tensor(h), Tensor(x))
+
+
+@pytest.mark.parametrize("gain", [1e3, -1e3])
+def test_gru_step_saturating_preactivations_stay_finite(gain):
+    store = ParamStore()
+    cell = GruCell(store, "cell", 2, 3, Rng(0))
+    signs = np.array([1.0, -1.0, 1.0])
+    for name in ("b_z", "b_r", "b_h"):
+        getattr(cell, name).data[:] = gain * signs
+        signs = np.roll(signs, 1)
+    for name in ("w_z", "w_r", "w_h"):
+        getattr(cell, name).data *= abs(gain) / INIT_SCALE
+    x = store.add("x", (2,), Rng(1), scale=1.0)
+    h0 = store.add("h0", (3,), Rng(2), scale=1.0)
+    grads = _chain_grads(gru_step, store, cell, h0, [x, x, x], np.ones((3, 3)))
+    states = gru_run(cell, [x, x, x], h0)
+    assert all(np.isfinite(s.data).all() and (np.abs(s.data) <= 1.0 + 1e-12).all() for s in states)
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 def test_gru_gradients():
