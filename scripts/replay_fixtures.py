@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Replay the benchmark's recorded outputs and report how many differ.
+
+Usage: python3 scripts/replay_fixtures.py
+
+Loads the fixture checkpoints from perfbench/fixtures, rebuilds the demo
+and the 223-key distractor lexicons, runs every recorded request through
+``transform`` on both, and runs ``evaluate`` once per lexicon.  Each
+(idiom, span, output) triple and each report is compared with the
+recorded one.  Prints the number of differences and exits 1 if any
+differ, so a change that should not alter inference can be checked
+against all of them in one run (a few minutes on one core).
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+
+import gen  # noqa: E402
+import workloads  # noqa: E402  (imports env first, which pins BLAS to one thread)
+
+LEXICONS = (("demo", "transform_demo"), ("biglex", "transform_biglex"))
+
+
+def main() -> int:
+    m = workloads.program()
+    demo_lexicon, pairs, vocab, _ = workloads.workload_inputs(m)
+    reference, recorded = workloads.load_references()
+    config = workloads.pipeline_config(m)
+    with tempfile.TemporaryDirectory() as tmp:
+        models = m.pipeline.load_pipeline_models(workloads.unpack_checkpoints(tmp), config)
+    differ = triples = reports_differ = 0
+    for name, workload in LEXICONS:
+        lexicon = workloads.lexicon_for(workload, demo_lexicon, vocab)
+        if gen.lexicon_digest(lexicon) != reference["lexicons"][name]["digest"]:
+            print(f"{name}: lexicon differs from the recorded one", file=sys.stderr)
+            return 2
+        for text, row in recorded.items():
+            got = workloads.result_key(m.pipeline.transform(models, lexicon, text, config))
+            triples += 1
+            if got != row[name]:
+                differ += 1
+                print(f"{name}: {text!r}: recorded {row[name]}, got {got}")
+        report = workloads.report_key(m.pipeline.evaluate(models, pairs, lexicon, config))
+        if report != reference["lexicons"][name]["evaluate"]:
+            reports_differ += 1
+            print(f"{name}: evaluate report differs: got {report}")
+    print(f"{differ} of {triples} triples differ; {reports_differ} of {len(LEXICONS)} evaluate reports differ")
+    return 1 if differ or reports_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -110,6 +110,8 @@ class ParallelPair:
     span: tuple[int, int]
 
     def __post_init__(self):
+        if not (isinstance(self.span, tuple) and len(self.span) == 2):
+            raise CorpusError(f"pair for {self.idiom_id!r}: span must be a (start, end) pair of integers")
         if not (_is_int(self.sense_index) and all(_is_int(v) for v in self.span)):
             raise CorpusError(f"pair for {self.idiom_id!r}: sense index and span ends must be integers")
         if not self.literal or not self.idiomatic:
@@ -289,15 +291,13 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
         entry = by_id.get(idiom_id)
         if entry is None:
             raise CorpusError(f"{path}:{lineno}: unknown idiom id {idiom_id!r}")
-        if not (isinstance(span, list) and len(span) == 2):
-            raise CorpusError(f"{path}:{lineno}: 'span' must be a [start, end] list of integers")
         try:
             pair = ParallelPair(
                 idiom_id=idiom_id,
                 sense_index=sense_index,
                 literal=tuple(tokenize(literal)),
                 idiomatic=tuple(tokenize(idiomatic)),
-                span=(span[0], span[1]),
+                span=tuple(span) if isinstance(span, list) else span,
             )
         except CorpusError as err:
             raise CorpusError(f"{path}:{lineno}: {err}") from err

@@ -29,6 +29,7 @@ from .numerics import (
     Tensor,
     adam_step,
     bigru_encode,
+    check_sizes,
     concat,
     fit,
     gru_step,
@@ -112,6 +113,7 @@ class GeneratorModel:
         guided: bool = True,
         seed: int = 0,
     ):
+        check_sizes(word_dim=word_dim, copy_dim=copy_dim, label_dim=label_dim, hidden=hidden)
         if hidden % 2:
             raise ValueError("hidden must be even (split across two encoder directions)")
         self.vocab = vocab
@@ -159,22 +161,51 @@ def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
     return stack(bigru_encode(model.enc_fwd, model.enc_bwd, vecs))
 
 
+@dataclass(frozen=True)
+class DecodeContext:
+    """What every decoding step reads about one input, built once by ``decode_context``.
+
+    ``tokens`` is the extended vocabulary: the vocabulary followed by the
+    input tokens it lacks, in first-occurrence order.  ``slots`` holds the
+    extended-vocabulary index of each input position, and ``positions``
+    the input positions of each input token.
+    """
+
+    memory: Tensor
+    copy_keys: Tensor
+    tokens: tuple[str, ...]
+    slots: np.ndarray
+    positions: dict[str, list[int]]
+
+
+def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
+    """Encode the input and derive its copy keys and token mapping."""
+    memory = encode_input(model, inp)
+    vocab = model.vocab
+    positions: dict[str, list[int]] = {}
+    for k, token in enumerate(inp.tokens):
+        positions.setdefault(token, []).append(k)
+    extra = {t: len(vocab) + i for i, t in enumerate(t for t in positions if t not in vocab)}
+    slots = np.array([extra[t] if t in extra else vocab.get(t) for t in inp.tokens], dtype=np.intp)
+    copy_keys = tanh(memory @ model.u_copy)
+    return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions)
+
+
 @dataclass
 class DecodeState:
     hidden: Tensor
     y_prev: str
     l_prev: int
-    memory: Tensor
     psi_prev: Tensor | None
 
 
-def decode_init(model: GeneratorModel, memory: Tensor) -> DecodeState:
+def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
     """First decoder state from the final forward/backward encoder states."""
     half = model.hidden // 2
-    n = memory.shape[0]
-    final = concat([memory[n - 1][:half], memory[0][half:]])
+    n = ctx.memory.shape[0]
+    final = concat([ctx.memory[n - 1][:half], ctx.memory[0][half:]])
     h0 = tanh(model.init_w @ final + model.init_b)
-    return DecodeState(hidden=h0, y_prev=SEP, l_prev=0, memory=memory, psi_prev=None)
+    return DecodeState(hidden=h0, y_prev=SEP, l_prev=0, psi_prev=None)
 
 
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
@@ -186,37 +217,31 @@ def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tens
 
 
 def selective_read(
-    model: GeneratorModel,
-    y_prev: str,
-    memory: Tensor,
-    inp: GeneratorInput,
-    psi_prev: Tensor | None,
+    model: GeneratorModel, y_prev: str, ctx: DecodeContext, psi_prev: Tensor | None
 ) -> Tensor:
     """Memory states at positions matching y_prev, weighted by their copy scores.
 
     Exact zero vector when y_prev occurs nowhere in the input (or on the
     first step, before any copy scores exist).
     """
-    matches = [k for k, tok in enumerate(inp.tokens) if tok == y_prev]
+    matches = ctx.positions.get(y_prev)
     if psi_prev is None or not matches:
         return zeros((model.hidden,))
     weights = softmax(take(psi_prev, matches))
-    return weights @ take(memory, matches)
+    return weights @ take(ctx.memory, matches)
 
 
-def step_scores(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> tuple[Tensor, Tensor]:
+def step_scores(model: GeneratorModel, h_dec: Tensor, ctx: DecodeContext) -> tuple[Tensor, Tensor]:
     """(copy scores over input positions, generate scores over the vocabulary)."""
-    copy_scores = tanh(memory @ model.u_copy) @ h_dec
-    gen_scores = model.w_gen @ h_dec
-    return copy_scores, gen_scores
+    return ctx.copy_keys @ h_dec, model.w_gen @ h_dec
 
 
 @dataclass
 class StepDistribution:
     """One decoding step's output distribution over an extended vocabulary.
 
-    ``tokens`` is the vocabulary followed by the input tokens it lacks, in
-    first-occurrence order; ``probs`` and ``copy_probs`` are arrays over it.
+    ``tokens`` is the context's extended vocabulary; ``probs`` and
+    ``copy_probs`` are arrays over it.
     """
 
     tokens: tuple[str, ...]
@@ -226,22 +251,18 @@ class StepDistribution:
     p_gen: float
 
 
-def _distribution(
-    vocab: Vocabulary, inp_tokens: Sequence[str], copy_scores: np.ndarray, gen_scores: np.ndarray
-) -> StepDistribution:
+def _distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
     shift = max(copy_scores.max(), gen_scores.max())
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
     z = e_copy.sum() + e_gen.sum()
-    tokens = vocab.tokens + tuple(dict.fromkeys(t for t in inp_tokens if t not in vocab))
-    slots = [vocab.get(t) if t in vocab else tokens.index(t, len(vocab)) for t in inp_tokens]
-    probs = np.concatenate([e_gen / z, np.zeros(len(tokens) - len(vocab))])
-    copy_probs = np.zeros(len(tokens))
+    probs = np.concatenate([e_gen / z, np.zeros(len(ctx.tokens) - len(gen_scores))])
+    copy_probs = np.zeros(len(ctx.tokens))
     # np.add.at adds position by position, so a repeated token sums in input order.
-    np.add.at(probs, slots, e_copy / z)
-    np.add.at(copy_probs, slots, e_copy / z)
+    np.add.at(probs, ctx.slots, e_copy / z)
+    np.add.at(copy_probs, ctx.slots, e_copy / z)
     return StepDistribution(
-        tokens=tokens,
+        tokens=ctx.tokens,
         probs=probs,
         copy_probs=copy_probs,
         p_copy=float(e_copy.sum() / z),
@@ -249,12 +270,10 @@ def _distribution(
     )
 
 
-def step_distribution(
-    model: GeneratorModel, h_dec: Tensor, memory: Tensor, inp: GeneratorInput
-) -> tuple[StepDistribution, Tensor]:
+def step_distribution(model: GeneratorModel, h_dec: Tensor, ctx: DecodeContext) -> tuple[StepDistribution, Tensor]:
     """Distribution at one decoder state plus the raw per-position copy scores."""
-    copy_s, gen_s = step_scores(model, h_dec, memory)
-    return _distribution(model.vocab, inp.tokens, copy_s.data, gen_s.data), copy_s
+    copy_s, gen_s = step_scores(model, h_dec, ctx)
+    return _distribution(ctx, copy_s.data, gen_s.data), copy_s
 
 
 def infer_label(dist: StepDistribution) -> int:
@@ -263,44 +282,39 @@ def infer_label(dist: StepDistribution) -> int:
 
 
 def _advance(
-    model: GeneratorModel, state: DecodeState, inp: GeneratorInput
+    model: GeneratorModel, state: DecodeState, ctx: DecodeContext
 ) -> tuple[DecodeState, Tensor, Tensor]:
-    attentive = attentive_read(model, state.hidden, state.memory)
-    selective = selective_read(model, state.y_prev, state.memory, inp, state.psi_prev)
+    attentive = attentive_read(model, state.hidden, ctx.memory)
+    selective = selective_read(model, state.y_prev, ctx, state.psi_prev)
     w = model.word_emb[model.vocab.encode(state.y_prev)]
     label = model.label_emb[state.l_prev if model.guided else 0]
     x = concat([w, label, attentive, selective])
     h = gru_step(model.decoder, state.hidden, x)
-    copy_s, gen_s = step_scores(model, h, state.memory)
-    new_state = DecodeState(
-        hidden=h, y_prev=state.y_prev, l_prev=state.l_prev, memory=state.memory, psi_prev=copy_s
-    )
+    copy_s, gen_s = step_scores(model, h, ctx)
+    new_state = DecodeState(hidden=h, y_prev=state.y_prev, l_prev=state.l_prev, psi_prev=copy_s)
     return new_state, copy_s, gen_s
 
 
 def decode_step(
-    model: GeneratorModel, state: DecodeState, inp: GeneratorInput
+    model: GeneratorModel, state: DecodeState, ctx: DecodeContext
 ) -> tuple[DecodeState, StepDistribution]:
     """Advance one step; the caller picks the next token and label.
 
     The returned state keeps the previous token/label; set them with
     ``dataclasses.replace`` once the step's output token is chosen.
     """
-    new_state, copy_s, gen_s = _advance(model, state, inp)
-    dist = _distribution(model.vocab, inp.tokens, copy_s.data, gen_s.data)
-    return new_state, dist
+    new_state, copy_s, gen_s = _advance(model, state, ctx)
+    return new_state, _distribution(ctx, copy_s.data, gen_s.data)
 
 
-def _target_indices(vocab: Vocabulary, inp_tokens: Sequence[str], target: str) -> list[int]:
+def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> list[int]:
     """Positions in [copy scores ++ generate scores] that emit ``target``."""
-    n = len(inp_tokens)
-    idxs = [j for j, tok in enumerate(inp_tokens) if tok == target]
+    n = len(ctx.slots)
+    idxs = list(ctx.positions.get(target, ()))
     vocab_id = vocab.get(target)
     if vocab_id is not None:
         idxs.append(n + vocab_id)
-    if not idxs:
-        idxs = [n + vocab.encode(target)]  # unreachable token trains the <unk> route
-    return idxs
+    return idxs or [n + vocab.encode(target)]  # an unreachable token trains the <unk> route
 
 
 def teacher_forced_loss(
@@ -316,23 +330,22 @@ def _teacher_forced_pass(
 ) -> tuple[Tensor, int, int]:
     if not reference:
         raise ValueError("empty reference")
-    memory = encode_input(model, inp)
-    state = decode_init(model, memory)
-    input_tokens = set(inp.tokens)
+    ctx = decode_context(model, inp)
+    state = decode_init(model, ctx)
     targets = list(reference) + [EOS]
     loss: Tensor | None = None
     correct = 0
     for target in targets:
-        state, copy_s, gen_s = _advance(model, state, inp)
+        state, copy_s, gen_s = _advance(model, state, ctx)
         all_scores = concat([copy_s, gen_s])
-        idxs = _target_indices(model.vocab, inp.tokens, target)
+        idxs = _target_indices(model.vocab, ctx, target)
         step_nll = logsumexp(all_scores) - logsumexp(take(all_scores, idxs))
         loss = step_nll if loss is None else loss + step_nll
-        dist = _distribution(model.vocab, inp.tokens, copy_s.data, gen_s.data)
+        dist = _distribution(ctx, copy_s.data, gen_s.data)
         predicted = dist.tokens[int(np.argmax(dist.probs))]
-        reachable = target in input_tokens or target in model.vocab
+        reachable = target in ctx.positions or target in model.vocab
         correct += predicted == (target if reachable else model.vocab.decode(1))
-        label = 1 if (model.guided and target in input_tokens) else 0
+        label = 1 if (model.guided and target in ctx.positions) else 0
         state = replace(state, y_prev=target, l_prev=label)
     assert loss is not None
     return loss, len(targets), correct
@@ -423,38 +436,27 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
-        memory = encode_input(model, inp)
-        alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, state=decode_init(model, memory))]
+        ctx = decode_context(model, inp)
+        alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, state=decode_init(model, ctx))]
         finished: list[_Hypothesis] = []
         for _ in range(max_len):
-            candidates: list[_Hypothesis] = []
+            # Rank light (score, ...) tuples; only the survivors become hypotheses.
+            candidates = []
             for hyp in alive:
-                state, dist = decode_step(model, hyp.state, inp)
+                state, dist = decode_step(model, hyp.state, ctx)
                 label = infer_label(dist)
                 for k in np.argsort(-dist.probs, kind="stable")[:beam]:
-                    token = dist.tokens[k]
-                    candidates.append(
-                        _Hypothesis(
-                            tokens=hyp.tokens + (token,),
-                            logp=hyp.logp + np.log(dist.probs[k]),
-                            steps=hyp.steps + 1,
-                            state=replace(state, y_prev=token, l_prev=label),
-                        )
-                    )
-            candidates.sort(key=lambda h: -h.score)
+                    logp = hyp.logp + np.log(dist.probs[k])
+                    candidates.append((logp / (hyp.steps + 1), logp, hyp, state, dist.tokens[k], label))
+            candidates.sort(key=lambda c: -c[0])
             alive = []
-            for cand in candidates[:beam]:
-                if cand.tokens[-1] == EOS:
-                    finished.append(
-                        _Hypothesis(cand.tokens[:-1], cand.logp, cand.steps, cand.state)
-                    )
+            for _, logp, parent, state, token, label in candidates[:beam]:
+                if token == EOS:
+                    finished.append(_Hypothesis(parent.tokens, logp, parent.steps + 1, state))
                 else:
-                    alive.append(cand)
+                    new_state = replace(state, y_prev=token, l_prev=label)
+                    alive.append(_Hypothesis(parent.tokens + (token,), logp, parent.steps + 1, new_state))
             if not alive:
                 break
         finished.extend(alive)
-        best = finished[0]
-        for hyp in finished[1:]:
-            if hyp.score > best.score:
-                best = hyp
-        return best.tokens
+        return max(finished, key=lambda h: h.score).tokens  # the first of equal scores wins

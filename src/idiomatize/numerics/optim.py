@@ -17,6 +17,13 @@ log = logging.getLogger(__name__)
 INIT_SCALE = 0.08
 
 
+def check_sizes(**sizes: object) -> None:
+    """Raise ValueError naming the first size that is not a positive integer."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 class ParamStore:
     """Ordered name -> Tensor map plus Adam moment buffers."""
 

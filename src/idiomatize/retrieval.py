@@ -22,6 +22,7 @@ from .numerics import (
     Tensor,
     adam_step,
     bigru_encode,
+    check_sizes,
     fit,
     gru_pool,
     neg,
@@ -45,6 +46,7 @@ class PairEncoderModel:
     """
 
     def __init__(self, vocab: Vocabulary, embed_dim: int = 64, hidden: int = 64, seed: int = 0):
+        check_sizes(embed_dim=embed_dim, hidden=hidden)
         self.vocab = vocab
         self.embed_dim = embed_dim
         self.hidden = hidden

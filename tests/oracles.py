@@ -165,6 +165,35 @@ def reference_step_distribution(vocab_tokens, inp_tokens, copy_scores, gen_score
     return probs, copy_probs, float(e_copy.sum() / z), float(e_gen.sum() / z)
 
 
+def reference_selective_read(y_prev, memory, inp_tokens, psi_prev):
+    """Selective read by scanning the input for ``y_prev`` (arrays in, array out).
+
+    Softmax of the matching positions' copy scores (through logsumexp, as
+    the tape computes it) times their memory rows; zeros when nothing
+    matches or no copy scores exist yet.
+    """
+    matches = [k for k, tok in enumerate(inp_tokens) if tok == y_prev]
+    if psi_prev is None or not matches:
+        return np.zeros(memory.shape[1])
+    scores = psi_prev[matches]
+    shift = scores.max()
+    log_z = np.log(np.exp(scores - shift).sum()) + shift
+    return np.exp(scores - log_z) @ memory[matches]
+
+
+def reference_target_indices(vocab_tokens, inp_tokens, target):
+    """Indices into [copy scores ++ generate scores] that emit ``target``, by scanning.
+
+    Every input position holding it, then its vocabulary id; a token
+    found nowhere maps to the <unk> id (1).
+    """
+    n = len(inp_tokens)
+    idxs = [j for j, tok in enumerate(inp_tokens) if tok == target]
+    if target in vocab_tokens:
+        idxs.append(n + list(vocab_tokens).index(target))
+    return idxs or [n + 1]
+
+
 # 20 hypothesis/reference pairs exercising clipping, brevity, repeats,
 # reordering, and length extremes; shared by the metric oracle tests.
 METRIC_PAIRS: list[tuple[list[str], list[str]]] = [

@@ -32,7 +32,7 @@ from idiomatize.generator import (
     GeneratorModel,
     beam_decode,
     build_guided_input,
-    encode_input,
+    decode_context,
     rule_based_generate,
     selective_read,
     step_distribution,
@@ -116,16 +116,16 @@ def test_distribution_validity(record_criterion):
         e = rng.randint(s + 1, len(literal))
         inp = build_guided_input(idiom, literal, (s, e))
         with no_grad():
-            memory = encode_input(model, inp)
-        pool.append((inp, memory))
+            ctx = decode_context(model, inp)
+        pool.append((inp, ctx))
     worst_sum = 0.0
     worst_split = 0.0
     leaked = False
     for trial in range(1000):
-        inp, memory = pool[trial % len(pool)]
+        inp, ctx = pool[trial % len(pool)]
         h = Tensor(npr.normal(scale=2.0, size=(12,)))
         with no_grad():
-            dist, _ = step_distribution(model, h, memory, inp)
+            dist, _ = step_distribution(model, h, ctx)
         worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
         worst_split = max(worst_split, abs(dist.p_copy + dist.p_gen - 1.0))
         leaked = leaked or not {t for t, c in zip(dist.tokens, dist.copy_probs) if c} <= set(inp.tokens)
@@ -143,12 +143,13 @@ def test_selective_read_property(record_criterion):
     model = GeneratorModel(vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
     inp = build_guided_input(("a", "b"), ("c", "d", "c"), (0, 2))
     with no_grad():
-        memory = encode_input(model, inp)
+        ctx = decode_context(model, inp)
+    memory = ctx.memory
     psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0]))
     with no_grad():
-        absent = selective_read(model, "zzz", memory, inp, psi)
-        first_step = selective_read(model, "a", memory, inp, None)
-        unique = selective_read(model, "d", memory, inp, psi)
+        absent = selective_read(model, "zzz", ctx, psi)
+        first_step = selective_read(model, "a", ctx, None)
+        unique = selective_read(model, "d", ctx, psi)
     zero_ok = not absent.data.any() and not first_step.data.any()
     row = inp.tokens.index("d")
     unique_ok = np.array_equal(unique.data, memory.data[row])

@@ -230,6 +230,20 @@ def test_train_bad_sizes_exit_two(demo_files, tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "stage, flag, value, field",
+    [("extractor", "--hidden", "0", "hidden"), ("retrieval", "--embed-dim", "0", "embed_dim"),
+     ("generator", "--hidden", "-2", "hidden")],
+)
+def test_train_non_positive_model_size_exits_two(demo_files, tmp_path, capsys, stage, flag, value, field):
+    out = str(tmp_path / f"{stage}.json")
+    code = cli.main(["--quiet", "train", stage, "--data", demo_files["dataset"], "--out", out, flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be a positive integer" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "name, content",
     [
         ("vocab.json", "{}"),

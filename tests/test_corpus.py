@@ -103,6 +103,9 @@ def test_parallel_pair_validation():
     for sense_index, span in ((True, (0, 1)), (0.0, (0, 2)), (0, (0, True)), (0, (0.0, 2)), (0, (False, 1))):
         with pytest.raises(CorpusError, match="integers"):
             ParallelPair("x", sense_index, ("a", "b"), ("d",), span)
+    for span in ((0,), (0, 1, 2), None, [0, 1], 1):
+        with pytest.raises(CorpusError, match=r"span must be a \(start, end\) pair"):
+            ParallelPair("x", 0, ("a", "b"), ("d",), span)
 
 
 def test_bio_sequence_validation():
@@ -274,6 +277,9 @@ def test_load_pairs_errors(tmp_path):
         as_line(sense_index=0.0),
         as_line(span=[False, True]),
         as_line(span=[1.0, 2]),
+        as_line(span=[1, 2, 3]),
+        as_line(span=None),
+        as_line(span={"start": 1}),
     ]
     for i, line in enumerate(cases):
         path = _write(tmp_path / f"pairs{i}.jsonl", line)

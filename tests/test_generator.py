@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idiomatize import (
@@ -26,18 +26,20 @@ from idiomatize.generator import (
     _distribution,
     _target_indices,
     attentive_read,
+    decode_context,
     decode_init,
     decode_step,
     encode_input,
     infer_label,
     selective_read,
     step_distribution,
+    step_scores,
     teacher_forced_accuracy,
     teacher_forced_loss,
 )
 from idiomatize.numerics import Tensor, no_grad
 
-from oracles import reference_step_distribution
+from oracles import reference_selective_read, reference_step_distribution, reference_target_indices
 
 words = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
@@ -54,6 +56,12 @@ def unguided_model(tiny_vocab):
     return GeneratorModel(
         tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=False, seed=0
     )
+
+
+def _context(model, tokens):
+    """Decode context over ``tokens`` as an input (indicators do not matter here)."""
+    with no_grad():
+        return decode_context(model, GeneratorInput(tuple(tokens), (1,) * len(tokens)))
 
 
 def _demo_input():
@@ -140,8 +148,9 @@ def test_encode_input_shape(gen_model):
 def test_decode_init_matches_formula(gen_model):
     inp = _demo_input()
     with no_grad():
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
+    memory = ctx.memory
     half = gen_model.hidden // 2
     final = np.concatenate([memory.data[-1][:half], memory.data[0][half:]])
     expect = np.tanh(gen_model.init_w.data @ final + gen_model.init_b.data)
@@ -191,12 +200,13 @@ def test_attentive_read_empty_memory(gen_model):
 def test_selective_read_zero_cases(gen_model):
     inp = _demo_input()
     memory = Tensor(np.random.default_rng(2).normal(size=(len(inp.tokens), 8)))
+    ctx = replace(_context(gen_model, inp.tokens), memory=memory)
     psi = Tensor(np.arange(float(len(inp.tokens))))
     # First step: no copy scores yet.
-    out = selective_read(gen_model, "the", memory, inp, None)
+    out = selective_read(gen_model, "the", ctx, None)
     assert np.array_equal(out.data, np.zeros(8))
     # Token absent from the input.
-    out = selective_read(gen_model, "zebra", memory, inp, psi)
+    out = selective_read(gen_model, "zebra", ctx, psi)
     assert np.array_equal(out.data, np.zeros(8))
 
 
@@ -205,7 +215,7 @@ def test_selective_read_single_match_returns_row(gen_model):
     memory = Tensor(np.random.default_rng(3).normal(size=(len(inp.tokens), 8)))
     psi = Tensor(np.zeros(len(inp.tokens)))
     k = inp.tokens.index("cat")
-    out = selective_read(gen_model, "cat", memory, inp, psi)
+    out = selective_read(gen_model, "cat", replace(_context(gen_model, inp.tokens), memory=memory), psi)
     assert np.array_equal(out.data, memory.data[k])
 
 
@@ -213,7 +223,7 @@ def test_selective_read_equal_scores_average(gen_model):
     inp = GeneratorInput(("go", SEP, "go", "now"), (1, 0, 1, 1))
     memory = Tensor(np.random.default_rng(4).normal(size=(4, 8)))
     psi = Tensor(np.zeros(4))
-    out = selective_read(gen_model, "go", memory, inp, psi)
+    out = selective_read(gen_model, "go", replace(_context(gen_model, inp.tokens), memory=memory), psi)
     expect = 0.5 * memory.data[0] + 0.5 * memory.data[2]
     assert np.allclose(out.data, expect, atol=1e-15)
 
@@ -221,12 +231,12 @@ def test_selective_read_equal_scores_average(gen_model):
 # --- step distribution ------------------------------------------------------
 
 
-def test_distribution_matches_manual_normalization(tiny_vocab):
+def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
     rng = np.random.default_rng(5)
     inp_tokens = ("the", "cat", "zzz")  # zzz is out of vocabulary
     copy_s = rng.normal(size=3)
     gen_s = rng.normal(size=len(tiny_vocab))
-    dist = _distribution(tiny_vocab, inp_tokens, copy_s, gen_s)
+    dist = _distribution(_context(gen_model, inp_tokens), copy_s, gen_s)
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -243,10 +253,10 @@ def test_distribution_matches_manual_normalization(tiny_vocab):
     assert dist.probs[zzz] > 0.0
 
 
-def test_distribution_merges_repeated_tokens(tiny_vocab):
+def test_distribution_merges_repeated_tokens(tiny_vocab, gen_model):
     copy_s = np.array([0.3, -0.2, 0.3])
     gen_s = np.zeros(len(tiny_vocab))
-    dist = _distribution(tiny_vocab, ("cat", "dog", "cat"), copy_s, gen_s)
+    dist = _distribution(_context(gen_model, ("cat", "dog", "cat")), copy_s, gen_s)
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     both = (np.exp(copy_s[0] - shift) + np.exp(copy_s[2] - shift)) / z
@@ -254,7 +264,7 @@ def test_distribution_merges_repeated_tokens(tiny_vocab):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_distribution_equals_dict_oracle(tiny_vocab, seed):
+def test_distribution_equals_dict_oracle(tiny_vocab, gen_model, seed):
     rng = np.random.default_rng(seed)
     # In-vocabulary words repeat, two OOV words repeat, <sep> sits in the input.
     pool = ("the", "cat", "the", "dog", "zzz", "qqq", "zzz", "<sep>")
@@ -265,7 +275,7 @@ def test_distribution_equals_dict_oracle(tiny_vocab, seed):
         gen_s[:] = 0.7  # exact ties across the whole vocabulary
     if seed % 6 == 0:
         copy_s[:] = 0.7
-    dist = _distribution(tiny_vocab, inp_tokens, copy_s, gen_s)
+    dist = _distribution(_context(gen_model, inp_tokens), copy_s, gen_s)
     probs, copy_probs, p_copy, p_gen = reference_step_distribution(
         tiny_vocab.tokens, inp_tokens, copy_s, gen_s
     )
@@ -292,24 +302,63 @@ def test_infer_label_strictly_greater():
 def test_step_distribution_sums_to_one_from_real_state(gen_model):
     inp = _demo_input()
     with no_grad():
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
-        dist, psi = step_distribution(gen_model, state.hidden, memory, inp)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
+        dist, psi = step_distribution(gen_model, state.hidden, ctx)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert psi.shape == (len(inp.tokens),)
 
 
-def test_target_indices_routes(tiny_vocab):
+def test_target_indices_routes(tiny_vocab, gen_model):
     inp_tokens = ("the", "cat", "the")
     n = len(inp_tokens)
+    ctx = _context(gen_model, inp_tokens)
     # In input twice and in the vocabulary.
-    assert _target_indices(tiny_vocab, inp_tokens, "the") == [0, 2, n + tiny_vocab.encode("the")]
+    assert _target_indices(tiny_vocab, ctx, "the") == [0, 2, n + tiny_vocab.encode("the")]
     # In the vocabulary only.
-    assert _target_indices(tiny_vocab, inp_tokens, "dog") == [n + tiny_vocab.encode("dog")]
+    assert _target_indices(tiny_vocab, ctx, "dog") == [n + tiny_vocab.encode("dog")]
     # In the input only (not in the vocabulary).
-    assert _target_indices(tiny_vocab, ("zzz",), "zzz") == [0]
+    assert _target_indices(tiny_vocab, _context(gen_model, ("zzz",)), "zzz") == [0]
     # Nowhere: fall back to the <unk> generation route.
-    assert _target_indices(tiny_vocab, inp_tokens, "zzz") == [n + 1]
+    assert _target_indices(tiny_vocab, ctx, "zzz") == [n + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from(("the", "cat", "dog", "zzz", "qqq", SEP)), min_size=1, max_size=10),
+    st.data(),
+)
+def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
+    # Repeated and OOV tokens and <sep> in the input; y_prev is drawn from
+    # the input, the vocabulary and a token found nowhere.
+    vocab = gen_model.vocab
+    indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
+    inp = GeneratorInput(tuple(tokens), tuple(indicators))
+    choices = st.sampled_from(tuple(tokens) + ("fox", "www", EOS))
+    with no_grad():
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
+        for _ in range(data.draw(st.integers(1, 6))):
+            read = selective_read(gen_model, state.y_prev, ctx, state.psi_prev)
+            psi = None if state.psi_prev is None else state.psi_prev.data
+            expect = reference_selective_read(state.y_prev, ctx.memory.data, inp.tokens, psi)
+            assert read.data.tolist() == expect.tolist()
+            state, dist = decode_step(gen_model, state, ctx)
+            copy_s, gen_s = step_scores(gen_model, state.hidden, ctx)
+            keys = np.tanh(ctx.memory.data @ gen_model.u_copy.data)  # recomputed per step
+            assert copy_s.data.tolist() == (keys @ state.hidden.data).tolist() == state.psi_prev.data.tolist()
+            probs, copy_probs, p_copy, p_gen = reference_step_distribution(
+                vocab.tokens, inp.tokens, copy_s.data, gen_s.data
+            )
+            assert dist.tokens == tuple(probs)
+            assert dist.probs.tolist() == list(probs.values())
+            assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in dist.tokens]
+            assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
+            token = data.draw(choices)
+            assert _target_indices(vocab, ctx, token) == reference_target_indices(
+                vocab.tokens, inp.tokens, token
+            )
+            state = replace(state, y_prev=token, l_prev=data.draw(st.integers(0, 1)))
 
 
 # --- decoding ---------------------------------------------------------------
@@ -318,11 +367,11 @@ def test_target_indices_routes(tiny_vocab):
 def test_decode_step_keeps_memory_and_prev_fields(gen_model):
     inp = _demo_input()
     with no_grad():
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
-        snapshot = memory.data.copy()
-        new_state, dist = decode_step(gen_model, state, inp)
-    assert np.array_equal(memory.data, snapshot)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
+        snapshot = ctx.memory.data.copy()
+        new_state, dist = decode_step(gen_model, state, ctx)
+    assert np.array_equal(ctx.memory.data, snapshot)
     assert new_state.y_prev == state.y_prev
     assert new_state.l_prev == state.l_prev
     assert new_state.psi_prev is not None
@@ -332,21 +381,21 @@ def test_decode_step_keeps_memory_and_prev_fields(gen_model):
 def test_unguided_model_ignores_label_channel(unguided_model):
     inp = build_unguided_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2))
     with no_grad():
-        memory = encode_input(unguided_model, inp)
-        state = decode_init(unguided_model, memory)
-        advanced, _ = decode_step(unguided_model, state, inp)
+        ctx = decode_context(unguided_model, inp)
+        state = decode_init(unguided_model, ctx)
+        advanced, _ = decode_step(unguided_model, state, ctx)
         with_label = replace(state, l_prev=1)
-        advanced_labelled, _ = decode_step(unguided_model, with_label, inp)
+        advanced_labelled, _ = decode_step(unguided_model, with_label, ctx)
     assert np.array_equal(advanced.hidden.data, advanced_labelled.hidden.data)
 
 
 def test_guided_model_uses_label_channel(gen_model):
     inp = _demo_input()
     with no_grad():
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
-        plain, _ = decode_step(gen_model, state, inp)
-        labelled, _ = decode_step(gen_model, replace(state, l_prev=1), inp)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
+        plain, _ = decode_step(gen_model, state, ctx)
+        labelled, _ = decode_step(gen_model, replace(state, l_prev=1), ctx)
     assert not np.array_equal(plain.hidden.data, labelled.hidden.data)
 
 
@@ -355,12 +404,12 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
     reference = ("the", "cat", "ran", "fast")
     with no_grad():
         loss = teacher_forced_loss(gen_model, inp, reference).item()
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
         manual = 0.0
         input_tokens = set(inp.tokens)
         for target in list(reference) + [EOS]:
-            state, dist = decode_step(gen_model, state, inp)
+            state, dist = decode_step(gen_model, state, ctx)
             manual -= math.log(dist.probs[dist.tokens.index(target)])
             label = 1 if (gen_model.guided and target in input_tokens) else 0
             state = replace(state, y_prev=target, l_prev=label)
@@ -382,11 +431,11 @@ def test_beam_one_is_greedy(gen_model):
     inp = _demo_input()
     got = beam_decode(gen_model, inp, beam=1, max_len=10)
     with no_grad():
-        memory = encode_input(gen_model, inp)
-        state = decode_init(gen_model, memory)
+        ctx = decode_context(gen_model, inp)
+        state = decode_init(gen_model, ctx)
         tokens = []
         for _ in range(10):
-            state, dist = decode_step(gen_model, state, inp)
+            state, dist = decode_step(gen_model, state, ctx)
             token = dist.tokens[int(np.argmax(dist.probs))]
             if token == EOS:
                 break
@@ -431,6 +480,16 @@ def test_beam_decode_deterministic(gen_model):
 def test_model_rejects_odd_hidden(tiny_vocab):
     with pytest.raises(ValueError):
         GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=7)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("hidden", 0), ("hidden", -2), ("word_dim", 0), ("copy_dim", -1),
+                     ("label_dim", 2.0), ("hidden", True)],
+)
+def test_model_rejects_non_positive_sizes(tiny_vocab, field, value):
+    sizes = {"word_dim": 8, "copy_dim": 4, "label_dim": 4, "hidden": 8, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        GeneratorModel(tiny_vocab, **sizes)
 
 
 def test_train_rejects_empty_data(gen_model):

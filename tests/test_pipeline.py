@@ -174,6 +174,8 @@ def _corrupt(payload, mutation):
         payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = 5
     elif mutation == "shape_null":
         payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = None
+    elif mutation == "zero_hidden":
+        payload["hyperparameters"]["hidden"] = 0
     elif mutation == "nonnumeric_values":
         payload["tensors"][sorted(payload["tensors"])[0]]["values"][0] = "x"
     return payload
@@ -197,6 +199,7 @@ def _corrupt(payload, mutation):
         ("shape_int", "malformed shape or values"),
         ("shape_null", "malformed shape or values"),
         ("nonnumeric_values", "malformed shape or values"),
+        ("zero_hidden", "hidden must be a positive integer"),
     ],
 )
 def test_load_rejects_corrupt_checkpoint(tiny_models, tmp_path, mutation, message):

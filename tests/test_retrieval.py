@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idiomatize import IdiomEntry, ParallelPair, RetrievalModel, build_vocab, retrieve_top1, train_retrieval
+from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, RetrievalModel, build_vocab, retrieve_top1, train_retrieval
 from idiomatize.corpus import RESERVED, Vocabulary
 from idiomatize.numerics import bigru_encode, no_grad, stack, tsum
 from idiomatize.retrieval import (
@@ -43,6 +43,14 @@ def tiny_retrieval():
     lexicon, pairs = _separable_corpus()
     vocab = build_vocab(pairs, lexicon)
     return RetrievalModel(vocab, embed_dim=8, hidden=8, seed=0), lexicon, pairs
+
+
+@pytest.mark.parametrize("cls", [RetrievalModel, ExtractorModel])
+@pytest.mark.parametrize("field, value", [("embed_dim", 0), ("hidden", 0), ("hidden", -2), ("embed_dim", 8.0)])
+def test_pair_encoder_rejects_non_positive_sizes(tiny_vocab, cls, field, value):
+    sizes = {"embed_dim": 8, "hidden": 8, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+        cls(tiny_vocab, **sizes)
 
 
 def test_score_composes_pool_and_linear(tiny_retrieval):
