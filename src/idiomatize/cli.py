@@ -195,11 +195,9 @@ def _cmd_transform(args) -> int:
     config = PipelineConfig.from_file(args.config)
     lexicon = load_lexicon(args.lexicon)
     models = load_pipeline_models(args.ckpt_dir, config)
-    lines = [args.input] if args.input is not None else sys.stdin.readlines()
+    # An explicit --input must hold a sentence; blank stdin lines are skipped.
+    lines = [args.input] if args.input is not None else [line for line in sys.stdin if line.strip()]
     for line in lines:
-        line = line.strip()
-        if not line:
-            continue
         result = transform(models, lexicon, line, config)
         print(json.dumps(result.to_dict(), ensure_ascii=False))
     return 0

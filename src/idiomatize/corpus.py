@@ -47,12 +47,20 @@ def _word_internal_apostrophe(chunk: str, i: int) -> bool:
     )
 
 
+def reject_reserved(tokens: Sequence[str]) -> None:
+    """Raise ``CorpusError`` naming the first reserved token in ``tokens``."""
+    for token in tokens:
+        if token in RESERVED:
+            raise CorpusError(f"reserved token {token!r} in text")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, detach punctuation runs.
 
     Each maximal run of sentence punctuation becomes its own token;
     apostrophes with letters on both sides ("don't", "one's") stay
-    inside their word.
+    inside their word.  Text holding a reserved token such as ``<sep>``
+    raises ``CorpusError``.
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
@@ -75,6 +83,7 @@ def tokenize(text: str) -> list[str]:
                 i += 1
         if buf:
             tokens.append("".join(buf))
+    reject_reserved(tokens)
     return tokens
 
 

@@ -16,7 +16,7 @@ embedding input is held at 0) for the unguided variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -191,12 +191,17 @@ def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
     return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeState:
+    """Decoder hidden state and the copy and generate scores it produced.
+
+    ``decode_init``'s state has no scores yet, so the first step's
+    selective read is exactly zero.
+    """
+
     hidden: Tensor
-    y_prev: str
-    l_prev: int
-    psi_prev: Tensor | None
+    copy_scores: Tensor | None = None
+    gen_scores: Tensor | None = None
 
 
 def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
@@ -204,8 +209,7 @@ def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
     half = model.hidden // 2
     n = ctx.memory.shape[0]
     final = concat([ctx.memory[n - 1][:half], ctx.memory[0][half:]])
-    h0 = tanh(model.init_w @ final + model.init_b)
-    return DecodeState(hidden=h0, y_prev=SEP, l_prev=0, psi_prev=None)
+    return DecodeState(tanh(model.init_w @ final + model.init_b))
 
 
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
@@ -216,9 +220,7 @@ def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tens
     return softmax(scores) @ memory
 
 
-def selective_read(
-    model: GeneratorModel, y_prev: str, ctx: DecodeContext, psi_prev: Tensor | None
-) -> Tensor:
+def selective_read(model: GeneratorModel, y_prev: str, ctx: DecodeContext, psi_prev: Tensor | None) -> Tensor:
     """Memory states at positions matching y_prev, weighted by their copy scores.
 
     Exact zero vector when y_prev occurs nowhere in the input (or on the
@@ -231,27 +233,29 @@ def selective_read(
     return weights @ take(ctx.memory, matches)
 
 
-def step_scores(model: GeneratorModel, h_dec: Tensor, ctx: DecodeContext) -> tuple[Tensor, Tensor]:
-    """(copy scores over input positions, generate scores over the vocabulary)."""
-    return ctx.copy_keys @ h_dec, model.w_gen @ h_dec
+def decode_step(model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: str, l_prev: int) -> DecodeState:
+    """Feed the previous token and its copy/generate label; the next state and its scores."""
+    attentive = attentive_read(model, state.hidden, ctx.memory)
+    selective = selective_read(model, y_prev, ctx, state.copy_scores)
+    w = model.word_emb[model.vocab.encode(y_prev)]
+    label = model.label_emb[l_prev if model.guided else 0]
+    h = gru_step(model.decoder, state.hidden, concat([w, label, attentive, selective]))
+    return DecodeState(h, ctx.copy_keys @ h, model.w_gen @ h)
 
 
 @dataclass
 class StepDistribution:
-    """One decoding step's output distribution over an extended vocabulary.
+    """One decoding step's output distribution; ``probs`` and ``copy_probs``
+    are arrays over the context's extended vocabulary ``ctx.tokens``."""
 
-    ``tokens`` is the context's extended vocabulary; ``probs`` and
-    ``copy_probs`` are arrays over it.
-    """
-
-    tokens: tuple[str, ...]
     probs: np.ndarray
     copy_probs: np.ndarray
     p_copy: float
     p_gen: float
 
 
-def _distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
+def step_distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
+    """Copy and generate scores normalized together over the extended vocabulary."""
     shift = max(copy_scores.max(), gen_scores.max())
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
@@ -261,50 +265,12 @@ def _distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.nd
     # np.add.at adds position by position, so a repeated token sums in input order.
     np.add.at(probs, ctx.slots, e_copy / z)
     np.add.at(copy_probs, ctx.slots, e_copy / z)
-    return StepDistribution(
-        tokens=ctx.tokens,
-        probs=probs,
-        copy_probs=copy_probs,
-        p_copy=float(e_copy.sum() / z),
-        p_gen=float(e_gen.sum() / z),
-    )
-
-
-def step_distribution(model: GeneratorModel, h_dec: Tensor, ctx: DecodeContext) -> tuple[StepDistribution, Tensor]:
-    """Distribution at one decoder state plus the raw per-position copy scores."""
-    copy_s, gen_s = step_scores(model, h_dec, ctx)
-    return _distribution(ctx, copy_s.data, gen_s.data), copy_s
+    return StepDistribution(probs, copy_probs, p_copy=float(e_copy.sum() / z), p_gen=float(e_gen.sum() / z))
 
 
 def infer_label(dist: StepDistribution) -> int:
     """1 when the copy mass strictly exceeds the generate mass."""
     return 1 if dist.p_copy > dist.p_gen else 0
-
-
-def _advance(
-    model: GeneratorModel, state: DecodeState, ctx: DecodeContext
-) -> tuple[DecodeState, Tensor, Tensor]:
-    attentive = attentive_read(model, state.hidden, ctx.memory)
-    selective = selective_read(model, state.y_prev, ctx, state.psi_prev)
-    w = model.word_emb[model.vocab.encode(state.y_prev)]
-    label = model.label_emb[state.l_prev if model.guided else 0]
-    x = concat([w, label, attentive, selective])
-    h = gru_step(model.decoder, state.hidden, x)
-    copy_s, gen_s = step_scores(model, h, ctx)
-    new_state = DecodeState(hidden=h, y_prev=state.y_prev, l_prev=state.l_prev, psi_prev=copy_s)
-    return new_state, copy_s, gen_s
-
-
-def decode_step(
-    model: GeneratorModel, state: DecodeState, ctx: DecodeContext
-) -> tuple[DecodeState, StepDistribution]:
-    """Advance one step; the caller picks the next token and label.
-
-    The returned state keeps the previous token/label; set them with
-    ``dataclasses.replace`` once the step's output token is chosen.
-    """
-    new_state, copy_s, gen_s = _advance(model, state, ctx)
-    return new_state, _distribution(ctx, copy_s.data, gen_s.data)
 
 
 def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> list[int]:
@@ -335,18 +301,18 @@ def _teacher_forced_pass(
     targets = list(reference) + [EOS]
     loss: Tensor | None = None
     correct = 0
+    y_prev, l_prev = SEP, 0
     for target in targets:
-        state, copy_s, gen_s = _advance(model, state, ctx)
-        all_scores = concat([copy_s, gen_s])
+        state = decode_step(model, ctx, state, y_prev, l_prev)
+        all_scores = concat([state.copy_scores, state.gen_scores])
         idxs = _target_indices(model.vocab, ctx, target)
         step_nll = logsumexp(all_scores) - logsumexp(take(all_scores, idxs))
         loss = step_nll if loss is None else loss + step_nll
-        dist = _distribution(ctx, copy_s.data, gen_s.data)
-        predicted = dist.tokens[int(np.argmax(dist.probs))]
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        predicted = ctx.tokens[int(np.argmax(dist.probs))]
         reachable = target in ctx.positions or target in model.vocab
         correct += predicted == (target if reachable else model.vocab.decode(1))
-        label = 1 if (model.guided and target in ctx.positions) else 0
-        state = replace(state, y_prev=target, l_prev=label)
+        y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
     assert loss is not None
     return loss, len(targets), correct
 
@@ -422,6 +388,7 @@ class _Hypothesis:
     tokens: tuple[str, ...]
     logp: float
     steps: int
+    label: int  # the copy/generate label of the last token, fed with it at the next step
     state: DecodeState
 
     @property
@@ -437,25 +404,27 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
         raise ValueError("max_len must be >= 1")
     with no_grad():
         ctx = decode_context(model, inp)
-        alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, state=decode_init(model, ctx))]
+        alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, label=0, state=decode_init(model, ctx))]
         finished: list[_Hypothesis] = []
         for _ in range(max_len):
             # Rank light (score, ...) tuples; only the survivors become hypotheses.
             candidates = []
             for hyp in alive:
-                state, dist = decode_step(model, hyp.state, ctx)
+                y_prev = hyp.tokens[-1] if hyp.tokens else SEP
+                state = decode_step(model, ctx, hyp.state, y_prev, hyp.label)
+                dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+                # Not training's rule (target in the input); both gave equal evaluate reports (README).
                 label = infer_label(dist)
                 for k in np.argsort(-dist.probs, kind="stable")[:beam]:
                     logp = hyp.logp + np.log(dist.probs[k])
-                    candidates.append((logp / (hyp.steps + 1), logp, hyp, state, dist.tokens[k], label))
+                    candidates.append((logp / (hyp.steps + 1), logp, hyp, state, ctx.tokens[k], label))
             candidates.sort(key=lambda c: -c[0])
             alive = []
             for _, logp, parent, state, token, label in candidates[:beam]:
                 if token == EOS:
-                    finished.append(_Hypothesis(parent.tokens, logp, parent.steps + 1, state))
+                    finished.append(_Hypothesis(parent.tokens, logp, parent.steps + 1, label, state))
                 else:
-                    new_state = replace(state, y_prev=token, l_prev=label)
-                    alive.append(_Hypothesis(parent.tokens + (token,), logp, parent.steps + 1, new_state))
+                    alive.append(_Hypothesis(parent.tokens + (token,), logp, parent.steps + 1, label, state))
             if not alive:
                 break
         finished.extend(alive)

@@ -23,6 +23,7 @@ from .corpus import (
     Vocabulary,
     load_lexicon,
     load_pairs,
+    reject_reserved,
     save_lexicon,
     save_pairs,
     tokenize,
@@ -248,6 +249,7 @@ def transform_tokens(
 ) -> TransformResult:
     if not tokens:
         raise CorpusError("empty input sentence")
+    reject_reserved(tokens)
     _check_generator_mode(models, config)
     if models.retrieval is None or models.extractor is None:
         raise CheckpointError("pipeline needs retrieval and extractor models")

@@ -311,6 +311,31 @@ def test_transform_reads_stdin_lines(
         json.loads(line)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("<sep> <pad> <eos>", "error: reserved token '<sep>' in text"),
+        ("", "error: empty input sentence"),
+        ("   ", "error: empty input sentence"),
+    ],
+)
+def test_transform_rejects_reserved_or_empty_input(config_file, demo_files, ckpt_dir, capsys, text, message):
+    code = cli.main(
+        [
+            "--quiet",
+            "transform",
+            "--config", config_file,
+            "--lexicon", demo_files["lexicon"],
+            "--ckpt-dir", ckpt_dir,
+            "--input", text,
+        ]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_transform_is_deterministic(config_file, demo_files, ckpt_dir, capsys):
     argv = [
         "--quiet",

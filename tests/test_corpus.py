@@ -51,6 +51,14 @@ def test_tokenize_cases(text, expected):
     assert tokenize(text) == expected
 
 
+@pytest.mark.parametrize(
+    "text,token", [("<sep> <pad> <eos>", "<sep>"), ("a <UNK> b", "<unk>"), ("stop <eos>", "<eos>")]
+)
+def test_tokenize_rejects_reserved_tokens(text, token):
+    with pytest.raises(CorpusError, match=f"reserved token '{token}'"):
+        tokenize(text)
+
+
 @given(st.text(alphabet="abcxyz019 \t.,!?;:'\"()", max_size=60))
 def test_tokenize_idempotent_on_own_output(text):
     tokens = tokenize(text)
@@ -230,6 +238,8 @@ def test_load_lexicon_error_positions(tmp_path):
         "id_list.jsonl": good + '{"id": ["b"], "text": "x", "definitions": ["y"]}\n',
         "rigid_bool.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y"], "rigidity": true}\n',
         "rigid_float.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y"], "rigidity": 1.0}\n',
+        "text_reserved.jsonl": good + '{"id": "b", "text": "x <sep>", "definitions": ["y"]}\n',
+        "def_reserved.jsonl": good + '{"id": "b", "text": "x", "definitions": ["y", "<pad>"]}\n',
     }
     for name, text in cases.items():
         path = _write(tmp_path / name, text)
@@ -280,6 +290,8 @@ def test_load_pairs_errors(tmp_path):
         as_line(span=[1, 2, 3]),
         as_line(span=None),
         as_line(span={"start": 1}),
+        as_line(literal="they <sep> the game"),
+        as_line(idiomatic="they kick off the game <eos>"),
     ]
     for i, line in enumerate(cases):
         path = _write(tmp_path / f"pairs{i}.jsonl", line)

@@ -21,9 +21,7 @@ from idiomatize import (
 )
 from idiomatize.corpus import EOS, SEP
 from idiomatize.generator import (
-    DecodeState,
     StepDistribution,
-    _distribution,
     _target_indices,
     attentive_read,
     decode_context,
@@ -33,7 +31,6 @@ from idiomatize.generator import (
     infer_label,
     selective_read,
     step_distribution,
-    step_scores,
     teacher_forced_accuracy,
     teacher_forced_loss,
 )
@@ -155,9 +152,8 @@ def test_decode_init_matches_formula(gen_model):
     final = np.concatenate([memory.data[-1][:half], memory.data[0][half:]])
     expect = np.tanh(gen_model.init_w.data @ final + gen_model.init_b.data)
     assert np.allclose(state.hidden.data, expect, atol=1e-14)
-    assert state.y_prev == SEP
-    assert state.l_prev == 0
-    assert state.psi_prev is None
+    assert state.copy_scores is None
+    assert state.gen_scores is None
 
 
 def test_attentive_read_single_state(gen_model):
@@ -236,7 +232,8 @@ def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
     inp_tokens = ("the", "cat", "zzz")  # zzz is out of vocabulary
     copy_s = rng.normal(size=3)
     gen_s = rng.normal(size=len(tiny_vocab))
-    dist = _distribution(_context(gen_model, inp_tokens), copy_s, gen_s)
+    ctx = _context(gen_model, inp_tokens)
+    dist = step_distribution(ctx, copy_s, gen_s)
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -245,10 +242,10 @@ def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
     expect_the = (
         np.exp(gen_s[tiny_vocab.encode("the")] - shift) + np.exp(copy_s[0] - shift)
     ) / z
-    assert dist.probs[dist.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
-    assert {t for t, c in zip(dist.tokens, dist.copy_probs) if c} == {"the", "cat", "zzz"}
+    assert dist.probs[ctx.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
+    assert {t for t, c in zip(ctx.tokens, dist.copy_probs) if c} == {"the", "cat", "zzz"}
     # The OOV token is reachable through the copy route only.
-    zzz = dist.tokens.index("zzz")
+    zzz = ctx.tokens.index("zzz")
     assert dist.probs[zzz] == pytest.approx(dist.copy_probs[zzz], abs=1e-15)
     assert dist.probs[zzz] > 0.0
 
@@ -256,11 +253,12 @@ def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
 def test_distribution_merges_repeated_tokens(tiny_vocab, gen_model):
     copy_s = np.array([0.3, -0.2, 0.3])
     gen_s = np.zeros(len(tiny_vocab))
-    dist = _distribution(_context(gen_model, ("cat", "dog", "cat")), copy_s, gen_s)
+    ctx = _context(gen_model, ("cat", "dog", "cat"))
+    dist = step_distribution(ctx, copy_s, gen_s)
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     both = (np.exp(copy_s[0] - shift) + np.exp(copy_s[2] - shift)) / z
-    assert dist.copy_probs[dist.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
+    assert dist.copy_probs[ctx.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -275,27 +273,28 @@ def test_distribution_equals_dict_oracle(tiny_vocab, gen_model, seed):
         gen_s[:] = 0.7  # exact ties across the whole vocabulary
     if seed % 6 == 0:
         copy_s[:] = 0.7
-    dist = _distribution(_context(gen_model, inp_tokens), copy_s, gen_s)
+    ctx = _context(gen_model, inp_tokens)
+    dist = step_distribution(ctx, copy_s, gen_s)
     probs, copy_probs, p_copy, p_gen = reference_step_distribution(
         tiny_vocab.tokens, inp_tokens, copy_s, gen_s
     )
-    assert dist.tokens == tuple(probs)
+    assert ctx.tokens == tuple(probs)
     assert dist.probs.tolist() == list(probs.values())
-    assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in dist.tokens]
+    assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
     assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
     order = np.argsort(-dist.probs, kind="stable")
     ranked = sorted(probs.items(), key=lambda kv: -kv[1])
     for k in range(1, 9):
-        assert [dist.tokens[i] for i in order[:k]] == [t for t, _ in ranked[:k]]
+        assert [ctx.tokens[i] for i in order[:k]] == [t for t, _ in ranked[:k]]
 
 
 def test_infer_label_strictly_greater():
     empty = np.zeros(0)
-    tie = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.5, p_gen=0.5)
+    tie = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.5, p_gen=0.5)
     assert infer_label(tie) == 0
-    copyish = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.6, p_gen=0.4)
+    copyish = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.6, p_gen=0.4)
     assert infer_label(copyish) == 1
-    genish = StepDistribution(tokens=(), probs=empty, copy_probs=empty, p_copy=0.4, p_gen=0.6)
+    genish = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.4, p_gen=0.6)
     assert infer_label(genish) == 0
 
 
@@ -303,8 +302,9 @@ def test_step_distribution_sums_to_one_from_real_state(gen_model):
     inp = _demo_input()
     with no_grad():
         ctx = decode_context(gen_model, inp)
-        state = decode_init(gen_model, ctx)
-        dist, psi = step_distribution(gen_model, state.hidden, ctx)
+        h = decode_init(gen_model, ctx).hidden
+        psi = ctx.copy_keys @ h
+        dist = step_distribution(ctx, psi.data, (gen_model.w_gen @ h).data)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert psi.shape == (len(inp.tokens),)
 
@@ -338,44 +338,52 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
     with no_grad():
         ctx = decode_context(gen_model, inp)
         state = decode_init(gen_model, ctx)
+        y_prev, l_prev = SEP, 0
         for _ in range(data.draw(st.integers(1, 6))):
-            read = selective_read(gen_model, state.y_prev, ctx, state.psi_prev)
-            psi = None if state.psi_prev is None else state.psi_prev.data
-            expect = reference_selective_read(state.y_prev, ctx.memory.data, inp.tokens, psi)
+            read = selective_read(gen_model, y_prev, ctx, state.copy_scores)
+            psi = None if state.copy_scores is None else state.copy_scores.data
+            expect = reference_selective_read(y_prev, ctx.memory.data, inp.tokens, psi)
             assert read.data.tolist() == expect.tolist()
-            state, dist = decode_step(gen_model, state, ctx)
-            copy_s, gen_s = step_scores(gen_model, state.hidden, ctx)
+            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
+            copy_s, gen_s = state.copy_scores.data, state.gen_scores.data
+            dist = step_distribution(ctx, copy_s, gen_s)
             keys = np.tanh(ctx.memory.data @ gen_model.u_copy.data)  # recomputed per step
-            assert copy_s.data.tolist() == (keys @ state.hidden.data).tolist() == state.psi_prev.data.tolist()
+            assert copy_s.tolist() == (keys @ state.hidden.data).tolist()
             probs, copy_probs, p_copy, p_gen = reference_step_distribution(
-                vocab.tokens, inp.tokens, copy_s.data, gen_s.data
+                vocab.tokens, inp.tokens, copy_s, gen_s
             )
-            assert dist.tokens == tuple(probs)
+            assert ctx.tokens == tuple(probs)
             assert dist.probs.tolist() == list(probs.values())
-            assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in dist.tokens]
+            assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
             assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
-            token = data.draw(choices)
-            assert _target_indices(vocab, ctx, token) == reference_target_indices(
-                vocab.tokens, inp.tokens, token
+            y_prev, l_prev = data.draw(choices), data.draw(st.integers(0, 1))
+            assert _target_indices(vocab, ctx, y_prev) == reference_target_indices(
+                vocab.tokens, inp.tokens, y_prev
             )
-            state = replace(state, y_prev=token, l_prev=data.draw(st.integers(0, 1)))
 
 
 # --- decoding ---------------------------------------------------------------
 
 
-def test_decode_step_keeps_memory_and_prev_fields(gen_model):
+def test_decode_step_leaves_its_input_state_and_returns_its_scores(gen_model):
     inp = _demo_input()
     with no_grad():
         ctx = decode_context(gen_model, inp)
-        state = decode_init(gen_model, ctx)
-        snapshot = ctx.memory.data.copy()
-        new_state, dist = decode_step(gen_model, state, ctx)
-    assert np.array_equal(ctx.memory.data, snapshot)
-    assert new_state.y_prev == state.y_prev
-    assert new_state.l_prev == state.l_prev
-    assert new_state.psi_prev is not None
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        first = decode_init(gen_model, ctx)
+        memory, hidden = ctx.memory.data.copy(), first.hidden.data.copy()
+        second = decode_step(gen_model, ctx, first, SEP, 0)
+        second_copy = second.copy_scores.data.copy()
+        third = decode_step(gen_model, ctx, second, "cat", 1)
+    assert first.copy_scores is None and first.gen_scores is None
+    assert np.array_equal(ctx.memory.data, memory)
+    assert np.array_equal(first.hidden.data, hidden)
+    assert np.array_equal(second.copy_scores.data, second_copy)
+    for state in (second, third):
+        h = state.hidden.data
+        assert state.copy_scores.data.tolist() == (ctx.copy_keys.data @ h).tolist()
+        assert state.gen_scores.data.tolist() == (gen_model.w_gen.data @ h).tolist()
+    with pytest.raises(AttributeError):
+        second.hidden = first.hidden
 
 
 def test_unguided_model_ignores_label_channel(unguided_model):
@@ -383,9 +391,8 @@ def test_unguided_model_ignores_label_channel(unguided_model):
     with no_grad():
         ctx = decode_context(unguided_model, inp)
         state = decode_init(unguided_model, ctx)
-        advanced, _ = decode_step(unguided_model, state, ctx)
-        with_label = replace(state, l_prev=1)
-        advanced_labelled, _ = decode_step(unguided_model, with_label, ctx)
+        advanced = decode_step(unguided_model, ctx, state, SEP, 0)
+        advanced_labelled = decode_step(unguided_model, ctx, state, SEP, 1)
     assert np.array_equal(advanced.hidden.data, advanced_labelled.hidden.data)
 
 
@@ -394,8 +401,8 @@ def test_guided_model_uses_label_channel(gen_model):
     with no_grad():
         ctx = decode_context(gen_model, inp)
         state = decode_init(gen_model, ctx)
-        plain, _ = decode_step(gen_model, state, ctx)
-        labelled, _ = decode_step(gen_model, replace(state, l_prev=1), ctx)
+        plain = decode_step(gen_model, ctx, state, SEP, 0)
+        labelled = decode_step(gen_model, ctx, state, SEP, 1)
     assert not np.array_equal(plain.hidden.data, labelled.hidden.data)
 
 
@@ -408,11 +415,12 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
         state = decode_init(gen_model, ctx)
         manual = 0.0
         input_tokens = set(inp.tokens)
+        y_prev, l_prev = SEP, 0
         for target in list(reference) + [EOS]:
-            state, dist = decode_step(gen_model, state, ctx)
-            manual -= math.log(dist.probs[dist.tokens.index(target)])
-            label = 1 if (gen_model.guided and target in input_tokens) else 0
-            state = replace(state, y_prev=target, l_prev=label)
+            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            manual -= math.log(dist.probs[ctx.tokens.index(target)])
+            y_prev, l_prev = target, 1 if (gen_model.guided and target in input_tokens) else 0
     assert loss == pytest.approx(manual, abs=1e-10)
 
 
@@ -434,13 +442,15 @@ def test_beam_one_is_greedy(gen_model):
         ctx = decode_context(gen_model, inp)
         state = decode_init(gen_model, ctx)
         tokens = []
+        y_prev, l_prev = SEP, 0
         for _ in range(10):
-            state, dist = decode_step(gen_model, state, ctx)
-            token = dist.tokens[int(np.argmax(dist.probs))]
+            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            token = ctx.tokens[int(np.argmax(dist.probs))]
             if token == EOS:
                 break
             tokens.append(token)
-            state = replace(state, y_prev=token, l_prev=infer_label(dist))
+            y_prev, l_prev = token, infer_label(dist)
     assert got == tuple(tokens)
 
 

@@ -265,6 +265,12 @@ def test_transform_tokens_rejects_empty(tiny_pipeline, demo):
         transform_tokens(tiny_pipeline, lexicon, (), PipelineConfig())
 
 
+def test_transform_tokens_rejects_reserved_tokens(tiny_pipeline, demo):
+    lexicon, _ = demo
+    with pytest.raises(CorpusError, match="reserved token '<pad>'"):
+        transform_tokens(tiny_pipeline, lexicon, ("the", "<pad>", "cat"), PipelineConfig())
+
+
 def test_transform_tokens_needs_models(demo):
     lexicon, _ = demo
     config = PipelineConfig(generator_mode="rule_based")
