@@ -7,14 +7,12 @@ copy/generate labels.
 """
 
 from .corpus import (
-    BioSequence,
     CorpusError,
     IdiomEntry,
     ParallelPair,
     SplitCorpus,
     Vocabulary,
     build_vocab,
-    derive_bio,
     load_lexicon,
     load_pairs,
     save_lexicon,
@@ -55,7 +53,6 @@ from .rng import Rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "BioSequence",
     "CheckpointError",
     "CorpusError",
     "Dataset",
@@ -78,7 +75,6 @@ __all__ = [
     "build_guided_input",
     "build_unguided_input",
     "build_vocab",
-    "derive_bio",
     "evaluate",
     "extract_span",
     "generator_training_data",

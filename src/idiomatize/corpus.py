@@ -31,8 +31,6 @@ RESERVED = (PAD, UNK, SEP, EOS)
 
 _PUNCT = set(".,!?;:\"'()")
 
-BIO_LABELS = ("B", "I", "O")
-
 
 class CorpusError(ValueError):
     """Malformed corpus file or inconsistent record."""
@@ -140,41 +138,6 @@ class ParallelPair:
         return self.literal[s:e]
 
 
-@dataclass(frozen=True)
-class BioSequence:
-    """Per-token B/I/O labels with exactly one contiguous B-I... span."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(l not in BIO_LABELS for l in self.labels):
-            raise CorpusError(f"invalid BIO label in {self.labels!r}")
-        starts = [i for i, l in enumerate(self.labels) if l == "B"]
-        if len(starts) != 1:
-            raise CorpusError("BioSequence needs exactly one B label")
-        s = starts[0]
-        e = s + 1
-        while e < len(self.labels) and self.labels[e] == "I":
-            e += 1
-        if any(self.labels[i] == "I" for i in range(len(self.labels)) if not s < i < e):
-            raise CorpusError("I labels must directly follow the single B run")
-        object.__setattr__(self, "_span", (s, e))
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self._span
-
-
-def derive_bio(pair: ParallelPair) -> BioSequence:
-    """Gold BIO labels over the literal sentence from the pair's span."""
-    s, e = pair.span
-    labels = ["O"] * len(pair.literal)
-    labels[s] = "B"
-    for i in range(s + 1, e):
-        labels[i] = "I"
-    return BioSequence(tuple(labels))
-
-
 class Vocabulary:
     """Token <-> id map with fixed reserved ids <pad>=0 <unk>=1 <sep>=2 <eos>=3."""
 
@@ -208,28 +171,21 @@ class Vocabulary:
         return self.tokens[idx]
 
 
-def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry], min_count: int = 1) -> Vocabulary:
-    """Frequency-sorted vocabulary over pairs and lexicon text.
+def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> Vocabulary:
+    """Vocabulary of every token in the pairs and the lexicon.
 
-    Tokens with corpus frequency >= min_count are kept; idiom surface
-    tokens are always kept.  Order: reserved tokens, then descending
-    frequency with lexicographic tie-break.
+    Order: reserved tokens, then descending corpus frequency with
+    lexicographic tie-break.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
     for p in pairs:
         counts.update(p.literal)
         counts.update(p.idiomatic)
-    surface_tokens: set[str] = set()
     for entry in lexicon:
         counts.update(entry.surface)
-        surface_tokens.update(entry.surface)
         for sense in entry.senses:
             counts.update(sense)
-    kept = {t for t, c in counts.items() if c >= min_count}
-    kept |= surface_tokens
-    kept -= set(RESERVED)
+    kept = set(counts) - set(RESERVED)
     ordered = sorted(kept, key=lambda t: (-counts[t], t))
     return Vocabulary(RESERVED + tuple(ordered))
 

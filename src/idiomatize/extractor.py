@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import IdiomEntry, ParallelPair, derive_bio
+from .corpus import IdiomEntry, ParallelPair
 from .metrics import span_f1
 from .numerics import (
     Tensor,
@@ -34,7 +35,6 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-LABELS = ("B", "I", "O")
 B, I, O = 0, 1, 2
 MARGINAL_WEIGHTS = {B: 0.48, I: 0.48, O: 0.04}
 
@@ -58,15 +58,20 @@ def unary_scores(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     return sentence_states @ model.unary_w + model.unary_b
 
 
-def crf_log_partition(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """Log of the summed exponentiated scores over all label paths."""
+def _crf_alphas(unary: Tensor, transitions: Tensor, start: Tensor) -> list[Tensor]:
+    """Forward log scores: entry t sums every label path over positions 0..t."""
     n = unary.shape[0]
     if n == 0:
         raise ValueError("empty unary score matrix")
-    alpha = start + unary[0]
+    alphas = [start + unary[0]]
     for t in range(1, n):
-        alpha = unary[t] + logsumexp(reshape(alpha, (-1, 1)) + transitions, axis=0)
-    return logsumexp(alpha + end)
+        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+    return alphas
+
+
+def crf_log_partition(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
+    """Log of the summed exponentiated scores over all label paths."""
+    return logsumexp(_crf_alphas(unary, transitions, start)[-1] + end)
 
 
 def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor, labels: Sequence[int]) -> Tensor:
@@ -83,12 +88,8 @@ def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tenso
 
 def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
     """(n, k) log posterior marginals via forward-backward."""
-    n = unary.shape[0]
-    if n == 0:
-        raise ValueError("empty unary score matrix")
-    alphas = [start + unary[0]]
-    for t in range(1, n):
-        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+    alphas = _crf_alphas(unary, transitions, start)
+    n = len(alphas)
     betas = [None] * n
     betas[n - 1] = end
     for t in range(n - 2, -1, -1):
@@ -135,50 +136,30 @@ def crf_viterbi(
 
 @dataclass(frozen=True)
 class SpanPrediction:
-    labels: tuple[str, ...]
     span: tuple[int, int] | None
     score: float
 
 
-def _bio_runs(labels: Sequence[int]) -> list[tuple[int, int]]:
-    runs = []
-    i = 0
-    n = len(labels)
-    while i < n:
-        if labels[i] != O:
-            j = i
-            while j < n and labels[j] != O:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
+def span_labels(n: int, span: tuple[int, int]) -> list[int]:
+    """Label ids over n tokens: B at the span's start, I to its end, O elsewhere."""
+    s, e = span
+    return [O] * s + [B] + [I] * (e - s - 1) + [O] * (n - e)
 
 
-def repair_labels(labels: Sequence[int], unary: np.ndarray) -> tuple[tuple[str, ...], tuple[int, int] | None]:
-    """Collapse a Viterbi labeling to at most one contiguous span.
+def repair_labels(labels: Sequence[int], unary: np.ndarray) -> tuple[int, int] | None:
+    """The one span kept from a Viterbi labeling; None when it is all O.
 
-    When several B/I runs appear, the run whose labels have the highest
-    summed unary score survives (earlier run on ties); everything else
-    becomes O.  The surviving run is normalized to B I I ...
+    Each maximal run of B/I labels is a candidate span; the run whose
+    labels have the highest summed unary score wins (earlier run on ties).
     """
-    runs = _bio_runs(labels)
-    n = len(labels)
-    if not runs:
-        return ("O",) * n, None
-    best = runs[0]
-    best_score = sum(unary[t, labels[t]] for t in range(*runs[0]))
-    for run in runs[1:]:
-        score = sum(unary[t, labels[t]] for t in range(*run))
-        if score > best_score:
-            best, best_score = run, score
-    out = ["O"] * n
-    s, e = best
-    out[s] = "B"
-    for t in range(s + 1, e):
-        out[t] = "I"
-    return tuple(out), (s, e)
+    best, best_score, end = None, 0.0, 0
+    for outside, run in groupby(labels, key=lambda label: label == O):
+        start, end = end, end + len(list(run))
+        if not outside:
+            score = sum(unary[t, labels[t]] for t in range(start, end))
+            if best is None or score > best_score:
+                best, best_score = (start, end), score
+    return best
 
 
 def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str]) -> SpanPrediction:
@@ -186,8 +167,7 @@ def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     with no_grad():
         unary = unary_scores(model, sentence, definition).data
     path, score = crf_viterbi(unary, model.transitions, model.start, model.end)
-    labels, span = repair_labels(path, unary)
-    return SpanPrediction(labels=labels, span=span, score=score)
+    return SpanPrediction(span=repair_labels(path, unary), score=score)
 
 
 def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str], gold: Sequence[int]) -> Tensor:
@@ -201,15 +181,23 @@ def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: S
     return nll - tsum(picked * weights)
 
 
-def validation_span_f1(model: ExtractorModel, pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> float:
+def _resolve(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> list[tuple[ParallelPair, tuple[str, ...]]]:
+    """Each pair with its definition; a pair whose sense is not in the lexicon is skipped with a warning."""
     by_id = {e.id: e for e in lexicon}
-    preds, golds, sents = [], [], []
+    resolved = []
     for pair in pairs:
-        definition = by_id[pair.idiom_id].senses[pair.sense_index]
-        preds.append(extract_span(model, pair.literal, definition).span)
-        golds.append(pair.span)
-        sents.append(pair.literal)
-    return span_f1(preds, golds, sents)
+        entry = by_id.get(pair.idiom_id)
+        if entry is None or pair.sense_index >= len(entry.senses):
+            log.warning("skipping pair with unresolvable definition (idiom %r)", pair.idiom_id)
+            continue
+        resolved.append((pair, entry.senses[pair.sense_index]))
+    return resolved
+
+
+def validation_span_f1(model: ExtractorModel, pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> float:
+    resolved = _resolve(pairs, lexicon)
+    preds = [extract_span(model, pair.literal, definition).span for pair, definition in resolved]
+    return span_f1(preds, [pair.span for pair, _ in resolved], [pair.literal for pair, _ in resolved])
 
 
 def train_extractor(
@@ -226,22 +214,18 @@ def train_extractor(
     stop_at_f1: float | None = None,
 ) -> dict:
     """Batched Adam training; returns per-epoch losses and val span F1."""
-    by_id = {e.id: e for e in lexicon}
-    instances = []
-    for pair in pairs:
-        entry = by_id.get(pair.idiom_id)
-        if entry is None or pair.sense_index >= len(entry.senses):
-            log.warning("skipping pair with unresolvable definition (idiom %r)", pair.idiom_id)
-            continue
-        gold = [LABELS.index(l) for l in derive_bio(pair).labels]
-        instances.append((pair.literal, entry.senses[pair.sense_index], gold))
+    instances = [
+        (pair.literal, definition, span_labels(len(pair.literal), pair.span))
+        for pair, definition in _resolve(pairs, lexicon)
+    ]
     if not instances:
         raise ValueError("no trainable pairs")
+    val = [pair for pair, _ in _resolve(validation, lexicon)]
     losses, val_f1s = fit(
         model.store, Rng(seed), lambda: instances, lambda inst: extractor_loss(model, *inst),
         lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
-        evaluate=(lambda: validation_span_f1(model, validation, lexicon)) if validation else None,
+        evaluate=(lambda: validation_span_f1(model, val, lexicon)) if validation else None,
         after_epoch=lambda f1: stop_at_f1 is not None and f1 is not None and f1 >= stop_at_f1,
         name="extractor", metric_name="val_span_f1",
     )

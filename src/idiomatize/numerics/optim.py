@@ -15,6 +15,8 @@ from .tensor import NumericError, Tensor
 log = logging.getLogger(__name__)
 
 INIT_SCALE = 0.08
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+CLIP_NORM = 5.0
 
 
 def check_sizes(**sizes: object) -> None:
@@ -78,19 +80,13 @@ def global_grad_norm(store: ParamStore) -> float:
     return math.sqrt(total)
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    clip_norm: float | None = 5.0,
-) -> float:
+def adam_step(store: ParamStore, lr: float) -> float:
     """One bias-corrected Adam update over every parameter in the store.
 
-    Returns the global gradient norm before clipping.  Gradients are
-    consumed: a second call without a fresh backward pass raises instead
-    of silently re-stepping on stale gradients.
+    The global gradient norm is clipped to ``CLIP_NORM``; the norm before
+    clipping is returned.  Gradients are consumed: a second call without a
+    fresh backward pass raises instead of silently re-stepping on stale
+    gradients.
     """
     for name, t in store.params.items():
         if t.grad is None:
@@ -98,13 +94,13 @@ def adam_step(
         if not np.isfinite(t.grad).all():
             raise NumericError(f"adam_step: non-finite gradient for parameter {name!r}")
     norm = global_grad_norm(store)
-    if clip_norm is not None and norm > clip_norm:
-        scale = clip_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for t in store.params.values():
             t.grad *= scale
     store.step_count += 1
-    c1 = 1.0 - beta1**store.step_count
-    c2 = 1.0 - beta2**store.step_count
+    c1 = 1.0 - BETA1**store.step_count
+    c2 = 1.0 - BETA2**store.step_count
     for name, t in store.params.items():
         g = t.grad
         m = store._moment1.get(name)
@@ -113,11 +109,11 @@ def adam_step(
         v = store._moment2.get(name)
         if v is None:
             v = store._moment2[name] = np.zeros_like(t.data)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g**2
-        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g**2
+        t.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         if not np.isfinite(t.data).all():
             raise NumericError(f"non-finite values in parameter {name!r} after update")
         t.grad = None

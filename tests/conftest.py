@@ -10,6 +10,12 @@ pytest's output capture.
 from __future__ import annotations
 
 import os
+
+# Pin the BLAS thread pools to one thread, as perfbench does, so tier-1
+# timings do not swing with host load.  This must run before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import time
 
 import pytest

@@ -9,13 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idiomatize import (
-    BioSequence,
     CorpusError,
     IdiomEntry,
     ParallelPair,
     Vocabulary,
     build_vocab,
-    derive_bio,
     load_lexicon,
     load_pairs,
     save_lexicon,
@@ -116,37 +114,6 @@ def test_parallel_pair_validation():
             ParallelPair("x", 0, ("a", "b"), ("d",), span)
 
 
-def test_bio_sequence_validation():
-    assert BioSequence(("O", "B", "I", "O")).span == (1, 3)
-    assert BioSequence(("B",)).span == (0, 1)
-    assert BioSequence(("O", "O", "B")).span == (2, 3)
-    with pytest.raises(CorpusError):
-        BioSequence(("O", "O"))
-    with pytest.raises(CorpusError):
-        BioSequence(("B", "O", "B"))
-    with pytest.raises(CorpusError):
-        BioSequence(("I", "B"))
-    with pytest.raises(CorpusError):
-        BioSequence(("B", "O", "I"))
-    with pytest.raises(CorpusError):
-        BioSequence(("B", "X"))
-
-
-@given(st.data())
-def test_derive_bio_round_trips_span(data):
-    n = data.draw(st.integers(min_value=1, max_value=12))
-    s = data.draw(st.integers(min_value=0, max_value=n - 1))
-    e = data.draw(st.integers(min_value=s + 1, max_value=n))
-    pair = ParallelPair("x", 0, tuple(f"w{i}" for i in range(n)), ("y",), (s, e))
-    bio = derive_bio(pair)
-    assert len(bio.labels) == n
-    assert bio.span == (s, e)
-    assert all(
-        label == ("B" if i == s else "I" if s < i < e else "O")
-        for i, label in enumerate(bio.labels)
-    )
-
-
 # --- vocabulary -----------------------------------------------------------
 
 
@@ -185,17 +152,6 @@ def test_build_vocab_frequency_then_lexicographic():
     vocab = build_vocab(pairs, lexicon)
     # z: 2+2(pair idiomatic)+1+1(lexicon) ; a:2, b:2 tie broken a<b ; c:1
     assert vocab.tokens == RESERVED + ("z", "a", "b", "c")
-
-
-def test_build_vocab_min_count_keeps_surface():
-    lexicon = [IdiomEntry(id="x", surface=("rare",), senses=(("common",),))]
-    pairs = [_pair(("common", "common", "once"), ("common",))]
-    vocab = build_vocab(pairs, lexicon, min_count=2)
-    assert "common" in vocab
-    assert "once" not in vocab
-    assert "rare" in vocab  # surface token survives the threshold
-    with pytest.raises(ValueError):
-        build_vocab(pairs, lexicon, min_count=0)
 
 
 def test_build_vocab_deterministic_across_input_order():

@@ -11,11 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, extract_span, train_extractor
-from idiomatize.corpus import BioSequence, derive_bio
 from idiomatize.extractor import (
-    LABELS,
+    crf_viterbi,
     extractor_loss,
     repair_labels,
+    span_labels,
     unary_scores,
     validation_span_f1,
 )
@@ -53,15 +53,11 @@ B, I, O = 0, 1, 2
 
 def test_repair_single_run_untouched():
     unary = np.zeros((4, 3))
-    labels, span = repair_labels([O, B, I, O], unary)
-    assert labels == ("O", "B", "I", "O")
-    assert span == (1, 3)
+    assert repair_labels([O, B, I, O], unary) == (1, 3)
 
 
 def test_repair_normalizes_leading_i():
-    labels, span = repair_labels([O, I, I, O], np.zeros((4, 3)))
-    assert labels == ("O", "B", "I", "O")
-    assert span == (1, 3)
+    assert repair_labels([O, I, I, O], np.zeros((4, 3))) == (1, 3)
 
 
 def test_repair_keeps_highest_scoring_run():
@@ -69,22 +65,16 @@ def test_repair_keeps_highest_scoring_run():
     unary[0, B] = 1.0
     unary[1, I] = 1.0
     unary[3, B] = 5.0
-    labels, span = repair_labels([B, I, O, B, O], unary)
-    assert labels == ("O", "O", "O", "B", "O")
-    assert span == (3, 4)
+    assert repair_labels([B, I, O, B, O], unary) == (3, 4)
 
 
 def test_repair_tie_prefers_earlier_run():
     unary = np.zeros((5, 3))
-    labels, span = repair_labels([B, O, B, I, O], unary)
-    assert span == (0, 1)
-    assert labels == ("B", "O", "O", "O", "O")
+    assert repair_labels([B, O, B, I, O], unary) == (0, 1)
 
 
 def test_repair_all_outside():
-    labels, span = repair_labels([O, O, O], np.zeros((3, 3)))
-    assert labels == ("O", "O", "O")
-    assert span is None
+    assert repair_labels([O, O, O], np.zeros((3, 3))) is None
 
 
 @given(
@@ -94,19 +84,39 @@ def test_repair_all_outside():
 def test_repair_always_yields_single_span_or_none(raw, seed):
     rng = np.random.default_rng(seed)
     unary = rng.normal(size=(len(raw), 3))
-    labels, span = repair_labels(raw, unary)
+    span = repair_labels(raw, unary)
     if span is None:
-        assert set(labels) == {"O"}
+        assert set(raw) == {O}
     else:
-        bio = BioSequence(labels)  # validates exactly one B-I... run
-        assert bio.span == span
+        s, e = span
+        # a maximal run of B/I labels in the raw path
+        assert 0 <= s < e <= len(raw)
+        assert O not in raw[s:e]
+        assert s == 0 or raw[s - 1] == O
+        assert e == len(raw) or raw[e] == O
+
+
+@given(st.data())
+def test_span_labels_round_trips_span(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    s = data.draw(st.integers(min_value=0, max_value=n - 1))
+    e = data.draw(st.integers(min_value=s + 1, max_value=n))
+    labels = span_labels(n, (s, e))
+    assert labels == [B if i == s else I if s < i < e else O for i in range(n)]
+    seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    unary = np.random.default_rng(seed).normal(size=(n, 3))
+    assert repair_labels(labels, unary) == (s, e)
 
 
 def test_extract_span_is_repaired_viterbi(tiny_extractor):
-    pred = extract_span(tiny_extractor, ("the", "cat", "sat", "on", "mat"), ("ran",))
-    assert len(pred.labels) == 5
-    if pred.span is not None:
-        assert BioSequence(pred.labels).span == pred.span
+    model = tiny_extractor
+    sentence = ("the", "cat", "sat", "on", "mat")
+    pred = extract_span(model, sentence, ("ran",))
+    with no_grad():
+        unary = unary_scores(model, sentence, ("ran",)).data
+    path, score = crf_viterbi(unary, model.transitions, model.start, model.end)
+    assert pred.span == repair_labels(path, unary)
+    assert pred.score == score
     assert np.isfinite(pred.score)
 
 
@@ -155,6 +165,25 @@ def test_train_skips_unresolvable_and_errors_when_empty(tiny_vocab, caplog):
     assert "ghost" in caplog.text
 
 
+def test_train_skips_unresolvable_validation_pairs_before_epoch_one(tiny_vocab, caplog):
+    pairs = _three_pairs()
+    lexicon = _lexicon_for(pairs)
+    unresolvable = [
+        ParallelPair("no_such_idiom", 0, ("the", "cat"), ("z",), (0, 1)),
+        ParallelPair("a", 5, ("the", "cat"), ("z",), (1, 2)),
+    ]
+    model = ExtractorModel(tiny_vocab, embed_dim=8, hidden=8, seed=4)
+    with caplog.at_level(logging.INFO, logger="idiomatize"):
+        history = train_extractor(model, pairs, lexicon, epochs=1, validation=unresolvable + pairs)
+    messages = [r.getMessage() for r in caplog.records]
+    skipped = [i for i, m in enumerate(messages) if m.startswith("skipping pair")]
+    first_epoch = next(i for i, m in enumerate(messages) if m.startswith("extractor epoch 1/"))
+    assert len(skipped) == 2 and max(skipped) < first_epoch
+    assert "no_such_idiom" in messages[skipped[0]]
+    assert history["val_span_f1"] == [validation_span_f1(model, pairs, lexicon)]
+    assert validation_span_f1(model, unresolvable + pairs, lexicon) == history["val_span_f1"][0]
+
+
 def test_train_deterministic(tiny_vocab):
     pairs = [
         ParallelPair("a", 0, ("the", "cat", "sat"), ("z",), (1, 2)),
@@ -188,7 +217,7 @@ def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
     history = train_extractor(model, pairs, lexicon, epochs=1, lr=0.0, batch_size=2)
     definition = lexicon[0].senses[0]
     per_instance = [
-        extractor_loss(model, p.literal, definition, [LABELS.index(l) for l in derive_bio(p).labels]).item()
+        extractor_loss(model, p.literal, definition, span_labels(len(p.literal), p.span)).item()
         for p in pairs
     ]
     assert abs(history["epoch_losses"][0] - sum(per_instance) / len(pairs)) <= 1e-12

@@ -342,7 +342,7 @@ def test_extract_then_retrieve_feeds_span_to_retrieval(
 
     def fake_extract(model, tokens, key):
         assert key == ()
-        return SpanPrediction(labels=("O",) * len(tokens), span=(1, 3), score=0.0)
+        return SpanPrediction(span=(1, 3), score=0.0)
 
     def fake_retrieve(model, tokens, lex, key_mode):
         seen["tokens"] = tuple(tokens)
@@ -365,7 +365,7 @@ def test_extract_then_retrieve_falls_back_to_whole_sentence(
     seen = {}
 
     def fake_extract(model, tokens, key):
-        return SpanPrediction(labels=("O",) * len(tokens), span=None, score=0.0)
+        return SpanPrediction(span=None, score=0.0)
 
     def fake_retrieve(model, tokens, lex, key_mode):
         seen["tokens"] = tuple(tokens)
