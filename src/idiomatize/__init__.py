@@ -15,6 +15,7 @@ from .corpus import (
     build_vocab,
     load_lexicon,
     load_pairs,
+    resolve_pairs,
     save_lexicon,
     save_pairs,
     split_corpus,
@@ -85,6 +86,7 @@ __all__ = [
     "load_pipeline_models",
     "meteor",
     "part_accuracy",
+    "resolve_pairs",
     "retrieve_top1",
     "rouge",
     "rule_based_generate",

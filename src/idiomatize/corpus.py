@@ -275,6 +275,28 @@ def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
     return pairs
 
 
+def resolve_pairs(
+    pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]
+) -> list[tuple[ParallelPair, IdiomEntry]]:
+    """Each pair with the lexicon entry of its idiom.
+
+    A pair whose idiom or sense is not in the lexicon is skipped with one
+    warning.  A lexicon that repeats an idiom id raises ``CorpusError``.
+    """
+    entries = {entry.id: entry for entry in lexicon}
+    if len(entries) < len(lexicon):
+        repeated = sorted(i for i, n in Counter(entry.id for entry in lexicon).items() if n > 1)
+        raise CorpusError(f"lexicon repeats idiom ids {repeated}")
+    resolved = []
+    for pair in pairs:
+        entry = entries.get(pair.idiom_id)
+        if entry is None or pair.sense_index >= len(entry.senses):
+            log.warning("skipping pair for idiom %r sense %d: not in the lexicon", pair.idiom_id, pair.sense_index)
+            continue
+        resolved.append((pair, entry))
+    return resolved
+
+
 def entry_to_record(entry: IdiomEntry) -> dict:
     return {
         "id": entry.id,

@@ -8,14 +8,13 @@ B and I, 0.04 for O) so the rare span labels are not drowned out.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import IdiomEntry, ParallelPair
+from .corpus import IdiomEntry, ParallelPair, resolve_pairs
 from .metrics import span_f1
 from .numerics import (
     Tensor,
@@ -32,8 +31,6 @@ from .numerics import (
 from .numerics import bigru_encode  # noqa: F401  (perfbench traces it in every stage module)
 from .retrieval import PairEncoderModel
 from .rng import Rng
-
-log = logging.getLogger(__name__)
 
 B, I, O = 0, 1, 2
 MARGINAL_WEIGHTS = {B: 0.48, I: 0.48, O: 0.04}
@@ -181,22 +178,9 @@ def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: S
     return nll - tsum(picked * weights)
 
 
-def _resolve(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> list[tuple[ParallelPair, tuple[str, ...]]]:
-    """Each pair with its definition; a pair whose sense is not in the lexicon is skipped with a warning."""
-    by_id = {e.id: e for e in lexicon}
-    resolved = []
-    for pair in pairs:
-        entry = by_id.get(pair.idiom_id)
-        if entry is None or pair.sense_index >= len(entry.senses):
-            log.warning("skipping pair with unresolvable definition (idiom %r)", pair.idiom_id)
-            continue
-        resolved.append((pair, entry.senses[pair.sense_index]))
-    return resolved
-
-
 def validation_span_f1(model: ExtractorModel, pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> float:
-    resolved = _resolve(pairs, lexicon)
-    preds = [extract_span(model, pair.literal, definition).span for pair, definition in resolved]
+    resolved = resolve_pairs(pairs, lexicon)
+    preds = [extract_span(model, pair.literal, entry.senses[pair.sense_index]).span for pair, entry in resolved]
     return span_f1(preds, [pair.span for pair, _ in resolved], [pair.literal for pair, _ in resolved])
 
 
@@ -215,12 +199,12 @@ def train_extractor(
 ) -> dict:
     """Batched Adam training; returns per-epoch losses and val span F1."""
     instances = [
-        (pair.literal, definition, span_labels(len(pair.literal), pair.span))
-        for pair, definition in _resolve(pairs, lexicon)
+        (pair.literal, entry.senses[pair.sense_index], span_labels(len(pair.literal), pair.span))
+        for pair, entry in resolve_pairs(pairs, lexicon)
     ]
     if not instances:
         raise ValueError("no trainable pairs")
-    val = [pair for pair, _ in _resolve(validation, lexicon)]
+    val = [pair for pair, _ in resolve_pairs(validation, lexicon)]
     losses, val_f1s = fit(
         model.store, Rng(seed), lambda: instances, lambda inst: extractor_loss(model, *inst),
         lambda: adam_step(model.store, lr),

@@ -59,9 +59,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph."""
         if self.data.size != 1:

@@ -24,6 +24,7 @@ from .corpus import (
     load_lexicon,
     load_pairs,
     reject_reserved,
+    resolve_pairs,
     save_lexicon,
     save_pairs,
     tokenize,
@@ -253,14 +254,12 @@ def transform_tokens(
     _check_generator_mode(models, config)
     if models.retrieval is None or models.extractor is None:
         raise CheckpointError("pipeline needs retrieval and extractor models")
-    by_id = {e.id: e for e in lexicon}
     tokens = tuple(tokens)
 
     if config.order == "retrieve_then_extract":
-        idiom_id, sense_index, r_score = retrieve_top1(
+        entry, sense_index, r_score = retrieve_top1(
             models.retrieval, tokens, lexicon, config.retrieval_key
         )
-        entry = by_id[idiom_id]
         key = entry_key(entry, sense_index, config.retrieval_key)
         prediction = extract_span(models.extractor, tokens, key)
     else:
@@ -268,10 +267,9 @@ def transform_tokens(
         # (whole sentence when no span was found).
         prediction = extract_span(models.extractor, tokens, ())
         span_text = tokens[slice(*prediction.span)] if prediction.span else tokens
-        idiom_id, sense_index, r_score = retrieve_top1(
+        entry, sense_index, r_score = retrieve_top1(
             models.retrieval, span_text, lexicon, config.retrieval_key
         )
-        entry = by_id[idiom_id]
 
     if config.generator_mode == "rule_based":
         output = rule_based_generate(tokens, prediction.span, entry.surface)
@@ -282,7 +280,7 @@ def transform_tokens(
 
     return TransformResult(
         literal=tokens,
-        idiom_id=idiom_id,
+        idiom_id=entry.id,
         sense_index=sense_index,
         span=prediction.span,
         output=output,
@@ -310,9 +308,12 @@ def evaluate(
 
     Generation metrics compare pipeline outputs against the idiomatic
     references; part accuracies attribute tokens with the *gold* span
-    and idiom.
+    and idiom.  Every pair must resolve against the lexicon; otherwise
+    ``CorpusError`` is raised before any pair is transformed.
     """
-    by_id = {e.id: e for e in lexicon}
+    resolved = resolve_pairs(pairs, lexicon)
+    if len(resolved) < len(pairs):
+        raise CorpusError(f"{len(pairs) - len(resolved)} of {len(pairs)} pairs do not resolve against the lexicon")
     hyps: list[tuple[str, ...]] = []
     refs: list[tuple[str, ...]] = []
     pred_spans: list[tuple[int, int] | None] = []
@@ -336,12 +337,12 @@ def evaluate(
     report.idiom_part_acc, report.non_idiom_part_acc = part_accuracy(
         hyps,
         [p.literal for p in pairs],
-        [by_id[p.idiom_id].surface for p in pairs],
+        [entry.surface for _, entry in resolved],
         [p.span for p in pairs],
     )
     report.by_rigidity = stratify_by_rigidity(
         [(h, r, p.idiom_id) for h, r, p in zip(hyps, refs, pairs)],
-        {e.id: e.rigidity for e in lexicon},
+        {p.idiom_id: entry.rigidity for p, entry in resolved},
     )
     return report
 
@@ -351,11 +352,10 @@ def generator_training_data(
     lexicon: Sequence[IdiomEntry],
     guided: bool = True,
 ) -> list[tuple[GeneratorInput, tuple[str, ...]]]:
-    """(input, reference) tuples from gold idiom surfaces and spans."""
-    by_id = {e.id: e for e in lexicon}
+    """(input, reference) tuples from gold idiom surfaces and spans; unresolvable pairs are skipped."""
     return [
-        (build_generator_input(by_id[p.idiom_id].surface, p.literal, p.span, guided), p.idiomatic)
-        for p in pairs
+        (build_generator_input(entry.surface, p.literal, p.span, guided), p.idiomatic)
+        for p, entry in resolve_pairs(pairs, lexicon)
     ]
 
 

@@ -10,12 +10,11 @@ negative idioms, resampled every epoch.
 
 from __future__ import annotations
 
-import logging
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import SEP, IdiomEntry, ParallelPair, Vocabulary
+from .corpus import SEP, IdiomEntry, ParallelPair, Vocabulary, resolve_pairs
 from .numerics import (
     GruCell,
     ParamStore,
@@ -32,8 +31,6 @@ from .numerics import (
     tsum,
 )
 from .rng import Rng
-
-log = logging.getLogger(__name__)
 
 KEY_MODES = ("definition", "idiom")
 
@@ -144,21 +141,21 @@ def retrieve_top1(
     sentence: Sequence[str],
     lexicon: Sequence[IdiomEntry],
     key_mode: str = "definition",
-) -> tuple[str, int, float]:
-    """Best (idiom id, sense index, score) over every candidate key.
+) -> tuple[IdiomEntry, int, float]:
+    """Best (lexicon entry, sense index, score) over every candidate key.
 
     Per idiom the best-scoring sense wins (lower sense index on ties);
     across idioms, earlier lexicon order wins ties.
     """
     if not lexicon:
         raise ValueError("empty lexicon")
-    candidates = [(entry.id, sense, key) for entry in lexicon for sense, key in candidate_keys(entry, key_mode)]
+    candidates = [(entry, sense, key) for entry in lexicon for sense, key in candidate_keys(entry, key_mode)]
     scores = score_keys(model, sentence, [key for _, _, key in candidates])
     # Candidates run idiom by idiom and sense by sense, so the first maximum
     # is the earliest idiom's earliest sense among the tied ones.
     best = int(np.argmax(scores))
-    idiom_id, sense_index, _ = candidates[best]
-    return idiom_id, sense_index, float(scores[best])
+    entry, sense_index, _ = candidates[best]
+    return entry, sense_index, float(scores[best])
 
 
 def evaluate_retrieval(
@@ -173,7 +170,7 @@ def evaluate_retrieval(
     hits = 0
     for pair in pairs:
         predicted, _, _ = retrieve_top1(model, pair.literal, lexicon, key_mode)
-        hits += predicted == pair.idiom_id
+        hits += predicted.id == pair.idiom_id
     return hits / len(pairs)
 
 
@@ -210,23 +207,19 @@ def train_retrieval(
             f"negatives_per_positive={negatives_per_positive} needs a lexicon "
             f"larger than {len(lexicon)} idioms"
         )
-    by_id = {e.id: e for e in lexicon}
+    resolved = resolve_pairs(pairs, lexicon)
+    if not resolved:
+        raise ValueError("no trainable pairs")
     rng = Rng(seed)
 
     def draw() -> list[tuple[tuple[str, ...], tuple[str, ...], int]]:
         instances = []
-        for pair in pairs:
-            entry = by_id.get(pair.idiom_id)
-            if entry is None:
-                log.warning("skipping pair with unknown idiom %r", pair.idiom_id)
-                continue
+        for pair, entry in resolved:
             instances.append((pair.literal, entry_key(entry, pair.sense_index, key_mode), 1))
-            others = [e for e in lexicon if e.id != pair.idiom_id]
+            others = [e for e in lexicon if e is not entry]
             for neg_entry in rng.sample(others, negatives_per_positive):
                 sense = rng.randint(len(neg_entry.senses)) if key_mode == "definition" else 0
                 instances.append((pair.literal, entry_key(neg_entry, sense, key_mode), 0))
-        if not instances:
-            raise ValueError("no trainable pairs")
         return instances
 
     losses, val_acc = fit(

@@ -16,6 +16,7 @@ from idiomatize import (
     build_vocab,
     load_lexicon,
     load_pairs,
+    resolve_pairs,
     save_lexicon,
     save_pairs,
     split_corpus,
@@ -253,6 +254,44 @@ def test_load_pairs_errors(tmp_path):
         path = _write(tmp_path / f"pairs{i}.jsonl", line)
         with pytest.raises(CorpusError, match=rf"{path}:1"):
             load_pairs(path, lexicon)
+
+
+# --- resolution -------------------------------------------------------------
+
+
+def test_resolve_pairs_returns_lexicon_entries():
+    lexicon = demo_lexicon()
+    pairs = demo_pairs()
+    resolved = resolve_pairs(pairs, lexicon)
+    assert [pair for pair, _ in resolved] == list(pairs)
+    for pair, entry in resolved:
+        assert entry.id == pair.idiom_id
+        assert any(entry is e for e in lexicon)
+
+
+def test_resolve_pairs_skips_unknown_idiom_and_sense_with_one_warning_each(caplog):
+    lexicon = [IdiomEntry("a", ("x",), (("one",), ("two",)))]
+    good = ParallelPair("a", 1, ("p",), ("q",), (0, 1))
+    ghost = ParallelPair("ghost", 0, ("p",), ("q",), (0, 1))
+    far = ParallelPair("a", 2, ("p",), ("q",), (0, 1))
+    with caplog.at_level("WARNING"):
+        resolved = resolve_pairs([ghost, good, far], lexicon)
+    assert resolved == [(good, lexicon[0])]
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2 and all(m.startswith("skipping pair") for m in messages)
+    assert "'ghost'" in messages[0] and "'a' sense 2" in messages[1]
+
+
+def test_resolve_pairs_rejects_repeated_idiom_ids():
+    lexicon = [
+        IdiomEntry("x", ("a",), (("one",), ("two",))),
+        IdiomEntry("y", ("b",), (("three",),)),
+        IdiomEntry("x", ("c",), (("four",),)),
+    ]
+    with pytest.raises(CorpusError, match=r"repeats idiom ids \['x'\]"):
+        resolve_pairs([], lexicon)
+    with pytest.raises(CorpusError, match="repeats"):
+        resolve_pairs([ParallelPair("y", 0, ("p",), ("q",), (0, 1))], lexicon)
 
 
 # --- split ------------------------------------------------------------------

@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 
 from idiomatize import (
+    ExtractorModel,
+    IdiomEntry,
+    ParallelPair,
     PipelineConfig,
     RetrievalModel,
+    build_vocab,
     evaluate,
     generator_training_data,
     load_checkpoint,
     load_pipeline_models,
     save_checkpoint,
+    train_extractor,
+    train_retrieval,
     transform,
     transform_tokens,
 )
@@ -36,6 +42,7 @@ from idiomatize.pipeline import (
     load_dataset,
     write_dataset,
 )
+from idiomatize.retrieval import candidate_keys, score_keys
 
 from conftest import write_config
 
@@ -346,7 +353,7 @@ def test_extract_then_retrieve_feeds_span_to_retrieval(
 
     def fake_retrieve(model, tokens, lex, key_mode):
         seen["tokens"] = tuple(tokens)
-        return lexicon[0].id, 0, 0.5
+        return lexicon[0], 0, 0.5
 
     monkeypatch.setattr("idiomatize.pipeline.extract_span", fake_extract)
     monkeypatch.setattr("idiomatize.pipeline.retrieve_top1", fake_retrieve)
@@ -369,7 +376,7 @@ def test_extract_then_retrieve_falls_back_to_whole_sentence(
 
     def fake_retrieve(model, tokens, lex, key_mode):
         seen["tokens"] = tuple(tokens)
-        return lexicon[0].id, 0, 0.5
+        return lexicon[0], 0, 0.5
 
     monkeypatch.setattr("idiomatize.pipeline.extract_span", fake_extract)
     monkeypatch.setattr("idiomatize.pipeline.retrieve_top1", fake_retrieve)
@@ -378,6 +385,58 @@ def test_extract_then_retrieve_falls_back_to_whole_sentence(
     assert seen["tokens"] == literal
     assert result.span is None
     assert result.output == literal
+
+
+# ------------------------------------------------- repeated idiom ids
+
+def _repeated_id_corpus():
+    lexicon = [
+        IdiomEntry(id="x", surface=("kick", "off"), senses=(("start",), ("begin", "now"))),
+        IdiomEntry(id="x", surface=("call", "it", "a", "day"), senses=(("stop", "work"),)),
+    ]
+    pairs = [ParallelPair("x", 0, ("we", "start", "today"), ("we", "kick", "off", "today"), (1, 2))]
+    return lexicon, pairs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transform_with_repeated_idiom_id_splices_winning_entry(seed, monkeypatch):
+    lexicon, pairs = _repeated_id_corpus()
+    vocab = build_vocab(pairs, lexicon)
+    models = PipelineModels(
+        retrieval=RetrievalModel(vocab, embed_dim=4, hidden=4, seed=seed),
+        extractor=ExtractorModel(vocab, embed_dim=4, hidden=4, seed=seed),
+    )
+    seen = {}
+
+    def fake_extract(model, tokens, key):
+        seen["key"] = tuple(key)
+        return SpanPrediction(span=(1, 2), score=0.0)
+
+    monkeypatch.setattr("idiomatize.pipeline.extract_span", fake_extract)
+    sentence = pairs[0].literal
+    candidates = [(entry, sense, key) for entry in lexicon for sense, key in candidate_keys(entry, "definition")]
+    scores = score_keys(models.retrieval, sentence, [key for _, _, key in candidates])
+    winner, sense, key = candidates[int(np.argmax(scores))]
+    result = transform_tokens(models, lexicon, sentence, PipelineConfig(generator_mode="rule_based"))
+    assert seen["key"] == key
+    assert (result.idiom_id, result.sense_index) == ("x", sense)
+    assert result.output == rule_based_generate(sentence, (1, 2), winner.surface)
+
+
+def test_repeated_idiom_id_is_refused_by_trainers_and_evaluate():
+    lexicon, pairs = _repeated_id_corpus()
+    vocab = build_vocab(pairs, lexicon)
+    retrieval = RetrievalModel(vocab, embed_dim=4, hidden=4, seed=0)
+    extractor = ExtractorModel(vocab, embed_dim=4, hidden=4, seed=0)
+    with pytest.raises(CorpusError, match="repeats idiom ids"):
+        train_retrieval(retrieval, pairs, lexicon, epochs=1, negatives_per_positive=1)
+    with pytest.raises(CorpusError, match="repeats idiom ids"):
+        train_extractor(extractor, pairs, lexicon, epochs=1)
+    with pytest.raises(CorpusError, match="repeats idiom ids"):
+        generator_training_data(pairs, lexicon)
+    models = PipelineModels(retrieval=retrieval, extractor=extractor)
+    with pytest.raises(CorpusError, match="repeats idiom ids"):
+        evaluate(models, pairs, lexicon, PipelineConfig(generator_mode="rule_based"))
 
 
 # -------------------------------------------------------------- evaluate
@@ -419,6 +478,16 @@ def test_evaluate_empty_pairs(tiny_pipeline, demo):
     assert report.by_rigidity == {}
 
 
+def test_evaluate_refuses_unresolvable_pair_before_transforming(tiny_pipeline, demo, monkeypatch):
+    lexicon, pairs = demo
+    calls = []
+    monkeypatch.setattr("idiomatize.pipeline.transform_tokens", lambda *args: calls.append(args))
+    ghost = ParallelPair("ghost", 0, pairs[0].literal, pairs[0].idiomatic, pairs[0].span)
+    with pytest.raises(CorpusError, match="1 of 4 pairs do not resolve"):
+        evaluate(tiny_pipeline, list(pairs[:3]) + [ghost], lexicon, PipelineConfig())
+    assert calls == []
+
+
 def test_evaluate_tiny_pipeline_smoke(tiny_pipeline, demo):
     lexicon, pairs = demo
     config = PipelineConfig(beam=2, max_len=16)
@@ -455,6 +524,20 @@ def test_generator_training_data_unguided(demo):
         )
         assert inp == expected
         assert all(i == 0 for i in inp.indicators)
+
+
+def test_generator_training_data_skips_unresolvable_pairs(demo, caplog):
+    lexicon, pairs = demo
+    first = pairs[0]
+    senses = next(len(e.senses) for e in lexicon if e.id == first.idiom_id)
+    ghost = ParallelPair("ghost", 0, first.literal, first.idiomatic, first.span)
+    far = ParallelPair(first.idiom_id, senses, first.literal, first.idiomatic, first.span)
+    with caplog.at_level("WARNING"):
+        data = generator_training_data([ghost] + list(pairs[:4]) + [far], lexicon)
+    assert data == generator_training_data(pairs[:4], lexicon)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2 and all(m.startswith("skipping pair") for m in messages)
+    assert "'ghost'" in messages[0]
 
 
 # ---------------------------------------------------------------- dataset

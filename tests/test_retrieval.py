@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,7 +112,7 @@ def test_retrieve_top1_scans_every_sense(tiny_retrieval):
         ]
         got = retrieve_top1(model, sentence, lexicon, key_mode)
         expected = _oracle_top1(model, sentence, lexicon, key_mode)
-        assert got[:2] == expected[:2] == ("e2", expected_sense)
+        assert (got[0].id, got[1]) == expected[:2] == ("e2", expected_sense)
         assert got[2] == pytest.approx(expected[2], abs=1e-12)
 
 
@@ -124,8 +126,8 @@ def test_retrieve_top1_duplicate_keys_tie_exactly(tiny_retrieval):
         IdiomEntry(id="b", surface=("x",), senses=(low, best, best)),
         IdiomEntry(id="c", surface=("x",), senses=(best,)),
     ]
-    assert retrieve_top1(model, sentence, lexicon)[:2] == ("b", 1)
-    assert retrieve_top1(model, sentence, lexicon, "idiom")[:2] == ("a", 0)
+    assert retrieve_top1(model, sentence, lexicon)[:2] == (lexicon[1], 1)
+    assert retrieve_top1(model, sentence, lexicon, "idiom")[:2] == (lexicon[0], 0)
     scores = score_keys(model, sentence, [key for e in lexicon for key in e.senses])
     assert scores[2] == scores[3] == scores[4]
     # Out-of-vocabulary keys encode alike, so they score alike.
@@ -156,7 +158,7 @@ def test_retrieve_top1_matches_per_key_oracle(n_idioms, hidden, key_mode, seed):
     sentence = phrase(6)
     got = retrieve_top1(model, sentence, lexicon, key_mode)
     expected = _oracle_top1(model, sentence, lexicon, key_mode)
-    assert got[:2] == expected[:2]
+    assert (got[0].id, got[1]) == expected[:2]
     assert abs(got[2] - expected[2]) <= 1e-12
     keys = [key for e in lexicon for _, key in candidate_keys(e, key_mode)]
     scalar = [score_pair(model, sentence, key) for key in keys]
@@ -168,8 +170,9 @@ def test_retrieve_top1_tie_breaks_to_earliest(tiny_retrieval):
     frozen = RetrievalModel(model.vocab, embed_dim=8, hidden=8, seed=1)
     for t in frozen.store.params.values():
         t.data[...] = 0.0
-    idiom_id, sense, s = retrieve_top1(frozen, ("this", "alpha"), lexicon)
-    assert (idiom_id, sense, s) == ("e1", 0, 0.0)
+    entry, sense, s = retrieve_top1(frozen, ("this", "alpha"), lexicon)
+    assert (entry.id, sense, s) == ("e1", 0, 0.0)
+    assert entry is lexicon[0]
 
 
 def test_retrieve_top1_scale_invariance(tiny_retrieval):
@@ -221,6 +224,40 @@ def test_train_skips_unknown_idiom_and_errors_when_empty(tiny_retrieval, caplog)
         with caplog.at_level("WARNING"):
             train_retrieval(model, ghost, lexicon, epochs=1, negatives_per_positive=1)
     assert "ghost" in caplog.text
+
+
+def test_train_skips_out_of_range_sense_as_if_absent(caplog):
+    lexicon, pairs = _separable_corpus()
+    vocab = build_vocab(pairs, lexicon)
+    far = ParallelPair("e1", 5, ("this", "alpha", "here"), ("x",), (1, 2))
+
+    def run(train_pairs):
+        model = RetrievalModel(vocab, embed_dim=8, hidden=8, seed=0)
+        history = train_retrieval(model, train_pairs, lexicon, epochs=2, negatives_per_positive=1, seed=5)
+        return model, history
+
+    with caplog.at_level("WARNING"):
+        m1, h1 = run(pairs[:3] + [far] + pairs[3:])
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].startswith("skipping pair")
+    assert "'e1' sense 5" in warnings[0]
+    # The skipped pair draws nothing from the RNG, so training matches the clean corpus.
+    m2, h2 = run(pairs)
+    assert h1 == h2
+    assert all(np.array_equal(t.data, m2.store[n].data) for n, t in m1.store.items())
+
+
+def test_train_warns_once_before_epoch_one(caplog):
+    lexicon, pairs = _separable_corpus()
+    model = RetrievalModel(build_vocab(pairs, lexicon), embed_dim=8, hidden=8, seed=0)
+    ghost = ParallelPair("ghost", 0, ("a", "b"), ("c",), (0, 1))
+    with caplog.at_level(logging.INFO, logger="idiomatize"):
+        train_retrieval(model, [ghost] + pairs, lexicon, epochs=3, negatives_per_positive=1)
+    messages = [r.getMessage() for r in caplog.records]
+    skipped = [i for i, m in enumerate(messages) if m.startswith("skipping pair")]
+    first_epoch = next(i for i, m in enumerate(messages) if m.startswith("retrieval epoch 1/"))
+    assert len(skipped) == 1 and skipped[0] < first_epoch
+    assert "'ghost'" in messages[skipped[0]]
 
 
 def test_train_zero_epochs_is_noop():
