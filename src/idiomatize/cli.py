@@ -144,10 +144,7 @@ def _cmd_ingest(args) -> int:
             seed=split.seed,
         )
     vocab = build_vocab(list(pairs) + list(aug), lexicon)
-    dataset = Dataset(
-        lexicon=lexicon, split=split, vocab=vocab, annotated_ids=annotated, seed=args.seed
-    )
-    write_dataset(args.out, dataset)
+    write_dataset(args.out, Dataset(lexicon=lexicon, split=split, vocab=vocab, annotated_ids=annotated))
     logging.info(
         "wrote %s: train=%d validation=%d test=%d vocab=%d",
         args.out, len(split.train), len(split.validation), len(split.test), len(vocab),

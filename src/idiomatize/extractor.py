@@ -25,7 +25,6 @@ from .numerics import (
     no_grad,
     reshape,
     stack,
-    take_pairs,
     tsum,
 )
 from .numerics import bigru_encode  # noqa: F401  (perfbench traces it in every stage module)
@@ -77,9 +76,9 @@ def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tenso
     if len(labels) != n:
         raise ValueError("label path length mismatch")
     score = start[labels[0]] + end[labels[-1]]
-    score = score + tsum(take_pairs(unary, range(n), labels))
+    score = score + tsum(unary[range(n), labels])
     if n > 1:
-        score = score + tsum(take_pairs(transitions, labels[:-1], labels[1:]))
+        score = score + tsum(transitions[labels[:-1], labels[1:]])
     return score
 
 
@@ -102,26 +101,19 @@ def crf_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor
 
 
 def crf_viterbi(
-    unary: np.ndarray | Tensor,
-    transitions: np.ndarray | Tensor,
-    start: np.ndarray | Tensor,
-    end: np.ndarray | Tensor,
+    unary: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray
 ) -> tuple[list[int], float]:
     """Best label path and its score; ties break toward lower label index."""
-    u = unary.data if isinstance(unary, Tensor) else np.asarray(unary, dtype=np.float64)
-    t_mat = transitions.data if isinstance(transitions, Tensor) else np.asarray(transitions, dtype=np.float64)
-    s_vec = start.data if isinstance(start, Tensor) else np.asarray(start, dtype=np.float64)
-    e_vec = end.data if isinstance(end, Tensor) else np.asarray(end, dtype=np.float64)
-    n = u.shape[0]
+    n = unary.shape[0]
     if n == 0:
         raise ValueError("empty unary score matrix")
-    delta = s_vec + u[0]
-    backptr = np.zeros((n, u.shape[1]), dtype=np.intp)
+    delta = start + unary[0]
+    backptr = np.zeros((n, unary.shape[1]), dtype=np.intp)
     for t in range(1, n):
-        scores = delta[:, None] + t_mat
+        scores = delta[:, None] + transitions
         backptr[t] = np.argmax(scores, axis=0)  # first max = lowest label index
-        delta = u[t] + scores[backptr[t], np.arange(u.shape[1])]
-    final = delta + e_vec
+        delta = unary[t] + scores[backptr[t], np.arange(unary.shape[1])]
+    final = delta + end
     last = int(np.argmax(final))
     path = [last]
     for t in range(n - 1, 0, -1):
@@ -163,7 +155,7 @@ def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     """Viterbi decode + single-span repair for one sentence."""
     with no_grad():
         unary = unary_scores(model, sentence, definition).data
-    path, score = crf_viterbi(unary, model.transitions, model.start, model.end)
+    path, score = crf_viterbi(unary, model.transitions.data, model.start.data, model.end.data)
     return SpanPrediction(span=repair_labels(path, unary), score=score)
 
 
@@ -173,7 +165,7 @@ def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: S
     log_z = crf_log_partition(unary, model.transitions, model.start, model.end)
     nll = log_z - crf_path_score(unary, model.transitions, model.start, model.end, gold)
     log_marg = crf_log_marginals(unary, model.transitions, model.start, model.end)
-    picked = take_pairs(log_marg, range(len(gold)), gold)
+    picked = log_marg[range(len(gold)), gold]
     weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
     return nll - tsum(picked * weights)
 

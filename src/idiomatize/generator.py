@@ -37,7 +37,6 @@ from .numerics import (
     no_grad,
     softmax,
     stack,
-    take,
     tanh,
     zeros,
 )
@@ -229,8 +228,8 @@ def selective_read(model: GeneratorModel, y_prev: str, ctx: DecodeContext, psi_p
     matches = ctx.positions.get(y_prev)
     if psi_prev is None or not matches:
         return zeros((model.hidden,))
-    weights = softmax(take(psi_prev, matches))
-    return weights @ take(ctx.memory, matches)
+    weights = softmax(psi_prev[matches])
+    return weights @ ctx.memory[matches]
 
 
 def decode_step(model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: str, l_prev: int) -> DecodeState:
@@ -306,7 +305,7 @@ def _teacher_forced_pass(
         state = decode_step(model, ctx, state, y_prev, l_prev)
         all_scores = concat([state.copy_scores, state.gen_scores])
         idxs = _target_indices(model.vocab, ctx, target)
-        step_nll = logsumexp(all_scores) - logsumexp(take(all_scores, idxs))
+        step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
         loss = step_nll if loss is None else loss + step_nll
         dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
         predicted = ctx.tokens[int(np.argmax(dist.probs))]

@@ -11,7 +11,7 @@ Wrap inference code in ``no_grad()`` to skip graph construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -379,45 +379,36 @@ def stack(rows: Sequence) -> Tensor:
     return _node(data, tuple(rows), bw)
 
 
-def take(a, indices: Iterable[int]) -> Tensor:
-    """Gather along axis 0 (rows of a matrix or entries of a vector)."""
-    a = _wrap(a)
-    idx = np.asarray(list(indices), dtype=np.intp)
-    data = a.data[idx]
-    if not _track(a):
-        return Tensor(data)
-
-    def bw(g):
-        np.add.at(_grad(a), idx, g)
-
-    return _node(data, (a,), bw)
+_BASIC_INDEX = (int, np.integer, slice)
 
 
-def take_pairs(a, rows: Iterable[int], cols: Iterable[int]) -> Tensor:
-    """Gather a[i, j] for paired index lists; returns a vector."""
-    a = _wrap(a)
-    r = np.asarray(list(rows), dtype=np.intp)
-    c = np.asarray(list(cols), dtype=np.intp)
-    data = a.data[r, c]
-    if not _track(a):
-        return Tensor(data)
-
-    def bw(g):
-        np.add.at(_grad(a), (r, c), g)
-
-    return _node(data, (a,), bw)
+def _index_array(k):
+    """An integer index list or range as an array, converted once for the gather and its backward."""
+    return np.asarray(k, dtype=np.intp) if isinstance(k, (list, range)) else k
 
 
 def getitem(a, key) -> Tensor:
+    """``a[key]`` for any numpy key: ints, slices, integer index lists or arrays, or tuples of them.
+
+    A key that holds an index array may repeat an index, so its backward
+    pass uses ``np.add.at``, which sums repeated indices in order.  Int and
+    slice keys never repeat one and keep the faster in-place add.
+    """
     a = _wrap(a)
-    data = a.data[key]
     if not _track(a):
-        return Tensor(data)
+        return Tensor(a.data[key])
+    if isinstance(key, _BASIC_INDEX) or (isinstance(key, tuple) and all(isinstance(k, _BASIC_INDEX) for k in key)):
 
-    def bw(g):
-        _grad(a)[key] += g
+        def bw(g):
+            _grad(a)[key] += g
 
-    return _node(data, (a,), bw)
+    else:
+        key = tuple(map(_index_array, key)) if isinstance(key, tuple) else _index_array(key)
+
+        def bw(g):
+            np.add.at(_grad(a), key, g)
+
+    return _node(a.data[key], (a,), bw)
 
 
 def reshape(a, shape) -> Tensor:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -102,14 +102,7 @@ class PipelineConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "retrieval_key": self.retrieval_key,
-            "generator_mode": self.generator_mode,
-            "beam": self.beam,
-            "max_len": self.max_len,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _MODEL_CLASSES = {
@@ -367,7 +360,6 @@ class Dataset:
     split: SplitCorpus
     vocab: Vocabulary
     annotated_ids: tuple[str, ...]
-    seed: int
 
 
 def write_dataset(out_dir: str, dataset: Dataset) -> None:
@@ -380,7 +372,7 @@ def write_dataset(out_dir: str, dataset: Dataset) -> None:
         json.dump({"tokens": list(dataset.vocab.tokens)}, fh)
         fh.write("\n")
     meta = {
-        "seed": dataset.seed,
+        "seed": dataset.split.seed,
         "annotated_ids": list(dataset.annotated_ids),
         "sizes": {
             "train": len(dataset.split.train),
@@ -421,5 +413,4 @@ def load_dataset(data_dir: str) -> Dataset:
         split=split,
         vocab=vocab,
         annotated_ids=tuple(annotated),
-        seed=meta.get("seed", 0),
     )

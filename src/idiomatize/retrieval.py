@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import SEP, IdiomEntry, ParallelPair, Vocabulary, resolve_pairs
+from .metrics import retrieval_accuracy
 from .numerics import (
     GruCell,
     ParamStore,
@@ -165,13 +166,8 @@ def evaluate_retrieval(
     key_mode: str = "definition",
 ) -> float:
     """Fraction of pairs whose literal sentence retrieves the gold idiom."""
-    if not pairs:
-        return 0.0
-    hits = 0
-    for pair in pairs:
-        predicted, _, _ = retrieve_top1(model, pair.literal, lexicon, key_mode)
-        hits += predicted.id == pair.idiom_id
-    return hits / len(pairs)
+    predicted = [retrieve_top1(model, pair.literal, lexicon, key_mode)[0].id for pair in pairs]
+    return retrieval_accuracy(predicted, [pair.idiom_id for pair in pairs])
 
 
 def _bce_loss(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str], label: int) -> Tensor:

@@ -114,7 +114,6 @@ def demo_files(tmp_path_factory, demo):
         split=split,
         vocab=build_vocab(pairs, lexicon),
         annotated_ids=demo_annotated_ids(),
-        seed=0,
     )
     write_dataset(data_dir, dataset)
     return {

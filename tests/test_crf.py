@@ -39,7 +39,7 @@ def test_matches_brute_force_enumeration(k):
         )
         got_z = crf_log_partition(unary, transitions, start, end).item()
         assert abs(got_z - log_z) <= 1e-10
-        path, score = crf_viterbi(unary, transitions, start, end)
+        path, score = crf_viterbi(unary.data, transitions.data, start.data, end.data)
         assert path == best_path
         assert abs(score - best_score) <= 1e-10
         got_m = crf_marginals(unary, transitions, start, end).data
@@ -67,7 +67,7 @@ def test_all_zero_viterbi_prefers_lowest_label():
     unary = Tensor(np.zeros((4, 3)))
     zero = Tensor(np.zeros((3, 3)))
     vec = Tensor(np.zeros(3))
-    path, score = crf_viterbi(unary, zero, vec, vec)
+    path, score = crf_viterbi(unary.data, zero.data, vec.data, vec.data)
     assert path == [0, 0, 0, 0]
     assert score == 0.0
 
@@ -88,7 +88,7 @@ def test_partition_upper_bounds_viterbi():
         n = rand.randint(1, 6)
         unary, transitions, start, end = _random_instance(rand, n, 3)
         log_z = crf_log_partition(unary, transitions, start, end).item()
-        _, best = crf_viterbi(unary, transitions, start, end)
+        _, best = crf_viterbi(unary.data, transitions.data, start.data, end.data)
         assert log_z >= best
 
 

@@ -114,7 +114,7 @@ def test_extract_span_is_repaired_viterbi(tiny_extractor):
     pred = extract_span(model, sentence, ("ran",))
     with no_grad():
         unary = unary_scores(model, sentence, ("ran",)).data
-    path, score = crf_viterbi(unary, model.transitions, model.start, model.end)
+    path, score = crf_viterbi(unary, model.transitions.data, model.start.data, model.end.data)
     assert pred.span == repair_labels(path, unary)
     assert pred.score == score
     assert np.isfinite(pred.score)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from idiomatize import numerics
 from idiomatize.numerics import (
     GruCell,
     NumericError,
@@ -33,8 +35,6 @@ from idiomatize.numerics import (
     softmax,
     softplus,
     stack,
-    take,
-    take_pairs,
     tanh,
     tsum,
     zeros,
@@ -185,12 +185,12 @@ def test_no_grad_skips_graph():
     assert out._backward is None
 
 
-def test_take_accumulates_duplicate_indices():
+def test_getitem_accumulates_duplicate_indices():
     store = ParamStore()
     w = store.add_zeros("w", (3,))
     w.data[:] = [1.0, 2.0, 3.0]
     store.zero_grads()
-    tsum(take(w, [0, 0, 1])).backward()
+    tsum(w[[0, 0, 1]]).backward()
     assert np.array_equal(w.grad, [2.0, 1.0, 0.0])
 
 
@@ -241,8 +241,8 @@ OP_CASES = {
     "softmax_proj": (lambda a: _projected(softmax(a), [1.0, -2.0, 0.5, 3.0]), [(4,)]),
     "concat": (lambda a, b: _projected(concat([a, b]), [1.0, 2.0, 3.0, -1.0, 0.5]), [(2,), (3,)]),
     "stack": (lambda a, b: tsum(stack([a, b]) @ Tensor([1.0, -1.0, 2.0])), [(3,), (3,)]),
-    "take_dup": (lambda a: tsum(take(a, [0, 0, 2])), [(3, 2)]),
-    "take_pairs": (lambda a: tsum(take_pairs(a, [0, 1, 1], [2, 0, 2])), [(2, 3)]),
+    "getitem_dup": (lambda a: tsum(a[[0, 0, 2]]), [(3, 2)]),
+    "getitem_pairs": (lambda a: tsum(a[[0, 1, 1], [2, 0, 2]]), [(2, 3)]),
     "getitem_row": (lambda a: tsum(a[1]), [(3, 4)]),
     "getitem_slice": (lambda a: tsum(a[1:3]), [(4,)]),
     "reshape": (lambda a: tsum(reshape(a, (2, 3)) @ Tensor([1.0, 2.0, 3.0])), [(6,)]),
@@ -254,6 +254,18 @@ OP_CASES = {
 def test_op_gradients(name):
     build_loss, shapes = OP_CASES[name]
     assert _op_gradcheck(build_loss, shapes) <= OP_TOLERANCE
+
+
+def test_every_tape_op_has_a_gradient_case():
+    ops = [
+        name for name in numerics.__all__
+        if inspect.isfunction(fn := getattr(numerics, name))
+        and fn.__module__ == "idiomatize.numerics.tensor"
+        and name != "zeros"
+    ]
+    assert "getitem" in ops
+    missing = [op for op in ops if not any(case == op or case.startswith(op + "_") for case in OP_CASES)]
+    assert missing == []
 
 
 def test_grad_check_eps_validation():

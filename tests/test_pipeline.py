@@ -552,7 +552,6 @@ def test_dataset_round_trip(demo, demo_vocab, tmp_path):
         split=split,
         vocab=demo_vocab,
         annotated_ids=("mull_over",),
-        seed=3,
     )
     out = str(tmp_path / "ds")
     write_dataset(out, dataset)
@@ -572,7 +571,19 @@ def test_dataset_round_trip(demo, demo_vocab, tmp_path):
     assert loaded.split.test == split.test
     assert loaded.vocab.tokens == demo_vocab.tokens
     assert loaded.annotated_ids == ("mull_over",)
-    assert loaded.seed == 3
+    assert loaded.split.seed == 3
+
+
+def test_dataset_round_trip_keeps_the_split_seed(demo, demo_vocab, tmp_path):
+    from idiomatize import split_corpus
+
+    lexicon, pairs = demo
+    split = split_corpus(pairs, ("mull_over",), seed=7)
+    out = str(tmp_path / "ds")
+    write_dataset(out, Dataset(lexicon=lexicon, split=split, vocab=demo_vocab, annotated_ids=("mull_over",)))
+    with open(os.path.join(out, "meta.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["seed"] == 7
+    assert load_dataset(out).split.seed == 7
 
 
 def test_load_dataset_missing_directory(tmp_path):
