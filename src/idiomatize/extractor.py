@@ -19,7 +19,6 @@ from .metrics import span_f1
 from .numerics import (
     Tensor,
     adam_step,
-    exp,
     fit,
     logsumexp,
     no_grad,
@@ -93,11 +92,6 @@ def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Te
         betas[t] = logsumexp(transitions + reshape(nxt, (1, -1)), axis=1)
     log_z = logsumexp(alphas[-1] + end)
     return stack([alphas[t] + betas[t] - log_z for t in range(n)])
-
-
-def crf_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """Posterior label marginals; each row sums to 1."""
-    return exp(crf_log_marginals(unary, transitions, start, end))
 
 
 def crf_viterbi(

@@ -412,7 +412,7 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
                 y_prev = hyp.tokens[-1] if hyp.tokens else SEP
                 state = decode_step(model, ctx, hyp.state, y_prev, hyp.label)
                 dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-                # Not training's rule (target in the input); both gave equal evaluate reports (README).
+                # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
                 label = infer_label(dist)
                 for k in np.argsort(-dist.probs, kind="stable")[:beam]:
                     logp = hyp.logp + np.log(dist.probs[k])

@@ -86,13 +86,20 @@ def _lcs_length(a: Tokens, b: Tokens) -> int:
     return prev[-1]
 
 
-def meteor(hypothesis: Tokens, reference: Tokens, alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5) -> float:
+# The weights of the original METEOR (Banerjee and Lavie, 2005).
+METEOR_ALPHA = 0.9
+METEOR_BETA = 3.0
+METEOR_GAMMA = 0.5
+
+
+def meteor(hypothesis: Tokens, reference: Tokens) -> float:
     """Exact-match METEOR.
 
     Alignment maximizes matched tokens and, among maximal matchings,
     minimizes the number of chunks (maximal runs contiguous in both
     sentences).  Score = F_mean * (1 - gamma * (chunks/matches)^beta)
-    with F_mean = P*R / (alpha*P + (1-alpha)*R).
+    with F_mean = P*R / (alpha*P + (1-alpha)*R), where alpha, beta and
+    gamma are ``METEOR_ALPHA``, ``METEOR_BETA`` and ``METEOR_GAMMA``.
     """
     if not hypothesis or not reference:
         return 0.0
@@ -101,8 +108,8 @@ def meteor(hypothesis: Tokens, reference: Tokens, alpha: float = 0.9, beta: floa
         return 0.0
     p = matches / len(hypothesis)
     r = matches / len(reference)
-    f_mean = p * r / (alpha * p + (1.0 - alpha) * r)
-    penalty = gamma * (chunks / matches) ** beta
+    f_mean = p * r / (METEOR_ALPHA * p + (1.0 - METEOR_ALPHA) * r)
+    penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA
     return f_mean * (1.0 - penalty)
 
 

@@ -38,8 +38,9 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
 
     so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Untracked
     calls also take rows: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared
-    by every row.  The backward adds each gradient's terms in the order the
-    composed matmul, add, sigmoid, tanh and mul ops did, bit for bit.
+    by every row.  The backward adds into its parents' gradients itself and
+    returns None: it adds each gradient's terms in the order the composed
+    matmul, add, sigmoid, tanh and mul ops did, bit for bit.
     """
     rows = h_prev.ndim == 2
     want = (h_prev.shape[0], cell.hidden_size) if rows else (cell.hidden_size,)

@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A small tape: every tracked operation returns a Tensor, built by
-``_node``, that remembers its parent tensors and a closure that scatters
-the output gradient back onto them.
+``_node``, that remembers its parent tensors and a closure mapping the
+output gradient to one gradient per parent (a vector-Jacobian product);
+``Tensor.backward`` alone adds those into the parents that require one.
 Only the operations the models in this package need are implemented.
 Gradients of broadcast operands are summed back to the operand's shape.
 
@@ -83,8 +84,13 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            grads = node._backward(node.grad)
+            if grads is not None:
+                for p, g in zip(node._parents, grads):
+                    if p.requires_grad:
+                        _accum(p, g)
 
     def __add__(self, other):
         return add(self, other)
@@ -124,11 +130,12 @@ def _track(*tensors: Tensor) -> bool:
 
 
 def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """A tracked result; ``backward(g)`` scatters its gradient ``g`` onto ``parents``.
+    """A tracked result; ``backward(g)`` maps its gradient ``g`` to one gradient per parent, in order.
 
-    The closure gets ``g`` as an argument instead of reading it off the
-    result, so no node refers back to itself and a dropped graph is freed
-    by reference counting.
+    Indexing and ``gru_step`` instead add into their parents' gradients
+    themselves and return None.  The closure gets ``g`` as an argument
+    instead of reading it off the result, so no node refers back to itself
+    and a dropped graph is freed by reference counting.
     """
     out = Tensor(data, requires_grad=True)
     out._parents = parents
@@ -175,14 +182,7 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
     if not _track(a, b):
         return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), bw)
+    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
@@ -190,14 +190,7 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
     if not _track(a, b):
         return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), bw)
+    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -205,25 +198,16 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
     if not _track(a, b):
         return Tensor(data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), bw)
+    return _node(
+        data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
+    )
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
     if not _track(a):
         return Tensor(-a.data)
-
-    def bw(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), bw)
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -232,31 +216,13 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
     if not _track(a, b):
         return Tensor(data)
-    an, bn = a.ndim, b.ndim
-
-    def bw(g):
-        if a.requires_grad:
-            if an == 2 and bn == 1:
-                ga = np.outer(g, b.data)
-            elif an == 2 and bn == 2:
-                ga = g @ b.data.T
-            elif an == 1 and bn == 2:
-                ga = b.data @ g
-            else:  # 1-D @ 1-D
-                ga = g * b.data
-            _accum(a, ga)
-        if b.requires_grad:
-            if an == 2 and bn == 1:
-                gb = a.data.T @ g
-            elif an == 2 and bn == 2:
-                gb = a.data.T @ g
-            elif an == 1 and bn == 2:
-                gb = np.outer(a.data, g)
-            else:
-                gb = g * a.data
-            _accum(b, gb)
-
-    return _node(data, (a, b), bw)
+    if a.ndim == 2 and b.ndim == 1:
+        return _node(data, (a, b), lambda g: (np.outer(g, b.data), a.data.T @ g))
+    if a.ndim == 2:
+        return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    if b.ndim == 2:
+        return _node(data, (a, b), lambda g: (b.data @ g, np.outer(a.data, g)))
+    return _node(data, (a, b), lambda g: (g * b.data, g * a.data))  # 1-D @ 1-D
 
 
 def tsum(a, axis: int | None = None) -> Tensor:
@@ -264,13 +230,9 @@ def tsum(a, axis: int | None = None) -> Tensor:
     data = a.data.sum(axis=axis)
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _node(data, (a,), bw)
+    return _node(
+        data, (a,), lambda g: (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape),)
+    )
 
 
 def tanh(a) -> Tensor:
@@ -278,11 +240,7 @@ def tanh(a) -> Tensor:
     data = np.tanh(a.data)
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - data**2))
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: (g * (1.0 - data**2),))
 
 
 def exp(a) -> Tensor:
@@ -290,11 +248,7 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        _accum(a, g * data)
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: (g * data,))
 
 
 def log(a) -> Tensor:
@@ -302,11 +256,7 @@ def log(a) -> Tensor:
     data = np.log(a.data)
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        _accum(a, g / a.data)
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: (g / a.data,))
 
 
 def softplus(a) -> Tensor:
@@ -315,11 +265,7 @@ def softplus(a) -> Tensor:
     data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        _accum(a, g * _sigmoid_np(a.data))
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: (g * _sigmoid_np(a.data),))
 
 
 def logsumexp(a, axis: int | None = None) -> Tensor:
@@ -333,13 +279,7 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     if not _track(a):
         return Tensor(data)
     weights = e / s
-
-    def bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        _accum(a, g * weights)
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: ((g if axis is None else np.expand_dims(g, axis)) * weights,))
 
 
 def softmax(a) -> Tensor:
@@ -353,15 +293,14 @@ def concat(parts: Sequence) -> Tensor:
     if not _track(*parts):
         return Tensor(data)
 
-    def bw(g):
-        offset = 0
+    def vjp(g):
+        start = 0
         for p in parts:
-            n = p.data.shape[0]
-            if p.requires_grad:
-                _accum(p, g[offset : offset + n])
-            offset += n
+            end = start + p.data.shape[0]
+            yield g[start:end]
+            start = end
 
-    return _node(data, tuple(parts), bw)
+    return _node(data, tuple(parts), vjp)
 
 
 def stack(rows: Sequence) -> Tensor:
@@ -370,13 +309,8 @@ def stack(rows: Sequence) -> Tensor:
     data = np.stack([r.data for r in rows])
     if not _track(*rows):
         return Tensor(data)
-
-    def bw(g):
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                _accum(r, g[i])
-
-    return _node(data, tuple(rows), bw)
+    # Iterating a matrix yields its rows: row i's gradient is g[i].
+    return _node(data, tuple(rows), lambda g: g)
 
 
 _BASIC_INDEX = (int, np.integer, slice)
@@ -390,9 +324,11 @@ def _index_array(k):
 def getitem(a, key) -> Tensor:
     """``a[key]`` for any numpy key: ints, slices, integer index lists or arrays, or tuples of them.
 
-    A key that holds an index array may repeat an index, so its backward
-    pass uses ``np.add.at``, which sums repeated indices in order.  Int and
-    slice keys never repeat one and keep the faster in-place add.
+    Its backward adds into ``a``'s gradient itself and returns None, so no
+    dense gradient of ``a`` is built per gather.  A key that holds an index
+    array may repeat an index, so it uses ``np.add.at``, which sums repeated
+    indices in order.  Int and slice keys never repeat one and keep the
+    faster in-place add.
     """
     a = _wrap(a)
     if not _track(a):
@@ -416,8 +352,4 @@ def reshape(a, shape) -> Tensor:
     data = a.data.reshape(shape)
     if not _track(a):
         return Tensor(data)
-
-    def bw(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), bw)
+    return _node(data, (a,), lambda g: (g.reshape(a.data.shape),))

@@ -11,11 +11,10 @@ import pytest
 from idiomatize.extractor import (
     crf_log_marginals,
     crf_log_partition,
-    crf_marginals,
     crf_path_score,
     crf_viterbi,
 )
-from idiomatize.numerics import ParamStore, Tensor, grad_check
+from idiomatize.numerics import ParamStore, Tensor, exp, grad_check
 
 from oracles import brute_force_crf
 
@@ -42,7 +41,7 @@ def test_matches_brute_force_enumeration(k):
         path, score = crf_viterbi(unary.data, transitions.data, start.data, end.data)
         assert path == best_path
         assert abs(score - best_score) <= 1e-10
-        got_m = crf_marginals(unary, transitions, start, end).data
+        got_m = exp(crf_log_marginals(unary, transitions, start, end)).data
         assert np.max(np.abs(got_m - np.array(marginals))) <= 1e-10
 
 
@@ -59,7 +58,7 @@ def test_uniform_scores_partition_and_marginals():
     unary = Tensor(np.zeros((n, k)))
     vec = Tensor(np.zeros(k))
     assert crf_log_partition(unary, zero, vec, vec).item() == pytest.approx(n * math.log(k), abs=1e-12)
-    marg = crf_marginals(unary, zero, vec, vec)
+    marg = exp(crf_log_marginals(unary, zero, vec, vec))
     assert np.allclose(marg.data, 1.0 / k, atol=1e-12)
 
 
@@ -112,7 +111,7 @@ def test_marginal_rows_sum_to_one():
     for _ in range(10):
         n = rand.randint(1, 6)
         unary, transitions, start, end = _random_instance(rand, n, 3, scale=4.0)
-        marg = crf_marginals(unary, transitions, start, end)
+        marg = exp(crf_log_marginals(unary, transitions, start, end))
         assert np.allclose(marg.data.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -121,7 +120,7 @@ def test_extreme_scores_stay_finite():
     unary, transitions, start, end = _random_instance(rand, 5, 3, scale=300.0)
     log_z = crf_log_partition(unary, transitions, start, end)
     assert np.isfinite(log_z.data).all()
-    marg = crf_marginals(unary, transitions, start, end)
+    marg = exp(crf_log_marginals(unary, transitions, start, end))
     assert np.isfinite(marg.data).all()
 
 
@@ -166,5 +165,5 @@ def test_partition_gradient_equals_marginals():
     end = Tensor([rand.uniform(-2, 2) for _ in range(3)])
     unary.grad = np.zeros_like(unary.data)
     crf_log_partition(unary, transitions, start, end).backward()
-    marg = crf_marginals(unary, transitions, start, end)
+    marg = exp(crf_log_marginals(unary, transitions, start, end))
     assert np.allclose(unary.grad, marg.data, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idiomatize import MetricReport, bleu, meteor, part_accuracy, rouge, span_f1
+from idiomatize import MetricReport, bleu, meteor, metrics, part_accuracy, rouge, span_f1
 from idiomatize.metrics import retrieval_accuracy, stratify_by_rigidity
 
 from oracles import METRIC_PAIRS, reference_bleu, reference_rouge_l, reference_rouge_n
@@ -139,11 +139,15 @@ def test_meteor_clips_repeated_tokens():
     assert meteor(["the", "the"], ["the"]) == pytest.approx(expect, abs=1e-12)
 
 
-def test_meteor_parameter_overrides():
+def test_meteor_parameter_overrides(monkeypatch):
     sent = ["u", "v", "w"]
-    assert meteor(sent, sent, gamma=0.0) == pytest.approx(1.0, abs=1e-12)
-    # beta=1 keeps the penalty linear in chunk fraction.
-    assert meteor(["b", "a"], ["a", "b"], beta=1.0) == pytest.approx(0.5, abs=1e-12)
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "METEOR_GAMMA", 0.0)
+        assert meteor(sent, sent) == pytest.approx(1.0, abs=1e-12)
+    # beta=1 keeps the penalty linear in chunk fraction: 4 matches in 3
+    # chunks ("a b", "d", "c") give 1 - 0.5 * 3/4, where beta=3 gives 1 - 0.5 * (3/4)^3.
+    monkeypatch.setattr(metrics, "METEOR_BETA", 1.0)
+    assert meteor(["a", "b", "d", "c"], ["a", "b", "c", "d"]) == pytest.approx(0.625, abs=1e-12)
 
 
 # --- span F1 -------------------------------------------------------------

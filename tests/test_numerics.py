@@ -17,6 +17,7 @@ from idiomatize.numerics import (
     ParamStore,
     Tensor,
     adam_step,
+    add,
     bigru_encode,
     concat,
     exp,
@@ -35,12 +36,13 @@ from idiomatize.numerics import (
     softmax,
     softplus,
     stack,
+    sub,
     tanh,
     tsum,
     zeros,
 )
 from idiomatize.numerics.optim import INIT_SCALE
-from idiomatize.numerics.tensor import _accum, _node
+from idiomatize.numerics.tensor import _node
 from idiomatize.rng import Rng
 
 from oracles import reference_gru_step, reference_logsumexp, reference_softmax
@@ -268,6 +270,37 @@ def test_every_tape_op_has_a_gradient_case():
     assert missing == []
 
 
+# loss = tsum(op(x, y)) for each op with two operands: (op, shapes, the
+# exact gradients of the loss with respect to x and to y, as arrays).
+CONSTANT_OPERAND_CASES = {
+    "add": (add, [(2, 3), (3,)], lambda x, y: (np.ones((2, 3)), np.full(3, 2.0))),
+    "sub": (sub, [(2, 3), (3,)], lambda x, y: (np.ones((2, 3)), np.full(3, -2.0))),
+    "mul": (mul, [(2, 3), (3,)], lambda x, y: (np.broadcast_to(y, (2, 3)), x.sum(axis=0))),
+    "matmul_mv": (matmul, [(2, 3), (3,)], lambda x, y: (np.broadcast_to(y, (2, 3)), x.sum(axis=0))),
+    "matmul_mm": (
+        matmul, [(2, 3), (3, 4)],
+        lambda x, y: (np.broadcast_to(y.sum(axis=1), (2, 3)), np.broadcast_to(x.sum(axis=0)[:, None], (3, 4))),
+    ),
+    "matmul_vm": (matmul, [(3,), (3, 4)], lambda x, y: (y.sum(axis=1), np.broadcast_to(x[:, None], (3, 4)))),
+    "matmul_vv": (matmul, [(3,), (3,)], lambda x, y: (y, x)),
+    "concat": (lambda x, y: concat([x, y]), [(2,), (3,)], lambda x, y: (np.ones(2), np.ones(3))),
+    "stack": (lambda x, y: stack([x, y]), [(3,), (3,)], lambda x, y: (np.ones(3), np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("constant", [0, 1])
+@pytest.mark.parametrize("name", sorted(CONSTANT_OPERAND_CASES))
+def test_constant_operand_gets_no_gradient(name, constant):
+    op, shapes, gradients = CONSTANT_OPERAND_CASES[name]
+    # Small integers, so every gradient is exact.
+    arrays = [np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape) * (2 * i - 1) for i, shape in enumerate(shapes)]
+    operands = [Tensor(data, requires_grad=i != constant) for i, data in enumerate(arrays)]
+    tsum(op(*operands)).backward()
+    assert operands[constant].grad is None
+    trained = 1 - constant
+    assert np.array_equal(operands[trained].grad, gradients(*arrays)[trained])
+
+
 def test_grad_check_eps_validation():
     store = ParamStore()
     store.add_zeros("w", (2,))
@@ -283,7 +316,7 @@ def test_grad_check_rejects_nonfinite_gradients():
     w.data[:] = [5e-6, 1.0]
 
     def nan_backward(a):
-        return _node(a.data.copy(), (a,), lambda g: _accum(a, np.full_like(g, np.nan)))
+        return _node(a.data.copy(), (a,), lambda g: (np.full_like(g, np.nan),))
 
     with pytest.raises(NumericError, match="analytic gradient of 'w'"):
         grad_check(lambda _s: tsum(nan_backward(w)), store)
