@@ -34,10 +34,12 @@ from .numerics import (
     fit,
     gru_step,
     logsumexp,
+    matvec,
     no_grad,
     softmax,
     stack,
     tanh,
+    vecmat,
     zeros,
 )
 from .rng import Rng
@@ -194,6 +196,9 @@ def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
 class DecodeState:
     """Decoder hidden state and the copy and generate scores it produced.
 
+    One hypothesis has ``hidden`` [H], ``copy_scores`` [n] and ``gen_scores``
+    [V], and may be tracked on the tape (teacher forcing).  B hypotheses
+    have [B,H], [B,n] and [B,V] rows, which are never tracked (beam search).
     ``decode_init``'s state has no scores yet, so the first step's
     selective read is exactly zero.
     """
@@ -212,64 +217,104 @@ def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
 
 
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
-    """Bilinear attention over all memory states."""
+    """Bilinear attention over all memory states, for one decoder state [H] or for each of [B,H] rows."""
     if memory.shape[0] == 0:
         raise ValueError("empty memory")
-    scores = memory @ (h_dec @ model.w_att)
-    return softmax(scores) @ memory
+    scores = matvec(memory, vecmat(h_dec, model.w_att))
+    return vecmat(softmax(scores), memory)
 
 
-def selective_read(model: GeneratorModel, y_prev: str, ctx: DecodeContext, psi_prev: Tensor | None) -> Tensor:
+def selective_read(
+    model: GeneratorModel, y_prev: str | Sequence[str], ctx: DecodeContext, psi_prev: Tensor | None
+) -> Tensor:
     """Memory states at positions matching y_prev, weighted by their copy scores.
 
     Exact zero vector when y_prev occurs nowhere in the input (or on the
-    first step, before any copy scores exist).
+    first step, before any copy scores exist).  B tokens with [B,n] scores
+    give [B,H] reads, never tracked: the matches are gathered row by row,
+    and rows whose tokens occur equally often are weighted as one batch,
+    so each row equals its one-token read bit for bit.
     """
-    matches = ctx.positions.get(y_prev)
-    if psi_prev is None or not matches:
-        return zeros((model.hidden,))
-    weights = softmax(psi_prev[matches])
-    return weights @ ctx.memory[matches]
+    if isinstance(y_prev, str):
+        matches = ctx.positions.get(y_prev)
+        if psi_prev is None or not matches:
+            return zeros((model.hidden,))
+        return vecmat(softmax(psi_prev[matches]), ctx.memory[matches])
+    reads = np.zeros((len(y_prev), model.hidden))
+    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for b, y in enumerate(y_prev):
+        matches = ctx.positions.get(y)
+        if psi_prev is not None and matches:
+            rows, positions = by_count.setdefault(len(matches), ([], []))
+            rows.append(b)
+            positions.append(matches)
+    for rows, positions in by_count.values():
+        scores = psi_prev[np.array(rows)[:, None], positions]
+        reads[rows] = vecmat(softmax(scores), ctx.memory[positions]).data
+    return Tensor(reads)
 
 
-def decode_step(model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: str, l_prev: int) -> DecodeState:
-    """Feed the previous token and its copy/generate label; the next state and its scores."""
+def decode_step(
+    model: GeneratorModel,
+    ctx: DecodeContext,
+    state: DecodeState,
+    y_prev: str | Sequence[str],
+    l_prev: int | np.ndarray,
+) -> DecodeState:
+    """Feed the previous token and its copy/generate label; the next state and its scores.
+
+    One hypothesis: ``state.hidden`` [H], one token and one label, tracked
+    on the tape when its inputs are (teacher forcing uses this).  B
+    hypotheses: ``state.hidden`` [B,H], B tokens and B labels, never
+    tracked; each row of the result equals its one-hypothesis call bit for
+    bit, and only the selective read gathers row by row.
+    """
     attentive = attentive_read(model, state.hidden, ctx.memory)
     selective = selective_read(model, y_prev, ctx, state.copy_scores)
-    w = model.word_emb[model.vocab.encode(y_prev)]
-    label = model.label_emb[l_prev if model.guided else 0]
+    encode = model.vocab.encode if isinstance(y_prev, str) else model.vocab.encode_all
+    w = model.word_emb[encode(y_prev)]
+    label = model.label_emb[l_prev * model.guided]  # label 0 throughout for the unguided model
     h = gru_step(model.decoder, state.hidden, concat([w, label, attentive, selective]))
-    return DecodeState(h, ctx.copy_keys @ h, model.w_gen @ h)
+    return DecodeState(h, matvec(ctx.copy_keys, h), matvec(model.w_gen, h))
 
 
 @dataclass
 class StepDistribution:
     """One decoding step's output distribution; ``probs`` and ``copy_probs``
-    are arrays over the context's extended vocabulary ``ctx.tokens``."""
+    are arrays over the context's extended vocabulary ``ctx.tokens``, with
+    a leading [B] axis (and [B] masses) for rows of hypotheses."""
 
     probs: np.ndarray
     copy_probs: np.ndarray
-    p_copy: float
-    p_gen: float
+    p_copy: float | np.ndarray
+    p_gen: float | np.ndarray
 
 
 def step_distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
-    """Copy and generate scores normalized together over the extended vocabulary."""
-    shift = max(copy_scores.max(), gen_scores.max())
+    """Copy and generate scores normalized together over the extended vocabulary.
+
+    Takes [n] copy and [V] generate scores, or [B,n] and [B,V] rows; each
+    row equals its one-row call bit for bit.
+    """
+    shift = np.maximum(copy_scores.max(axis=-1), gen_scores.max(axis=-1))[..., None]
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
-    z = e_copy.sum() + e_gen.sum()
-    probs = np.concatenate([e_gen / z, np.zeros(len(ctx.tokens) - len(gen_scores))])
-    copy_probs = np.zeros(len(ctx.tokens))
+    copy_mass = e_copy.sum(axis=-1, keepdims=True)
+    gen_mass = e_gen.sum(axis=-1, keepdims=True)
+    z = copy_mass + gen_mass
+    probs = np.zeros(gen_scores.shape[:-1] + (len(ctx.tokens),))
+    probs[..., : gen_scores.shape[-1]] = e_gen / z
+    copy_probs = np.zeros_like(probs)
+    copy_share = e_copy / z
     # np.add.at adds position by position, so a repeated token sums in input order.
-    np.add.at(probs, ctx.slots, e_copy / z)
-    np.add.at(copy_probs, ctx.slots, e_copy / z)
-    return StepDistribution(probs, copy_probs, p_copy=float(e_copy.sum() / z), p_gen=float(e_gen.sum() / z))
+    np.add.at(probs, (..., ctx.slots), copy_share)
+    np.add.at(copy_probs, (..., ctx.slots), copy_share)
+    return StepDistribution(probs, copy_probs, p_copy=(copy_mass / z)[..., 0], p_gen=(gen_mass / z)[..., 0])
 
 
-def infer_label(dist: StepDistribution) -> int:
-    """1 when the copy mass strictly exceeds the generate mass."""
-    return 1 if dist.p_copy > dist.p_gen else 0
+def infer_label(dist: StepDistribution) -> int | np.ndarray:
+    """1 when the copy mass strictly exceeds the generate mass, per row for rows."""
+    return np.greater(dist.p_copy, dist.p_gen).astype(np.intp)
 
 
 def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> list[int]:
@@ -382,49 +427,58 @@ def train_generator(
     return {"epoch_losses": losses, "train_token_accuracy": accuracies, "val_bleu": val_bleu}
 
 
-@dataclass
-class _Hypothesis:
-    tokens: tuple[str, ...]
-    logp: float
-    steps: int
-    label: int  # the copy/generate label of the last token, fed with it at the next step
-    state: DecodeState
+def _top_ranks(probs: np.ndarray, k: int) -> np.ndarray:
+    """Each row's first ``k`` indices in a stable ``argsort(-probs)``: by probability, then by index.
 
-    @property
-    def score(self) -> float:
-        return self.logp / max(1, self.steps)
+    A partition finds each row's k-th largest probability first, so the
+    stable sort only has to order the entries at or above it.
+    """
+    neg = -probs
+    k = min(k, neg.shape[1])
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1, None]
+    return np.argsort(np.where(neg <= kth, neg, np.inf), axis=1, kind="stable")[:, :k]
 
 
 def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_len: int = 40) -> tuple[str, ...]:
-    """Length-normalized beam search; beam=1 is greedy decoding."""
+    """Length-normalized beam search; beam=1 is greedy decoding.
+
+    Each position advances every live hypothesis as one row of a single
+    ``decode_step``.  Candidates keep the order of a loop over hypotheses:
+    hypothesis order, then each one's stable ranking of the extended
+    vocabulary, and a stable sort by score picks the next beam from them.
+    """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
         ctx = decode_context(model, inp)
-        alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, label=0, state=decode_init(model, ctx))]
-        finished: list[_Hypothesis] = []
-        for _ in range(max_len):
-            # Rank light (score, ...) tuples; only the survivors become hypotheses.
-            candidates = []
-            for hyp in alive:
-                y_prev = hyp.tokens[-1] if hyp.tokens else SEP
-                state = decode_step(model, ctx, hyp.state, y_prev, hyp.label)
-                dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-                # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
-                label = infer_label(dist)
-                for k in np.argsort(-dist.probs, kind="stable")[:beam]:
-                    logp = hyp.logp + np.log(dist.probs[k])
-                    candidates.append((logp / (hyp.steps + 1), logp, hyp, state, ctx.tokens[k], label))
-            candidates.sort(key=lambda c: -c[0])
+        state = DecodeState(decode_init(model, ctx).hidden[None])
+        prefixes: list[tuple[str, ...]] = [()]
+        logp = np.zeros(1)
+        labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token
+        finished: list[tuple[float, tuple[str, ...]]] = []
+        for steps in range(1, max_len + 1):
+            state = decode_step(model, ctx, state, [p[-1] if p else SEP for p in prefixes], labels)
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
+            labels = infer_label(dist)
+            top = _top_ranks(dist.probs, beam)
+            logps = (logp[:, None] + np.log(dist.probs[np.arange(len(top))[:, None], top])).ravel()
+            scores = logps / steps
             alive = []
-            for _, logp, parent, state, token, label in candidates[:beam]:
+            for c in np.argsort(-scores, kind="stable")[:beam]:
+                token = ctx.tokens[top.flat[c]]
+                prefix = prefixes[c // top.shape[1]]
                 if token == EOS:
-                    finished.append(_Hypothesis(parent.tokens, logp, parent.steps + 1, label, state))
+                    finished.append((scores[c], prefix))
                 else:
-                    alive.append(_Hypothesis(parent.tokens + (token,), logp, parent.steps + 1, label, state))
+                    alive.append((c, prefix + (token,)))
             if not alive:
                 break
-        finished.extend(alive)
-        return max(finished, key=lambda h: h.score).tokens  # the first of equal scores wins
+            survivors, prefixes = map(list, zip(*alive))
+            parents = np.array(survivors) // top.shape[1]
+            logp, labels = logps[survivors], labels[parents]
+            state = DecodeState(state.hidden[parents], state.copy_scores[parents])
+        finished.extend((scores[c], prefix) for c, prefix in alive)
+        return max(finished, key=lambda f: f[0])[1]  # the first of equal scores wins

@@ -1,4 +1,4 @@
-"""GRU recurrences shared by every encoder and the decoder, all built on ``gru_step``."""
+"""GRU recurrences shared by every encoder and the decoder, all built on one set of gate equations."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from ..rng import Rng
 from .optim import ParamStore
-from .tensor import Tensor, _accum, _node, _sigmoid_np, _track, concat, no_grad, zeros
+from .tensor import Tensor, _accum, _node, _row_products, _sigmoid_np, _track, concat, zeros
 
 
 class GruCell:
@@ -28,6 +28,25 @@ class GruCell:
         self.b_h = store.add_zeros(f"{prefix}.b_h", (hidden_size,))
 
 
+def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> bool:
+    """Raise unless ``h_prev`` is [H] with ``x`` [I], or [B,H] with ``x`` [B,I] or [1,I]; True for rows."""
+    rows = h_prev.ndim == 2
+    want = (h_prev.shape[0], cell.hidden_size) if rows else (cell.hidden_size,)
+    if h_prev.shape != want:
+        raise ValueError(f"hidden state shape {h_prev.shape} != {want}")
+    if x.shape not in ({(1, cell.input_size), (want[0], cell.input_size)} if rows else {(cell.input_size,)}):
+        raise ValueError(f"input shape {x.shape} != {(*want[:-1], cell.input_size)}")
+    return rows
+
+
+def _gru_forward(cell: GruCell, h: np.ndarray, x: np.ndarray, matmul) -> tuple[np.ndarray, ...]:
+    """The gate equations: (z, r, candidate, new state); ``matmul(a, w.T)`` forms every product."""
+    z = _sigmoid_np(matmul(x, cell.w_z.data.T) + matmul(h, cell.u_z.data.T) + cell.b_z.data)
+    r = _sigmoid_np(matmul(x, cell.w_r.data.T) + matmul(h, cell.u_r.data.T) + cell.b_r.data)
+    cand = np.tanh(matmul(x, cell.w_h.data.T) + matmul(r * h, cell.u_h.data.T) + cell.b_h.data)
+    return z, r, cand, (1.0 - z) * h + z * cand
+
+
 def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     """One GRU step as one tape node: ``h_prev`` [H] and ``x`` [I] give
 
@@ -38,27 +57,24 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
 
     so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Untracked
     calls also take rows: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared
-    by every row.  The backward adds into its parents' gradients itself and
-    returns None: it adds each gradient's terms in the order the composed
-    matmul, add, sigmoid, tanh and mul ops did, bit for bit.
+    by every row.  Rows are never tracked, and each row equals its 1-D call
+    bit for bit (stacked matrix-vector products, not one gemm).  The backward
+    adds into its parents' gradients itself and returns None: it adds each
+    gradient's terms in the order the composed matmul, add, sigmoid, tanh and
+    mul ops did, bit for bit.
     """
-    rows = h_prev.ndim == 2
-    want = (h_prev.shape[0], cell.hidden_size) if rows else (cell.hidden_size,)
-    if h_prev.shape != want:
-        raise ValueError(f"hidden state shape {h_prev.shape} != {want}")
-    if x.shape not in ({(1, cell.input_size), (want[0], cell.input_size)} if rows else {(cell.input_size,)}):
-        raise ValueError(f"input shape {x.shape} != {(*want[:-1], cell.input_size)}")
-    params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
     h, xd = h_prev.data, x.data
-    z = _sigmoid_np(xd @ w_z.data.T + h @ u_z.data.T + b_z.data)
-    r = _sigmoid_np(xd @ w_r.data.T + h @ u_r.data.T + b_r.data)
-    cand = np.tanh(xd @ w_h.data.T + (r * h) @ u_h.data.T + b_h.data)
-    data = (1.0 - z) * h + z * cand
+    rows = _check_shapes(cell, h, xd)
+    z, r, cand, data = _gru_forward(cell, h, xd, _row_products if rows else np.matmul)
+    params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
     if not _track(x, h_prev, *params):
         return Tensor(data)
     if rows:
-        raise ValueError("gru_step tracks gradients only for one [H] state and one [I] input")
+        raise ValueError(
+            "gru_step tracks gradients only for one [H] state and one [I] input; [B,H] rows are never"
+            " tracked (untracked, each row equals its 1-D step bit for bit)"
+        )
+    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
 
     def bw(g):
         d_z = (g * cand - g * h) * z * (1.0 - z)
@@ -105,9 +121,11 @@ def gru_pool(
     """Tape-free recurrence of ``B`` rows at once: (sum of states, final state), each [B,H].
 
     ``xs`` is [T,B,I], or [T,1,I] for inputs every row shares; ``h0`` is
-    [B,H].  Each step is ``gru_step`` on rows, which checks their shapes.
-    Where the [T,B] ``mask`` is False a row keeps its state exactly and
-    adds nothing to its sum.
+    [B,H].  Each step is ``gru_step``'s gate equations with gemm products:
+    over hundreds of rows one gemm is much faster than ``gru_step``'s
+    stacked rows, but a row may differ from its 1-D step in the last bits.
+    Where the [T,B] ``mask`` is False a row keeps its state exactly and adds
+    nothing to its sum.
     """
     h = np.asarray(h0, dtype=np.float64)
     if h.ndim != 2 or xs.ndim != 3:
@@ -116,9 +134,9 @@ def gru_pool(
         raise ValueError(f"mask shape {mask.shape} != ({xs.shape[0]}, {h.shape[0]})")
     keep = np.ones((xs.shape[0], h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
     total = np.zeros_like(h)
-    with no_grad():
-        for t in range(xs.shape[0]):
-            new = gru_step(cell, Tensor(h), Tensor(xs[t])).data
-            total += np.where(keep[t], new, 0.0)
-            h = np.where(keep[t], new, h)
+    for t in range(xs.shape[0]):
+        _check_shapes(cell, h, xs[t])
+        new = _gru_forward(cell, h, xs[t], np.matmul)[-1]
+        total += np.where(keep[t], new, 0.0)
+        h = np.where(keep[t], new, h)
     return total, h

@@ -225,6 +225,45 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), lambda g: (g * b.data, g * a.data))  # 1-D @ 1-D
 
 
+def _untracked_rows(*tensors: Tensor) -> None:
+    if _track(*tensors):
+        raise ValueError("rows are never tracked: pass one vector under the tape")
+
+
+def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x[b] @ w`` for each row of ``x`` [B,I] and ``w`` [I,J] (or ``w[b]`` of [B,I,J]), as one
+    stacked vector-matrix product.
+
+    Each row equals its own 1-D product bit for bit, and so does ``w.T @ x[b]``;
+    the gemm ``x @ w`` gives no such guarantee.
+    """
+    return np.matmul(x[:, None, :], w)[:, 0]
+
+
+def matvec(w, x) -> Tensor:
+    """``w @ x`` for a vector ``x`` (a tape ``matmul``), or for each row of ``x`` [B,I].
+
+    Rows are never tracked, and each equals its 1-D call bit for bit.
+    """
+    w, x = _wrap(w), _wrap(x)
+    if x.ndim == 1:
+        return matmul(w, x)
+    _untracked_rows(w, x)
+    return Tensor(_row_products(x.data, w.data.T))
+
+
+def vecmat(x, w) -> Tensor:
+    """``x @ w`` for a vector ``x`` (a tape ``matmul``), or for each row of ``x`` [B,I], as ``matvec``.
+
+    For rows ``w`` is one [I,J] matrix, or [B,I,J] with one matrix per row.
+    """
+    x, w = _wrap(x), _wrap(w)
+    if x.ndim == 1:
+        return matmul(x, w)
+    _untracked_rows(x, w)
+    return Tensor(_row_products(x.data, w.data))
+
+
 def tsum(a, axis: int | None = None) -> Tensor:
     a = _wrap(a)
     data = a.data.sum(axis=axis)
@@ -283,21 +322,23 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
 
 
 def softmax(a) -> Tensor:
-    """Softmax over the last (only) axis of a vector, via logsumexp."""
-    return exp(sub(a, logsumexp(a)))
+    """Softmax over the last axis via logsumexp: of a vector, or of each row of a matrix."""
+    a = _wrap(a)
+    return exp(sub(a, logsumexp(a) if a.ndim == 1 else reshape(logsumexp(a, axis=-1), (-1, 1))))
 
 
 def concat(parts: Sequence) -> Tensor:
+    """Join along the last axis: vectors end to end, or matrices row by row."""
     parts = [_wrap(p) for p in parts]
-    data = np.concatenate([p.data for p in parts])
+    data = np.concatenate([p.data for p in parts], axis=-1)
     if not _track(*parts):
         return Tensor(data)
 
     def vjp(g):
         start = 0
         for p in parts:
-            end = start + p.data.shape[0]
-            yield g[start:end]
+            end = start + p.data.shape[-1]
+            yield g[..., start:end]
             start = end
 
     return _node(data, tuple(parts), vjp)

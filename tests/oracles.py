@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,6 +112,30 @@ def reference_gru_step(weights, h_prev, x):
     return (1.0 - z) * h_prev + z * cand
 
 
+def reference_gru_pool_gemm(weights, xs, h0, mask):
+    """(sum of states, final state) of a masked GRU recurrence over [B,H] rows, as gemm products.
+
+    Each step multiplies the [B or 1, I] inputs and the [B,H] states by the
+    transposed weights in one matrix product per weight, and uses the
+    sigmoid that cannot overflow, exp(-|v|) over one plus it, so it
+    rounds as a tape-free gemm recurrence does.
+    """
+
+    def sig(v):
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    h, total = h0, np.zeros_like(h0)
+    for x, keep in zip(xs, mask[:, :, None]):
+        z = sig(x @ weights["w_z"].T + h @ weights["u_z"].T + weights["b_z"])
+        r = sig(x @ weights["w_r"].T + h @ weights["u_r"].T + weights["b_r"])
+        cand = np.tanh(x @ weights["w_h"].T + (r * h) @ weights["u_h"].T + weights["b_h"])
+        new = (1.0 - z) * h + z * cand
+        total = total + np.where(keep, new, 0.0)
+        h = np.where(keep, new, h)
+    return total, h
+
+
 def reference_retrieve_top1(score, candidates):
     """Best (idiom id, sense index, score) by scoring one key at a time.
 
@@ -192,6 +217,51 @@ def reference_target_indices(vocab_tokens, inp_tokens, target):
     if target in vocab_tokens:
         idxs.append(n + list(vocab_tokens).index(target))
     return idxs or [n + 1]
+
+
+@dataclass
+class _Hypothesis:
+    tokens: tuple[str, ...]
+    logp: float
+    steps: int
+    label: int  # the copy/generate label of the last token, fed with it at the next step
+    state: object
+
+    @property
+    def score(self) -> float:
+        return self.logp / max(1, self.steps)
+
+
+def reference_beam_decode(step, state, tokens, sep, eos, beam, max_len):
+    """Length-normalized beam search that advances one hypothesis at a time.
+
+    ``step(state, y_prev, label)`` advances one hypothesis and returns
+    (next state, probabilities over the extended vocabulary ``tokens``,
+    label of the token it emits); ``state`` is the first decoder state.
+    Candidates are gathered hypothesis by hypothesis, each in its stable
+    ranking, then stably sorted by length-normalized score.
+    """
+    alive = [_Hypothesis(tokens=(), logp=0.0, steps=0, label=0, state=state)]
+    finished: list[_Hypothesis] = []
+    for _ in range(max_len):
+        candidates = []
+        for hyp in alive:
+            y_prev = hyp.tokens[-1] if hyp.tokens else sep
+            state, probs, label = step(hyp.state, y_prev, hyp.label)
+            for k in np.argsort(-probs, kind="stable")[:beam]:
+                logp = hyp.logp + np.log(probs[k])
+                candidates.append((logp / (hyp.steps + 1), logp, hyp, state, tokens[k], label))
+        candidates.sort(key=lambda c: -c[0])
+        alive = []
+        for _, logp, parent, state, token, label in candidates[:beam]:
+            if token == eos:
+                finished.append(_Hypothesis(parent.tokens, logp, parent.steps + 1, label, state))
+            else:
+                alive.append(_Hypothesis(parent.tokens + (token,), logp, parent.steps + 1, label, state))
+        if not alive:
+            break
+    finished.extend(alive)
+    return max(finished, key=lambda h: h.score).tokens  # the first of equal scores wins
 
 
 # 20 hypothesis/reference pairs exercising clipping, brevity, repeats,

@@ -21,6 +21,7 @@ from idiomatize import (
 )
 from idiomatize.corpus import EOS, SEP
 from idiomatize.generator import (
+    DecodeState,
     StepDistribution,
     _target_indices,
     attentive_read,
@@ -36,7 +37,12 @@ from idiomatize.generator import (
 )
 from idiomatize.numerics import Tensor, no_grad
 
-from oracles import reference_selective_read, reference_step_distribution, reference_target_indices
+from oracles import (
+    reference_beam_decode,
+    reference_selective_read,
+    reference_step_distribution,
+    reference_target_indices,
+)
 
 words = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
@@ -288,6 +294,33 @@ def test_distribution_equals_dict_oracle(tiny_vocab, gen_model, seed):
         assert [ctx.tokens[i] for i in order[:k]] == [t for t, _ in ranked[:k]]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_step_distribution_rows_equal_single_rows(tiny_vocab, gen_model, seed):
+    rng = np.random.default_rng(seed)
+    pool = ("the", "cat", "the", "dog", "zzz", "qqq", "zzz", "<sep>")
+    inp_tokens = tuple(rng.choice(pool, size=rng.integers(1, 13)).tolist())
+    batch = int(rng.integers(1, 7))
+    copy_s = rng.normal(scale=2.0, size=(batch, len(inp_tokens)))
+    gen_s = rng.normal(scale=2.0, size=(batch, len(tiny_vocab)))
+    gen_s[0] = 0.7  # exact ties in one row
+    copy_s[-1] = 0.7
+    ctx = _context(gen_model, inp_tokens)
+    rows = step_distribution(ctx, copy_s, gen_s)
+    labels = infer_label(rows)
+    assert rows.probs.shape == rows.copy_probs.shape == (batch, len(ctx.tokens))
+    for b in range(batch):
+        one = step_distribution(ctx, copy_s[b], gen_s[b])
+        for field in ("probs", "copy_probs", "p_copy", "p_gen"):
+            assert np.array_equal(getattr(rows, field)[b], getattr(one, field)), field
+        assert labels[b] == infer_label(one)
+        probs, copy_probs, p_copy, p_gen = reference_step_distribution(
+            tiny_vocab.tokens, inp_tokens, copy_s[b], gen_s[b]
+        )
+        assert rows.probs[b].tolist() == list(probs.values())
+        assert rows.copy_probs[b].tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
+        assert (rows.p_copy[b], rows.p_gen[b]) == (p_copy, p_gen)
+
+
 def test_infer_label_strictly_greater():
     empty = np.zeros(0)
     tie = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.5, p_gen=0.5)
@@ -386,6 +419,31 @@ def test_decode_step_leaves_its_input_state_and_returns_its_scores(gen_model):
         second.hidden = first.hidden
 
 
+@pytest.mark.parametrize("guided", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
+    # "the" repeats in the input, "zzz" is out of vocabulary, "dog" and <sep> are absent from it.
+    inp = GeneratorInput(("the", "cat", "the", "zzz", "ran"), (1, 0, 1, 1, 0))
+    y_prev = ["the", "dog", "zzz", SEP, "cat", "the"]
+    l_prev = np.array([1, 0, 1, 0, 0, 1])
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=(len(y_prev), 8))
+    psi = rng.normal(size=(len(y_prev), len(inp.tokens)))
+    with no_grad():
+        ctx = decode_context(model, inp)
+        for copy_scores in (None, psi):  # the first step has no copy scores yet
+            state = DecodeState(Tensor(hidden), None if copy_scores is None else Tensor(copy_scores))
+            rows = decode_step(model, ctx, state, y_prev, l_prev)
+            assert rows.hidden.shape == (len(y_prev), 8)
+            for b, (y, label) in enumerate(zip(y_prev, l_prev)):
+                one_state = DecodeState(Tensor(hidden[b]), None if copy_scores is None else Tensor(copy_scores[b]))
+                one = decode_step(model, ctx, one_state, y, int(label))
+                assert np.array_equal(rows.hidden.data[b], one.hidden.data)
+                assert np.array_equal(rows.copy_scores.data[b], one.copy_scores.data)
+                assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data)
+
+
 def test_unguided_model_ignores_label_channel(unguided_model):
     inp = build_unguided_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2))
     with no_grad():
@@ -462,6 +520,50 @@ def test_beam_decode_breaks_exact_ties_by_vocabulary_id(tiny_vocab, beam):
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
     # The input's in-vocabulary tokens tie for the most mass; "the" has the lowest id.
     assert beam_decode(model, inp, beam=beam, max_len=3) == ("the", "the", "the")
+
+
+def _oracle_beam(model, inp, beam, max_len):
+    """The per-hypothesis beam of ``reference_beam_decode`` over one-row decoder steps."""
+    with no_grad():
+        ctx = decode_context(model, inp)
+
+        def step(state, y_prev, label):
+            state = decode_step(model, ctx, state, y_prev, label)
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            return state, dist.probs, infer_label(dist)
+
+        return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=0.5, max_value=8.0),
+    st.booleans(),
+    st.lists(st.sampled_from(("the", "cat", "dog", "fox", "zzz", "qqq", SEP)), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_beam_decode_equals_per_hypothesis_oracle(tiny_vocab, seed, gain, guided, tokens, beam, max_len, data):
+    # Inputs repeat tokens and hold out-of-vocabulary ones; larger gains give
+    # peaked steps, so some hypotheses end early on <eos>.
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
+    for t in model.store.params.values():
+        t.data *= gain
+    indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
+    inp = GeneratorInput(tuple(tokens), tuple(indicators))
+    assert beam_decode(model, inp, beam=beam, max_len=max_len) == _oracle_beam(model, inp, beam, max_len)
+
+
+@pytest.mark.parametrize("beam", range(1, 7))
+def test_beam_decode_equals_per_hypothesis_oracle_on_exact_ties(tiny_vocab, beam):
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
+    model.w_gen.data[:] = 0.0  # every generate and copy score is 0 at every step
+    model.u_copy.data[:] = 0.0
+    inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
+    for max_len in (1, 3, 6):
+        assert beam_decode(model, inp, beam=beam, max_len=max_len) == _oracle_beam(model, inp, beam, max_len)
 
 
 def test_beam_decode_argument_validation(gen_model):

@@ -30,6 +30,7 @@ from idiomatize.numerics import (
     log,
     logsumexp,
     matmul,
+    matvec,
     mul,
     no_grad,
     reshape,
@@ -39,13 +40,14 @@ from idiomatize.numerics import (
     sub,
     tanh,
     tsum,
+    vecmat,
     zeros,
 )
 from idiomatize.numerics.optim import INIT_SCALE
 from idiomatize.numerics.tensor import _node
 from idiomatize.rng import Rng
 
-from oracles import reference_gru_step, reference_logsumexp, reference_softmax
+from oracles import reference_gru_pool_gemm, reference_gru_step, reference_logsumexp, reference_softmax
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -240,8 +242,12 @@ OP_CASES = {
     "logsumexp_flat": (lambda a: logsumexp(a), [(8,)]),
     "logsumexp_axis0": (lambda a: tsum(logsumexp(a, axis=0)), [(3, 4)]),
     "logsumexp_axis1": (lambda a: tsum(logsumexp(a, axis=1)), [(3, 4)]),
+    "matvec": (lambda a, b: tsum(matvec(a, b)), [(3, 4), (4,)]),
+    "vecmat": (lambda a, b: tsum(vecmat(a, b)), [(3,), (3, 4)]),
     "softmax_proj": (lambda a: _projected(softmax(a), [1.0, -2.0, 0.5, 3.0]), [(4,)]),
+    "softmax_rows": (lambda a: _projected(softmax(a), [[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]), [(2, 3)]),
     "concat": (lambda a, b: _projected(concat([a, b]), [1.0, 2.0, 3.0, -1.0, 0.5]), [(2,), (3,)]),
+    "concat_rows": (lambda a, b: _projected(concat([a, b]), [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]]), [(2, 1), (2, 2)]),
     "stack": (lambda a, b: tsum(stack([a, b]) @ Tensor([1.0, -1.0, 2.0])), [(3,), (3,)]),
     "getitem_dup": (lambda a: tsum(a[[0, 0, 2]]), [(3, 2)]),
     "getitem_pairs": (lambda a: tsum(a[[0, 1, 1], [2, 0, 2]]), [(2, 3)]),
@@ -434,6 +440,26 @@ def test_gru_pool_matches_reference_steps(batch, steps, shared, seed):
         before = after
 
 
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_gru_pool_equals_gemm_reference(batch, steps, shared, seed):
+    # Bit for bit: the pool must keep gemm products, which are faster over
+    # hundreds of keys than gru_step's stacked rows and round differently.
+    rng = np.random.default_rng(seed)
+    cell = GruCell(ParamStore(), "cell", 24, 16, Rng(seed))
+    xs = rng.normal(size=(steps, 1 if shared else batch, 24))
+    h0 = rng.normal(size=(batch, 16))
+    mask = rng.random((steps, batch)) < 0.7
+    pooled, final = gru_pool(cell, xs, h0, mask)
+    want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
+    assert np.array_equal(pooled, want_pooled)
+    assert np.array_equal(final, want_final)
+
+
 def test_gru_pool_shape_errors():
     store = ParamStore()
     cell = GruCell(store, "cell", 3, 5, Rng(0))
@@ -513,8 +539,8 @@ def test_gru_step_rows_match_single_rows(batch, shared, seed):
     assert rows.shape == (batch, 4) and not rows.requires_grad
     for b in range(batch):
         one = gru_step(cell, Tensor(h[b]), Tensor(x[0 if shared else b]))
-        assert np.allclose(rows.data[b], one.data, rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
+        assert np.array_equal(rows.data[b], one.data)
+    with pytest.raises(ValueError, match="rows are never tracked"):
         gru_step(cell, Tensor(h), Tensor(x))
 
 
