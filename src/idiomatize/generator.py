@@ -36,6 +36,7 @@ from .numerics import (
     logsumexp,
     matvec,
     no_grad,
+    reshape,
     softmax,
     stack,
     tanh,
@@ -194,14 +195,9 @@ def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
 
 @dataclass(frozen=True)
 class DecodeState:
-    """Decoder hidden state and the copy and generate scores it produced.
-
-    One hypothesis has ``hidden`` [H], ``copy_scores`` [n] and ``gen_scores``
-    [V], and may be tracked on the tape (teacher forcing).  B hypotheses
-    have [B,H], [B,n] and [B,V] rows, which are never tracked (beam search).
-    ``decode_init``'s state has no scores yet, so the first step's
-    selective read is exactly zero.
-    """
+    """Decoder states ``hidden`` [B,H] of B hypotheses (one for teacher forcing, each live one in
+    beam search) and the copy [B,n] and generate [B,V] scores they produced.  ``decode_init``'s
+    state has no scores yet, so the first step's selective read is exactly zero."""
 
     hidden: Tensor
     copy_scores: Tensor | None = None
@@ -209,15 +205,15 @@ class DecodeState:
 
 
 def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
-    """First decoder state from the final forward/backward encoder states."""
+    """First decoder state, one [1,H] row, from the final forward/backward encoder states."""
     half = model.hidden // 2
     n = ctx.memory.shape[0]
     final = concat([ctx.memory[n - 1][:half], ctx.memory[0][half:]])
-    return DecodeState(tanh(model.init_w @ final + model.init_b))
+    return DecodeState(reshape(tanh(model.init_w @ final + model.init_b), (1, model.hidden)))
 
 
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
-    """Bilinear attention over all memory states, for one decoder state [H] or for each of [B,H] rows."""
+    """Bilinear attention over all memory states, for each of the [B,H] decoder rows."""
     if memory.shape[0] == 0:
         raise ValueError("empty memory")
     scores = matvec(memory, vecmat(h_dec, model.w_att))
@@ -225,22 +221,14 @@ def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tens
 
 
 def selective_read(
-    model: GeneratorModel, y_prev: str | Sequence[str], ctx: DecodeContext, psi_prev: Tensor | None
+    model: GeneratorModel, y_prev: Sequence[str], ctx: DecodeContext, psi_prev: Tensor | None
 ) -> Tensor:
-    """Memory states at positions matching y_prev, weighted by their copy scores.
+    """Per row, the memory states at positions matching that row's token, weighted by its copy scores.
 
-    Exact zero vector when y_prev occurs nowhere in the input (or on the
-    first step, before any copy scores exist).  B tokens with [B,n] scores
-    give [B,H] reads, never tracked: the matches are gathered row by row,
-    and rows whose tokens occur equally often are weighted as one batch,
-    so each row equals its one-token read bit for bit.
+    B tokens with [B,n] scores give [B,H] reads, exactly zero in a row whose token is not in the
+    input and in every row before any copy scores exist.  Rows whose tokens occur equally often
+    are weighted as one batch, so each row equals its one-row read bit for bit.
     """
-    if isinstance(y_prev, str):
-        matches = ctx.positions.get(y_prev)
-        if psi_prev is None or not matches:
-            return zeros((model.hidden,))
-        return vecmat(softmax(psi_prev[matches]), ctx.memory[matches])
-    reads = np.zeros((len(y_prev), model.hidden))
     by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
     for b, y in enumerate(y_prev):
         matches = ctx.positions.get(y)
@@ -248,31 +236,28 @@ def selective_read(
             rows, positions = by_count.setdefault(len(matches), ([], []))
             rows.append(b)
             positions.append(matches)
+    reads = [zeros((model.hidden,))] * len(y_prev)
     for rows, positions in by_count.values():
-        scores = psi_prev[np.array(rows)[:, None], positions]
-        reads[rows] = vecmat(softmax(scores), ctx.memory[positions]).data
-    return Tensor(reads)
+        read = vecmat(softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions])
+        for i, b in enumerate(rows):
+            reads[b] = read[i]
+    return stack(reads)
 
 
 def decode_step(
-    model: GeneratorModel,
-    ctx: DecodeContext,
-    state: DecodeState,
-    y_prev: str | Sequence[str],
-    l_prev: int | np.ndarray,
+    model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: Sequence[str], l_prev: np.ndarray
 ) -> DecodeState:
-    """Feed the previous token and its copy/generate label; the next state and its scores.
+    """Feed each row's previous token and its copy/generate label; the next state and its scores.
 
-    One hypothesis: ``state.hidden`` [H], one token and one label, tracked
-    on the tape when its inputs are (teacher forcing uses this).  B
-    hypotheses: ``state.hidden`` [B,H], B tokens and B labels, never
-    tracked; each row of the result equals its one-hypothesis call bit for
-    bit, and only the selective read gathers row by row.
-    """
+    ``state.hidden`` is [B,H] with B tokens and B labels.  Each row equals its one-row call
+    bit for bit, and the step is tracked on the tape when its inputs are."""
+    if isinstance(y_prev, str):
+        raise ValueError(f"y_prev must be a sequence of tokens, one per row, not the string {y_prev!r}")
+    if state.hidden.shape != (len(y_prev), model.hidden):
+        raise ValueError(f"decoder state {state.hidden.shape} is not [B,H] = {(len(y_prev), model.hidden)}")
     attentive = attentive_read(model, state.hidden, ctx.memory)
     selective = selective_read(model, y_prev, ctx, state.copy_scores)
-    encode = model.vocab.encode if isinstance(y_prev, str) else model.vocab.encode_all
-    w = model.word_emb[encode(y_prev)]
+    w = model.word_emb[model.vocab.encode_all(y_prev)]
     label = model.label_emb[l_prev * model.guided]  # label 0 throughout for the unguided model
     h = gru_step(model.decoder, state.hidden, concat([w, label, attentive, selective]))
     return DecodeState(h, matvec(ctx.copy_keys, h), matvec(model.w_gen, h))
@@ -347,12 +332,12 @@ def _teacher_forced_pass(
     correct = 0
     y_prev, l_prev = SEP, 0
     for target in targets:
-        state = decode_step(model, ctx, state, y_prev, l_prev)
-        all_scores = concat([state.copy_scores, state.gen_scores])
+        state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
+        all_scores = concat([state.copy_scores, state.gen_scores])[0]
         idxs = _target_indices(model.vocab, ctx, target)
         step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
         loss = step_nll if loss is None else loss + step_nll
-        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
         predicted = ctx.tokens[int(np.argmax(dist.probs))]
         reachable = target in ctx.positions or target in model.vocab
         correct += predicted == (target if reachable else model.vocab.decode(1))
@@ -453,7 +438,7 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
         raise ValueError("max_len must be >= 1")
     with no_grad():
         ctx = decode_context(model, inp)
-        state = DecodeState(decode_init(model, ctx).hidden[None])
+        state = decode_init(model, ctx)
         prefixes: list[tuple[str, ...]] = [()]
         logp = np.zeros(1)
         labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token

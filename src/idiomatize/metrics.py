@@ -92,14 +92,19 @@ METEOR_BETA = 3.0
 METEOR_GAMMA = 0.5
 
 
+# Search nodes ``_align`` may visit: a count, not a time, so scores stay deterministic.
+ALIGN_NODE_BUDGET = 20_000
+
+
 def meteor(hypothesis: Tokens, reference: Tokens) -> float:
     """Exact-match METEOR.
 
     Alignment maximizes matched tokens and, among maximal matchings,
     minimizes the number of chunks (maximal runs contiguous in both
-    sentences).  Score = F_mean * (1 - gamma * (chunks/matches)^beta)
-    with F_mean = P*R / (alpha*P + (1-alpha)*R), where alpha, beta and
-    gamma are ``METEOR_ALPHA``, ``METEOR_BETA`` and ``METEOR_GAMMA``.
+    sentences); past ``ALIGN_NODE_BUDGET`` search nodes, the fewest found.
+    Score = F_mean * (1 - gamma * (chunks/matches)^beta) with F_mean =
+    P*R / (alpha*P + (1-alpha)*R), where alpha, beta and gamma are
+    ``METEOR_ALPHA``, ``METEOR_BETA`` and ``METEOR_GAMMA``.
     """
     if not hypothesis or not reference:
         return 0.0
@@ -114,8 +119,13 @@ def meteor(hypothesis: Tokens, reference: Tokens) -> float:
 
 
 def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
-    """(max matches, min chunks over maximal matchings) via branch and bound."""
-    max_matches = sum(min(c, Counter(ref)[t]) for t, c in Counter(hyp).items())
+    """(max matches, min chunks over maximal matchings) via branch and bound on its own stack.
+
+    A token tries the position that extends its chunk first, so the first
+    alignment found is the greedy one, which always has the most matches.
+    """
+    ref_counts = Counter(ref)
+    max_matches = sum(min(c, ref_counts[t]) for t, c in Counter(hyp).items())
     if max_matches == 0:
         return 0, 0
     if hyp == ref:
@@ -126,32 +136,36 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     # Suffix upper bound on future matches, ignoring position conflicts.
     remaining = [0] * (len(hyp) + 1)
     suffix_counts: Counter = Counter()
-    ref_counts = Counter(ref)
     for i in range(len(hyp) - 1, -1, -1):
         suffix_counts[hyp[i]] += 1
         remaining[i] = sum(min(c, ref_counts[t]) for t, c in suffix_counts.items())
-    best_chunks = [max_matches + 1]
-    used = [False] * len(ref)
-
-    def search(i: int, matched: int, chunks: int, prev_j: int) -> None:
-        if chunks >= best_chunks[0]:
-            return
-        if matched + remaining[i] < max_matches:
-            return
-        if i == len(hyp):
-            if matched == max_matches:
-                best_chunks[0] = min(best_chunks[0], chunks)
-            return
-        for j in ref_positions.get(hyp[i], ()):
-            if used[j]:
-                continue
-            used[j] = True
-            search(i + 1, matched + 1, chunks + (0 if j == prev_j + 1 else 1), j)
+    best_chunks, nodes, used = max_matches + 1, 0, [False] * len(ref)
+    # A node (i, matched, chunks, j) aligns hyp[i:] after hyp[i - 1] took reference position j
+    # (-2: it stayed unmatched).  (-1, 0, 0, j) frees j once the node that took it is done.
+    stack = [(0, 0, 0, -2)]
+    while stack and nodes < ALIGN_NODE_BUDGET:
+        i, matched, chunks, j = stack.pop()
+        if i < 0:
             used[j] = False
-        search(i + 1, matched, chunks, -2)
-
-    search(0, 0, 0, -2)
-    return max_matches, best_chunks[0]
+            continue
+        nodes += 1
+        if j >= 0:
+            used[j] = True
+        if chunks >= best_chunks or matched + remaining[i] < max_matches:
+            continue
+        if i == len(hyp):
+            best_chunks = chunks  # only maximal matchings get here
+            continue
+        # Pushed in reverse of the order they are tried: the chunk-extending position
+        # first, then the other free positions in order, then leaving hyp[i] unmatched.
+        stack.append((i + 1, matched, chunks, -2))
+        extend = j + 1 if j >= 0 and j + 1 < len(ref) and ref[j + 1] == hyp[i] and not used[j + 1] else -1
+        for k in reversed(ref_positions.get(hyp[i], ())):
+            if k != extend and not used[k]:
+                stack += ((-1, 0, 0, k), (i + 1, matched + 1, chunks + 1, k))
+        if extend >= 0:
+            stack += ((-1, 0, 0, extend), (i + 1, matched + 1, chunks, extend))
+    return max_matches, best_chunks
 
 
 def span_f1(

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..rng import Rng
 from .optim import ParamStore
-from .tensor import Tensor, _accum, _node, _row_products, _sigmoid_np, _track, concat, zeros
+from .tensor import Tensor, _accum, _node, _row_outer, _row_products, _sigmoid_np, _track, _unbroadcast, concat, zeros
 
 
 class GruCell:
@@ -55,13 +55,12 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
         c = tanh(W_h x + U_h (r * h) + b_h)
         h' = (1 - z) * h + z * c
 
-    so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Untracked
-    calls also take rows: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared
-    by every row.  Rows are never tracked, and each row equals its 1-D call
-    bit for bit (stacked matrix-vector products, not one gemm).  The backward
-    adds into its parents' gradients itself and returns None: it adds each
-    gradient's terms in the order the composed matmul, add, sigmoid, tanh and
-    mul ops did, bit for bit.
+    so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Rows work
+    too: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared by every row, each
+    equal to its 1-D call bit for bit, gradients included; a weight's gradient
+    sums the rows' outer products.  The backward adds into its parents'
+    gradients itself and returns None, each gradient's terms in the order the
+    composed matmul, add, sigmoid, tanh and mul ops added them, bit for bit.
     """
     h, xd = h_prev.data, x.data
     rows = _check_shapes(cell, h, xd)
@@ -69,28 +68,25 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
     if not _track(x, h_prev, *params):
         return Tensor(data)
-    if rows:
-        raise ValueError(
-            "gru_step tracks gradients only for one [H] state and one [I] input; [B,H] rows are never"
-            " tracked (untracked, each row equals its 1-D step bit for bit)"
-        )
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
+    # A [1,I] input shared by B rows enters each row's weight gradient.
+    x_rows = xd if xd.shape[:-1] == h.shape[:-1] else np.broadcast_to(xd, h.shape[:-1] + xd.shape[-1:])
 
     def bw(g):
         d_z = (g * cand - g * h) * z * (1.0 - z)
         d_c = g * z * (1.0 - cand**2)
-        d_rh = u_h.data.T @ d_c
+        d_rh = _row_products(d_c, u_h.data)
         d_r = d_rh * h * r * (1.0 - r)
         if h_prev.requires_grad:
             _accum(h_prev, g * (1.0 - z))
         for d, w, u, b, u_in in ((d_z, w_z, u_z, b_z, h), (d_c, w_h, u_h, b_h, r * h), (d_r, w_r, u_r, b_r, h)):
-            _accum(b, d)
-            _accum(w, np.outer(d, xd))
+            _accum(b, _unbroadcast(d, b.data.shape))
+            _accum(w, _row_outer(d, x_rows))
             if x.requires_grad:
-                _accum(x, w.data.T @ d)
-            _accum(u, np.outer(d, u_in))
+                _accum(x, _unbroadcast(_row_products(d, w.data), xd.shape))
+            _accum(u, _row_outer(d, u_in))
             if h_prev.requires_grad:
-                _accum(h_prev, d_rh * r if u is u_h else u.data.T @ d)
+                _accum(h_prev, d_rh * r if u is u_h else _row_products(d, u.data))
 
     return _node(data, (x, *params, h_prev), bw)
 

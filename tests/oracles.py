@@ -103,6 +103,54 @@ def reference_rouge_l(hypothesis, reference):
     return 2.0 * precision * recall / (precision + recall)
 
 
+def reference_meteor_alignment(hypothesis, reference):
+    """(max matches, min chunks) by enumerating every maximal alignment of equal tokens.
+
+    Each token type pairs min(hyp count, ref count) of its hypothesis
+    positions with as many of its reference positions, in every order; a
+    chunk starts at each pair that does not directly follow the previous
+    pair in both sentences.
+    """
+    hyp_at: dict = {}
+    ref_at: dict = {}
+    for i, t in enumerate(hypothesis):
+        hyp_at.setdefault(t, []).append(i)
+    for j, t in enumerate(reference):
+        ref_at.setdefault(t, []).append(j)
+    choices = []
+    for t, hs in hyp_at.items():
+        rs = ref_at.get(t, [])
+        k = min(len(hs), len(rs))
+        choices.append([list(zip(h, r)) for h in itertools.combinations(hs, k) for r in itertools.permutations(rs, k)])
+    matches = sum(len(c[0]) for c in choices)
+    if matches == 0:
+        return 0, 0
+    best = None
+    for combo in itertools.product(*choices):
+        pairs = sorted(p for part in combo for p in part)
+        chunks = sum(1 for k, (i, j) in enumerate(pairs) if k == 0 or pairs[k - 1] != (i - 1, j - 1))
+        best = chunks if best is None else min(best, chunks)
+    return matches, best
+
+
+def reference_greedy_chunks(hypothesis, reference):
+    """Chunks of the in-order greedy alignment: each hypothesis token takes the
+    reference position after the previous match when it holds the same free
+    token, else the first free one, else stays unmatched."""
+    used = [False] * len(reference)
+    chunks, prev = 0, -2
+    for token in hypothesis:
+        free = [j for j, t in enumerate(reference) if t == token and not used[j]]
+        j = prev + 1 if prev + 1 in free else (free[0] if free else None)
+        if j is None:
+            prev = -2
+            continue
+        used[j] = True
+        chunks += j != prev + 1
+        prev = j
+    return chunks
+
+
 def reference_gru_step(weights, h_prev, x):
     """Documented gate equations evaluated directly on raw arrays."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))

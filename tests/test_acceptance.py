@@ -145,14 +145,14 @@ def test_selective_read_property(record_criterion):
     with no_grad():
         ctx = decode_context(model, inp)
     memory = ctx.memory
-    psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0]))
+    psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0])[None])
     with no_grad():
-        absent = selective_read(model, "zzz", ctx, psi)
-        first_step = selective_read(model, "a", ctx, None)
-        unique = selective_read(model, "d", ctx, psi)
+        absent = selective_read(model, ["zzz"], ctx, psi)
+        first_step = selective_read(model, ["a"], ctx, None)
+        unique = selective_read(model, ["d"], ctx, psi)
     zero_ok = not absent.data.any() and not first_step.data.any()
     row = inp.tokens.index("d")
-    unique_ok = np.array_equal(unique.data, memory.data[row])
+    unique_ok = np.array_equal(unique.data[0], memory.data[row])
     ok = zero_ok and unique_ok
     record_criterion(
         4, ok, f"absent/first-step reads exactly zero: {zero_ok}; "

@@ -35,7 +35,8 @@ from idiomatize.generator import (
     teacher_forced_accuracy,
     teacher_forced_loss,
 )
-from idiomatize.numerics import Tensor, no_grad
+from idiomatize.numerics import ParamStore, Tensor, grad_check, no_grad, tsum
+from idiomatize.rng import Rng
 
 from oracles import (
     reference_beam_decode,
@@ -157,77 +158,78 @@ def test_decode_init_matches_formula(gen_model):
     half = gen_model.hidden // 2
     final = np.concatenate([memory.data[-1][:half], memory.data[0][half:]])
     expect = np.tanh(gen_model.init_w.data @ final + gen_model.init_b.data)
-    assert np.allclose(state.hidden.data, expect, atol=1e-14)
+    assert state.hidden.shape == (1, gen_model.hidden)
+    assert np.allclose(state.hidden.data[0], expect, atol=1e-14)
     assert state.copy_scores is None
     assert state.gen_scores is None
 
 
 def test_attentive_read_single_state(gen_model):
     memory = Tensor(np.arange(8.0).reshape(1, 8))
-    h = Tensor(np.ones(8))
+    h = Tensor(np.ones((1, 8)))
     out = attentive_read(gen_model, h, memory)
-    assert np.array_equal(out.data, memory.data[0])
+    assert np.array_equal(out.data, memory.data)
 
 
 def test_attentive_read_zero_weight_is_mean(gen_model):
     rng = np.random.default_rng(0)
     memory = Tensor(rng.normal(size=(4, 8)))
-    h = Tensor(rng.normal(size=8))
+    h = Tensor(rng.normal(size=(1, 8)))
     keep = gen_model.w_att.data.copy()
     gen_model.w_att.data[...] = 0.0
     try:
         out = attentive_read(gen_model, h, memory)
     finally:
         gen_model.w_att.data[...] = keep
-    assert np.allclose(out.data, memory.data.mean(axis=0), atol=1e-14)
+    assert np.allclose(out.data[0], memory.data.mean(axis=0), atol=1e-14)
 
 
 def test_attentive_read_matches_manual_softmax(gen_model):
     rng = np.random.default_rng(1)
     memory = Tensor(rng.normal(size=(3, 8)))
-    h = Tensor(rng.normal(size=8))
+    h = Tensor(rng.normal(size=(1, 8)))
     with no_grad():
         out = attentive_read(gen_model, h, memory)
-    scores = memory.data @ (h.data @ gen_model.w_att.data)
+    scores = memory.data @ (h.data[0] @ gen_model.w_att.data)
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
-    assert np.allclose(out.data, weights @ memory.data, atol=1e-12)
+    assert np.allclose(out.data[0], weights @ memory.data, atol=1e-12)
 
 
 def test_attentive_read_empty_memory(gen_model):
     with pytest.raises(ValueError):
-        attentive_read(gen_model, Tensor(np.zeros(8)), Tensor(np.zeros((0, 8))))
+        attentive_read(gen_model, Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 8))))
 
 
 def test_selective_read_zero_cases(gen_model):
     inp = _demo_input()
     memory = Tensor(np.random.default_rng(2).normal(size=(len(inp.tokens), 8)))
     ctx = replace(_context(gen_model, inp.tokens), memory=memory)
-    psi = Tensor(np.arange(float(len(inp.tokens))))
+    psi = Tensor(np.arange(float(len(inp.tokens)))[None])
     # First step: no copy scores yet.
-    out = selective_read(gen_model, "the", ctx, None)
-    assert np.array_equal(out.data, np.zeros(8))
+    out = selective_read(gen_model, ["the"], ctx, None)
+    assert np.array_equal(out.data, np.zeros((1, 8)))
     # Token absent from the input.
-    out = selective_read(gen_model, "zebra", ctx, psi)
-    assert np.array_equal(out.data, np.zeros(8))
+    out = selective_read(gen_model, ["zebra"], ctx, psi)
+    assert np.array_equal(out.data, np.zeros((1, 8)))
 
 
 def test_selective_read_single_match_returns_row(gen_model):
     inp = _demo_input()
     memory = Tensor(np.random.default_rng(3).normal(size=(len(inp.tokens), 8)))
-    psi = Tensor(np.zeros(len(inp.tokens)))
+    psi = Tensor(np.zeros((1, len(inp.tokens))))
     k = inp.tokens.index("cat")
-    out = selective_read(gen_model, "cat", replace(_context(gen_model, inp.tokens), memory=memory), psi)
-    assert np.array_equal(out.data, memory.data[k])
+    out = selective_read(gen_model, ["cat"], replace(_context(gen_model, inp.tokens), memory=memory), psi)
+    assert np.array_equal(out.data, memory.data[[k]])
 
 
 def test_selective_read_equal_scores_average(gen_model):
     inp = GeneratorInput(("go", SEP, "go", "now"), (1, 0, 1, 1))
     memory = Tensor(np.random.default_rng(4).normal(size=(4, 8)))
-    psi = Tensor(np.zeros(4))
-    out = selective_read(gen_model, "go", replace(_context(gen_model, inp.tokens), memory=memory), psi)
+    psi = Tensor(np.zeros((1, 4)))
+    out = selective_read(gen_model, ["go"], replace(_context(gen_model, inp.tokens), memory=memory), psi)
     expect = 0.5 * memory.data[0] + 0.5 * memory.data[2]
-    assert np.allclose(out.data, expect, atol=1e-15)
+    assert np.allclose(out.data[0], expect, atol=1e-15)
 
 
 # --- step distribution ------------------------------------------------------
@@ -335,11 +337,10 @@ def test_step_distribution_sums_to_one_from_real_state(gen_model):
     inp = _demo_input()
     with no_grad():
         ctx = decode_context(gen_model, inp)
-        h = decode_init(gen_model, ctx).hidden
-        psi = ctx.copy_keys @ h
-        dist = step_distribution(ctx, psi.data, (gen_model.w_gen @ h).data)
+        state = decode_step(gen_model, ctx, decode_init(gen_model, ctx), [SEP], np.array([0]))
+        dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert psi.shape == (len(inp.tokens),)
+    assert state.copy_scores.shape == (1, len(inp.tokens))
 
 
 def test_target_indices_routes(tiny_vocab, gen_model):
@@ -373,15 +374,15 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
         state = decode_init(gen_model, ctx)
         y_prev, l_prev = SEP, 0
         for _ in range(data.draw(st.integers(1, 6))):
-            read = selective_read(gen_model, y_prev, ctx, state.copy_scores)
-            psi = None if state.copy_scores is None else state.copy_scores.data
+            read = selective_read(gen_model, [y_prev], ctx, state.copy_scores)
+            psi = None if state.copy_scores is None else state.copy_scores.data[0]
             expect = reference_selective_read(y_prev, ctx.memory.data, inp.tokens, psi)
-            assert read.data.tolist() == expect.tolist()
-            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
-            copy_s, gen_s = state.copy_scores.data, state.gen_scores.data
+            assert read.data[0].tolist() == expect.tolist()
+            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+            copy_s, gen_s = state.copy_scores.data[0], state.gen_scores.data[0]
             dist = step_distribution(ctx, copy_s, gen_s)
             keys = np.tanh(ctx.memory.data @ gen_model.u_copy.data)  # recomputed per step
-            assert copy_s.tolist() == (keys @ state.hidden.data).tolist()
+            assert copy_s.tolist() == (keys @ state.hidden.data[0]).tolist()
             probs, copy_probs, p_copy, p_gen = reference_step_distribution(
                 vocab.tokens, inp.tokens, copy_s, gen_s
             )
@@ -404,17 +405,17 @@ def test_decode_step_leaves_its_input_state_and_returns_its_scores(gen_model):
         ctx = decode_context(gen_model, inp)
         first = decode_init(gen_model, ctx)
         memory, hidden = ctx.memory.data.copy(), first.hidden.data.copy()
-        second = decode_step(gen_model, ctx, first, SEP, 0)
+        second = decode_step(gen_model, ctx, first, [SEP], np.array([0]))
         second_copy = second.copy_scores.data.copy()
-        third = decode_step(gen_model, ctx, second, "cat", 1)
+        third = decode_step(gen_model, ctx, second, ["cat"], np.array([1]))
     assert first.copy_scores is None and first.gen_scores is None
     assert np.array_equal(ctx.memory.data, memory)
     assert np.array_equal(first.hidden.data, hidden)
     assert np.array_equal(second.copy_scores.data, second_copy)
     for state in (second, third):
-        h = state.hidden.data
-        assert state.copy_scores.data.tolist() == (ctx.copy_keys.data @ h).tolist()
-        assert state.gen_scores.data.tolist() == (gen_model.w_gen.data @ h).tolist()
+        h = state.hidden.data[0]
+        assert state.copy_scores.data[0].tolist() == (ctx.copy_keys.data @ h).tolist()
+        assert state.gen_scores.data[0].tolist() == (gen_model.w_gen.data @ h).tolist()
     with pytest.raises(AttributeError):
         second.hidden = first.hidden
 
@@ -436,12 +437,42 @@ def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
             state = DecodeState(Tensor(hidden), None if copy_scores is None else Tensor(copy_scores))
             rows = decode_step(model, ctx, state, y_prev, l_prev)
             assert rows.hidden.shape == (len(y_prev), 8)
-            for b, (y, label) in enumerate(zip(y_prev, l_prev)):
-                one_state = DecodeState(Tensor(hidden[b]), None if copy_scores is None else Tensor(copy_scores[b]))
-                one = decode_step(model, ctx, one_state, y, int(label))
-                assert np.array_equal(rows.hidden.data[b], one.hidden.data)
-                assert np.array_equal(rows.copy_scores.data[b], one.copy_scores.data)
-                assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data)
+            for b in range(len(y_prev)):
+                one_state = DecodeState(Tensor(hidden[[b]]), None if copy_scores is None else Tensor(copy_scores[[b]]))
+                one = decode_step(model, ctx, one_state, y_prev[b : b + 1], l_prev[b : b + 1])
+                assert np.array_equal(rows.hidden.data[b], one.hidden.data[0])
+                assert np.array_equal(rows.copy_scores.data[b], one.copy_scores.data[0])
+                assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data[0])
+
+
+def test_decode_step_rejects_non_row_inputs(gen_model):
+    with no_grad():
+        ctx = decode_context(gen_model, _demo_input())
+        state = decode_init(gen_model, ctx)
+        # A bare string would be read as one token per character.
+        for token in (".", "cat"):
+            with pytest.raises(ValueError, match="sequence of tokens"):
+                decode_step(gen_model, ctx, state, token, np.array([0]))
+        for hidden in (state.hidden.data[0], np.zeros((2, gen_model.hidden)), np.zeros((1, 4))):
+            with pytest.raises(ValueError, match=r"not \[B,H\]"):
+                decode_step(gen_model, ctx, DecodeState(Tensor(hidden)), [SEP], np.array([0]))
+
+
+def test_selective_read_rows_gradcheck(gen_model):
+    # Three rows: "go" matches two positions and repeats across rows 0 and 2,
+    # "now" matches one; row 1's token is absent and reads exactly zero.
+    store = ParamStore()
+    psi = store.add("psi", (3, 5), Rng(0), scale=1.0)
+    memory = store.add("memory", (5, 8), Rng(1), scale=1.0)
+    ctx = replace(_context(gen_model, ("go", SEP, "go", "now", "then")), memory=memory)
+    coeffs = Tensor(np.random.default_rng(0).normal(size=(3, 8)))
+
+    def loss(_store):
+        return tsum(selective_read(gen_model, ["go", "zebra", "go"], ctx, psi) * coeffs) + tsum(
+            selective_read(gen_model, ["now", "go", "then"], ctx, psi) * coeffs
+        )
+
+    assert grad_check(loss, store, eps=1e-5) <= 1e-6  # test_numerics.OP_TOLERANCE
 
 
 def test_unguided_model_ignores_label_channel(unguided_model):
@@ -449,8 +480,8 @@ def test_unguided_model_ignores_label_channel(unguided_model):
     with no_grad():
         ctx = decode_context(unguided_model, inp)
         state = decode_init(unguided_model, ctx)
-        advanced = decode_step(unguided_model, ctx, state, SEP, 0)
-        advanced_labelled = decode_step(unguided_model, ctx, state, SEP, 1)
+        advanced = decode_step(unguided_model, ctx, state, [SEP], np.array([0]))
+        advanced_labelled = decode_step(unguided_model, ctx, state, [SEP], np.array([1]))
     assert np.array_equal(advanced.hidden.data, advanced_labelled.hidden.data)
 
 
@@ -459,8 +490,8 @@ def test_guided_model_uses_label_channel(gen_model):
     with no_grad():
         ctx = decode_context(gen_model, inp)
         state = decode_init(gen_model, ctx)
-        plain = decode_step(gen_model, ctx, state, SEP, 0)
-        labelled = decode_step(gen_model, ctx, state, SEP, 1)
+        plain = decode_step(gen_model, ctx, state, [SEP], np.array([0]))
+        labelled = decode_step(gen_model, ctx, state, [SEP], np.array([1]))
     assert not np.array_equal(plain.hidden.data, labelled.hidden.data)
 
 
@@ -475,8 +506,8 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
         input_tokens = set(inp.tokens)
         y_prev, l_prev = SEP, 0
         for target in list(reference) + [EOS]:
-            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
             manual -= math.log(dist.probs[ctx.tokens.index(target)])
             y_prev, l_prev = target, 1 if (gen_model.guided and target in input_tokens) else 0
     assert loss == pytest.approx(manual, abs=1e-10)
@@ -502,8 +533,8 @@ def test_beam_one_is_greedy(gen_model):
         tokens = []
         y_prev, l_prev = SEP, 0
         for _ in range(10):
-            state = decode_step(gen_model, ctx, state, y_prev, l_prev)
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
             token = ctx.tokens[int(np.argmax(dist.probs))]
             if token == EOS:
                 break
@@ -528,8 +559,8 @@ def _oracle_beam(model, inp, beam, max_len):
         ctx = decode_context(model, inp)
 
         def step(state, y_prev, label):
-            state = decode_step(model, ctx, state, y_prev, label)
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            state = decode_step(model, ctx, state, [y_prev], np.array([label]))
+            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
             return state, dist.probs, infer_label(dist)
 
         return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)

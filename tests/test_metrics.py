@@ -3,15 +3,24 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idiomatize import MetricReport, bleu, meteor, metrics, part_accuracy, rouge, span_f1
 from idiomatize.metrics import retrieval_accuracy, stratify_by_rigidity
 
-from oracles import METRIC_PAIRS, reference_bleu, reference_rouge_l, reference_rouge_n
+from oracles import (
+    METRIC_PAIRS,
+    reference_bleu,
+    reference_greedy_chunks,
+    reference_meteor_alignment,
+    reference_rouge_l,
+    reference_rouge_n,
+)
 
 token_lists = st.lists(st.sampled_from("a b c d the cat".split()), max_size=10)
 
@@ -148,6 +157,52 @@ def test_meteor_parameter_overrides(monkeypatch):
     # chunks ("a b", "d", "c") give 1 - 0.5 * 3/4, where beta=3 gives 1 - 0.5 * (3/4)^3.
     monkeypatch.setattr(metrics, "METEOR_BETA", 1.0)
     assert meteor(["a", "b", "d", "c"], ["a", "b", "c", "d"]) == pytest.approx(0.625, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=8), st.lists(st.sampled_from("abc"), max_size=8))
+def test_meteor_alignment_equals_brute_force(hyp, ref):
+    assert metrics._align(hyp, ref) == reference_meteor_alignment(hyp, ref)
+
+
+def _shuffled_sentence_probe(n):
+    # 31 tokens with 8 "the", 3 "and" and 3 "went"; the hypothesis is a
+    # seeded shuffle of its first n tokens.
+    ref = (
+        "the man went to the market and the woman went home and the boy went "
+        "with the dog and the girl to the river in the old town by noon ."
+    ).split()
+    return random.Random(n).sample(ref[:n], n), ref
+
+
+ALIGN_PROBES = {
+    **{f"shuffled_{n}": _shuffled_sentence_probe(n) for n in (20, 23, 26, 29, 31)},
+    **{f"repeated_{k}": (["the", "y"] * k, ["the", "x"] * k) for k in (10, 12, 20)},
+    "three_words_40_80": tuple(random.Random(n).choices("abc", k=n) for n in (40, 80)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALIGN_PROBES))
+def test_meteor_alignment_search_is_bounded_by_the_greedy_alignment(name, monkeypatch):
+    # Inputs whose exact search is exponential: the search stops at the node
+    # budget with a maximal matching no worse than the greedy one, every time.
+    hyp, ref = ALIGN_PROBES[name]
+    matches, chunks = metrics._align(hyp, ref)
+    counts = Counter(ref)
+    assert matches == sum(min(c, counts[t]) for t, c in Counter(hyp).items())
+    assert 1 <= chunks <= reference_greedy_chunks(hyp, ref)
+    assert metrics._align(hyp, ref) == (matches, chunks)
+    # The first alignment the search completes is the greedy one.
+    monkeypatch.setattr(metrics, "ALIGN_NODE_BUDGET", len(hyp) + 1)
+    assert metrics._align(hyp, ref)[1] == reference_greedy_chunks(hyp, ref)
+
+
+def test_meteor_long_hypothesis_does_not_exhaust_the_recursion_limit():
+    # 1200 aligned tokens: the search goes 1200 levels deep, past Python's
+    # default recursion limit.  All match; the best has two chunks.
+    hyp, ref = ["a", "b"] * 600, ["b", "a"] * 600
+    assert metrics._align(hyp, ref) == (1200, 2)
+    assert meteor(hyp, ref) == pytest.approx(1.0 - 0.5 * (2 / 1200) ** 3, abs=1e-12)
 
 
 # --- span F1 -------------------------------------------------------------

@@ -226,6 +226,8 @@ def _op_gradcheck(build_loss, shapes, seed=0):
 
 OP_TOLERANCE = 1e-6
 
+ROW_COEFFS = [[1.0, -2.0, 0.5, 3.0], [0.25, -1.0, 2.0, -0.5], [1.5, 0.75, -3.0, 1.0]]  # B = 3 rows
+
 OP_CASES = {
     "add_broadcast": (lambda a, b: tsum(a + b), [(3, 4), (4,)]),
     "sub": (lambda a, b: tsum(a - b), [(5,), (5,)]),
@@ -242,8 +244,9 @@ OP_CASES = {
     "logsumexp_flat": (lambda a: logsumexp(a), [(8,)]),
     "logsumexp_axis0": (lambda a: tsum(logsumexp(a, axis=0)), [(3, 4)]),
     "logsumexp_axis1": (lambda a: tsum(logsumexp(a, axis=1)), [(3, 4)]),
-    "matvec": (lambda a, b: tsum(matvec(a, b)), [(3, 4), (4,)]),
-    "vecmat": (lambda a, b: tsum(vecmat(a, b)), [(3,), (3, 4)]),
+    "matvec": (lambda w, x: _projected(matvec(w, x), ROW_COEFFS), [(4, 5), (3, 5)]),
+    "vecmat": (lambda x, w: _projected(vecmat(x, w), ROW_COEFFS), [(3, 5), (5, 4)]),
+    "vecmat_per_row": (lambda x, w: _projected(vecmat(x, w), ROW_COEFFS), [(3, 5), (3, 5, 4)]),
     "softmax_proj": (lambda a: _projected(softmax(a), [1.0, -2.0, 0.5, 3.0]), [(4,)]),
     "softmax_rows": (lambda a: _projected(softmax(a), [[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]), [(2, 3)]),
     "concat": (lambda a, b: _projected(concat([a, b]), [1.0, 2.0, 3.0, -1.0, 0.5]), [(2,), (3,)]),
@@ -540,8 +543,78 @@ def test_gru_step_rows_match_single_rows(batch, shared, seed):
     for b in range(batch):
         one = gru_step(cell, Tensor(h[b]), Tensor(x[0 if shared else b]))
         assert np.array_equal(rows.data[b], one.data)
-    with pytest.raises(ValueError, match="rows are never tracked"):
-        gru_step(cell, Tensor(h), Tensor(x))
+
+
+def _grads(store: ParamStore, loss: Tensor) -> dict:
+    store.zero_grads()
+    loss.backward()
+    return {name: t.grad.copy() for name, t in store.items()}
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_gru_step_tracked_rows_match_single_rows(batch, shared, seed):
+    # Each row's state gradient equals its 1-D step's bit for bit; the
+    # weights (and a shared input) sum the rows, bit for bit for one row.
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 4, Rng(seed))
+    h = store.add("h", (batch, 4), Rng(seed + 1), scale=1.0)
+    x = store.add("x", (1 if shared else batch, 3), Rng(seed + 2), scale=1.0)
+    coeffs = np.random.default_rng(seed).normal(size=(batch, 4))
+    rows = _grads(store, tsum(gru_step(cell, h, x) * Tensor(coeffs)))
+    singles = [
+        _grads(store, tsum(gru_step(cell, h[b], x[0 if shared else b]) * Tensor(coeffs[b])))
+        for b in range(batch)
+    ]
+    for b in range(batch):
+        assert np.array_equal(rows["h"][b], singles[b]["h"][b])
+        if not shared:
+            assert np.array_equal(rows["x"][b], singles[b]["x"][b])
+    for name in rows:
+        summed = sum(single[name] for single in singles)
+        assert np.allclose(rows[name], summed, rtol=0, atol=1e-12), name
+        assert batch > 1 or np.array_equal(rows[name], summed), name
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+def test_row_products_track_each_row_as_its_1d_product(batch, seed):
+    # matvec, vecmat and per-row vecmat against tape matmul on each row.
+    store = ParamStore()
+    rng = Rng(seed)
+    w = store.add("w", (4, 5), rng, scale=1.0)
+    per_row = store.add("per_row", (batch, 4, 5), rng, scale=1.0)
+    x = store.add("x", (batch, 5), rng, scale=1.0)
+    y = store.add("y", (batch, 4), rng, scale=1.0)
+    c4, c5 = (Tensor(np.random.default_rng(seed).normal(size=(batch, n))) for n in (4, 5))
+    cases = (  # (rows, one row, its coefficients, per-row operands, shared operands)
+        (lambda: matvec(w, x), lambda b: w @ x[b], c4, ("x",), ("w",)),
+        (lambda: vecmat(y, w), lambda b: y[b] @ w, c5, ("y",), ("w",)),
+        (lambda: vecmat(y, per_row), lambda b: y[b] @ per_row[b], c5, ("y", "per_row"), ()),
+    )
+    for rows_fn, one_fn, c, per_row_names, shared_names in cases:
+        rows = _grads(store, tsum(rows_fn() * c))
+        singles = [_grads(store, tsum(one_fn(b) * c[b])) for b in range(batch)]
+        for b in range(batch):
+            assert np.array_equal(rows_fn().data[b], one_fn(b).data)
+            for name in per_row_names:
+                assert np.array_equal(rows[name][b], singles[b][name][b]), name
+        for name in shared_names:
+            summed = sum(single[name] for single in singles)
+            assert np.allclose(rows[name], summed, rtol=0, atol=1e-12), name
+            assert batch > 1 or np.array_equal(rows[name], summed), name
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_gru_step_rows_gradcheck(shared):
+    store = ParamStore()
+    rng = Rng(5)
+    cell = GruCell(store, "cell", 3, 4, rng)
+    h = store.add("h", (3, 4), rng, scale=1.0)
+    x = store.add("x", (1 if shared else 3, 3), rng, scale=1.0)
+    assert grad_check(lambda _s: _projected(gru_step(cell, h, x), ROW_COEFFS), store, eps=1e-5) <= OP_TOLERANCE
 
 
 @pytest.mark.parametrize("gain", [1e3, -1e3])
