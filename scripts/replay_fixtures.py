@@ -7,9 +7,11 @@ Loads the fixture checkpoints from perfbench/fixtures, rebuilds the demo
 and the 223-key distractor lexicons, runs every recorded request through
 ``transform`` on both, and runs ``evaluate`` once per lexicon.  Each
 (idiom, span, output) triple and each report is compared with the
-recorded one.  Prints the number of differences and exits 1 if any
-differ, so a change that should not alter inference can be checked
-against all of them in one run (a few minutes on one core).
+recorded one.  Prints the number of differences, next to the mean number
+of ``generator.decode_step`` calls (decoder positions) per ``transform``
+request, and exits 1 if any differ, so a change that should not alter
+inference can be checked against all of them in one run (a few minutes
+on one core).
 """
 
 from __future__ import annotations
@@ -33,23 +35,34 @@ def main() -> int:
     config = workloads.pipeline_config(m)
     with tempfile.TemporaryDirectory() as tmp:
         models = m.pipeline.load_pipeline_models(workloads.unpack_checkpoints(tmp), config)
+    steps = 0
+    decode_step = m.generator.decode_step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return decode_step(*args)
+
     differ = triples = reports_differ = 0
     for name, workload in LEXICONS:
         lexicon = workloads.lexicon_for(workload, demo_lexicon, vocab)
         if gen.lexicon_digest(lexicon) != reference["lexicons"][name]["digest"]:
             print(f"{name}: lexicon differs from the recorded one", file=sys.stderr)
             return 2
+        m.generator.decode_step = counted
         for text, row in recorded.items():
             got = workloads.result_key(m.pipeline.transform(models, lexicon, text, config))
             triples += 1
             if got != row[name]:
                 differ += 1
                 print(f"{name}: {text!r}: recorded {row[name]}, got {got}")
+        m.generator.decode_step = decode_step
         report = workloads.report_key(m.pipeline.evaluate(models, pairs, lexicon, config))
         if report != reference["lexicons"][name]["evaluate"]:
             reports_differ += 1
             print(f"{name}: evaluate report differs: got {report}")
-    print(f"{differ} of {triples} triples differ; {reports_differ} of {len(LEXICONS)} evaluate reports differ")
+    print(f"{differ} of {triples} triples differ ({steps / triples:.2f} decode_step calls per request); "
+          f"{reports_differ} of {len(LEXICONS)} evaluate reports differ")
     return 1 if differ or reports_differ else 0
 
 

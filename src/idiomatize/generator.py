@@ -45,6 +45,8 @@ from .numerics import (
 )
 from .rng import Rng
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class GeneratorInput:
@@ -265,12 +267,11 @@ def decode_step(
 
 @dataclass
 class StepDistribution:
-    """One decoding step's output distribution; ``probs`` and ``copy_probs``
-    are arrays over the context's extended vocabulary ``ctx.tokens``, with
-    a leading [B] axis (and [B] masses) for rows of hypotheses."""
+    """One decoding step's output distribution; ``probs`` is an array over
+    the context's extended vocabulary ``ctx.tokens``, with a leading [B]
+    axis (and [B] masses) for rows of hypotheses."""
 
     probs: np.ndarray
-    copy_probs: np.ndarray
     p_copy: float | np.ndarray
     p_gen: float | np.ndarray
 
@@ -289,12 +290,9 @@ def step_distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: n
     z = copy_mass + gen_mass
     probs = np.zeros(gen_scores.shape[:-1] + (len(ctx.tokens),))
     probs[..., : gen_scores.shape[-1]] = e_gen / z
-    copy_probs = np.zeros_like(probs)
-    copy_share = e_copy / z
     # np.add.at adds position by position, so a repeated token sums in input order.
-    np.add.at(probs, (..., ctx.slots), copy_share)
-    np.add.at(copy_probs, (..., ctx.slots), copy_share)
-    return StepDistribution(probs, copy_probs, p_copy=(copy_mass / z)[..., 0], p_gen=(gen_mass / z)[..., 0])
+    np.add.at(probs, (..., ctx.slots), e_copy / z)
+    return StepDistribution(probs, p_copy=(copy_mass / z)[..., 0], p_gen=(gen_mass / z)[..., 0])
 
 
 def infer_label(dist: StepDistribution) -> int | np.ndarray:
@@ -424,6 +422,22 @@ def _top_ranks(probs: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(np.where(neg <= kth, neg, np.inf), axis=1, kind="stable")[:, :k]
 
 
+def _score_bound(best_live: float, steps: int, max_len: int, slack: float) -> float:
+    """An upper bound on the final score of any hypothesis grown from a prefix live after ``steps`` positions.
+
+    It ends on ``<eos>`` at some t ≤ ``max_len``, or is live at ``max_len``,
+    and scores logp_t / t.  Each step adds at most ``slack`` (a rounded
+    probability can exceed 1 by a few ulps) plus the rounding of the sum, a
+    few ulps of the running logp; Δ covers both, so logp_t ≤ U =
+    ``best_live`` + (max_len − steps)·Δ.  Then logp_t / t ≤ U / max_len if
+    U ≤ 0, else ≤ U / min(steps + 1, max_len).  Rounded addition and division
+    are monotone, so the bound holds for the computed scores too.
+    """
+    delta = slack + 2 * _EPS * (abs(best_live) + 1)
+    bound = best_live + (max_len - steps) * delta
+    return bound / (max_len if bound <= 0 else min(steps + 1, max_len))
+
+
 def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_len: int = 40) -> tuple[str, ...]:
     """Length-normalized beam search; beam=1 is greedy decoding.
 
@@ -431,6 +445,11 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     ``decode_step``.  Candidates keep the order of a loop over hypotheses:
     hypothesis order, then each one's stable ranking of the extended
     vocabulary, and a stable sort by score picks the next beam from them.
+
+    Decoding stops once ``_score_bound`` shows that no live hypothesis can
+    end with a score above the best finished one.  The stop is exact:
+    nothing still to come scores higher, and a later tie is appended after
+    the best, so the first of equal scores is the one returned.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -439,6 +458,8 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     with no_grad():
         ctx = decode_context(model, inp)
         state = decode_init(model, ctx)
+        # Bounds the log of a step probability: each is a few rounded e/z terms over a rounded z.
+        slack = 4 * (len(ctx.tokens) + len(ctx.slots)) * _EPS
         prefixes: list[tuple[str, ...]] = [()]
         logp = np.zeros(1)
         labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token
@@ -462,8 +483,12 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
             if not alive:
                 break
             survivors, prefixes = map(list, zip(*alive))
+            logp = logps[survivors]
+            if finished and _score_bound(logp.max(), steps, max_len, slack) <= max(f[0] for f in finished):
+                break
             parents = np.array(survivors) // top.shape[1]
-            logp, labels = logps[survivors], labels[parents]
+            labels = labels[parents]
             state = DecodeState(state.hidden[parents], state.copy_scores[parents])
-        finished.extend((scores[c], prefix) for c, prefix in alive)
+        else:  # no stop before max_len: the live prefixes end there
+            finished.extend((scores[c], prefix) for c, prefix in alive)
         return max(finished, key=lambda f: f[0])[1]  # the first of equal scores wins

@@ -238,6 +238,17 @@ def reference_step_distribution(vocab_tokens, inp_tokens, copy_scores, gen_score
     return probs, copy_probs, float(e_copy.sum() / z), float(e_gen.sum() / z)
 
 
+def reference_generate_share(n_tokens, copy_scores, gen_scores):
+    """Each extended-vocabulary token's generate share, normalized as in
+    ``reference_step_distribution``: zero past the vocabulary, so a step's
+    probabilities less this array are its copy shares."""
+    shift = max(copy_scores.max(), gen_scores.max())
+    e_gen = np.exp(gen_scores - shift)
+    share = np.zeros(n_tokens)
+    share[: len(e_gen)] = e_gen / (np.exp(copy_scores - shift).sum() + e_gen.sum())
+    return share
+
+
 def reference_selective_read(y_prev, memory, inp_tokens, psi_prev):
     """Selective read by scanning the input for ``y_prev`` (arrays in, array out).
 

@@ -48,6 +48,7 @@ from oracles import (
     METRIC_PAIRS,
     brute_force_crf,
     reference_bleu,
+    reference_generate_share,
     reference_rouge_l,
     reference_rouge_n,
 )
@@ -125,10 +126,12 @@ def test_distribution_validity(record_criterion):
         inp, ctx = pool[trial % len(pool)]
         h = Tensor(npr.normal(scale=2.0, size=(12,)))
         with no_grad():
-            dist = step_distribution(ctx, (ctx.copy_keys @ h).data, (model.w_gen @ h).data)
+            copy_s, gen_s = (ctx.copy_keys @ h).data, (model.w_gen @ h).data
+            dist = step_distribution(ctx, copy_s, gen_s)
         worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
         worst_split = max(worst_split, abs(dist.p_copy + dist.p_gen - 1.0))
-        leaked = leaked or not {t for t, c in zip(ctx.tokens, dist.copy_probs) if c} <= set(inp.tokens)
+        copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+        leaked = leaked or not {t for t, c in zip(ctx.tokens, copy_shares) if c} <= set(inp.tokens)
     ok = worst_sum <= 1e-6 and worst_split <= 1e-6 and not leaked
     record_criterion(
         3, ok, f"1000 states: max |sum(p)-1| {worst_sum:.1e}, "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from idiomatize import (
     rule_based_generate,
     train_generator,
 )
+from idiomatize import generator
 from idiomatize.corpus import EOS, SEP
 from idiomatize.generator import (
     DecodeState,
     StepDistribution,
+    _score_bound,
     _target_indices,
     attentive_read,
     decode_context,
@@ -40,6 +43,7 @@ from idiomatize.rng import Rng
 
 from oracles import (
     reference_beam_decode,
+    reference_generate_share,
     reference_selective_read,
     reference_step_distribution,
     reference_target_indices,
@@ -251,10 +255,12 @@ def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
         np.exp(gen_s[tiny_vocab.encode("the")] - shift) + np.exp(copy_s[0] - shift)
     ) / z
     assert dist.probs[ctx.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
-    assert {t for t, c in zip(ctx.tokens, dist.copy_probs) if c} == {"the", "cat", "zzz"}
+    copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+    assert {t for t, c in zip(ctx.tokens, copy_shares) if c} == {"the", "cat", "zzz"}
     # The OOV token is reachable through the copy route only.
+    _, copy_probs, _, _ = reference_step_distribution(tiny_vocab.tokens, inp_tokens, copy_s, gen_s)
     zzz = ctx.tokens.index("zzz")
-    assert dist.probs[zzz] == pytest.approx(dist.copy_probs[zzz], abs=1e-15)
+    assert dist.probs[zzz] == pytest.approx(copy_probs["zzz"], abs=1e-15)
     assert dist.probs[zzz] > 0.0
 
 
@@ -266,7 +272,18 @@ def test_distribution_merges_repeated_tokens(tiny_vocab, gen_model):
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     both = (np.exp(copy_s[0] - shift) + np.exp(copy_s[2] - shift)) / z
-    assert dist.copy_probs[ctx.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
+    copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+    assert copy_shares[ctx.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
+
+
+def _assert_copy_shares(ctx, probs, copy_s, gen_s, copy_probs):
+    """A step's probabilities less their generate shares are the oracle's copy shares:
+    exactly past the vocabulary, where no token has a generate share, and within 1e-15 in it."""
+    shares = probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+    expect = [copy_probs.get(t, 0.0) for t in ctx.tokens]
+    v = len(gen_s)
+    assert shares[v:].tolist() == expect[v:]
+    assert shares[:v] == pytest.approx(expect[:v], abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -288,7 +305,7 @@ def test_distribution_equals_dict_oracle(tiny_vocab, gen_model, seed):
     )
     assert ctx.tokens == tuple(probs)
     assert dist.probs.tolist() == list(probs.values())
-    assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
+    _assert_copy_shares(ctx, dist.probs, copy_s, gen_s, copy_probs)
     assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
     order = np.argsort(-dist.probs, kind="stable")
     ranked = sorted(probs.items(), key=lambda kv: -kv[1])
@@ -309,27 +326,27 @@ def test_step_distribution_rows_equal_single_rows(tiny_vocab, gen_model, seed):
     ctx = _context(gen_model, inp_tokens)
     rows = step_distribution(ctx, copy_s, gen_s)
     labels = infer_label(rows)
-    assert rows.probs.shape == rows.copy_probs.shape == (batch, len(ctx.tokens))
+    assert rows.probs.shape == (batch, len(ctx.tokens))
     for b in range(batch):
         one = step_distribution(ctx, copy_s[b], gen_s[b])
-        for field in ("probs", "copy_probs", "p_copy", "p_gen"):
+        for field in ("probs", "p_copy", "p_gen"):
             assert np.array_equal(getattr(rows, field)[b], getattr(one, field)), field
         assert labels[b] == infer_label(one)
         probs, copy_probs, p_copy, p_gen = reference_step_distribution(
             tiny_vocab.tokens, inp_tokens, copy_s[b], gen_s[b]
         )
         assert rows.probs[b].tolist() == list(probs.values())
-        assert rows.copy_probs[b].tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
+        _assert_copy_shares(ctx, rows.probs[b], copy_s[b], gen_s[b], copy_probs)
         assert (rows.p_copy[b], rows.p_gen[b]) == (p_copy, p_gen)
 
 
 def test_infer_label_strictly_greater():
     empty = np.zeros(0)
-    tie = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.5, p_gen=0.5)
+    tie = StepDistribution(probs=empty, p_copy=0.5, p_gen=0.5)
     assert infer_label(tie) == 0
-    copyish = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.6, p_gen=0.4)
+    copyish = StepDistribution(probs=empty, p_copy=0.6, p_gen=0.4)
     assert infer_label(copyish) == 1
-    genish = StepDistribution(probs=empty, copy_probs=empty, p_copy=0.4, p_gen=0.6)
+    genish = StepDistribution(probs=empty, p_copy=0.4, p_gen=0.6)
     assert infer_label(genish) == 0
 
 
@@ -388,7 +405,7 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
             )
             assert ctx.tokens == tuple(probs)
             assert dist.probs.tolist() == list(probs.values())
-            assert dist.copy_probs.tolist() == [copy_probs.get(t, 0.0) for t in ctx.tokens]
+            _assert_copy_shares(ctx, dist.probs, copy_s, gen_s, copy_probs)
             assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
             y_prev, l_prev = data.draw(choices), data.draw(st.integers(0, 1))
             assert _target_indices(vocab, ctx, y_prev) == reference_target_indices(
@@ -573,7 +590,7 @@ def _oracle_beam(model, inp, beam, max_len):
     st.booleans(),
     st.lists(st.sampled_from(("the", "cat", "dog", "fox", "zzz", "qqq", SEP)), min_size=1, max_size=8),
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=30),
     st.data(),
 )
 def test_beam_decode_equals_per_hypothesis_oracle(tiny_vocab, seed, gain, guided, tokens, beam, max_len, data):
@@ -593,8 +610,92 @@ def test_beam_decode_equals_per_hypothesis_oracle_on_exact_ties(tiny_vocab, beam
     model.w_gen.data[:] = 0.0  # every generate and copy score is 0 at every step
     model.u_copy.data[:] = 0.0
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
-    for max_len in (1, 3, 6):
+    for max_len in (1, 3, 6, 20):
         assert beam_decode(model, inp, beam=beam, max_len=max_len) == _oracle_beam(model, inp, beam, max_len)
+
+
+def _peaked_model(vocab, seed):
+    """Peaked steps: often the best hypothesis ends on <eos> while the others fall far behind."""
+    model = GeneratorModel(vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=seed)
+    for t in model.store.params.values():
+        t.data *= 16.0
+    return model
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("beam", [2, 4, 6])
+def test_beam_decode_equals_per_hypothesis_oracle_on_peaked_models(tiny_vocab, seed, beam):
+    model = _peaked_model(tiny_vocab, seed)
+    inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
+    assert beam_decode(model, inp, beam=beam, max_len=20) == _oracle_beam(model, inp, beam, 20)
+
+
+@pytest.mark.parametrize("seed", [65, 348, 397])
+def test_beam_decode_stops_early_with_the_oracle_output(tiny_vocab, seed, monkeypatch):
+    model = _peaked_model(tiny_vocab, seed)
+    inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
+    expect = _oracle_beam(model, inp, 4, 20)
+    positions = []
+
+    def counted(model, ctx, state, y_prev, l_prev):
+        positions.append(len(y_prev))
+        return decode_step(model, ctx, state, y_prev, l_prev)
+
+    monkeypatch.setattr(generator, "decode_step", counted)
+    assert beam_decode(model, inp, beam=4, max_len=20) == expect
+    assert len(positions) < 20 and max(positions) > 1
+
+
+# --- early stop bound -------------------------------------------------------
+
+
+SLACK = 4 * 40 * np.finfo(float).eps  # the slack of a 30-token vocabulary and a 10-token input
+
+
+def test_score_bound_does_not_stop_a_perfect_live_prefix():
+    # logp 0.0 with positions left can still end at 0.0, or a few ulps above it.
+    for steps in (1, 10, 39):
+        assert _score_bound(0.0, steps, 40, SLACK) > 0.0
+        assert _score_bound(-0.0, steps, 40, 0.0) > 0.0
+
+
+def test_score_bound_stops_a_hopeless_live_prefix():
+    assert _score_bound(-2.0, 10, 40, SLACK) <= -0.04  # about -2 / 40
+
+
+def test_score_bound_at_max_len_is_the_live_score():
+    # Live prefixes at max_len are scored as they are; a tie with the best finished one stops.
+    assert _score_bound(-3.0, 40, 40, SLACK) == -3.0 / 40
+    assert _score_bound(1e-15, 40, 40, SLACK) >= 1e-15 / 40
+
+
+def _largest_float_at_most(x: Fraction) -> float:
+    f = float(x)
+    return f if Fraction(f) <= x else float(np.nextafter(f, -np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-1e4, max_value=1e-9),
+    st.integers(min_value=1, max_value=60),
+    st.data(),
+    st.floats(min_value=0.0, max_value=1e-9),
+)
+def test_score_bound_covers_every_reachable_score(best_live, max_len, data, slack):
+    # A prefix at logp best_live after `steps` positions ends at some t in
+    # [min(steps + 1, max_len), max_len], with each step adding at most `slack`:
+    # its exact logp is at most best_live + (t - steps)·slack, and its computed
+    # logp is at most the rounded sum that adds `slack` once per step.
+    steps = data.draw(st.integers(min_value=1, max_value=max_len))
+    bound = _score_bound(best_live, steps, max_len, slack)
+    chain = best_live
+    for t in range(steps + 1, max_len + 1):
+        chain += slack
+        exact = _largest_float_at_most(Fraction(best_live) + (t - steps) * Fraction(slack))
+        assert bound >= exact / t
+        assert bound >= chain / t
+    if steps == max_len:
+        assert bound >= best_live / max_len
 
 
 def test_beam_decode_argument_validation(gen_model):
