@@ -9,9 +9,10 @@ and the 223-key distractor lexicons, runs every recorded request through
 (idiom, span, output) triple and each report is compared with the
 recorded one.  Prints the number of differences, next to the mean number
 of ``generator.decode_step`` calls (decoder positions) per ``transform``
-request, and exits 1 if any differ, so a change that should not alter
-inference can be checked against all of them in one run (a few minutes
-on one core).
+request and the number of ``retrieval.build_key_index`` calls (key-index
+builds) per lexicon, so an index that is rebuilt on every query shows.
+Exits 1 if any differ, so a change that should not alter inference can be
+checked against all of them in one run (a few minutes on one core).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def main() -> int:
         models = m.pipeline.load_pipeline_models(workloads.unpack_checkpoints(tmp), config)
     steps = 0
     decode_step = m.generator.decode_step
+    build_key_index = m.retrieval.build_key_index
+    builds = {}
 
     def counted(*args):
         nonlocal steps
@@ -49,7 +52,14 @@ def main() -> int:
         if gen.lexicon_digest(lexicon) != reference["lexicons"][name]["digest"]:
             print(f"{name}: lexicon differs from the recorded one", file=sys.stderr)
             return 2
+        builds[name] = 0
+
+        def built(*args, name=name):
+            builds[name] += 1
+            return build_key_index(*args)
+
         m.generator.decode_step = counted
+        m.retrieval.build_key_index = built
         for text, row in recorded.items():
             got = workloads.result_key(m.pipeline.transform(models, lexicon, text, config))
             triples += 1
@@ -58,11 +68,13 @@ def main() -> int:
                 print(f"{name}: {text!r}: recorded {row[name]}, got {got}")
         m.generator.decode_step = decode_step
         report = workloads.report_key(m.pipeline.evaluate(models, pairs, lexicon, config))
+        m.retrieval.build_key_index = build_key_index
         if report != reference["lexicons"][name]["evaluate"]:
             reports_differ += 1
             print(f"{name}: evaluate report differs: got {report}")
     print(f"{differ} of {triples} triples differ ({steps / triples:.2f} decode_step calls per request); "
-          f"{reports_differ} of {len(LEXICONS)} evaluate reports differ")
+          f"{reports_differ} of {len(LEXICONS)} evaluate reports differ; key-index builds: "
+          + ", ".join(f"{name} {count}" for name, count in builds.items()))
     return 1 if differ or reports_differ else 0
 
 

@@ -229,7 +229,8 @@ def selective_read(
 
     B tokens with [B,n] scores give [B,H] reads, exactly zero in a row whose token is not in the
     input and in every row before any copy scores exist.  Rows whose tokens occur equally often
-    are weighted as one batch, so each row equals its one-row read bit for bit.
+    are weighted as one batch, so each row equals its one-row read bit for bit.  The batches'
+    reads and one zero row are joined, and one gather places them in the [B,H] read.
     """
     by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
     for b, y in enumerate(y_prev):
@@ -238,12 +239,16 @@ def selective_read(
             rows, positions = by_count.setdefault(len(matches), ([], []))
             rows.append(b)
             positions.append(matches)
-    reads = [zeros((model.hidden,))] * len(y_prev)
+    if not by_count:
+        return zeros((len(y_prev), model.hidden))
+    reads = [zeros((1, model.hidden))]
+    place = np.zeros(len(y_prev), dtype=np.intp)  # row 0, the zero read, by default
+    start = 1
     for rows, positions in by_count.values():
-        read = vecmat(softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions])
-        for i, b in enumerate(rows):
-            reads[b] = read[i]
-    return stack(reads)
+        reads.append(vecmat(softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions]))
+        place[rows] = np.arange(start, start + len(rows))
+        start += len(rows)
+    return concat(reads, axis=0)[place]
 
 
 def decode_step(

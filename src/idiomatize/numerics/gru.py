@@ -39,11 +39,13 @@ def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> bool:
     return rows
 
 
-def _gru_forward(cell: GruCell, h: np.ndarray, x: np.ndarray, matmul) -> tuple[np.ndarray, ...]:
-    """The gate equations: (z, r, candidate, new state); ``matmul(a, w.T)`` forms every product."""
-    z = _sigmoid_np(matmul(x, cell.w_z.data.T) + matmul(h, cell.u_z.data.T) + cell.b_z.data)
-    r = _sigmoid_np(matmul(x, cell.w_r.data.T) + matmul(h, cell.u_r.data.T) + cell.b_r.data)
-    cand = np.tanh(matmul(x, cell.w_h.data.T) + matmul(r * h, cell.u_h.data.T) + cell.b_h.data)
+def _gru_forward(cell: GruCell, h: np.ndarray, xw: Sequence[np.ndarray], matmul) -> tuple[np.ndarray, ...]:
+    """The gate equations: (z, r, candidate, new state) from the input products
+    ``xw`` = (W_z x, W_r x, W_h x); ``matmul(a, u.T)`` forms the state products."""
+    xz, xr, xh = xw
+    z = _sigmoid_np(xz + matmul(h, cell.u_z.data.T) + cell.b_z.data)
+    r = _sigmoid_np(xr + matmul(h, cell.u_r.data.T) + cell.b_r.data)
+    cand = np.tanh(xh + matmul(r * h, cell.u_h.data.T) + cell.b_h.data)
     return z, r, cand, (1.0 - z) * h + z * cand
 
 
@@ -64,7 +66,9 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     """
     h, xd = h_prev.data, x.data
     rows = _check_shapes(cell, h, xd)
-    z, r, cand, data = _gru_forward(cell, h, xd, _row_products if rows else np.matmul)
+    matmul = _row_products if rows else np.matmul
+    xw = (matmul(xd, cell.w_z.data.T), matmul(xd, cell.w_r.data.T), matmul(xd, cell.w_h.data.T))
+    z, r, cand, data = _gru_forward(cell, h, xw, matmul)
     params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
     if not _track(x, h_prev, *params):
         return Tensor(data)
@@ -111,6 +115,38 @@ def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> list[T
     return [concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
 
 
+def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input products (W_z x, W_r x, W_h x) of every step of ``xs`` [T,B,I], each [T,B,H].
+
+    One stacked ``np.matmul`` per weight, which equals the per-step gemm
+    ``xs[t] @ w.T`` bit for bit; one flat (T*B, I) gemm does not.  They do
+    not depend on the state, so ``gru_pool_projected`` can rerun the
+    recurrence from another initial state without forming them again.
+    """
+    if xs.ndim != 3 or xs.shape[-1] != cell.input_size:
+        raise ValueError(f"inputs {xs.shape} must be [T,B,{cell.input_size}]")
+    return tuple(np.matmul(xs, w.data.T) for w in (cell.w_z, cell.w_r, cell.w_h))
+
+
+def gru_pool_projected(
+    cell: GruCell, projected: tuple[np.ndarray, ...], h0: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``gru_pool`` over the input products ``gru_project`` made: (sum of states, final state)."""
+    h = np.asarray(h0, dtype=np.float64)
+    steps, batch, _ = projected[0].shape
+    if h.ndim != 2 or h.shape[1] != cell.hidden_size or batch not in (1, h.shape[0]):
+        raise ValueError(f"initial state {h.shape} must be [B,{cell.hidden_size}] for inputs of {batch} rows")
+    if mask is not None and mask.shape != (steps, h.shape[0]):
+        raise ValueError(f"mask shape {mask.shape} != ({steps}, {h.shape[0]})")
+    keep = np.ones((steps, h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
+    total = np.zeros_like(h)
+    for t, xw in enumerate(zip(*projected)):
+        new = _gru_forward(cell, h, xw, np.matmul)[-1]
+        total += np.where(keep[t], new, 0.0)
+        h = np.where(keep[t], new, h)
+    return total, h
+
+
 def gru_pool(
     cell: GruCell, xs: np.ndarray, h0: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,18 +157,6 @@ def gru_pool(
     over hundreds of rows one gemm is much faster than ``gru_step``'s
     stacked rows, but a row may differ from its 1-D step in the last bits.
     Where the [T,B] ``mask`` is False a row keeps its state exactly and adds
-    nothing to its sum.
+    nothing to its sum.  It is ``gru_project`` followed by ``gru_pool_projected``.
     """
-    h = np.asarray(h0, dtype=np.float64)
-    if h.ndim != 2 or xs.ndim != 3:
-        raise ValueError(f"initial state {h.shape} and inputs {xs.shape} must be [B,H] and [T,B or 1,I]")
-    if mask is not None and mask.shape != (xs.shape[0], h.shape[0]):
-        raise ValueError(f"mask shape {mask.shape} != ({xs.shape[0]}, {h.shape[0]})")
-    keep = np.ones((xs.shape[0], h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
-    total = np.zeros_like(h)
-    for t in range(xs.shape[0]):
-        _check_shapes(cell, h, xs[t])
-        new = _gru_forward(cell, h, xs[t], np.matmul)[-1]
-        total += np.where(keep[t], new, 0.0)
-        h = np.where(keep[t], new, h)
-    return total, h
+    return gru_pool_projected(cell, gru_project(cell, xs), h0, mask)

@@ -330,18 +330,21 @@ def softmax(a) -> Tensor:
     return exp(sub(a, reshape(logsumexp(a, axis=-1), a.shape[:-1] + (1,))))
 
 
-def concat(parts: Sequence) -> Tensor:
-    """Join along the last axis: vectors end to end, or matrices row by row."""
+def concat(parts: Sequence, axis: int = -1) -> Tensor:
+    """Join along the last axis (vectors end to end, or matrices row by row),
+    or with ``axis=0`` along the first (matrices' rows one after another)."""
+    if axis not in (0, -1):
+        raise ValueError(f"concat joins along axis 0 or -1, not {axis}")
     parts = [_wrap(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
+    data = np.concatenate([p.data for p in parts], axis=axis)
     if not _track(*parts):
         return Tensor(data)
 
     def vjp(g):
         start = 0
         for p in parts:
-            end = start + p.data.shape[-1]
-            yield g[..., start:end]
+            end = start + p.data.shape[axis]
+            yield g[start:end] if axis == 0 else g[..., start:end]
             start = end
 
     return _node(data, tuple(parts), vjp)

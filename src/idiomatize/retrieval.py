@@ -3,13 +3,16 @@
 The key for a candidate idiom is one of its definitions (default) or its
 surface form.  A BiGRU reads [sentence, <sep>, key]; states are
 sum-pooled and a linear head produces the match score.  A query scores
-the whole lexicon in one batched, tape-free pass.  Training is
-binary classification of the gold key against uniformly sampled
-negative idioms, resampled every epoch.
+the whole lexicon in one batched, tape-free pass.  The half of that pass
+that does not depend on the query is a ``KeyIndex``, built once per key
+list and parameter values and kept on the model for the next query.
+Training is binary classification of the gold key against uniformly
+sampled negative idioms, resampled every epoch.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,8 @@ from .numerics import (
     check_sizes,
     fit,
     gru_pool,
+    gru_pool_projected,
+    gru_project,
     neg,
     no_grad,
     softplus,
@@ -67,6 +72,8 @@ class PairEncoderModel:
 
 class RetrievalModel(PairEncoderModel):
     component = "retrieval"
+    # The last key index ``score_keys`` used: a one-entry memo, checked against the parameters on every query.
+    _key_index: KeyIndex | None = None
 
     def _build_head(self, rng: Rng) -> None:
         self.score_w = self.store.add("score.weight", (2 * self.hidden,), rng)
@@ -104,20 +111,43 @@ def candidate_keys(entry: IdiomEntry, key_mode: str) -> list[tuple[int, tuple[st
     raise ValueError(f"unknown key mode {key_mode!r}")
 
 
-def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Sequence[str]]) -> np.ndarray:
-    """``score_pair`` for every key at once, as one tape-free batched pass.
+@dataclass(frozen=True, eq=False)
+class KeyIndex:
+    """The query-independent half of ``score_keys`` for one list of encoded keys.
 
-    The forward states over ``sentence + <sep>`` do not depend on the key,
-    and the backward states over a key do not depend on the sentence.  So
-    the forward prefix runs once, the forward and backward passes over the
-    keys run as one ragged batch, and the backward prefix pass starts from
-    each key's final state.  Each distinct encoded key is scored once, so
-    keys that encode alike (duplicates, or all-<unk>) score exactly alike.
+    ``rows`` maps each key to its distinct encoded key, and the [T,n]
+    ``mask`` marks each distinct key's tokens.  ``fwd_inputs`` are the
+    forward cell's input products over the keys (``gru_project``);
+    ``bwd_sum`` and ``bwd_final`` are the backward pass over the keys from
+    zero states.  ``sources`` are copies, taken at build time, of every
+    array these were computed from (``_index_sources``).
     """
-    if not sentence or not keys or not all(keys):
-        raise ValueError("sentence and key must be non-empty")
+
+    encoded: list[tuple[int, ...]]
+    token_ids: np.ndarray
+    sources: tuple[np.ndarray, ...]
+    rows: np.ndarray
+    mask: np.ndarray
+    fwd_inputs: tuple[np.ndarray, ...]
+    bwd_sum: np.ndarray
+    bwd_final: np.ndarray
+
+    def matches(self, model: RetrievalModel, encoded: list[tuple[int, ...]]) -> bool:
+        """True when ``encoded`` are this index's keys and no array it was built from has changed."""
+        return self.encoded == encoded and all(map(np.array_equal, self.sources, _index_sources(model, self.token_ids)))
+
+
+def _index_sources(model: RetrievalModel, token_ids: np.ndarray) -> list[np.ndarray]:
+    """What a key index reads: the keys' embedding rows, the forward input weights and the whole backward cell."""
+    fwd, bwd = model.fwd, model.bwd
+    backward = (bwd.w_z, bwd.u_z, bwd.b_z, bwd.w_r, bwd.u_r, bwd.b_r, bwd.w_h, bwd.u_h, bwd.b_h)
+    return [model.embedding.data[token_ids], fwd.w_z.data, fwd.w_r.data, fwd.w_h.data, *(p.data for p in backward)]
+
+
+def build_key_index(model: RetrievalModel, encoded: list[tuple[int, ...]]) -> KeyIndex:
+    """Lay the encoded keys out as one ragged batch and run their query-independent passes."""
     unique: dict[tuple[int, ...], int] = {}
-    rows = [unique.setdefault(tuple(model.vocab.encode_all(key)), len(unique)) for key in keys]
+    rows = np.array([unique.setdefault(ids, len(unique)) for ids in encoded], dtype=np.intp)
     n = len(unique)
     longest = max(len(ids) for ids in unique)
     fwd_ids = np.zeros((longest, n), dtype=np.int64)
@@ -127,14 +157,44 @@ def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Se
         fwd_ids[: len(ids), j] = ids
         bwd_ids[: len(ids), j] = ids[::-1]
         mask[: len(ids), j] = True
+    token_ids = np.unique(fwd_ids[mask])
+    sources = tuple(np.array(a) for a in _index_sources(model, token_ids))
+    emb = model.embedding.data
+    bwd_sum, bwd_final = gru_pool(model.bwd, emb[bwd_ids], np.zeros((n, model.hidden)), mask)
+    return KeyIndex(encoded, token_ids, sources, rows, mask, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
+
+
+def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Sequence[str]]) -> np.ndarray:
+    """``score_pair`` for every key at once, as one tape-free batched pass.
+
+    The forward states over ``sentence + <sep>`` do not depend on the key,
+    and the backward states over a key do not depend on the sentence.  So
+    the forward prefix runs once, the forward pass over the keys runs as
+    one ragged batch from its final state, and the backward prefix pass
+    starts from each key's final backward state.  Each distinct encoded key
+    is scored once, so keys that encode alike (duplicates, or all-<unk>)
+    score exactly alike.
+
+    The keys' backward pass and their forward input products do not depend
+    on the query either: they form a ``KeyIndex``, kept on the model and
+    reused while the keys encode alike and every array it was built from
+    still equals its build-time copy (``np.array_equal``).  So in-place
+    optimizer steps, reassigned parameters and hand edits all rebuild it,
+    and a reused index gives the same scores, bit for bit, as a new one.
+    """
+    if not sentence or not keys or not all(keys):
+        raise ValueError("sentence and key must be non-empty")
+    encoded = [tuple(model.vocab.encode_all(key)) for key in keys]
+    index = model._key_index
+    if index is None or not index.matches(model, encoded):
+        index = model._key_index = build_key_index(model, encoded)
     emb = model.embedding.data
     prefix = emb[model.vocab.encode_all(list(sentence) + [SEP])][:, None, :]
     f_prefix, h = gru_pool(model.fwd, prefix, np.zeros((1, model.hidden)))
-    f_key, _ = gru_pool(model.fwd, emb[fwd_ids], np.repeat(h, n, axis=0), mask)
-    b_key, h = gru_pool(model.bwd, emb[bwd_ids], np.zeros((n, model.hidden)), mask)
-    b_prefix, _ = gru_pool(model.bwd, prefix[::-1], h)
-    pooled = np.concatenate([f_prefix + f_key, b_key + b_prefix], axis=1)
-    return (pooled @ model.score_w.data + model.score_b.data)[rows]
+    f_key, _ = gru_pool_projected(model.fwd, index.fwd_inputs, np.repeat(h, len(index.bwd_sum), axis=0), index.mask)
+    b_prefix, _ = gru_pool(model.bwd, prefix[::-1], index.bwd_final)
+    pooled = np.concatenate([f_prefix + f_key, index.bwd_sum + b_prefix], axis=1)
+    return (pooled @ model.score_w.data + model.score_b.data)[index.rows]
 
 
 def retrieve_top1(

@@ -25,6 +25,8 @@ from idiomatize.numerics import (
     global_grad_norm,
     grad_check,
     gru_pool,
+    gru_pool_projected,
+    gru_project,
     gru_run,
     gru_step,
     log,
@@ -251,6 +253,10 @@ OP_CASES = {
     "softmax_rows": (lambda a: _projected(softmax(a), [[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]), [(2, 3)]),
     "concat": (lambda a, b: _projected(concat([a, b]), [1.0, 2.0, 3.0, -1.0, 0.5]), [(2,), (3,)]),
     "concat_rows": (lambda a, b: _projected(concat([a, b]), [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0]]), [(2, 1), (2, 2)]),
+    "concat_axis0": (
+        lambda a, b: _projected(concat([a, b], axis=0), [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0], [2.0, -3.0, 0.25]]),
+        [(1, 3), (2, 3)],
+    ),
     "stack": (lambda a, b: tsum(stack([a, b]) @ Tensor([1.0, -1.0, 2.0])), [(3,), (3,)]),
     "getitem_dup": (lambda a: tsum(a[[0, 0, 2]]), [(3, 2)]),
     "getitem_pairs": (lambda a: tsum(a[[0, 1, 1], [2, 0, 2]]), [(2, 3)]),
@@ -259,6 +265,13 @@ OP_CASES = {
     "reshape": (lambda a: tsum(reshape(a, (2, 3)) @ Tensor([1.0, 2.0, 3.0])), [(6,)]),
     "tsum_axis": (lambda a: _projected(tsum(a, axis=0), [1.0, -1.0, 2.0]), [(4, 3)]),
 }
+
+
+def test_concat_joins_along_the_first_or_last_axis_only():
+    a, b = Tensor(np.ones((1, 2))), Tensor(np.zeros((2, 2)))
+    assert concat([a, b], axis=0).data.tolist() == [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="axis 0 or -1"):
+        concat([a, b], axis=1)
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -461,6 +474,36 @@ def test_gru_pool_equals_gemm_reference(batch, steps, shared, seed):
     want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
     assert np.array_equal(pooled, want_pooled)
     assert np.array_equal(final, want_final)
+
+
+@pytest.mark.parametrize(
+    "steps, batch, rows, ragged",
+    [
+        (15, 1, 1, False),  # one row
+        (40, 1, 1, False),
+        (7, 1, 5, False),  # a [T,1,I] input shared by every row
+        (3, 1, 7, True),
+        (10, 23, 23, True),  # a masked ragged batch, as score_keys lays out its keys
+        (10, 223, 223, True),
+    ],
+)
+def test_gru_project_equals_per_step_products(steps, batch, rows, ragged):
+    rng = np.random.default_rng(steps * 1000 + batch)
+    cell = GruCell(ParamStore(), "cell", 64, 64, Rng(3))
+    xs = rng.normal(size=(steps, batch, 64))
+    projected = gru_project(cell, xs)
+    for w, products in zip((cell.w_z, cell.w_r, cell.w_h), projected):
+        assert products.shape == (steps, batch, 64)
+        for t in range(steps):
+            assert np.array_equal(products[t], xs[t] @ w.data.T)
+    lengths = rng.integers(1, steps + 1, size=rows) if ragged else np.full(rows, steps)
+    mask = np.arange(steps)[:, None] < lengths
+    # The same products serve any initial state, each run equal to the gemm recurrence.
+    for h0 in (np.zeros((rows, 64)), rng.normal(size=(rows, 64))):
+        pooled, final = gru_pool_projected(cell, projected, h0, mask)
+        want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
+        assert np.array_equal(pooled, want_pooled)
+        assert np.array_equal(final, want_final)
 
 
 def test_gru_pool_shape_errors():

@@ -9,14 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, RetrievalModel, build_vocab, retrieve_top1, train_retrieval
+from idiomatize import (
+    ExtractorModel,
+    IdiomEntry,
+    ParallelPair,
+    RetrievalModel,
+    build_vocab,
+    load_checkpoint,
+    retrieve_top1,
+    retrieval,
+    save_checkpoint,
+    train_retrieval,
+)
 from idiomatize.corpus import RESERVED, Vocabulary
-from idiomatize.numerics import bigru_encode, no_grad, stack, tsum
+from idiomatize.numerics import adam_step, bigru_encode, no_grad, stack, tsum
 from idiomatize.retrieval import (
     KEY_MODES,
     candidate_keys,
     encode_candidate,
     evaluate_retrieval,
+    score,
     score_keys,
     score_pair,
 )
@@ -163,6 +175,151 @@ def test_retrieve_top1_matches_per_key_oracle(n_idioms, hidden, key_mode, seed):
     keys = [key for e in lexicon for _, key in candidate_keys(e, key_mode)]
     scalar = [score_pair(model, sentence, key) for key in keys]
     assert np.abs(score_keys(model, sentence, keys) - scalar).max() <= 1e-12
+
+
+# Key-index tests: the sentence uses w0-w3 and the keys w2-w11, so w8-w11
+# reach the scores only through the keys' side of the pass.
+_INDEX_WORDS = tuple(f"w{i}" for i in range(12))
+_INDEX_SENTENCE = ("w0", "w3", "w1", "w2")
+
+
+def _index_lexicon(seed, n_idioms):
+    rng = np.random.default_rng(seed)
+
+    def phrase():
+        return tuple(rng.choice(_INDEX_WORDS[2:], size=int(rng.integers(1, 5))).tolist())
+
+    return [
+        IdiomEntry(id=f"s{seed}i{i}", surface=phrase(), senses=tuple(phrase() for _ in range(int(rng.integers(1, 4)))))
+        for i in range(n_idioms)
+    ]
+
+
+def _index_model(seed=0):
+    return RetrievalModel(Vocabulary(RESERVED + _INDEX_WORDS), embed_dim=6, hidden=5, seed=seed)
+
+
+def _keys(lexicon, key_mode="definition"):
+    return [key for e in lexicon for _, key in candidate_keys(e, key_mode)]
+
+
+def _cold_scores(model, sentence, keys, tmp_path):
+    """``score_keys`` on a fresh model loaded from a checkpoint of ``model``'s parameters."""
+    path = str(tmp_path / "cold.json")
+    save_checkpoint(model, path)
+    return score_keys(load_checkpoint(path), sentence, keys)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Count ``build_key_index`` calls; a test reads the count around its own calls."""
+    calls = []
+    build = retrieval.build_key_index
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(retrieval, "build_key_index", counted)
+    return calls
+
+
+def _warm_scores(model, sentence, keys, builds):
+    """``score_keys`` and whether it built a new key index."""
+    before = len(builds)
+    got = score_keys(model, sentence, keys)
+    return got, len(builds) > before
+
+
+def test_key_index_hit_equals_cold_model_from_checkpoint(tmp_path, index_builds):
+    model, other = _index_model(0), _index_model(1)
+    keys = _keys(_index_lexicon(0, 6))
+    first, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+    assert built
+    again, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+    assert not built and np.array_equal(again, first)
+    assert np.array_equal(first, _cold_scores(model, _INDEX_SENTENCE, keys, tmp_path))
+    # Replace every parameter array, as load_checkpoint does.
+    for name, param in model.store.items():
+        param.data = other.store[name].data.copy()
+    for sentence, expect_build in ((_INDEX_SENTENCE, True), (("w1", "w1"), False), (_INDEX_SENTENCE, False)):
+        got, built = _warm_scores(model, sentence, keys, index_builds)
+        assert built == expect_build
+        assert np.array_equal(got, _cold_scores(model, sentence, keys, tmp_path))
+    assert not np.array_equal(got, first)
+
+
+def test_key_index_alternating_lexicons_and_key_modes(tmp_path, index_builds):
+    model = _index_model(2)
+    lex_a, lex_b = _index_lexicon(3, 5), _index_lexicon(4, 7)
+    # (lexicon, key mode, parameter change made before the call, whether it builds)
+    calls = [
+        (lex_a, "definition", None, True),
+        (lex_a, "definition", None, False),
+        (lex_b, "idiom", None, True),
+        (lex_a, "idiom", None, True),
+        (lex_a, "idiom", "bwd", True),
+        (lex_b, "definition", None, True),
+        (lex_b, "definition", "fwd", True),
+        (lex_b, "definition", None, False),
+        (lex_a, "definition", None, True),
+    ]
+    for lexicon, key_mode, change, expect_build in calls:
+        if change == "bwd":
+            model.bwd.u_r.data *= 1.25
+        elif change == "fwd":
+            model.fwd.w_r.data = model.fwd.w_r.data * 0.75
+        keys = _keys(lexicon, key_mode)
+        got, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+        assert built == expect_build
+        assert np.array_equal(got, _cold_scores(model, _INDEX_SENTENCE, keys, tmp_path))
+        cold = load_checkpoint(str(tmp_path / "cold.json"))
+        assert retrieve_top1(model, _INDEX_SENTENCE, lexicon, key_mode) == retrieve_top1(
+            cold, _INDEX_SENTENCE, lexicon, key_mode
+        )
+
+
+def _scale_bwd_weight_in_place(model):
+    model.bwd.w_z.data *= 1.5
+
+
+def _reassign_fwd_weight(model):
+    model.fwd.w_h.data = model.fwd.w_h.data + 0.25
+
+
+def _one_adam_step(model):
+    score(model, encode_candidate(model, _INDEX_SENTENCE, ("w9", "w4"))).backward()
+    adam_step(model.store, 0.05)
+
+
+def _edit_key_token_row(model):
+    model.embedding.data[model.vocab.get("w9")] += 0.5
+
+
+@pytest.mark.parametrize(
+    "change", [_scale_bwd_weight_in_place, _reassign_fwd_weight, _one_adam_step, _edit_key_token_row]
+)
+def test_key_index_rebuilt_after_parameter_change(change, tmp_path, index_builds):
+    model = _index_model(5)
+    keys = _keys(_index_lexicon(6, 6)) + [("w9", "w10"), ("w9",)]
+    before = score_keys(model, _INDEX_SENTENCE, keys)
+    change(model)
+    got, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+    assert built and not np.array_equal(got, before)
+    assert np.array_equal(got, _cold_scores(model, _INDEX_SENTENCE, keys, tmp_path))
+
+
+def test_key_index_keeps_exact_ties_of_duplicate_and_unknown_keys(tmp_path, index_builds):
+    model = _index_model(7)
+    keys = [("w4", "w9"), ("zzz", "yyy"), ("w5",), ("w4", "w9"), ("qqq", "www"), ("w4", "w9")]
+    first = score_keys(model, _INDEX_SENTENCE, keys)
+    model.bwd.b_h.data += 0.1
+    for expect_build in (True, False):
+        got, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+        assert built == expect_build
+        assert got[0] == got[3] == got[5] and got[1] == got[4]
+        assert np.array_equal(got, _cold_scores(model, _INDEX_SENTENCE, keys, tmp_path))
+    assert not np.array_equal(got, first)
 
 
 def test_retrieve_top1_tie_breaks_to_earliest(tiny_retrieval):
