@@ -125,7 +125,8 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     alignment found is the greedy one, which always has the most matches.
     """
     ref_counts = Counter(ref)
-    max_matches = sum(min(c, ref_counts[t]) for t, c in Counter(hyp).items())
+    hyp_counts = Counter(hyp)
+    max_matches = sum(min(c, ref_counts[t]) for t, c in hyp_counts.items())
     if max_matches == 0:
         return 0, 0
     if hyp == ref:
@@ -133,12 +134,19 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
     ref_positions: dict[str, list[int]] = {}
     for j, t in enumerate(ref):
         ref_positions.setdefault(t, []).append(j)
-    # Suffix upper bound on future matches, ignoring position conflicts.
+    # Suffix upper bound on future matches, ignoring position conflicts, and
+    # lower bound on future chunks: every maximal matching matches each token
+    # whose type the reference holds at least as often, and such a token
+    # starts a chunk unless its predecessor precedes it somewhere in the reference.
+    ref_bigrams = set(zip(ref, ref[1:]))
     remaining = [0] * (len(hyp) + 1)
+    must_start = [0] * (len(hyp) + 1)
     suffix_counts: Counter = Counter()
     for i in range(len(hyp) - 1, -1, -1):
         suffix_counts[hyp[i]] += 1
         remaining[i] = sum(min(c, ref_counts[t]) for t, c in suffix_counts.items())
+        forced = hyp_counts[hyp[i]] <= ref_counts[hyp[i]]
+        must_start[i] = must_start[i + 1] + (forced and (i == 0 or (hyp[i - 1], hyp[i]) not in ref_bigrams))
     best_chunks, nodes, used = max_matches + 1, 0, [False] * len(ref)
     # A node (i, matched, chunks, j) aligns hyp[i:] after hyp[i - 1] took reference position j
     # (-2: it stayed unmatched).  (-1, 0, 0, j) frees j once the node that took it is done.
@@ -151,7 +159,7 @@ def _align(hyp: list[str], ref: list[str]) -> tuple[int, int]:
         nodes += 1
         if j >= 0:
             used[j] = True
-        if chunks >= best_chunks or matched + remaining[i] < max_matches:
+        if chunks + must_start[i] >= best_chunks or matched + remaining[i] < max_matches:
             continue
         if i == len(hyp):
             best_chunks = chunks  # only maximal matchings get here

@@ -39,11 +39,7 @@ class ParamStore:
         """New parameter with entries uniform in (-scale, scale), row-major draw order."""
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
-        size = 1
-        for s in shape:
-            size *= s
-        values = np.array([rng.uniform(-scale, scale) for _ in range(size)], dtype=np.float64)
-        t = Tensor(values.reshape(shape), requires_grad=True)
+        t = Tensor(rng.uniforms(math.prod(shape), -scale, scale).reshape(shape), requires_grad=True)
         self.params[name] = t
         return t
 

@@ -174,7 +174,7 @@ def zeros(shape) -> Tensor:
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # Stable in both tails: exp(-|x|) never overflows.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def add(a, b) -> Tensor:

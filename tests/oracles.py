@@ -151,6 +151,18 @@ def reference_greedy_chunks(hypothesis, reference):
     return chunks
 
 
+def reference_param_init(rng, shape, scale):
+    """Entries uniform in (-scale, scale), one scalar draw of ``rng`` each, row-major."""
+    values = [rng.uniform(-scale, scale) for _ in range(math.prod(shape))]
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+def reference_sigmoid(x):
+    """Stable logistic with one division per branch: 1/(1+e) where x >= 0, e/(1+e) below, e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def reference_gru_step(weights, h_prev, x):
     """Documented gate equations evaluated directly on raw arrays."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idiomatize import MetricReport, bleu, meteor, metrics, part_accuracy, rouge, span_f1
@@ -163,6 +163,32 @@ def test_meteor_parameter_overrides(monkeypatch):
 @given(st.lists(st.sampled_from("abc"), max_size=8), st.lists(st.sampled_from("abc"), max_size=8))
 def test_meteor_alignment_equals_brute_force(hyp, ref):
     assert metrics._align(hyp, ref) == reference_meteor_alignment(hyp, ref)
+
+
+def _enumerated_alignments(hyp, ref):
+    # Alignments reference_meteor_alignment enumerates: per type, C(hyp count, k) * P(ref count, k).
+    counts = Counter(ref)
+    size = 1
+    for t, c in Counter(hyp).items():
+        k = min(c, counts[t])
+        size *= math.comb(c, k) * math.perm(counts[t], k)
+    return size
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from("abcd"), max_size=10), st.lists(st.sampled_from("abcd"), max_size=12))
+def test_meteor_alignment_equals_brute_force_on_four_word_types(hyp, ref):
+    # Long enough that the search without its bound on chunks still to start
+    # could reach the node budget, short enough for the brute force.
+    assume(_enumerated_alignments(hyp, ref) <= 20_000)
+    assert metrics._align(hyp, ref) == reference_meteor_alignment(hyp, ref)
+
+
+def test_meteor_alignment_counts_chunks_that_must_still_start():
+    # Without that bound the search spends its node budget before finding the
+    # five-chunk alignment and reports six.
+    hyp, ref = list("bbabccbbdb"), list("dacdacdbbcbabb")
+    assert metrics._align(hyp, ref) == reference_meteor_alignment(hyp, ref) == (9, 5)
 
 
 def _shuffled_sentence_probe(n):

@@ -46,10 +46,17 @@ from idiomatize.numerics import (
     zeros,
 )
 from idiomatize.numerics.optim import INIT_SCALE
-from idiomatize.numerics.tensor import _node
+from idiomatize.numerics.tensor import _node, _sigmoid_np
 from idiomatize.rng import Rng
 
-from oracles import reference_gru_pool_gemm, reference_gru_step, reference_logsumexp, reference_softmax
+from oracles import (
+    reference_gru_pool_gemm,
+    reference_gru_step,
+    reference_logsumexp,
+    reference_param_init,
+    reference_sigmoid,
+    reference_softmax,
+)
 
 finite_floats = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -135,6 +142,57 @@ def test_rng_sample_distinct_subset():
 def test_rng_uniform_range():
     rng = Rng(2)
     assert all(-3.0 <= rng.uniform(-3.0, 4.0) < 4.0 for _ in range(200))
+
+
+# Lane lengths are powers of two, so draws of 2**k - 1, 2**k and 2**k + 1 values
+# end just inside, on and just past a lane boundary.
+draw_counts = st.one_of(
+    st.integers(min_value=0, max_value=5000),
+    st.builds(lambda k, d: max(0, (1 << k) + d), st.integers(min_value=0, max_value=14), st.sampled_from((-1, 0, 1))),
+)
+
+
+@given(
+    st.one_of(st.sampled_from((0, 2**63)), st.integers(min_value=0, max_value=2**64 - 1)),
+    draw_counts,
+    st.sampled_from(((-INIT_SCALE, INIT_SCALE), (-2, 2), (0.0, 1.0), (-3.0, 4.0), (1e-3, 1e3))),
+)
+def test_rng_uniforms_is_the_scalar_stream(seed, n, bounds):
+    lo, hi = bounds
+    fast, slow = Rng(seed), Rng(seed)
+    values = fast.uniforms(n, lo, hi)
+    expect = np.array([slow.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+    assert values.dtype == np.float64 and values.shape == (n,)
+    assert np.array_equal(values.view(np.uint64), expect.view(np.uint64))
+    assert fast._state == slow._state
+    assert [fast.next_u64() for _ in range(16)] == [slow.next_u64() for _ in range(16)]
+
+
+def test_rng_uniforms_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        Rng(0).uniforms(-1, 0.0, 1.0)
+
+
+def test_param_store_init_draws_the_scalar_stream_between_other_draws():
+    store, rng, ref_rng = ParamStore(), Rng(17), Rng(17)
+    first = store.add("first", (64, 70), rng)
+    picks = [rng.randint(1000) for _ in range(5)]
+    second = store.add("second", (3,), rng, scale=0.5)
+    empty = store.add("empty", (0, 4), rng)
+    third = store.add("third", (129, 2), rng)
+    assert np.array_equal(first.data, reference_param_init(ref_rng, (64, 70), INIT_SCALE))
+    assert picks == [ref_rng.randint(1000) for _ in range(5)]
+    assert np.array_equal(second.data, reference_param_init(ref_rng, (3,), 0.5))
+    assert empty.data.shape == (0, 4)
+    assert np.array_equal(third.data, reference_param_init(ref_rng, (129, 2), INIT_SCALE))
+    assert rng.next_u64() == ref_rng.next_u64()
+
+
+def test_sigmoid_equals_the_two_division_form_bit_for_bit():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, np.nan, 5e-324, -5e-324, 36.7, -745.2])
+    rng = Rng(4)
+    for x in (edges, rng.uniforms(223 * 64, -40.0, 40.0).reshape(223, 64), rng.uniforms(64, -3.0, 3.0).reshape(1, 64)):
+        assert np.array_equal(_sigmoid_np(x), reference_sigmoid(x), equal_nan=True)
 
 
 # --- elementwise and reduction ops --------------------------------------
