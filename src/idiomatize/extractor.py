@@ -19,6 +19,7 @@ from .metrics import span_f1
 from .numerics import (
     Tensor,
     adam_step,
+    concat,
     fit,
     logsumexp,
     no_grad,
@@ -49,7 +50,7 @@ def unary_scores(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     """(n, 3) label scores for the n sentence positions."""
     if not sentence:
         raise ValueError("empty sentence")
-    sentence_states = stack(model.encode_pair(sentence, definition)[: len(sentence)])
+    sentence_states = concat(model.encode_pair(sentence, definition)[: len(sentence)], axis=0)
     return sentence_states @ model.unary_w + model.unary_b
 
 

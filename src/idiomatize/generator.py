@@ -36,9 +36,7 @@ from .numerics import (
     logsumexp,
     matvec,
     no_grad,
-    reshape,
     softmax,
-    stack,
     tanh,
     vecmat,
     zeros,
@@ -159,10 +157,9 @@ def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
     """(n, hidden) memory matrix of BiGRU states."""
     vecs = []
     for token, indicator in zip(inp.tokens, inp.indicators):
-        w = model.word_emb[model.vocab.encode(token)]
-        c = model.copy_emb[indicator]
-        vecs.append(concat([w, c]))
-    return stack(bigru_encode(model.enc_fwd, model.enc_bwd, vecs))
+        i = model.vocab.encode(token)
+        vecs.append(concat([model.word_emb[i : i + 1], model.copy_emb[indicator : indicator + 1]]))
+    return concat(bigru_encode(model.enc_fwd, model.enc_bwd, vecs), axis=0)
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,8 @@ def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
     """First decoder state, one [1,H] row, from the final forward/backward encoder states."""
     half = model.hidden // 2
     n = ctx.memory.shape[0]
-    final = concat([ctx.memory[n - 1][:half], ctx.memory[0][half:]])
-    return DecodeState(reshape(tanh(model.init_w @ final + model.init_b), (1, model.hidden)))
+    final = concat([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]])
+    return DecodeState(tanh(matvec(model.init_w, final) + model.init_b))
 
 
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:

@@ -39,9 +39,9 @@ def grad_check(loss_fn: Callable[[ParamStore], Tensor], store: ParamStore, eps: 
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + eps
-                f_hi = float(loss_fn(store).data)
+                f_hi = loss_fn(store).item()
                 flat[i] = keep - eps
-                f_lo = float(loss_fn(store).data)
+                f_lo = loss_fn(store).item()
                 flat[i] = keep
                 numeric = (f_hi - f_lo) / (2.0 * eps)
                 if not np.isfinite(numeric):

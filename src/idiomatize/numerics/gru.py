@@ -8,7 +8,7 @@ import numpy as np
 
 from ..rng import Rng
 from .optim import ParamStore
-from .tensor import Tensor, _accum, _node, _row_outer, _row_products, _sigmoid_np, _track, _unbroadcast, concat, zeros
+from .tensor import Tensor, _accum, _node, _row_outer, _sigmoid_np, _track, _unbroadcast, concat, zeros
 
 
 class GruCell:
@@ -28,15 +28,12 @@ class GruCell:
         self.b_h = store.add_zeros(f"{prefix}.b_h", (hidden_size,))
 
 
-def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> bool:
-    """Raise unless ``h_prev`` is [H] with ``x`` [I], or [B,H] with ``x`` [B,I] or [1,I]; True for rows."""
-    rows = h_prev.ndim == 2
-    want = (h_prev.shape[0], cell.hidden_size) if rows else (cell.hidden_size,)
-    if h_prev.shape != want:
-        raise ValueError(f"hidden state shape {h_prev.shape} != {want}")
-    if x.shape not in ({(1, cell.input_size), (want[0], cell.input_size)} if rows else {(cell.input_size,)}):
-        raise ValueError(f"input shape {x.shape} != {(*want[:-1], cell.input_size)}")
-    return rows
+def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless ``h_prev`` is [B,H] and ``x`` [B,I]."""
+    if h_prev.ndim != 2 or h_prev.shape[1] != cell.hidden_size:
+        raise ValueError(f"hidden state shape {h_prev.shape} is not [B,{cell.hidden_size}]")
+    if x.shape != (h_prev.shape[0], cell.input_size):
+        raise ValueError(f"input shape {x.shape} != {(h_prev.shape[0], cell.input_size)}")
 
 
 def _gru_forward(cell: GruCell, h: np.ndarray, xw: Sequence[np.ndarray], matmul) -> tuple[np.ndarray, ...]:
@@ -50,54 +47,51 @@ def _gru_forward(cell: GruCell, h: np.ndarray, xw: Sequence[np.ndarray], matmul)
 
 
 def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
-    """One GRU step as one tape node: ``h_prev`` [H] and ``x`` [I] give
+    """One GRU step of B rows as one tape node: each row of ``h_prev`` [B,H] and ``x`` [B,I] gives
 
         z = sigmoid(W_z x + U_z h + b_z)
         r = sigmoid(W_r x + U_r h + b_r)
         c = tanh(W_h x + U_h (r * h) + b_h)
         h' = (1 - z) * h + z * c
 
-    so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Rows work
-    too: ``h_prev`` [B,H] with ``x`` [B,I], or [1,I] shared by every row, each
-    equal to its 1-D call bit for bit, gradients included; a weight's gradient
-    sums the rows' outer products.  The backward adds into its parents'
-    gradients itself and returns None, each gradient's terms in the order the
-    composed matmul, add, sigmoid, tanh and mul ops added them, bit for bit.
+    so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Every
+    product is an ``np.vecmat`` row product, so each row equals its one-row
+    call bit for bit, gradients included; a weight's gradient sums the rows'
+    outer products.  The backward adds into its parents' gradients itself
+    and returns None, each gradient's terms in the order the composed
+    matmul, add, sigmoid, tanh and mul ops added them, bit for bit.
     """
     h, xd = h_prev.data, x.data
-    rows = _check_shapes(cell, h, xd)
-    matmul = _row_products if rows else np.matmul
-    xw = (matmul(xd, cell.w_z.data.T), matmul(xd, cell.w_r.data.T), matmul(xd, cell.w_h.data.T))
-    z, r, cand, data = _gru_forward(cell, h, xw, matmul)
+    _check_shapes(cell, h, xd)
+    xw = (np.vecmat(xd, cell.w_z.data.T), np.vecmat(xd, cell.w_r.data.T), np.vecmat(xd, cell.w_h.data.T))
+    z, r, cand, data = _gru_forward(cell, h, xw, np.vecmat)
     params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
     if not _track(x, h_prev, *params):
         return Tensor(data)
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
-    # A [1,I] input shared by B rows enters each row's weight gradient.
-    x_rows = xd if xd.shape[:-1] == h.shape[:-1] else np.broadcast_to(xd, h.shape[:-1] + xd.shape[-1:])
 
     def bw(g):
         d_z = (g * cand - g * h) * z * (1.0 - z)
         d_c = g * z * (1.0 - cand**2)
-        d_rh = _row_products(d_c, u_h.data)
+        d_rh = np.vecmat(d_c, u_h.data)
         d_r = d_rh * h * r * (1.0 - r)
         if h_prev.requires_grad:
             _accum(h_prev, g * (1.0 - z))
         for d, w, u, b, u_in in ((d_z, w_z, u_z, b_z, h), (d_c, w_h, u_h, b_h, r * h), (d_r, w_r, u_r, b_r, h)):
             _accum(b, _unbroadcast(d, b.data.shape))
-            _accum(w, _row_outer(d, x_rows))
+            _accum(w, _row_outer(d, xd))
             if x.requires_grad:
-                _accum(x, _unbroadcast(_row_products(d, w.data), xd.shape))
+                _accum(x, np.vecmat(d, w.data))
             _accum(u, _row_outer(d, u_in))
             if h_prev.requires_grad:
-                _accum(h_prev, d_rh * r if u is u_h else _row_products(d, u.data))
+                _accum(h_prev, d_rh * r if u is u_h else np.vecmat(d, u.data))
 
     return _node(data, (x, *params, h_prev), bw)
 
 
-def gru_run(cell: GruCell, inputs: Sequence[Tensor], h0: Tensor | None = None) -> list[Tensor]:
-    """States after each input, starting from h0 (zeros by default)."""
-    h = h0 if h0 is not None else zeros((cell.hidden_size,))
+def gru_run(cell: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:
+    """The [1,H] states after each [1,I] input, starting from zeros."""
+    h = zeros((1, cell.hidden_size))
     states = []
     for x in inputs:
         h = gru_step(cell, h, x)
@@ -106,9 +100,7 @@ def gru_run(cell: GruCell, inputs: Sequence[Tensor], h0: Tensor | None = None) -
 
 
 def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Per-position [forward ; backward] states; empty input gives []."""
-    if not inputs:
-        return []
+    """Per-position [forward ; backward] states, each [1,2H], over [1,I] inputs; empty input gives []."""
     fwd_states = gru_run(fwd, inputs)
     bwd_states = gru_run(bwd, list(reversed(inputs)))
     bwd_states.reverse()
@@ -155,7 +147,7 @@ def gru_pool(
     ``xs`` is [T,B,I], or [T,1,I] for inputs every row shares; ``h0`` is
     [B,H].  Each step is ``gru_step``'s gate equations with gemm products:
     over hundreds of rows one gemm is much faster than ``gru_step``'s
-    stacked rows, but a row may differ from its 1-D step in the last bits.
+    row products, but a row may differ from its one-row step in the last bits.
     Where the [T,B] ``mask`` is False a row keeps its state exactly and adds
     nothing to its sum.  It is ``gru_project`` followed by ``gru_pool_projected``.
     """

@@ -58,7 +58,8 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor of any shape, such as a [1,1] score."""
+        return self.data.item()
 
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad over the whole graph."""
@@ -211,44 +212,32 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix/vector product for the 1-D/2-D combinations numpy allows."""
+    """Product of two matrices; a vector is a one-row [1,I] or one-column [I,1] matrix."""
     a, b = _wrap(a), _wrap(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul takes two matrices, got shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
     if not _track(a, b):
         return Tensor(data)
-    if a.ndim == 2 and b.ndim == 1:
-        return _node(data, (a, b), lambda g: (np.outer(g, b.data), a.data.T @ g))
-    if a.ndim == 2:
-        return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-    if b.ndim == 2:
-        return _node(data, (a, b), lambda g: (b.data @ g, np.outer(a.data, g)))
-    return _node(data, (a, b), lambda g: (g * b.data, g * a.data))  # 1-D @ 1-D
-
-
-def _row_products(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x[b] @ w`` for each row of ``x`` [B,I] (a vector is one row) and ``w`` [I,J], or ``w[b]`` of [B,I,J].
-
-    Stacked vector-matrix products: each row equals its own 1-D product bit for
-    bit, and so does ``w.T @ x[b]``; the gemm ``x @ w`` gives no such guarantee.
-    """
-    return np.matmul(x, w) if x.ndim == 1 else np.matmul(x[:, None, :], w)[:, 0]
+    return _node(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def _row_outer(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The sum of the rows' outer products ``x[b] g[b]^T``: [I,J]; one row gives ``np.outer`` bit for bit."""
-    return np.dot(np.atleast_2d(x).T, np.atleast_2d(g))
+    return np.dot(x.T, g)
 
 
 def matvec(w, x) -> Tensor:
-    """``w @ x[b]`` for each row of ``x`` [B,I]: [B,J].  Each row equals its 1-D product bit for bit,
-    gradient included; ``w``'s gradient sums the rows' outer products."""
+    """``w @ x[b]`` for each row of ``x`` [B,I]: [B,J].  ``np.vecmat`` forms each row as its own
+    vector-matrix product, so each row equals its 1-D product bit for bit, gradient included, where
+    the gemm ``x @ w.T`` does not; ``w``'s gradient sums the rows' outer products."""
     w, x = _wrap(w), _wrap(x)
     if x.ndim != 2:
         raise ValueError(f"matvec takes [B,I] rows, got shape {x.shape}")
-    data = _row_products(x.data, w.data.T)
+    data = np.vecmat(x.data, w.data.T)
     if not _track(w, x):
         return Tensor(data)
-    return _node(data, (w, x), lambda g: (_row_outer(g, x.data), _row_products(g, w.data)))
+    return _node(data, (w, x), lambda g: (_row_outer(g, x.data), np.vecmat(g, w.data)))
 
 
 def vecmat(x, w) -> Tensor:
@@ -257,14 +246,14 @@ def vecmat(x, w) -> Tensor:
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 2:
         raise ValueError(f"vecmat takes [B,I] rows, got shape {x.shape}")
-    data = _row_products(x.data, w.data)
+    data = np.vecmat(x.data, w.data)
     if not _track(x, w):
         return Tensor(data)
     if w.ndim == 3:
         return _node(
-            data, (x, w), lambda g: (_row_products(g, w.data.swapaxes(1, 2)), x.data[:, :, None] * g[:, None, :])
+            data, (x, w), lambda g: (np.vecmat(g, w.data.swapaxes(1, 2)), x.data[:, :, None] * g[:, None, :])
         )
-    return _node(data, (x, w), lambda g: (_row_products(g, w.data.T), _row_outer(x.data, g)))
+    return _node(data, (x, w), lambda g: (np.vecmat(g, w.data.T), _row_outer(x.data, g)))
 
 
 def tsum(a, axis: int | None = None) -> Tensor:

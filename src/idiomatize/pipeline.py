@@ -126,9 +126,9 @@ def save_checkpoint(model, path: str) -> None:
         "vocabulary": list(model.vocab.tokens),
         "tensors": tensors,
     }
+    # json.dumps runs the C encoder; json.dump would encode chunk by chunk in Python.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_checkpoint(path: str):

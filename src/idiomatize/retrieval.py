@@ -26,15 +26,17 @@ from .numerics import (
     adam_step,
     bigru_encode,
     check_sizes,
+    concat,
     fit,
     gru_pool,
     gru_pool_projected,
     gru_project,
     neg,
     no_grad,
+    reshape,
     softplus,
-    stack,
     tsum,
+    vecmat,
 )
 from .rng import Rng
 
@@ -65,9 +67,9 @@ class PairEncoderModel:
         return {"embed_dim": self.embed_dim, "hidden": self.hidden, "seed": self.seed}
 
     def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> list[Tensor]:
-        """Per-position [forward ; backward] states over [sentence, <sep>, key]."""
+        """Per-position [forward ; backward] states, each [1,2H], over [sentence, <sep>, key]."""
         ids = self.vocab.encode_all(list(sentence) + [SEP] + list(key))
-        return bigru_encode(self.fwd, self.bwd, [self.embedding[i] for i in ids])
+        return bigru_encode(self.fwd, self.bwd, [self.embedding[i : i + 1] for i in ids])
 
 
 class RetrievalModel(PairEncoderModel):
@@ -81,15 +83,15 @@ class RetrievalModel(PairEncoderModel):
 
 
 def encode_candidate(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
-    """Sum-pooled BiGRU states over [sentence, <sep>, key]."""
+    """Sum-pooled BiGRU states over [sentence, <sep>, key]: one [1,2H] row."""
     if not sentence or not key:
         raise ValueError("sentence and key must be non-empty")
-    return tsum(stack(model.encode_pair(sentence, key)), axis=0)
+    return reshape(tsum(concat(model.encode_pair(sentence, key), axis=0), axis=0), (1, 2 * model.hidden))
 
 
 def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
-    """Linear match score w . h + b."""
-    return model.score_w @ h_pooled + model.score_b
+    """Linear match score h . w + b of each pooled [B,2H] row: [B,1]."""
+    return vecmat(h_pooled, reshape(model.score_w, (-1, 1))) + model.score_b
 
 
 def score_pair(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> float:

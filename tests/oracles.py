@@ -163,6 +163,23 @@ def reference_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def reference_matmul(a, b):
+    """``a @ b`` for the 1-D and 2-D combinations numpy allows, and its gradient rules.
+
+    Returns (value, vjp), where vjp(g) gives the gradients of ``a`` and
+    ``b``: outer products where a vector meets a matrix, and ``g`` times the
+    other operand for two vectors.  Rows of the tape's row products must
+    equal these, value and gradient, bit for bit.
+    """
+    if a.ndim == 2 and b.ndim == 1:
+        return a @ b, lambda g: (np.outer(g, b), a.T @ g)
+    if a.ndim == 2:
+        return a @ b, lambda g: (g @ b.T, a.T @ g)
+    if b.ndim == 2:
+        return a @ b, lambda g: (b @ g, np.outer(a, g))
+    return a @ b, lambda g: (g * b, g * a)
+
+
 def reference_gru_step(weights, h_prev, x):
     """Documented gate equations evaluated directly on raw arrays."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))

@@ -40,7 +40,7 @@ from idiomatize.generator import (
 )
 from idiomatize.corpus import RESERVED, Vocabulary
 from idiomatize.metrics import bleu, meteor, part_accuracy, rouge
-from idiomatize.numerics import Tensor, no_grad
+from idiomatize.numerics import Tensor, matvec, no_grad
 from idiomatize.pipeline import PipelineModels
 from idiomatize.retrieval import RetrievalModel
 
@@ -124,9 +124,9 @@ def test_distribution_validity(record_criterion):
     leaked = False
     for trial in range(1000):
         inp, ctx = pool[trial % len(pool)]
-        h = Tensor(npr.normal(scale=2.0, size=(12,)))
+        h = Tensor(npr.normal(scale=2.0, size=(1, 12)))
         with no_grad():
-            copy_s, gen_s = (ctx.copy_keys @ h).data, (model.w_gen @ h).data
+            copy_s, gen_s = matvec(ctx.copy_keys, h).data[0], matvec(model.w_gen, h).data[0]
             dist = step_distribution(ctx, copy_s, gen_s)
         worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
         worst_split = max(worst_split, abs(dist.p_copy + dist.p_gen - 1.0))

@@ -19,7 +19,7 @@ from idiomatize.extractor import (
     unary_scores,
     validation_span_f1,
 )
-from idiomatize.numerics import bigru_encode, grad_check, no_grad, stack
+from idiomatize.numerics import bigru_encode, grad_check, no_grad
 from idiomatize.toydata import synthetic_span_data
 
 
@@ -36,8 +36,8 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
         scores = unary_scores(model, sentence, definition)
         assert scores.shape == (3, 3)
         ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
-        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i] for i in ids])
-        manual = stack(states[:3]).data @ model.unary_w.data + model.unary_b.data
+        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+        manual = np.concatenate([s.data for s in states[:3]]) @ model.unary_w.data + model.unary_b.data
     assert np.array_equal(scores.data, manual)
 
 

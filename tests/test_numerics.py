@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from oracles import (
     reference_gru_pool_gemm,
     reference_gru_step,
     reference_logsumexp,
+    reference_matmul,
     reference_param_init,
     reference_sigmoid,
     reference_softmax,
@@ -293,10 +295,10 @@ OP_CASES = {
     "sub": (lambda a, b: tsum(a - b), [(5,), (5,)]),
     "mul_broadcast": (lambda a, b: tsum(a * b), [(2, 3), (3,)]),
     "neg": (lambda a: tsum(-a), [(4,)]),
-    "matmul_mv": (lambda a, b: tsum(a @ b), [(3, 4), (4,)]),
+    "matmul_mv": (lambda a, b: tsum(a @ b), [(3, 4), (4, 1)]),
     "matmul_mm": (lambda a, b: tsum(a @ b), [(2, 3), (3, 4)]),
-    "matmul_vm": (lambda a, b: tsum(a @ b), [(3,), (3, 4)]),
-    "matmul_vv": (lambda a, b: a @ b, [(6,), (6,)]),
+    "matmul_vm": (lambda a, b: tsum(a @ b), [(1, 3), (3, 4)]),
+    "matmul_vv": (lambda a, b: a @ b, [(1, 6), (6, 1)]),
     "tanh": (lambda a: tsum(tanh(a)), [(7,)]),
     "exp": (lambda a: tsum(exp(a)), [(5,)]),
     "log_shifted": (lambda a: tsum(log(a * a + 1.5)), [(5,)]),
@@ -315,12 +317,12 @@ OP_CASES = {
         lambda a, b: _projected(concat([a, b], axis=0), [[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0], [2.0, -3.0, 0.25]]),
         [(1, 3), (2, 3)],
     ),
-    "stack": (lambda a, b: tsum(stack([a, b]) @ Tensor([1.0, -1.0, 2.0])), [(3,), (3,)]),
+    "stack": (lambda a, b: tsum(stack([a, b]) @ Tensor([[1.0], [-1.0], [2.0]])), [(3,), (3,)]),
     "getitem_dup": (lambda a: tsum(a[[0, 0, 2]]), [(3, 2)]),
     "getitem_pairs": (lambda a: tsum(a[[0, 1, 1], [2, 0, 2]]), [(2, 3)]),
     "getitem_row": (lambda a: tsum(a[1]), [(3, 4)]),
     "getitem_slice": (lambda a: tsum(a[1:3]), [(4,)]),
-    "reshape": (lambda a: tsum(reshape(a, (2, 3)) @ Tensor([1.0, 2.0, 3.0])), [(6,)]),
+    "reshape": (lambda a: tsum(reshape(a, (2, 3)) @ Tensor([[1.0], [2.0], [3.0]])), [(6,)]),
     "tsum_axis": (lambda a: _projected(tsum(a, axis=0), [1.0, -1.0, 2.0]), [(4, 3)]),
 }
 
@@ -356,13 +358,13 @@ CONSTANT_OPERAND_CASES = {
     "add": (add, [(2, 3), (3,)], lambda x, y: (np.ones((2, 3)), np.full(3, 2.0))),
     "sub": (sub, [(2, 3), (3,)], lambda x, y: (np.ones((2, 3)), np.full(3, -2.0))),
     "mul": (mul, [(2, 3), (3,)], lambda x, y: (np.broadcast_to(y, (2, 3)), x.sum(axis=0))),
-    "matmul_mv": (matmul, [(2, 3), (3,)], lambda x, y: (np.broadcast_to(y, (2, 3)), x.sum(axis=0))),
+    "matmul_mv": (matmul, [(2, 3), (3, 1)], lambda x, y: (np.broadcast_to(y.T, (2, 3)), x.sum(axis=0)[:, None])),
     "matmul_mm": (
         matmul, [(2, 3), (3, 4)],
         lambda x, y: (np.broadcast_to(y.sum(axis=1), (2, 3)), np.broadcast_to(x.sum(axis=0)[:, None], (3, 4))),
     ),
-    "matmul_vm": (matmul, [(3,), (3, 4)], lambda x, y: (y.sum(axis=1), np.broadcast_to(x[:, None], (3, 4)))),
-    "matmul_vv": (matmul, [(3,), (3,)], lambda x, y: (y, x)),
+    "matmul_vm": (matmul, [(1, 3), (3, 4)], lambda x, y: (y.sum(axis=1)[None, :], np.broadcast_to(x.T, (3, 4)))),
+    "matmul_vv": (matmul, [(1, 3), (3, 1)], lambda x, y: (y.T, x.T)),
     "concat": (lambda x, y: concat([x, y]), [(2,), (3,)], lambda x, y: (np.ones(2), np.ones(3))),
     "stack": (lambda x, y: stack([x, y]), [(3,), (3,)], lambda x, y: (np.ones(3), np.ones(3))),
 }
@@ -419,18 +421,31 @@ def test_gru_step_matches_reference():
     cell = GruCell(store, "cell", 3, 5, rng)
     h = np.array([0.3, -0.2, 0.7, 0.0, -0.9])
     x = np.array([1.0, -1.0, 0.5])
-    got = gru_step(cell, Tensor(h), Tensor(x))
+    got = gru_step(cell, Tensor([h]), Tensor([x]))
     expect = reference_gru_step(_cell_weights(cell), h, x)
-    assert np.allclose(got.data, expect, atol=1e-14)
+    assert got.shape == (1, 5)
+    assert np.allclose(got.data[0], expect, atol=1e-14)
 
 
 def test_gru_step_shape_errors():
     store = ParamStore()
     cell = GruCell(store, "cell", 3, 5, Rng(0))
     with pytest.raises(ValueError):
-        gru_step(cell, zeros((4,)), zeros((3,)))
+        gru_step(cell, zeros((1, 4)), zeros((1, 3)))
     with pytest.raises(ValueError):
-        gru_step(cell, zeros((5,)), zeros((2,)))
+        gru_step(cell, zeros((1, 5)), zeros((1, 2)))
+
+
+def test_one_dimensional_forms_raise_naming_the_shape():
+    # States are rows only: a vector is a one-row or one-column matrix.
+    cell = GruCell(ParamStore(), "cell", 3, 5, Rng(0))
+    with pytest.raises(ValueError, match=re.escape("(5,)")):
+        gru_step(cell, zeros((5,)), zeros((3,)))
+    with pytest.raises(ValueError, match=re.escape("(1, 3)")):
+        gru_step(cell, zeros((2, 5)), zeros((1, 3)))
+    for a, b, vector in (((3, 4), (4,), "(4,)"), ((3,), (3, 4), "(3,)"), ((3,), (3,), "(3,)")):
+        with pytest.raises(ValueError, match=re.escape(vector)):
+            matmul(zeros(a), zeros(b))
 
 
 def test_gru_zero_params_zero_state():
@@ -438,8 +453,8 @@ def test_gru_zero_params_zero_state():
     cell = GruCell(store, "cell", 2, 3, Rng(0))
     for t in store.params.values():
         t.data[:] = 0.0
-    out = gru_step(cell, zeros((3,)), Tensor([5.0, -2.0]))
-    assert np.array_equal(out.data, np.zeros(3))
+    out = gru_step(cell, zeros((1, 3)), Tensor([[5.0, -2.0]]))
+    assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
 @given(
@@ -450,17 +465,17 @@ def test_gru_zero_params_zero_state():
 def test_gru_step_bounded_by_prev_state(h_vals, x_vals, seed):
     store = ParamStore()
     cell = GruCell(store, "cell", 3, 4, Rng(seed))
-    out = gru_step(cell, Tensor(h_vals), Tensor(x_vals))
+    out = gru_step(cell, Tensor([h_vals]), Tensor([x_vals]))
     bound = np.maximum(np.abs(np.asarray(h_vals)), 1.0)
-    assert (np.abs(out.data) <= bound + 1e-12).all()
+    assert (np.abs(out.data[0]) <= bound + 1e-12).all()
 
 
 def test_gru_run_chains_steps():
     store = ParamStore()
     cell = GruCell(store, "cell", 2, 3, Rng(1))
-    xs = [Tensor([0.1, 0.2]), Tensor([-0.3, 0.5]), Tensor([1.0, -1.0])]
+    xs = [Tensor([[0.1, 0.2]]), Tensor([[-0.3, 0.5]]), Tensor([[1.0, -1.0]])]
     states = gru_run(cell, xs)
-    h = zeros((3,))
+    h = zeros((1, 3))
     for x, state in zip(xs, states):
         h = gru_step(cell, h, x)
         assert np.array_equal(h.data, state.data)
@@ -471,14 +486,14 @@ def test_bigru_encode_concatenates_directions():
     rng = Rng(2)
     fwd = GruCell(store, "fwd", 2, 3, rng)
     bwd = GruCell(store, "bwd", 2, 3, rng)
-    xs = [Tensor([0.4, -0.1]), Tensor([0.2, 0.9])]
+    xs = [Tensor([[0.4, -0.1]]), Tensor([[0.2, 0.9]])]
     states = bigru_encode(fwd, bwd, xs)
-    assert len(states) == 2 and states[0].shape == (6,)
+    assert len(states) == 2 and states[0].shape == (1, 6)
     f = gru_run(fwd, xs)
     b = gru_run(bwd, list(reversed(xs)))
-    assert np.array_equal(states[0].data[:3], f[0].data)
-    assert np.array_equal(states[0].data[3:], b[1].data)
-    assert np.array_equal(states[1].data[3:], b[0].data)
+    assert np.array_equal(states[0].data[:, :3], f[0].data)
+    assert np.array_equal(states[0].data[:, 3:], b[1].data)
+    assert np.array_equal(states[1].data[:, 3:], b[0].data)
     assert bigru_encode(fwd, bwd, []) == []
 
 
@@ -583,11 +598,11 @@ def test_gru_pool_shape_errors():
 
 
 def _composed_step(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
-    """The step built from separate tape ops, with sigmoid(a) = exp(-softplus(-a))."""
+    """The step built from separate tape ops on rows, with sigmoid(a) = exp(-softplus(-a))."""
     sig = lambda a: exp(-softplus(-a))
-    z = sig(cell.w_z @ x + cell.u_z @ h + cell.b_z)
-    r = sig(cell.w_r @ x + cell.u_r @ h + cell.b_r)
-    cand = tanh(cell.w_h @ x + cell.u_h @ (r * h) + cell.b_h)
+    z = sig(matvec(cell.w_z, x) + matvec(cell.u_z, h) + cell.b_z)
+    r = sig(matvec(cell.w_r, x) + matvec(cell.u_r, h) + cell.b_r)
+    cand = tanh(matvec(cell.w_h, x) + matvec(cell.u_h, r * h) + cell.b_h)
     return (1.0 - z) * h + z * cand
 
 
@@ -616,8 +631,8 @@ def test_gru_step_gradients_match_composed_ops(picks, gain, seed):
     cell = GruCell(store, "cell", 3, 4, rng)
     for t in store.params.values():
         t.data *= gain
-    pool = [store.add(f"x{i}", (3,), rng, scale=2.0) for i in range(3)]
-    h0 = store.add("h0", (4,), rng, scale=1.0)
+    pool = [store.add(f"x{i}", (1, 3), rng, scale=2.0) for i in range(3)]
+    h0 = store.add("h0", (1, 4), rng, scale=1.0)
     coeffs = np.random.default_rng(seed).normal(size=(len(picks), 4))
     inputs = [pool[i] for i in picks]
     got = _chain_grads(gru_step, store, cell, h0, inputs, coeffs)
@@ -626,24 +641,20 @@ def test_gru_step_gradients_match_composed_ops(picks, gain, seed):
         assert np.allclose(got[name], want[name], rtol=0, atol=1e-12), name
 
 
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.booleans(),
-    st.integers(min_value=0, max_value=2**32),
-)
-def test_gru_step_rows_match_single_rows(batch, shared, seed):
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+def test_gru_step_rows_match_single_rows(batch, seed):
     rng = np.random.default_rng(seed)
     cell = GruCell(ParamStore(), "cell", 3, 4, Rng(seed))
     h = rng.normal(size=(batch, 4))
-    x = rng.normal(size=(1 if shared else batch, 3))
+    x = rng.normal(size=(batch, 3))
     with no_grad():
         rows = gru_step(cell, Tensor(h), Tensor(x))
         with pytest.raises(ValueError):
             gru_step(cell, Tensor(h), Tensor(np.zeros((batch + 1, 3))))
     assert rows.shape == (batch, 4) and not rows.requires_grad
     for b in range(batch):
-        one = gru_step(cell, Tensor(h[b]), Tensor(x[0 if shared else b]))
-        assert np.array_equal(rows.data[b], one.data)
+        one = gru_step(cell, Tensor(h[b : b + 1]), Tensor(x[b : b + 1]))
+        assert np.array_equal(rows.data[b : b + 1], one.data)
 
 
 def _grads(store: ParamStore, loss: Tensor) -> dict:
@@ -652,37 +663,61 @@ def _grads(store: ParamStore, loss: Tensor) -> dict:
     return {name: t.grad.copy() for name, t in store.items()}
 
 
-@given(
-    st.integers(min_value=1, max_value=5),
-    st.booleans(),
-    st.integers(min_value=0, max_value=2**32),
-)
-def test_gru_step_tracked_rows_match_single_rows(batch, shared, seed):
-    # Each row's state gradient equals its 1-D step's bit for bit; the
-    # weights (and a shared input) sum the rows, bit for bit for one row.
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+def test_gru_step_tracked_rows_match_single_rows(batch, seed):
+    # Each row's state and input gradients equal its one-row step's bit for
+    # bit; the weights sum the rows, bit for bit for one row.
     store = ParamStore()
     cell = GruCell(store, "cell", 3, 4, Rng(seed))
     h = store.add("h", (batch, 4), Rng(seed + 1), scale=1.0)
-    x = store.add("x", (1 if shared else batch, 3), Rng(seed + 2), scale=1.0)
+    x = store.add("x", (batch, 3), Rng(seed + 2), scale=1.0)
     coeffs = np.random.default_rng(seed).normal(size=(batch, 4))
     rows = _grads(store, tsum(gru_step(cell, h, x) * Tensor(coeffs)))
     singles = [
-        _grads(store, tsum(gru_step(cell, h[b], x[0 if shared else b]) * Tensor(coeffs[b])))
+        _grads(store, tsum(gru_step(cell, h[b : b + 1], x[b : b + 1]) * Tensor(coeffs[b])))
         for b in range(batch)
     ]
     for b in range(batch):
         assert np.array_equal(rows["h"][b], singles[b]["h"][b])
-        if not shared:
-            assert np.array_equal(rows["x"][b], singles[b]["x"][b])
+        assert np.array_equal(rows["x"][b], singles[b]["x"][b])
     for name in rows:
         summed = sum(single[name] for single in singles)
         assert np.allclose(rows[name], summed, rtol=0, atol=1e-12), name
         assert batch > 1 or np.array_equal(rows[name], summed), name
 
 
+def _matmul_1d(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with a vector operand, as a tape node on ``reference_matmul``'s value and gradient rules."""
+    value, vjp = reference_matmul(a.data, b.data)
+    return _node(value, (a, b), vjp)
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from([64, 160, 288]),
+    st.integers(min_value=1, max_value=80),
+    st.sampled_from(["matrix", "transposed", "per_row", "per_row_transposed"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_vecmat_rows_equal_their_1d_products(batch, width, out, form, seed):
+    # Every row product on the tape is np.vecmat: each row must equal the
+    # 1-D np.matmul bit for bit, over the weight layouts the tape passes it.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, width))
+    w = {
+        "matrix": lambda: rng.normal(size=(width, out)),
+        "transposed": lambda: rng.normal(size=(out, width)).T,
+        "per_row": lambda: rng.normal(size=(batch, width, out)),
+        "per_row_transposed": lambda: rng.normal(size=(batch, out, width)).swapaxes(1, 2),
+    }[form]()
+    rows = np.vecmat(x, w)
+    for b in range(batch):
+        assert np.array_equal(rows[b], np.matmul(x[b], w[b] if w.ndim == 3 else w))
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
 def test_row_products_track_each_row_as_its_1d_product(batch, seed):
-    # matvec, vecmat and per-row vecmat against tape matmul on each row.
+    # matvec, vecmat and per-row vecmat against the 1-D matmul on each row.
     store = ParamStore()
     rng = Rng(seed)
     w = store.add("w", (4, 5), rng, scale=1.0)
@@ -691,9 +726,9 @@ def test_row_products_track_each_row_as_its_1d_product(batch, seed):
     y = store.add("y", (batch, 4), rng, scale=1.0)
     c4, c5 = (Tensor(np.random.default_rng(seed).normal(size=(batch, n))) for n in (4, 5))
     cases = (  # (rows, one row, its coefficients, per-row operands, shared operands)
-        (lambda: matvec(w, x), lambda b: w @ x[b], c4, ("x",), ("w",)),
-        (lambda: vecmat(y, w), lambda b: y[b] @ w, c5, ("y",), ("w",)),
-        (lambda: vecmat(y, per_row), lambda b: y[b] @ per_row[b], c5, ("y", "per_row"), ()),
+        (lambda: matvec(w, x), lambda b: _matmul_1d(w, x[b]), c4, ("x",), ("w",)),
+        (lambda: vecmat(y, w), lambda b: _matmul_1d(y[b], w), c5, ("y",), ("w",)),
+        (lambda: vecmat(y, per_row), lambda b: _matmul_1d(y[b], per_row[b]), c5, ("y", "per_row"), ()),
     )
     for rows_fn, one_fn, c, per_row_names, shared_names in cases:
         rows = _grads(store, tsum(rows_fn() * c))
@@ -708,13 +743,12 @@ def test_row_products_track_each_row_as_its_1d_product(batch, seed):
             assert batch > 1 or np.array_equal(rows[name], summed), name
 
 
-@pytest.mark.parametrize("shared", [False, True])
-def test_gru_step_rows_gradcheck(shared):
+def test_gru_step_rows_gradcheck():
     store = ParamStore()
     rng = Rng(5)
     cell = GruCell(store, "cell", 3, 4, rng)
     h = store.add("h", (3, 4), rng, scale=1.0)
-    x = store.add("x", (1 if shared else 3, 3), rng, scale=1.0)
+    x = store.add("x", (3, 3), rng, scale=1.0)
     assert grad_check(lambda _s: _projected(gru_step(cell, h, x), ROW_COEFFS), store, eps=1e-5) <= OP_TOLERANCE
 
 
@@ -728,10 +762,13 @@ def test_gru_step_saturating_preactivations_stay_finite(gain):
         signs = np.roll(signs, 1)
     for name in ("w_z", "w_r", "w_h"):
         getattr(cell, name).data *= abs(gain) / INIT_SCALE
-    x = store.add("x", (2,), Rng(1), scale=1.0)
-    h0 = store.add("h0", (3,), Rng(2), scale=1.0)
+    x = store.add("x", (1, 2), Rng(1), scale=1.0)
+    h0 = store.add("h0", (1, 3), Rng(2), scale=1.0)
     grads = _chain_grads(gru_step, store, cell, h0, [x, x, x], np.ones((3, 3)))
-    states = gru_run(cell, [x, x, x], h0)
+    h, states = h0, []
+    for _ in range(3):
+        h = gru_step(cell, h, x)
+        states.append(h)
     assert all(np.isfinite(s.data).all() and (np.abs(s.data) <= 1.0 + 1e-12).all() for s in states)
     assert all(np.isfinite(g).all() for g in grads.values())
 
@@ -739,8 +776,8 @@ def test_gru_step_saturating_preactivations_stay_finite(gain):
 def test_gru_gradients():
     def loss(cell_holder):
         def inner(_s):
-            h = gru_run(cell_holder[0], [Tensor([0.5, -0.5]), Tensor([1.0, 0.0])])[-1]
-            return _projected(h, [1.0, -1.0, 2.0])
+            h = gru_run(cell_holder[0], [Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])])[-1]
+            return _projected(h, [[1.0, -1.0, 2.0]])
         return inner
 
     store = ParamStore()

@@ -22,7 +22,7 @@ from idiomatize import (
     train_retrieval,
 )
 from idiomatize.corpus import RESERVED, Vocabulary
-from idiomatize.numerics import adam_step, bigru_encode, no_grad, stack, tsum
+from idiomatize.numerics import adam_step, bigru_encode, no_grad
 from idiomatize.retrieval import (
     KEY_MODES,
     candidate_keys,
@@ -73,10 +73,11 @@ def test_score_composes_pool_and_linear(tiny_retrieval):
     with no_grad():
         pooled = encode_candidate(model, sentence, key)
         ids = model.vocab.encode_all(["this", "alpha", "<sep>", "beta"])
-        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i] for i in ids])
-        manual = tsum(stack(states), axis=0)
-        assert np.array_equal(pooled.data, manual.data)
-        expect = float(model.score_w.data @ pooled.data + model.score_b.data)
+        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+        manual = np.concatenate([s.data for s in states]).sum(axis=0)
+        assert pooled.shape == (1, 2 * model.hidden)
+        assert np.array_equal(pooled.data[0], manual)
+        expect = float(model.score_w.data @ pooled.data[0] + model.score_b.data)
     assert score_pair(model, sentence, key) == pytest.approx(expect, abs=1e-12)
 
 
