@@ -24,8 +24,8 @@ from .numerics import (
     logsumexp,
     no_grad,
     reshape,
-    stack,
     tsum,
+    vecmat,
 )
 from .numerics import bigru_encode  # noqa: F401  (perfbench traces it in every stage module)
 from .retrieval import PairEncoderModel
@@ -50,18 +50,17 @@ def unary_scores(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     """(n, 3) label scores for the n sentence positions."""
     if not sentence:
         raise ValueError("empty sentence")
-    sentence_states = concat(model.encode_pair(sentence, definition)[: len(sentence)], axis=0)
-    return sentence_states @ model.unary_w + model.unary_b
+    return vecmat(model.encode_pair(sentence, definition)[: len(sentence)], model.unary_w) + model.unary_b
 
 
 def _crf_alphas(unary: Tensor, transitions: Tensor, start: Tensor) -> list[Tensor]:
-    """Forward log scores: entry t sums every label path over positions 0..t."""
+    """Forward log scores, one [1,K] row each: entry t sums every label path over positions 0..t."""
     n = unary.shape[0]
     if n == 0:
         raise ValueError("empty unary score matrix")
-    alphas = [start + unary[0]]
+    alphas = [start + unary[0:1]]
     for t in range(1, n):
-        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+        alphas.append(unary[t : t + 1] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
     return alphas
 
 
@@ -83,16 +82,15 @@ def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tenso
 
 
 def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """(n, k) log posterior marginals via forward-backward."""
+    """(n, k) log posterior marginals via forward-backward over [1,K] rows."""
     alphas = _crf_alphas(unary, transitions, start)
     n = len(alphas)
     betas = [None] * n
     betas[n - 1] = end
     for t in range(n - 2, -1, -1):
-        nxt = unary[t + 1] + betas[t + 1]
-        betas[t] = logsumexp(transitions + reshape(nxt, (1, -1)), axis=1)
+        betas[t] = logsumexp(transitions + (unary[t + 1 : t + 2] + betas[t + 1]), axis=1)
     log_z = logsumexp(alphas[-1] + end)
-    return stack([alphas[t] + betas[t] - log_z for t in range(n)])
+    return concat([alphas[t] + betas[t] - log_z for t in range(n)], axis=0)
 
 
 def crf_viterbi(

@@ -159,7 +159,7 @@ def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
     for token, indicator in zip(inp.tokens, inp.indicators):
         i = model.vocab.encode(token)
         vecs.append(concat([model.word_emb[i : i + 1], model.copy_emb[indicator : indicator + 1]]))
-    return concat(bigru_encode(model.enc_fwd, model.enc_bwd, vecs), axis=0)
+    return bigru_encode(model.enc_fwd, model.enc_bwd, vecs)
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
         positions.setdefault(token, []).append(k)
     extra = {t: len(vocab) + i for i, t in enumerate(t for t in positions if t not in vocab)}
     slots = np.array([extra[t] if t in extra else vocab.get(t) for t in inp.tokens], dtype=np.intp)
-    copy_keys = tanh(memory @ model.u_copy)
+    copy_keys = tanh(vecmat(memory, model.u_copy))
     return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions)
 
 

@@ -59,7 +59,7 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     call bit for bit, gradients included; a weight's gradient sums the rows'
     outer products.  The backward adds into its parents' gradients itself
     and returns None, each gradient's terms in the order the composed
-    matmul, add, sigmoid, tanh and mul ops added them, bit for bit.
+    row-product, add, sigmoid, tanh and mul ops added them, bit for bit.
     """
     h, xd = h_prev.data, x.data
     _check_shapes(cell, h, xd)
@@ -99,12 +99,14 @@ def gru_run(cell: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:
     return states
 
 
-def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """Per-position [forward ; backward] states, each [1,2H], over [1,I] inputs; empty input gives []."""
+def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor:
+    """The [T,2H] matrix whose row t is position t's [forward ; backward] state, over T [1,I] inputs."""
+    if not inputs:
+        raise ValueError("bigru_encode needs at least one input, got an empty input sequence")
     fwd_states = gru_run(fwd, inputs)
     bwd_states = gru_run(bwd, list(reversed(inputs)))
     bwd_states.reverse()
-    return [concat([f, b]) for f, b in zip(fwd_states, bwd_states)]
+    return concat([concat([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0)
 
 
 def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

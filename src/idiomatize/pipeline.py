@@ -113,22 +113,28 @@ _MODEL_CLASSES = {
 
 
 def save_checkpoint(model, path: str) -> None:
-    """Write one model as a single JSON document."""
-    tensors = {}
-    for name, t in model.store.items():
+    """Write one model as a single JSON document, the bytes of ``json.dumps(payload) + "\\n"``.
+
+    Every parameter is checked before the file is opened.  The header and
+    then each tensor are encoded with ``json.dumps`` (the C encoder) and
+    written in turn, so the largest string held is one tensor's.
+    """
+    params = list(model.store.items())
+    for name, t in params:
         if not np.isfinite(t.data).all():
             raise CheckpointError(f"parameter {name!r} contains non-finite values")
-        tensors[name] = {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
-    payload = {
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "component": model.component,
         "hyperparameters": model.hyperparameters(),
         "vocabulary": list(model.vocab.tokens),
-        "tensors": tensors,
     }
-    # json.dumps runs the C encoder; json.dump would encode chunk by chunk in Python.
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload) + "\n")
+        fh.write(json.dumps(header)[:-1] + ', "tensors": {')
+        for i, (name, t) in enumerate(params):
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            fh.write(json.dumps({"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}))
+        fh.write("}}\n")
 
 
 def load_checkpoint(path: str):

@@ -26,7 +26,6 @@ from .numerics import (
     adam_step,
     bigru_encode,
     check_sizes,
-    concat,
     fit,
     gru_pool,
     gru_pool_projected,
@@ -66,8 +65,8 @@ class PairEncoderModel:
     def hyperparameters(self) -> dict:
         return {"embed_dim": self.embed_dim, "hidden": self.hidden, "seed": self.seed}
 
-    def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> list[Tensor]:
-        """Per-position [forward ; backward] states, each [1,2H], over [sentence, <sep>, key]."""
+    def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
+        """The [T,2H] BiGRU states over [sentence, <sep>, key], one row per position."""
         ids = self.vocab.encode_all(list(sentence) + [SEP] + list(key))
         return bigru_encode(self.fwd, self.bwd, [self.embedding[i : i + 1] for i in ids])
 
@@ -86,7 +85,7 @@ def encode_candidate(model: RetrievalModel, sentence: Sequence[str], key: Sequen
     """Sum-pooled BiGRU states over [sentence, <sep>, key]: one [1,2H] row."""
     if not sentence or not key:
         raise ValueError("sentence and key must be non-empty")
-    return reshape(tsum(concat(model.encode_pair(sentence, key), axis=0), axis=0), (1, 2 * model.hidden))
+    return reshape(tsum(model.encode_pair(sentence, key), axis=0), (1, 2 * model.hidden))
 
 
 def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:

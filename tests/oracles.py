@@ -4,7 +4,9 @@ Everything in this module is written straight from the textbook
 definitions (exhaustive enumeration, quadratic DP, direct formula
 evaluation) without importing anything from the package under test, so
 agreement between the two is meaningful evidence of correctness rather
-than a tautology.
+than a tautology.  The one exception is ``reference_crf_log_marginals``,
+an earlier form of the package's own CRF recursion on its own tape, kept
+to check the current form's values and gradients bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,30 @@ def brute_force_crf(unary, transitions, start, end):
         for t, label in enumerate(path):
             marginals[t][label] += w
     return log_z, list(best), scores[best], marginals
+
+
+def reference_crf_log_marginals(unary, transitions, start, end):
+    """(n, k) log marginals by forward-backward over [K] vectors, the tape Tensors joined by a local stack node.
+
+    The package's ``crf_log_marginals`` steps [1,K] rows and joins them with
+    ``concat``; both must give the same values and gradients bit for bit.
+    """
+    from idiomatize.numerics import logsumexp, reshape
+    from idiomatize.numerics.tensor import _node
+
+    n = unary.shape[0]
+    alphas = [start + unary[0]]
+    for t in range(1, n):
+        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+    betas = [None] * n
+    betas[n - 1] = end
+    for t in range(n - 2, -1, -1):
+        nxt = unary[t + 1] + betas[t + 1]
+        betas[t] = logsumexp(transitions + reshape(nxt, (1, -1)), axis=1)
+    log_z = logsumexp(alphas[-1] + end)
+    rows = [alphas[t] + betas[t] - log_z for t in range(n)]
+    # The stack node: iterating the [n,K] gradient yields row t's gradient g[t].
+    return _node(np.array([r.data for r in rows]), tuple(rows), lambda g: g)
 
 
 def _count_ngrams(tokens, n):

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from idiomatize.extractor import (
     crf_log_marginals,
@@ -14,9 +16,9 @@ from idiomatize.extractor import (
     crf_path_score,
     crf_viterbi,
 )
-from idiomatize.numerics import ParamStore, Tensor, exp, grad_check
+from idiomatize.numerics import ParamStore, Tensor, exp, grad_check, tsum
 
-from oracles import brute_force_crf
+from oracles import brute_force_crf, reference_crf_log_marginals
 
 
 def _random_instance(rand: random.Random, n: int, k: int, scale: float = 2.0):
@@ -167,3 +169,21 @@ def test_partition_gradient_equals_marginals():
     crf_log_partition(unary, transitions, start, end).backward()
     marg = exp(crf_log_marginals(unary, transitions, start, end))
     assert np.allclose(unary.grad, marg.data, atol=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))
+def test_row_marginals_equal_the_vector_recursion_bit_for_bit(n, seed):
+    # Values and the gradients of a weighted sum, as the extractor's loss uses them.
+    rng = np.random.default_rng(seed)
+    draws = [rng.uniform(-3.0, 3.0, size=shape) for shape in ((n, 3), (3, 3), (3,), (3,))]
+    weights = rng.uniform(-1.0, 1.0, size=(n, 3))
+    results = []
+    for marginals in (crf_log_marginals, reference_crf_log_marginals):
+        params = [Tensor(d.copy(), requires_grad=True) for d in draws]
+        log_marg = marginals(*params)
+        tsum(log_marg * weights).backward()
+        results.append((log_marg.data, [p.grad for p in params]))
+    (rows, row_grads), (vectors, vector_grads) = results
+    assert np.array_equal(rows, vectors)
+    for got, expect in zip(row_grads, vector_grads):
+        assert np.array_equal(got, expect)

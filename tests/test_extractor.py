@@ -37,7 +37,7 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
         assert scores.shape == (3, 3)
         ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
         states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
-        manual = np.concatenate([s.data for s in states[:3]]) @ model.unary_w.data + model.unary_b.data
+        manual = np.vecmat(states.data[:3], model.unary_w.data) + model.unary_b.data
     assert np.array_equal(scores.data, manual)
 
 

@@ -398,7 +398,7 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
             state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
             copy_s, gen_s = state.copy_scores.data[0], state.gen_scores.data[0]
             dist = step_distribution(ctx, copy_s, gen_s)
-            keys = np.tanh(ctx.memory.data @ gen_model.u_copy.data)  # recomputed per step
+            keys = np.tanh(np.vecmat(ctx.memory.data, gen_model.u_copy.data))  # recomputed per step
             assert copy_s.tolist() == (keys @ state.hidden.data[0]).tolist()
             probs, copy_probs, p_copy, p_gen = reference_step_distribution(
                 vocab.tokens, inp.tokens, copy_s, gen_s

@@ -35,6 +35,7 @@ from idiomatize.generator import (
     rule_based_generate,
 )
 from idiomatize.pipeline import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     Dataset,
     PipelineModels,
@@ -121,6 +122,24 @@ def test_checkpoint_round_trip(tiny_models, tmp_path, name):
     assert loaded.hyperparameters() == model.hyperparameters()
     for pname, t in model.store.items():
         assert np.array_equal(loaded.store[pname].data, t.data), pname
+
+
+@pytest.mark.parametrize("name", ["retrieval", "extractor", "generator"])
+def test_checkpoint_is_the_json_document_of_its_payload(tiny_models, tmp_path, name):
+    # Written tensor by tensor, the file must still be one json.dumps of the whole payload.
+    model = tiny_models[name]
+    path = tmp_path / "m.json"
+    save_checkpoint(model, str(path))
+    payload = {
+        "format_version": CHECKPOINT_VERSION,
+        "component": model.component,
+        "hyperparameters": model.hyperparameters(),
+        "vocabulary": list(model.vocab.tokens),
+        "tensors": {
+            pname: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()} for pname, t in model.store.items()
+        },
+    }
+    assert path.read_bytes() == (json.dumps(payload) + "\n").encode("utf-8")
 
 
 def test_checkpoint_resave_is_byte_identical(tiny_models, tmp_path):
@@ -229,11 +248,14 @@ def test_load_rejects_non_json_file(tmp_path):
 
 
 def test_save_rejects_non_finite_parameters(tiny_vocab, tmp_path):
+    # The last parameter: every one is checked before the file is opened.
     model = RetrievalModel(tiny_vocab, embed_dim=4, hidden=4, seed=0)
-    name = next(iter(dict(model.store.items())))
+    name = list(dict(model.store.items()))[-1]
     model.store[name].data[...] = np.nan
+    path = tmp_path / "m.json"
     with pytest.raises(CheckpointError, match="non-finite"):
-        save_checkpoint(model, str(tmp_path / "m.json"))
+        save_checkpoint(model, str(path))
+    assert not path.exists()
 
 
 # --------------------------------------------------- load_pipeline_models

@@ -74,7 +74,7 @@ def test_score_composes_pool_and_linear(tiny_retrieval):
         pooled = encode_candidate(model, sentence, key)
         ids = model.vocab.encode_all(["this", "alpha", "<sep>", "beta"])
         states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
-        manual = np.concatenate([s.data for s in states]).sum(axis=0)
+        manual = states.data.sum(axis=0)
         assert pooled.shape == (1, 2 * model.hidden)
         assert np.array_equal(pooled.data[0], manual)
         expect = float(model.score_w.data @ pooled.data[0] + model.score_b.data)
