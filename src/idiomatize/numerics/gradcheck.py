@@ -19,7 +19,6 @@ def grad_check(loss_fn: Callable[[ParamStore], Tensor], store: ParamStore, eps: 
     """
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-6, 1e-3]")
-    store.clear_grads()
     store.zero_grads()
     loss = loss_fn(store)
     if loss.data.size != 1:

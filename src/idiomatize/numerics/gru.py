@@ -8,7 +8,7 @@ import numpy as np
 
 from ..rng import Rng
 from .optim import ParamStore
-from .tensor import Tensor, _accum, _node, _row_outer, _sigmoid_np, _track, _unbroadcast, concat, zeros
+from .tensor import Tensor, _node, _row_outer, _sigmoid_np, concat, zeros
 
 
 class GruCell:
@@ -57,36 +57,43 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     so all-zero parameters and inputs give h' = 0 (z = 0.5, c = 0).  Every
     product is an ``np.vecmat`` row product, so each row equals its one-row
     call bit for bit, gradients included; a weight's gradient sums the rows'
-    outer products.  The backward adds into its parents' gradients itself
-    and returns None, each gradient's terms in the order the composed
-    row-product, add, sigmoid, tanh and mul ops added them, bit for bit.
+    outer products.  The parents are listed once per use, and the VJP
+    returns one term per use, so ``Tensor.backward`` adds each gradient's
+    terms in the order the composed row-product, add, sigmoid, tanh and mul
+    ops added them, bit for bit.  An all-zero output gradient returns None:
+    a step no gradient reaches adds nothing, and neither does its past.
     """
     h, xd = h_prev.data, x.data
     _check_shapes(cell, h, xd)
     xw = (np.vecmat(xd, cell.w_z.data.T), np.vecmat(xd, cell.w_r.data.T), np.vecmat(xd, cell.w_h.data.T))
     z, r, cand, data = _gru_forward(cell, h, xw, np.vecmat)
-    params = (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h)
-    if not _track(x, h_prev, *params):
-        return Tensor(data)
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = params
 
-    def bw(g):
+    def vjp(g):
+        if not g.any():
+            return None
         d_z = (g * cand - g * h) * z * (1.0 - z)
         d_c = g * z * (1.0 - cand**2)
-        d_rh = np.vecmat(d_c, u_h.data)
+        d_rh = np.vecmat(d_c, cell.u_h.data)
         d_r = d_rh * h * r * (1.0 - r)
-        if h_prev.requires_grad:
-            _accum(h_prev, g * (1.0 - z))
-        for d, w, u, b, u_in in ((d_z, w_z, u_z, b_z, h), (d_c, w_h, u_h, b_h, r * h), (d_r, w_r, u_r, b_r, h)):
-            _accum(b, _unbroadcast(d, b.data.shape))
-            _accum(w, _row_outer(d, xd))
-            if x.requires_grad:
-                _accum(x, np.vecmat(d, w.data))
-            _accum(u, _row_outer(d, u_in))
-            if h_prev.requires_grad:
-                _accum(h_prev, d_rh * r if u is u_h else np.vecmat(d, u.data))
+        return (
+            g * (1.0 - z),
+            *_gate_terms(d_z, cell.w_z, xd, h, np.vecmat(d_z, cell.u_z.data)),
+            *_gate_terms(d_c, cell.w_h, xd, r * h, d_rh * r),
+            *_gate_terms(d_r, cell.w_r, xd, h, np.vecmat(d_r, cell.u_r.data)),
+        )
 
-    return _node(data, (x, *params, h_prev), bw)
+    parents = (
+        h_prev,
+        cell.b_z, cell.w_z, x, cell.u_z, h_prev,
+        cell.b_h, cell.w_h, x, cell.u_h, h_prev,
+        cell.b_r, cell.w_r, x, cell.u_r, h_prev,
+    )
+    return _node(data, parents, vjp)
+
+
+def _gate_terms(d: np.ndarray, w: Tensor, x: np.ndarray, u_in: np.ndarray, d_h: np.ndarray) -> tuple:
+    """One gate's VJP terms for its uses (b, w, x, u, h_prev), from its pre-activation gradient ``d``."""
+    return d.sum(axis=0), _row_outer(d, x), np.vecmat(d, w.data), _row_outer(d, u_in), d_h
 
 
 def gru_run(cell: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:

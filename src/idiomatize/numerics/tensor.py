@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small tape: every tracked operation returns a Tensor, built by
-``_node``, that remembers its parent tensors and a closure mapping the
-output gradient to one gradient per parent (a vector-Jacobian product);
-``Tensor.backward`` alone adds those into the parents that require one.
+A small tape: every operation returns its result through ``_node``,
+which alone decides whether it is tracked; a tracked result remembers its
+parent tensors and a closure mapping the output gradient to one gradient
+per parent (a vector-Jacobian product), and ``Tensor.backward`` adds
+those into the parents that require one.
 Only the operations the models in this package need are implemented.
 Gradients of broadcast operands are summed back to the operand's shape.
 
@@ -62,7 +63,8 @@ class Tensor:
         return self.data.item()
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad over the whole graph."""
+        """Accumulate d(self)/d(leaf) into .grad over the whole graph: each node's VJP terms are added
+        into its parents in the order it lists them, and a node no gradient reached is skipped."""
         if self.data.size != 1:
             raise NumericError("backward() expects a scalar loss")
         if not np.isfinite(self.data).all():
@@ -85,13 +87,14 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is None:
+            if node._backward is None or node.grad is None:
                 continue
             grads = node._backward(node.grad)
             if grads is not None:
                 for p, g in zip(node._parents, grads):
                     if p.requires_grad:
-                        _accum(p, g)
+                        buf = _grad(p)
+                        buf += g
 
     def __add__(self, other):
         return add(self, other)
@@ -123,21 +126,22 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _track(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+def _node(data, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """An op's result: plain ``Tensor(data)`` unless grad mode is on and a parent requires a gradient.
 
-
-def _node(data, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """A tracked result; ``backward(g)`` maps its gradient ``g`` to one gradient per parent, in order.
-
-    Indexing and ``gru_step`` instead add into their parents' gradients
-    themselves and return None.  The closure gets ``g`` as an argument
-    instead of reading it off the result, so no node refers back to itself
-    and a dropped graph is freed by reference counting.
+    This is the one place that decides tracking.  A tracked result keeps
+    ``vjp``, which maps its gradient ``g`` to one gradient per entry of
+    ``parents``, in order; a parent used twice is listed twice.  Only
+    indexing adds into its parent's gradient itself and returns None.  The
+    closure gets ``g`` as an argument instead of reading it off the result,
+    so no node refers back to itself and a dropped graph is freed by
+    reference counting.
     """
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+        return Tensor(data)
     out = Tensor(data, requires_grad=True)
     out._parents = parents
-    out._backward = backward
+    out._backward = vjp
     return out
 
 
@@ -146,11 +150,6 @@ def _grad(t: Tensor) -> np.ndarray:
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     return t.grad
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    buf = _grad(t)
-    buf += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -177,25 +176,17 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data + b.data
-    if not _track(a, b):
-        return Tensor(data)
-    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    return _node(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = a.data - b.data
-    if not _track(a, b):
-        return Tensor(data)
-    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    return _node(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
-    if not _track(a, b):
-        return Tensor(data)
     return _node(
         data, (a, b), lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape))
     )
@@ -203,8 +194,6 @@ def mul(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = _wrap(a)
-    if not _track(a):
-        return Tensor(-a.data)
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
@@ -220,10 +209,7 @@ def matvec(w, x) -> Tensor:
     w, x = _wrap(w), _wrap(x)
     if x.ndim != 2:
         raise ValueError(f"matvec takes [B,I] rows, got shape {x.shape}")
-    data = np.vecmat(x.data, w.data.T)
-    if not _track(w, x):
-        return Tensor(data)
-    return _node(data, (w, x), lambda g: (_row_outer(g, x.data), np.vecmat(g, w.data)))
+    return _node(np.vecmat(x.data, w.data.T), (w, x), lambda g: (_row_outer(g, x.data), np.vecmat(g, w.data)))
 
 
 def vecmat(x, w) -> Tensor:
@@ -233,8 +219,6 @@ def vecmat(x, w) -> Tensor:
     if x.ndim != 2:
         raise ValueError(f"vecmat takes [B,I] rows, got shape {x.shape}")
     data = np.vecmat(x.data, w.data)
-    if not _track(x, w):
-        return Tensor(data)
     if w.ndim == 3:
         return _node(
             data, (x, w), lambda g: (np.vecmat(g, w.data.swapaxes(1, 2)), x.data[:, :, None] * g[:, None, :])
@@ -245,8 +229,6 @@ def vecmat(x, w) -> Tensor:
 def tsum(a, axis: int | None = None) -> Tensor:
     a = _wrap(a)
     data = a.data.sum(axis=axis)
-    if not _track(a):
-        return Tensor(data)
     return _node(
         data, (a,), lambda g: (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape),)
     )
@@ -255,16 +237,12 @@ def tsum(a, axis: int | None = None) -> Tensor:
 def tanh(a) -> Tensor:
     a = _wrap(a)
     data = np.tanh(a.data)
-    if not _track(a):
-        return Tensor(data)
     return _node(data, (a,), lambda g: (g * (1.0 - data**2),))
 
 
 def exp(a) -> Tensor:
     a = _wrap(a)
     data = np.exp(a.data)
-    if not _track(a):
-        return Tensor(data)
     return _node(data, (a,), lambda g: (g * data,))
 
 
@@ -272,8 +250,6 @@ def softplus(a) -> Tensor:
     """log(1 + exp(x)), stable for large |x|."""
     a = _wrap(a)
     data = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    if not _track(a):
-        return Tensor(data)
     return _node(data, (a,), lambda g: (g * _sigmoid_np(a.data),))
 
 
@@ -285,10 +261,7 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
     s = np.sum(e, axis=axis, keepdims=True)
     full = np.log(s) + m
     data = full.reshape(()) if axis is None else np.squeeze(full, axis=axis)
-    if not _track(a):
-        return Tensor(data)
-    weights = e / s
-    return _node(data, (a,), lambda g: ((g if axis is None else np.expand_dims(g, axis)) * weights,))
+    return _node(data, (a,), lambda g: ((g if axis is None else np.expand_dims(g, axis)) * (e / s),))
 
 
 def softmax(a) -> Tensor:
@@ -304,8 +277,6 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
         raise ValueError(f"concat joins along axis 0 or -1, not {axis}")
     parts = [_wrap(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    if not _track(*parts):
-        return Tensor(data)
 
     def vjp(g):
         start = 0
@@ -328,32 +299,28 @@ def _index_array(k):
 def getitem(a, key) -> Tensor:
     """``a[key]`` for any numpy key: ints, slices, integer index lists or arrays, or tuples of them.
 
-    Its backward adds into ``a``'s gradient itself and returns None, so no
-    dense gradient of ``a`` is built per gather.  A key that holds an index
-    array may repeat an index, so it uses ``np.add.at``, which sums repeated
-    indices in order.  Int and slice keys never repeat one and keep the
-    faster in-place add.
+    It is the one op whose VJP adds into its parent's gradient itself and
+    returns None: a VJP term would be a dense gradient of ``a``, an
+    embedding-sized array for every gathered token.  A key that holds an
+    index array may repeat an index, so it uses ``np.add.at``, which sums
+    repeated indices in order.  Int and slice keys never repeat one and keep
+    the faster in-place add.
     """
     a = _wrap(a)
-    if not _track(a):
-        return Tensor(a.data[key])
     if isinstance(key, _BASIC_INDEX) or (isinstance(key, tuple) and all(isinstance(k, _BASIC_INDEX) for k in key)):
 
-        def bw(g):
+        def vjp(g):
             _grad(a)[key] += g
 
     else:
         key = tuple(map(_index_array, key)) if isinstance(key, tuple) else _index_array(key)
 
-        def bw(g):
+        def vjp(g):
             np.add.at(_grad(a), key, g)
 
-    return _node(a.data[key], (a,), bw)
+    return _node(a.data[key], (a,), vjp)
 
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
-    data = a.data.reshape(shape)
-    if not _track(a):
-        return Tensor(data)
-    return _node(data, (a,), lambda g: (g.reshape(a.data.shape),))
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))

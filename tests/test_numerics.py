@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import inspect
 import math
 import pathlib
@@ -243,11 +244,20 @@ def test_backward_requires_scalar_and_finite():
 
 
 def test_no_grad_skips_graph():
-    w = Tensor([1.0, 2.0], requires_grad=True)
-    with no_grad():
-        out = tanh(w * 3.0)
-    assert not out.requires_grad
-    assert out._backward is None
+    # Every op and gru_step builds no node under no_grad(), nor when no
+    # operand, weights included, requires a gradient.
+    rng = np.random.default_rng(0)
+    for mode in ("no_grad", "constants"):
+        store = ParamStore()
+        cell = GruCell(store, "cell", 3, 4, Rng(0))
+        for t in store.params.values():
+            t.requires_grad = mode == "no_grad"
+        cases = {**OP_CASES, "gru_step": (lambda h, x: gru_step(cell, h, x), [(2, 4), (2, 3)])}
+        for name, (build, shapes) in cases.items():
+            operands = [Tensor(rng.normal(size=shape), requires_grad=mode == "no_grad") for shape in shapes]
+            with no_grad() if mode == "no_grad" else contextlib.nullcontext():
+                out = build(*operands)
+            assert not out.requires_grad and out._backward is None, (mode, name)
 
 
 def test_getitem_accumulates_duplicate_indices():
@@ -402,6 +412,46 @@ def test_every_exported_tape_op_is_used_in_the_package():
         used |= reads.used()
     assert "getitem" in ops
     assert sorted(ops - used) == []
+
+
+def _identifiers(tree: ast.AST):
+    """(identifier, enclosing def and class names, whether it is read) for every name a module
+    defines, binds, reads or imports; an import counts as a read."""
+
+    def walk(node, scopes):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, scopes, False
+            scopes = scopes + (node.name,)
+        elif isinstance(node, ast.Name):
+            yield node.id, scopes, not isinstance(node.ctx, ast.Store)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, scopes, not isinstance(node.ctx, ast.Store)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.name.split(".")[-1], scopes, True) for alias in node.names)
+        elif isinstance(node, ast.Global):
+            yield from ((name, scopes, False) for name in node.names)
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scopes)
+
+    return walk(tree, ())
+
+
+def test_only_the_tensor_module_decides_tracking_and_adds_gradients():
+    # ``_node`` alone decides whether a result is tracked, and only
+    # numerics/tensor.py touches gradient buffers or the grad-mode flag.
+    root = pathlib.Path(numerics.__file__).parent.parent
+    tensor_py = root / "numerics" / "tensor.py"
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for name, scopes, read in _identifiers(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.relative_to(root)}:{'.'.join(scopes) or '<module>'}"
+            if name == "_track":
+                found.append(f"{where} names _track")
+            elif read and name in ("_accum", "_grad", "_grad_enabled") and path != tensor_py:
+                found.append(f"{where} reads {name}")
+            elif read and name == "_grad_enabled" and not {"no_grad", "_node"} & set(scopes):
+                found.append(f"{where} reads _grad_enabled")
+    assert found == []
 
 
 # loss = tsum(op(x, y)) for each op with two operands: (op, shapes, the
@@ -800,6 +850,36 @@ def test_row_products_track_each_row_as_its_1d_product(batch, seed):
             summed = sum(single[name] for single in singles)
             assert np.allclose(rows[name], summed, rtol=0, atol=1e-12), name
             assert batch > 1 or np.array_equal(rows[name], summed), name
+
+
+@pytest.mark.parametrize("constant", ["h_prev", "x"])
+def test_gru_step_constant_operand_gets_no_gradient(constant):
+    # The weights' gradients equal the all-tracked call's bit for bit.
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 4, Rng(0))
+    rng = np.random.default_rng(1)
+    h_data, x_data, coeffs = rng.normal(size=(2, 4)), rng.normal(size=(2, 3)), Tensor(rng.normal(size=(2, 4)))
+    h, x = Tensor(h_data, requires_grad=True), Tensor(x_data, requires_grad=True)
+    tracked = _grads(store, tsum(gru_step(cell, h, x) * coeffs))
+    want = {"h_prev": h.grad, "x": x.grad}
+    operands = {name: Tensor(data, requires_grad=name != constant) for name, data in (("h_prev", h_data), ("x", x_data))}
+    got = _grads(store, tsum(gru_step(cell, operands["h_prev"], operands["x"]) * coeffs))
+    assert operands[constant].grad is None
+    for name, operand in operands.items():
+        assert name == constant or np.array_equal(operand.grad, want[name]), name
+    for name in tracked:
+        assert np.array_equal(got[name], tracked[name]), name
+
+
+def test_gru_step_zero_gradient_adds_nothing():
+    # An all-zero output gradient stops at the step: neither it nor the
+    # step before adds even a zero array to any parent.
+    store = ParamStore()
+    cell = GruCell(store, "cell", 3, 4, Rng(0))
+    h = store.add("h", (2, 4), Rng(1), scale=1.0)
+    x = store.add("x", (2, 3), Rng(2), scale=1.0)
+    tsum(gru_step(cell, gru_step(cell, h, x), x) * 0.0).backward()
+    assert [name for name, t in store.items() if t.grad is not None] == []
 
 
 def test_gru_step_rows_gradcheck():
