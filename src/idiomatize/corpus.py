@@ -132,11 +132,6 @@ class ParallelPair:
         if self.sense_index < 0:
             raise CorpusError(f"pair for {self.idiom_id!r}: negative sense index")
 
-    @property
-    def span_tokens(self) -> tuple[str, ...]:
-        s, e = self.span
-        return self.literal[s:e]
-
 
 class Vocabulary:
     """Token <-> id map with fixed reserved ids <pad>=0 <unk>=1 <sep>=2 <eos>=3."""

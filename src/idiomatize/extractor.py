@@ -81,8 +81,8 @@ def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tenso
     return score
 
 
-def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """(n, k) log posterior marginals via forward-backward over [1,K] rows."""
+def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> tuple[Tensor, Tensor]:
+    """(n, k) log posterior marginals via forward-backward over [1,K] rows, and log Z from the same forward pass."""
     alphas = _crf_alphas(unary, transitions, start)
     n = len(alphas)
     betas = [None] * n
@@ -90,7 +90,7 @@ def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Te
     for t in range(n - 2, -1, -1):
         betas[t] = logsumexp(transitions + (unary[t + 1 : t + 2] + betas[t + 1]), axis=1)
     log_z = logsumexp(alphas[-1] + end)
-    return concat([alphas[t] + betas[t] - log_z for t in range(n)], axis=0)
+    return concat([alphas[t] + betas[t] - log_z for t in range(n)], axis=0), log_z
 
 
 def crf_viterbi(
@@ -153,11 +153,10 @@ def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Seq
 
 
 def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str], gold: Sequence[int]) -> Tensor:
-    """CRF NLL plus weighted marginal cross-entropy, summed over tokens."""
+    """CRF NLL plus weighted marginal cross-entropy, summed over tokens, from one forward-backward pass."""
     unary = unary_scores(model, sentence, definition)
-    log_z = crf_log_partition(unary, model.transitions, model.start, model.end)
+    log_marg, log_z = crf_log_marginals(unary, model.transitions, model.start, model.end)
     nll = log_z - crf_path_score(unary, model.transitions, model.start, model.end, gold)
-    log_marg = crf_log_marginals(unary, model.transitions, model.start, model.end)
     picked = log_marg[range(len(gold)), gold]
     weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
     return nll - tsum(picked * weights)

@@ -114,41 +114,36 @@ def candidate_keys(entry: IdiomEntry, key_mode: str) -> list[tuple[int, tuple[st
 
 @dataclass(frozen=True, eq=False)
 class KeyIndex:
-    """The query-independent half of ``score_keys`` for one list of encoded keys.
+    """The query-independent half of ``score_keys`` for one list of keys.
 
-    ``rows`` maps each key to its distinct encoded key, and the [T,n]
-    ``mask`` marks each distinct key's tokens.  ``fwd_inputs`` are the
-    forward cell's input products over the keys (``gru_project``);
+    An index is identified by ``keys``, exactly as the caller gave them,
+    and ``params``, copies of every parameter in ``model.store`` taken at
+    build time (and by the ``vocab`` that encoded the keys).  ``rows`` maps each key to its distinct encoded key, and
+    the [T,n] ``mask`` marks each distinct key's tokens.  ``fwd_inputs``
+    are the forward cell's input products over the keys (``gru_project``);
     ``bwd_sum`` and ``bwd_final`` are the backward pass over the keys from
-    zero states.  ``sources`` are copies, taken at build time, of every
-    array these were computed from (``_index_sources``).
+    zero states.
     """
 
-    encoded: list[tuple[int, ...]]
-    token_ids: np.ndarray
-    sources: tuple[np.ndarray, ...]
+    keys: tuple[tuple[str, ...], ...]
+    vocab: Vocabulary
+    params: tuple[np.ndarray, ...]
     rows: np.ndarray
     mask: np.ndarray
     fwd_inputs: tuple[np.ndarray, ...]
     bwd_sum: np.ndarray
     bwd_final: np.ndarray
 
-    def matches(self, model: RetrievalModel, encoded: list[tuple[int, ...]]) -> bool:
-        """True when ``encoded`` are this index's keys and no array it was built from has changed."""
-        return self.encoded == encoded and all(map(np.array_equal, self.sources, _index_sources(model, self.token_ids)))
+    def matches(self, model: RetrievalModel, keys: tuple[tuple[str, ...], ...]) -> bool:
+        """True when ``keys`` are this index's keys and neither a parameter nor the vocabulary has changed since its build."""
+        current = [p.data for p in model.store.params.values()]
+        return self.keys == keys and self.vocab is model.vocab and all(map(np.array_equal, self.params, current))
 
 
-def _index_sources(model: RetrievalModel, token_ids: np.ndarray) -> list[np.ndarray]:
-    """What a key index reads: the keys' embedding rows, the forward input weights and the whole backward cell."""
-    fwd, bwd = model.fwd, model.bwd
-    backward = (bwd.w_z, bwd.u_z, bwd.b_z, bwd.w_r, bwd.u_r, bwd.b_r, bwd.w_h, bwd.u_h, bwd.b_h)
-    return [model.embedding.data[token_ids], fwd.w_z.data, fwd.w_r.data, fwd.w_h.data, *(p.data for p in backward)]
-
-
-def build_key_index(model: RetrievalModel, encoded: list[tuple[int, ...]]) -> KeyIndex:
-    """Lay the encoded keys out as one ragged batch and run their query-independent passes."""
+def build_key_index(model: RetrievalModel, keys: tuple[tuple[str, ...], ...]) -> KeyIndex:
+    """Encode the keys, lay them out as one ragged batch and run their query-independent passes."""
     unique: dict[tuple[int, ...], int] = {}
-    rows = np.array([unique.setdefault(ids, len(unique)) for ids in encoded], dtype=np.intp)
+    rows = np.array([unique.setdefault(tuple(model.vocab.encode_all(key)), len(unique)) for key in keys], dtype=np.intp)
     n = len(unique)
     longest = max(len(ids) for ids in unique)
     fwd_ids = np.zeros((longest, n), dtype=np.int64)
@@ -158,11 +153,10 @@ def build_key_index(model: RetrievalModel, encoded: list[tuple[int, ...]]) -> Ke
         fwd_ids[: len(ids), j] = ids
         bwd_ids[: len(ids), j] = ids[::-1]
         mask[: len(ids), j] = True
-    token_ids = np.unique(fwd_ids[mask])
-    sources = tuple(np.array(a) for a in _index_sources(model, token_ids))
+    params = tuple(p.data.copy() for p in model.store.params.values())
     emb = model.embedding.data
     bwd_sum, bwd_final = gru_pool(model.bwd, emb[bwd_ids], np.zeros((n, model.hidden)), mask)
-    return KeyIndex(encoded, token_ids, sources, rows, mask, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
+    return KeyIndex(keys, model.vocab, params, rows, mask, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
 
 
 def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Sequence[str]]) -> np.ndarray:
@@ -178,17 +172,17 @@ def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Se
 
     The keys' backward pass and their forward input products do not depend
     on the query either: they form a ``KeyIndex``, kept on the model and
-    reused while the keys encode alike and every array it was built from
-    still equals its build-time copy (``np.array_equal``).  So in-place
-    optimizer steps, reassigned parameters and hand edits all rebuild it,
-    and a reused index gives the same scores, bit for bit, as a new one.
+    reused while the keys equal its keys and every parameter still equals
+    its build-time copy (``np.array_equal``).  So in-place optimizer steps,
+    reassigned parameters and hand edits all rebuild it, and a reused
+    index gives the same scores, bit for bit, as a new one.
     """
     if not sentence or not keys or not all(keys):
         raise ValueError("sentence and key must be non-empty")
-    encoded = [tuple(model.vocab.encode_all(key)) for key in keys]
+    keys = tuple(map(tuple, keys))
     index = model._key_index
-    if index is None or not index.matches(model, encoded):
-        index = model._key_index = build_key_index(model, encoded)
+    if index is None or not index.matches(model, keys):
+        index = model._key_index = build_key_index(model, keys)
     emb = model.embedding.data
     prefix = emb[model.vocab.encode_all(list(sentence) + [SEP])][:, None, :]
     f_prefix, h = gru_pool(model.fwd, prefix, np.zeros((1, model.hidden)))

@@ -4,9 +4,10 @@ Everything in this module is written straight from the textbook
 definitions (exhaustive enumeration, quadratic DP, direct formula
 evaluation) without importing anything from the package under test, so
 agreement between the two is meaningful evidence of correctness rather
-than a tautology.  The one exception is ``reference_crf_log_marginals``,
-an earlier form of the package's own CRF recursion on its own tape, kept
-to check the current form's values and gradients bit for bit.
+than a tautology.  The two exceptions are ``reference_crf_log_marginals``
+and ``reference_extractor_loss``, earlier forms of the package's own CRF
+code on its own tape, kept to check the current forms' values and
+gradients.
 """
 
 from __future__ import annotations
@@ -66,6 +67,24 @@ def reference_crf_log_marginals(unary, transitions, start, end):
     rows = [alphas[t] + betas[t] - log_z for t in range(n)]
     # The stack node: iterating the [n,K] gradient yields row t's gradient g[t].
     return _node(np.array([r.data for r in rows]), tuple(rows), lambda g: g)
+
+
+def reference_extractor_loss(model, sentence, definition, gold):
+    """The extractor loss with two CRF forward passes: log Z from ``crf_log_partition``, the marginals from their own.
+
+    The package's ``extractor_loss`` takes log Z from the marginals' pass;
+    values and gradients must agree within 1e-12.
+    """
+    from idiomatize.extractor import MARGINAL_WEIGHTS, crf_log_marginals, crf_log_partition, crf_path_score, unary_scores
+    from idiomatize.numerics import tsum
+
+    unary = unary_scores(model, sentence, definition)
+    crf = (unary, model.transitions, model.start, model.end)
+    nll = crf_log_partition(*crf) - crf_path_score(*crf, gold)
+    log_marg = crf_log_marginals(*crf)[0]
+    picked = log_marg[range(len(gold)), gold]
+    weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
+    return nll - tsum(picked * weights)
 
 
 def _count_ngrams(tokens, n):

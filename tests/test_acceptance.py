@@ -81,7 +81,7 @@ def test_crf_matches_brute_force(record_criterion):
             Tensor(unary), Tensor(trans), Tensor(start), Tensor(end)
         ).item()
         marg = np.exp(
-            crf_log_marginals(Tensor(unary), Tensor(trans), Tensor(start), Tensor(end)).data
+            crf_log_marginals(Tensor(unary), Tensor(trans), Tensor(start), Tensor(end))[0].data
         )
         path, score = crf_viterbi(unary, trans, start, end)
         worst = max(

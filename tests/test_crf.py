@@ -43,7 +43,7 @@ def test_matches_brute_force_enumeration(k):
         path, score = crf_viterbi(unary.data, transitions.data, start.data, end.data)
         assert path == best_path
         assert abs(score - best_score) <= 1e-10
-        got_m = exp(crf_log_marginals(unary, transitions, start, end)).data
+        got_m = exp(crf_log_marginals(unary, transitions, start, end)[0]).data
         assert np.max(np.abs(got_m - np.array(marginals))) <= 1e-10
 
 
@@ -60,7 +60,7 @@ def test_uniform_scores_partition_and_marginals():
     unary = Tensor(np.zeros((n, k)))
     vec = Tensor(np.zeros(k))
     assert crf_log_partition(unary, zero, vec, vec).item() == pytest.approx(n * math.log(k), abs=1e-12)
-    marg = exp(crf_log_marginals(unary, zero, vec, vec))
+    marg = exp(crf_log_marginals(unary, zero, vec, vec)[0])
     assert np.allclose(marg.data, 1.0 / k, atol=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_marginal_rows_sum_to_one():
     for _ in range(10):
         n = rand.randint(1, 6)
         unary, transitions, start, end = _random_instance(rand, n, 3, scale=4.0)
-        marg = exp(crf_log_marginals(unary, transitions, start, end))
+        marg = exp(crf_log_marginals(unary, transitions, start, end)[0])
         assert np.allclose(marg.data.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -122,7 +122,7 @@ def test_extreme_scores_stay_finite():
     unary, transitions, start, end = _random_instance(rand, 5, 3, scale=300.0)
     log_z = crf_log_partition(unary, transitions, start, end)
     assert np.isfinite(log_z.data).all()
-    marg = exp(crf_log_marginals(unary, transitions, start, end))
+    marg = exp(crf_log_marginals(unary, transitions, start, end)[0])
     assert np.isfinite(marg.data).all()
 
 
@@ -167,7 +167,7 @@ def test_partition_gradient_equals_marginals():
     end = Tensor([rand.uniform(-2, 2) for _ in range(3)])
     unary.grad = np.zeros_like(unary.data)
     crf_log_partition(unary, transitions, start, end).backward()
-    marg = exp(crf_log_marginals(unary, transitions, start, end))
+    marg = exp(crf_log_marginals(unary, transitions, start, end)[0])
     assert np.allclose(unary.grad, marg.data, atol=1e-12)
 
 
@@ -178,7 +178,7 @@ def test_row_marginals_equal_the_vector_recursion_bit_for_bit(n, seed):
     draws = [rng.uniform(-3.0, 3.0, size=shape) for shape in ((n, 3), (3, 3), (3,), (3,))]
     weights = rng.uniform(-1.0, 1.0, size=(n, 3))
     results = []
-    for marginals in (crf_log_marginals, reference_crf_log_marginals):
+    for marginals in (lambda *p: crf_log_marginals(*p)[0], reference_crf_log_marginals):
         params = [Tensor(d.copy(), requires_grad=True) for d in draws]
         log_marg = marginals(*params)
         tsum(log_marg * weights).backward()
@@ -187,3 +187,10 @@ def test_row_marginals_equal_the_vector_recursion_bit_for_bit(n, seed):
     assert np.array_equal(rows, vectors)
     for got, expect in zip(row_grads, vector_grads):
         assert np.array_equal(got, expect)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))
+def test_marginals_log_z_equals_the_partition_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    params = [Tensor(rng.uniform(-3.0, 3.0, size=shape)) for shape in ((n, 3), (3, 3), (3,), (3,))]
+    assert np.array_equal(crf_log_marginals(*params)[1].data, crf_log_partition(*params).data)

@@ -22,6 +22,8 @@ from idiomatize.extractor import (
 from idiomatize.numerics import bigru_encode, grad_check, no_grad
 from idiomatize.toydata import synthetic_span_data
 
+from oracles import reference_extractor_loss
+
 
 @pytest.fixture(scope="module")
 def tiny_extractor(tiny_vocab):
@@ -132,6 +134,45 @@ def test_extractor_loss_gradients(tiny_vocab):
         return extractor_loss(model, sentence, ("ran", "fast"), gold) * (1.0 / len(sentence))
 
     assert grad_check(loss_fn, model.store, eps=1e-3) <= 1e-4
+
+
+_LOSS_WORDS = ("the", "cat", "sat", "on", "mat", "a", "dog", "ran", "fast", "big", "red", "fox")
+
+
+def _graph(loss):
+    """Every node of ``loss``'s graph, found by walking ``_parents``."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_extractor_loss_runs_one_forward_recursion(tiny_extractor, n):
+    # One forward-backward pass: n - 1 alpha and n - 1 beta steps, plus log Z.
+    # A second forward pass for log Z would add n more.
+    loss = extractor_loss(tiny_extractor, _LOSS_WORDS[:n], ("ran", "fast"), span_labels(n, (0, 1)))
+    ops = [node._backward.__qualname__.split(".")[0] for node in _graph(loss) if node._backward is not None]
+    assert ops.count("logsumexp") == 2 * n - 1
+
+
+@pytest.mark.parametrize("n, span", [(1, (0, 1)), (4, (1, 3)), (12, (5, 12))])
+def test_extractor_loss_equals_the_two_pass_reference(tiny_vocab, n, span):
+    model = ExtractorModel(tiny_vocab, embed_dim=6, hidden=5, seed=n)
+    sentence, gold = _LOSS_WORDS[:n], span_labels(n, span)
+    results = []
+    for loss_fn in (extractor_loss, reference_extractor_loss):
+        model.store.zero_grads()
+        loss = loss_fn(model, sentence, ("big", "dog"), gold)
+        loss.backward()
+        results.append((loss.item(), {name: p.grad.copy() for name, p in model.store.items()}))
+    (value, grads), (ref_value, ref_grads) = results
+    assert abs(value - ref_value) <= 1e-12
+    for name, grad in grads.items():
+        assert np.max(np.abs(grad - ref_grads[name])) <= 1e-12, name
 
 
 def test_extractor_loss_nonnegative_nll_part(tiny_extractor):

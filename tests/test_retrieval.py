@@ -21,7 +21,7 @@ from idiomatize import (
     save_checkpoint,
     train_retrieval,
 )
-from idiomatize.corpus import RESERVED, Vocabulary
+from idiomatize.corpus import RESERVED, SEP, Vocabulary
 from idiomatize.numerics import adam_step, bigru_encode, no_grad
 from idiomatize.retrieval import (
     KEY_MODES,
@@ -308,6 +308,34 @@ def test_key_index_rebuilt_after_parameter_change(change, tmp_path, index_builds
     got, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
     assert built and not np.array_equal(got, before)
     assert np.array_equal(got, _cold_scores(model, _INDEX_SENTENCE, keys, tmp_path))
+
+
+def test_key_index_hit_encodes_only_the_sentence(monkeypatch, index_builds):
+    model = _index_model(8)
+    keys = _keys(_index_lexicon(9, 6))
+    first = score_keys(model, _INDEX_SENTENCE, keys)
+    encoded = []
+    encode_all = Vocabulary.encode_all
+
+    def counted(vocab, tokens):
+        tokens = list(tokens)
+        encoded.append(tokens)
+        return encode_all(vocab, tokens)
+
+    monkeypatch.setattr(Vocabulary, "encode_all", counted)
+    got, built = _warm_scores(model, _INDEX_SENTENCE, [list(key) for key in keys], index_builds)
+    assert not built and np.array_equal(got, first)
+    assert encoded == [list(_INDEX_SENTENCE) + [SEP]]
+
+
+def test_key_index_rebuilt_for_another_vocabulary(index_builds):
+    model, fresh = _index_model(5), _index_model(5)
+    keys = _keys(_index_lexicon(6, 6))
+    before = score_keys(model, _INDEX_SENTENCE, keys)
+    model.vocab = fresh.vocab = Vocabulary(RESERVED + _INDEX_WORDS[::-1])
+    got, built = _warm_scores(model, _INDEX_SENTENCE, keys, index_builds)
+    assert built and not np.array_equal(got, before)
+    assert np.array_equal(got, score_keys(fresh, _INDEX_SENTENCE, keys))
 
 
 def test_key_index_keeps_exact_ties_of_duplicate_and_unknown_keys(tmp_path, index_builds):
