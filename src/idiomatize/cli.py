@@ -193,10 +193,11 @@ def _cmd_transform(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     models = load_pipeline_models(args.ckpt_dir, config)
     # An explicit --input must hold a sentence; blank stdin lines are skipped.
-    lines = [args.input] if args.input is not None else [line for line in sys.stdin if line.strip()]
+    # Each stdin line is transformed and printed as it arrives, not at EOF.
+    lines = [args.input] if args.input is not None else (line for line in sys.stdin if line.strip())
     for line in lines:
         result = transform(models, lexicon, line, config)
-        print(json.dumps(result.to_dict(), ensure_ascii=False))
+        print(json.dumps(result.to_dict(), ensure_ascii=False), flush=True)
     return 0
 
 

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .rng import Rng
 
@@ -29,20 +30,13 @@ SEP = "<sep>"
 EOS = "<eos>"
 RESERVED = (PAD, UNK, SEP, EOS)
 
-_PUNCT = set(".,!?;:\"'()")
+# A maximal run of sentence punctuation, or a run of other non-space
+# characters in which an apostrophe with a letter or digit on each side stays.
+_TOKEN = re.compile(r"""(?:[^\s.,!?;:"'()]|(?<=[^\W_])'(?=[^\W_]))+|[.,!?;:"'()]+""")
 
 
 class CorpusError(ValueError):
     """Malformed corpus file or inconsistent record."""
-
-
-def _word_internal_apostrophe(chunk: str, i: int) -> bool:
-    return (
-        chunk[i] == "'"
-        and 0 < i < len(chunk) - 1
-        and chunk[i - 1].isalnum()
-        and chunk[i + 1].isalnum()
-    )
 
 
 def reject_reserved(tokens: Sequence[str]) -> None:
@@ -56,31 +50,11 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, detach punctuation runs.
 
     Each maximal run of sentence punctuation becomes its own token;
-    apostrophes with letters on both sides ("don't", "one's") stay
+    apostrophes with a letter or digit on each side ("don't", "one's") stay
     inside their word.  Text holding a reserved token such as ``<sep>``
     raises ``CorpusError``.
     """
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        buf: list[str] = []
-        i = 0
-        n = len(chunk)
-        while i < n:
-            ch = chunk[i]
-            if ch in _PUNCT and not _word_internal_apostrophe(chunk, i):
-                if buf:
-                    tokens.append("".join(buf))
-                    buf = []
-                j = i
-                while j < n and chunk[j] in _PUNCT and not _word_internal_apostrophe(chunk, j):
-                    j += 1
-                tokens.append(chunk[i:j])
-                i = j
-            else:
-                buf.append(ch)
-                i += 1
-        if buf:
-            tokens.append("".join(buf))
+    tokens = _TOKEN.findall(text.lower())
     reject_reserved(tokens)
     return tokens
 
@@ -185,89 +159,81 @@ def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) ->
     return Vocabulary(RESERVED + tuple(ordered))
 
 
-def _read_jsonl(path: str) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(path: str, build: Callable[[dict], object]) -> Iterator:
+    """``build(record)`` for each JSON object line of ``path``; blank lines are skipped.
+
+    Malformed JSON, a missing field (a ``KeyError`` from ``build``) and a
+    ``CorpusError`` from ``build`` all raise ``CorpusError("path:line: ...")``.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise CorpusError("expected a JSON object")
+                yield build(record)
             except json.JSONDecodeError as err:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON ({err.msg})") from err
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+            except KeyError as err:
+                raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+            except CorpusError as err:
+                raise CorpusError(f"{path}:{lineno}: {err}") from err
 
 
 def load_lexicon(path: str) -> list[IdiomEntry]:
     """Parse and validate a lexicon file; duplicate ids are rejected."""
-    entries: list[IdiomEntry] = []
     seen: set[str] = set()
-    for lineno, rec in _read_jsonl(path):
-        try:
-            idiom_id = rec["id"]
-            text = rec["text"]
-            definitions = rec["definitions"]
-        except KeyError as err:
-            raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
-        rigidity = rec.get("rigidity")
+
+    def build(rec: dict) -> IdiomEntry:
+        idiom_id, text, definitions = rec["id"], rec["text"], rec["definitions"]
         if not isinstance(idiom_id, str) or not isinstance(text, str):
-            raise CorpusError(f"{path}:{lineno}: 'id' and 'text' must be strings")
+            raise CorpusError("'id' and 'text' must be strings")
         if idiom_id in seen:
-            raise CorpusError(f"{path}:{lineno}: duplicate idiom id {idiom_id!r}")
+            raise CorpusError(f"duplicate idiom id {idiom_id!r}")
         seen.add(idiom_id)
         if not isinstance(definitions, list) or not definitions:
-            raise CorpusError(f"{path}:{lineno}: 'definitions' must be a non-empty list")
+            raise CorpusError("'definitions' must be a non-empty list")
         if not all(isinstance(d, str) for d in definitions):
-            raise CorpusError(f"{path}:{lineno}: 'definitions' must be strings")
-        try:
-            entry = IdiomEntry(
-                id=idiom_id,
-                surface=tuple(tokenize(text)),
-                senses=tuple(tuple(tokenize(d)) for d in definitions),
-                rigidity=rigidity,
-            )
-        except CorpusError as err:
-            raise CorpusError(f"{path}:{lineno}: {err}") from err
-        entries.append(entry)
-    return entries
+            raise CorpusError("'definitions' must be strings")
+        return IdiomEntry(
+            id=idiom_id,
+            surface=tuple(tokenize(text)),
+            senses=tuple(tuple(tokenize(d)) for d in definitions),
+            rigidity=rec.get("rigidity"),
+        )
+
+    return list(_read_jsonl(path, build))
 
 
 def load_pairs(path: str, lexicon: Sequence[IdiomEntry]) -> list[ParallelPair]:
     """Parse pairs and resolve each against the lexicon."""
     by_id = {e.id: e for e in lexicon}
-    pairs: list[ParallelPair] = []
-    for lineno, rec in _read_jsonl(path):
-        try:
-            idiom_id = rec["idiom_id"]
-            sense_index = rec["sense_index"]
-            literal = rec["literal"]
-            idiomatic = rec["idiomatic"]
-            span = rec["span"]
-        except KeyError as err:
-            raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+
+    def build(rec: dict) -> ParallelPair:
+        idiom_id, sense_index = rec["idiom_id"], rec["sense_index"]
+        literal, idiomatic, span = rec["literal"], rec["idiomatic"], rec["span"]
         if not all(isinstance(v, str) for v in (idiom_id, literal, idiomatic)):
-            raise CorpusError(f"{path}:{lineno}: 'idiom_id', 'literal' and 'idiomatic' must be strings")
+            raise CorpusError("'idiom_id', 'literal' and 'idiomatic' must be strings")
         entry = by_id.get(idiom_id)
         if entry is None:
-            raise CorpusError(f"{path}:{lineno}: unknown idiom id {idiom_id!r}")
-        try:
-            pair = ParallelPair(
-                idiom_id=idiom_id,
-                sense_index=sense_index,
-                literal=tuple(tokenize(literal)),
-                idiomatic=tuple(tokenize(idiomatic)),
-                span=tuple(span) if isinstance(span, list) else span,
-            )
-        except CorpusError as err:
-            raise CorpusError(f"{path}:{lineno}: {err}") from err
+            raise CorpusError(f"unknown idiom id {idiom_id!r}")
+        pair = ParallelPair(
+            idiom_id=idiom_id,
+            sense_index=sense_index,
+            literal=tuple(tokenize(literal)),
+            idiomatic=tuple(tokenize(idiomatic)),
+            span=tuple(span) if isinstance(span, list) else span,
+        )
         if sense_index >= len(entry.senses):
             raise CorpusError(
-                f"{path}:{lineno}: sense_index {sense_index!r} out of range "
+                f"sense_index {sense_index!r} out of range "
                 f"for idiom {idiom_id!r} with {len(entry.senses)} senses"
             )
-        pairs.append(pair)
-    return pairs
+        return pair
+
+    return list(_read_jsonl(path, build))
 
 
 def resolve_pairs(

@@ -155,11 +155,8 @@ class GeneratorModel:
 
 def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
     """(n, hidden) memory matrix of BiGRU states."""
-    vecs = []
-    for token, indicator in zip(inp.tokens, inp.indicators):
-        i = model.vocab.encode(token)
-        vecs.append(concat([model.word_emb[i : i + 1], model.copy_emb[indicator : indicator + 1]]))
-    return bigru_encode(model.enc_fwd, model.enc_bwd, vecs)
+    xs = concat([model.word_emb[model.vocab.encode_all(inp.tokens)], model.copy_emb[list(inp.indicators)]])
+    return bigru_encode(model.enc_fwd, model.enc_bwd, [xs[t : t + 1] for t in range(len(inp.tokens))])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 Tokens = Sequence[str]
@@ -285,16 +285,4 @@ class MetricReport:
     num_instances: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "meteor": self.meteor,
-            "span_f1": self.span_f1,
-            "retrieval_accuracy": self.retrieval_accuracy,
-            "idiom_part_acc": self.idiom_part_acc,
-            "non_idiom_part_acc": self.non_idiom_part_acc,
-            "by_rigidity": {str(k): v for k, v in sorted(self.by_rigidity.items())},
-            "num_instances": self.num_instances,
-        }
+        return {**asdict(self), "by_rigidity": {str(k): v for k, v in sorted(self.by_rigidity.items())}}

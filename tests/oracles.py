@@ -4,10 +4,11 @@ Everything in this module is written straight from the textbook
 definitions (exhaustive enumeration, quadratic DP, direct formula
 evaluation) without importing anything from the package under test, so
 agreement between the two is meaningful evidence of correctness rather
-than a tautology.  The two exceptions are ``reference_crf_log_marginals``
+than a tautology.  The exceptions are ``reference_crf_log_marginals``
 and ``reference_extractor_loss``, earlier forms of the package's own CRF
 code on its own tape, kept to check the current forms' values and
-gradients.
+gradients, and ``reference_tokenize``, the package's earlier character
+scanner, which rejects reserved tokens through the package's own rule.
 """
 
 from __future__ import annotations
@@ -85,6 +86,46 @@ def reference_extractor_loss(model, sentence, definition, gold):
     picked = log_marg[range(len(gold)), gold]
     weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
     return nll - tsum(picked * weights)
+
+
+_PUNCT = set(".,!?;:\"'()")
+
+
+def _word_internal_apostrophe(chunk, i):
+    return chunk[i] == "'" and 0 < i < len(chunk) - 1 and chunk[i - 1].isalnum() and chunk[i + 1].isalnum()
+
+
+def reference_tokenize(text):
+    """Lowercase, split on whitespace, and scan each chunk character by character.
+
+    A maximal run of sentence punctuation becomes its own token; an
+    apostrophe with a letter or digit on each side stays inside its word.
+    The package's ``tokenize`` does the same with one regular expression.
+    """
+    from idiomatize.corpus import reject_reserved
+
+    tokens = []
+    for chunk in text.lower().split():
+        buf = []
+        i = 0
+        n = len(chunk)
+        while i < n:
+            if chunk[i] in _PUNCT and not _word_internal_apostrophe(chunk, i):
+                if buf:
+                    tokens.append("".join(buf))
+                    buf = []
+                j = i
+                while j < n and chunk[j] in _PUNCT and not _word_internal_apostrophe(chunk, j):
+                    j += 1
+                tokens.append(chunk[i:j])
+                i = j
+            else:
+                buf.append(chunk[i])
+                i += 1
+        if buf:
+            tokens.append("".join(buf))
+    reject_reserved(tokens)
+    return tokens
 
 
 def _count_ngrams(tokens, n):

@@ -312,6 +312,48 @@ def test_transform_reads_stdin_lines(
         json.loads(line)
 
 
+class _TrickleStdin:
+    """A stdin that hands out each line only once every earlier non-blank line's result is on stdout."""
+
+    def __init__(self, lines, capsys):
+        self.lines = iter(lines)
+        self.capsys = capsys
+        self.out = ""
+        self.sent = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.out += self.capsys.readouterr().out
+        assert len(self.out.splitlines()) == self.sent
+        line = next(self.lines)
+        self.sent += bool(line.strip())
+        return line
+
+
+def test_transform_streams_stdin_lines(config_file, demo_files, ckpt_dir, capsys, monkeypatch):
+    lines = ["He ran away quickly.\n", "\n", "She kept thinking about it.\n", "a <sep> b\n", "never read\n"]
+    stdin = _TrickleStdin(lines, capsys)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = cli.main(
+        [
+            "--quiet",
+            "transform",
+            "--config", config_file,
+            "--lexicon", demo_files["lexicon"],
+            "--ckpt-dir", ckpt_dir,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == "error: reserved token '<sep>' in text"
+    # The two results before the failing line were printed; the line after it was never read.
+    printed = (stdin.out + captured.out).splitlines()
+    assert [json.loads(line)["literal"][0] for line in printed] == ["he", "she"]
+    assert list(stdin.lines) == ["never read\n"]
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idiomatize import (
@@ -24,6 +25,7 @@ from idiomatize import (
 )
 from idiomatize.corpus import RESERVED
 from idiomatize.toydata import demo_lexicon, demo_pairs
+from oracles import reference_tokenize
 
 # --- tokenize -----------------------------------------------------------
 
@@ -68,6 +70,29 @@ def test_tokenize_idempotent_on_own_output(text):
 def test_tokenize_preserves_non_space_characters(text):
     joined = "".join(tokenize(text))
     assert joined == "".join(text.lower().split())
+
+
+_ORACLE_PIECES = [
+    *string.ascii_letters, *string.digits, "_", "'", *".,!?;:\"()",
+    " ", "\t", "\u00a0", "\u2003", "\x1c",
+    "é", "ß", "İ", "٣", "½", "Ⅻ",
+    *RESERVED, "<UNK>",
+]
+
+
+# Half the characters come from the ones the apostrophe rule turns on.
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from("'_a1.é٣½ ") | st.sampled_from(_ORACLE_PIECES), max_size=40).map("".join))
+@example("_'a a'_ é'ß İ'x ٣'½ Ⅻ'a a'\u00a0b")
+def test_tokenize_matches_the_reference_scanner(text):
+    try:
+        expected = reference_tokenize(text)
+    except CorpusError as err:
+        with pytest.raises(CorpusError) as got:
+            tokenize(text)
+        assert str(got.value) == str(err)
+    else:
+        assert tokenize(text) == expected
 
 
 # --- record validation ----------------------------------------------------
