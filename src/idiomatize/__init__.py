@@ -26,8 +26,7 @@ from .generator import (
     GeneratorInput,
     GeneratorModel,
     beam_decode,
-    build_guided_input,
-    build_unguided_input,
+    build_generator_input,
     rule_based_generate,
     train_generator,
 )
@@ -73,8 +72,7 @@ __all__ = [
     "Vocabulary",
     "beam_decode",
     "bleu",
-    "build_guided_input",
-    "build_unguided_input",
+    "build_generator_input",
     "build_vocab",
     "evaluate",
     "extract_span",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .corpus import RESERVED, Vocabulary
 from .extractor import ExtractorModel, extractor_loss
-from .generator import GeneratorModel, build_guided_input, teacher_forced_loss
+from .generator import GeneratorModel, build_generator_input, teacher_forced_pass
 from .numerics import grad_check
 from .retrieval import RetrievalModel, _bce_loss
 
@@ -70,12 +70,12 @@ def gradcheck_generator(seed: int = 0) -> float:
     model = GeneratorModel(
         _toy_vocab(), word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=True, seed=seed
     )
-    inp = build_guided_input(("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4))
+    inp = build_generator_input(("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4), guided=True)
     reference = ("the", "cat", "ran", "fast")
     steps = len(reference) + 1  # reference tokens plus <eos>
 
     def loss_fn(_store):
-        return teacher_forced_loss(model, inp, reference) * (1.0 / steps)
+        return teacher_forced_pass(model, inp, reference)[0] * (1.0 / steps)
 
     return grad_check(loss_fn, model.store, eps=CHECK_EPS)
 

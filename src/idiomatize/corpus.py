@@ -112,6 +112,8 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str]):
         tokens = tuple(tokens)
+        if not all(isinstance(t, str) for t in tokens):
+            raise CorpusError("vocabulary tokens must be strings")
         if tokens[: len(RESERVED)] != RESERVED:
             raise CorpusError(f"vocabulary must start with {RESERVED}")
         if len(set(tokens)) != len(tokens):

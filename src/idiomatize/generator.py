@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EOS, SEP, Vocabulary
+from .corpus import EOS, SEP, UNK, Vocabulary
 from .metrics import bleu
 from .numerics import (
     GruCell,
@@ -62,34 +62,17 @@ class GeneratorInput:
             raise ValueError("indicators must be 0 or 1")
 
 
-def build_guided_input(
-    idiom: Sequence[str], literal: Sequence[str], span: tuple[int, int] | None
-) -> GeneratorInput:
-    """[idiom, <sep>, literal]; span tokens get indicator 0, the rest 1."""
-    s, e = span if span is not None else (0, 0)
-    tokens = tuple(idiom) + (SEP,) + tuple(literal)
-    indicators = (
-        (1,) * len(idiom) + (0,) + tuple(0 if s <= i < e else 1 for i in range(len(literal)))
-    )
-    return GeneratorInput(tokens, indicators)
-
-
-def build_unguided_input(
-    idiom: Sequence[str], literal: Sequence[str], span: tuple[int, int] | None
-) -> GeneratorInput:
-    """[idiom, <sep>, literal minus span] with constant indicators."""
-    s, e = span if span is not None else (0, 0)
-    kept = tuple(literal[:s]) + tuple(literal[e:])
-    tokens = tuple(idiom) + (SEP,) + kept
-    return GeneratorInput(tokens, (0,) * len(tokens))
-
-
 def build_generator_input(
     idiom: Sequence[str], literal: Sequence[str], span: tuple[int, int] | None, guided: bool
 ) -> GeneratorInput:
-    """The guided or the unguided encoder input for one rewrite."""
-    build = build_guided_input if guided else build_unguided_input
-    return build(idiom, literal, span)
+    """Guided: [idiom, <sep>, literal] with indicator 0 on <sep> and the span and 1 elsewhere.
+    Unguided: the same without the span's tokens, and every indicator 0."""
+    s, e = span if span is not None else (0, 0)
+    if not guided:
+        tokens = tuple(idiom) + (SEP,) + tuple(literal[:s]) + tuple(literal[e:])
+        return GeneratorInput(tokens, (0,) * len(tokens))
+    indicators = (1,) * len(idiom) + (0,) + tuple(0 if s <= i < e else 1 for i in range(len(literal)))
+    return GeneratorInput(tuple(idiom) + (SEP,) + tuple(literal), indicators)
 
 
 def rule_based_generate(
@@ -266,60 +249,54 @@ def decode_step(
 
 @dataclass
 class StepDistribution:
-    """One decoding step's output distribution; ``probs`` is an array over
-    the context's extended vocabulary ``ctx.tokens``, with a leading [B]
-    axis (and [B] masses) for rows of hypotheses."""
+    """One decoding step's output distributions for B rows of hypotheses: ``probs`` is [B,·]
+    over the context's extended vocabulary ``ctx.tokens``, and ``p_copy`` and ``p_gen`` hold
+    each row's copy and generate mass, [B] each."""
 
     probs: np.ndarray
-    p_copy: float | np.ndarray
-    p_gen: float | np.ndarray
+    p_copy: np.ndarray
+    p_gen: np.ndarray
 
 
 def step_distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
-    """Copy and generate scores normalized together over the extended vocabulary.
+    """[B,n] copy and [B,V] generate scores normalized together over the extended vocabulary.
 
-    Takes [n] copy and [V] generate scores, or [B,n] and [B,V] rows; each
-    row equals its one-row call bit for bit.
+    Each row equals its one-row call bit for bit.
     """
-    shift = np.maximum(copy_scores.max(axis=-1), gen_scores.max(axis=-1))[..., None]
+    shift = np.maximum(copy_scores.max(axis=1), gen_scores.max(axis=1))[:, None]
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
-    copy_mass = e_copy.sum(axis=-1, keepdims=True)
-    gen_mass = e_gen.sum(axis=-1, keepdims=True)
+    copy_mass = e_copy.sum(axis=1, keepdims=True)
+    gen_mass = e_gen.sum(axis=1, keepdims=True)
     z = copy_mass + gen_mass
-    probs = np.zeros(gen_scores.shape[:-1] + (len(ctx.tokens),))
-    probs[..., : gen_scores.shape[-1]] = e_gen / z
+    probs = np.zeros((len(gen_scores), len(ctx.tokens)))
+    probs[:, : gen_scores.shape[1]] = e_gen / z
     # np.add.at adds position by position, so a repeated token sums in input order.
-    np.add.at(probs, (..., ctx.slots), e_copy / z)
-    return StepDistribution(probs, p_copy=(copy_mass / z)[..., 0], p_gen=(gen_mass / z)[..., 0])
+    np.add.at(probs, (slice(None), ctx.slots), e_copy / z)
+    return StepDistribution(probs, p_copy=(copy_mass / z)[:, 0], p_gen=(gen_mass / z)[:, 0])
 
 
-def infer_label(dist: StepDistribution) -> int | np.ndarray:
-    """1 when the copy mass strictly exceeds the generate mass, per row for rows."""
+def infer_label(dist: StepDistribution) -> np.ndarray:
+    """Per row, 1 when the copy mass strictly exceeds the generate mass."""
     return np.greater(dist.p_copy, dist.p_gen).astype(np.intp)
 
 
-def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> list[int]:
-    """Positions in [copy scores ++ generate scores] that emit ``target``."""
+def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> tuple[list[int], str]:
+    """Positions in [copy scores ++ generate scores] that emit ``target``, and the token they emit:
+    ``target``, or <unk> for a target in neither the input nor the vocabulary (the <unk> route)."""
     n = len(ctx.slots)
     idxs = list(ctx.positions.get(target, ()))
     vocab_id = vocab.get(target)
     if vocab_id is not None:
         idxs.append(n + vocab_id)
-    return idxs or [n + vocab.encode(target)]  # an unreachable token trains the <unk> route
+    return (idxs, target) if idxs else ([n + vocab.encode(UNK)], UNK)
 
 
-def teacher_forced_loss(
-    model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str]
-) -> Tensor:
-    """Summed NLL of the reference tokens plus <eos> under teacher forcing."""
-    loss, _, _ = _teacher_forced_pass(model, inp, reference)
-    return loss
-
-
-def _teacher_forced_pass(
+def teacher_forced_pass(
     model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str]
 ) -> tuple[Tensor, int, int]:
+    """Teacher forcing over the reference plus <eos>: its summed NLL, its steps, and how many
+    steps' most probable token is the one their target's indices emit."""
     if not reference:
         raise ValueError("empty reference")
     ctx = decode_context(model, inp)
@@ -331,13 +308,11 @@ def _teacher_forced_pass(
     for target in targets:
         state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
         all_scores = concat([state.copy_scores, state.gen_scores])[0]
-        idxs = _target_indices(model.vocab, ctx, target)
+        idxs, emitted = _target_indices(model.vocab, ctx, target)
         step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
         loss = step_nll if loss is None else loss + step_nll
-        dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
-        predicted = ctx.tokens[int(np.argmax(dist.probs))]
-        reachable = target in ctx.positions or target in model.vocab
-        correct += predicted == (target if reachable else model.vocab.decode(1))
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        correct += ctx.tokens[int(np.argmax(dist.probs[0]))] == emitted
         y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
     assert loss is not None
     return loss, len(targets), correct
@@ -349,7 +324,7 @@ def teacher_forced_accuracy(model: GeneratorModel, data: Sequence[tuple[Generato
     correct = 0
     with no_grad():
         for inp, reference in data:
-            _, n, c = _teacher_forced_pass(model, inp, reference)
+            _, n, c = teacher_forced_pass(model, inp, reference)
             steps += n
             correct += c
     return correct / steps if steps else 0.0
@@ -380,7 +355,7 @@ def train_generator(
     counts = [0, 0]  # teacher-forced steps and correct argmax steps in this epoch
 
     def loss(example: tuple[GeneratorInput, Sequence[str]]) -> Tensor:
-        value, steps, correct = _teacher_forced_pass(model, *example)
+        value, steps, correct = teacher_forced_pass(model, *example)
         counts[0] += steps
         counts[1] += correct
         return value

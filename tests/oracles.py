@@ -7,8 +7,11 @@ agreement between the two is meaningful evidence of correctness rather
 than a tautology.  The exceptions are ``reference_crf_log_marginals``
 and ``reference_extractor_loss``, earlier forms of the package's own CRF
 code on its own tape, kept to check the current forms' values and
-gradients, and ``reference_tokenize``, the package's earlier character
-scanner, which rejects reserved tokens through the package's own rule.
+gradients; ``reference_tokenize``, the package's earlier character
+scanner, which rejects reserved tokens through the package's own rule;
+and ``reference_generator_beam`` and ``reference_transform``, which run
+the reference beam and retrieval rules over the package's own models, so
+that ``transform`` is checked against its stages composed the slow way.
 """
 
 from __future__ import annotations
@@ -436,6 +439,94 @@ def reference_beam_decode(step, state, tokens, sep, eos, beam, max_len):
             break
     finished.extend(alive)
     return max(finished, key=lambda h: h.score).tokens  # the first of equal scores wins
+
+
+def reference_generator_beam(model, inp, beam, max_len):
+    """``reference_beam_decode`` over one-row ``decode_step`` calls of a package generator."""
+    from idiomatize.corpus import EOS, SEP
+    from idiomatize.generator import decode_context, decode_init, decode_step, infer_label, step_distribution
+    from idiomatize.numerics import no_grad
+
+    with no_grad():
+        ctx = decode_context(model, inp)
+
+        def step(state, y_prev, label):
+            state = decode_step(model, ctx, state, [y_prev], np.array([label]))
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            return state, dist.probs[0], infer_label(dist)[0]
+
+        return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
+
+
+RETRIEVAL_TIE_TOLERANCE = 1e-12
+
+
+def reference_transform(models, lexicon, tokens, config):
+    """``transform_tokens`` composed from the slow reference paths of each stage.
+
+    Retrieval scores every candidate key on its own on the tape
+    (``score_pair``) and picks the winner by ``reference_retrieve_top1``'s
+    tie rule, with lexicon positions as idiom ids.  Extraction runs
+    ``crf_viterbi`` and ``repair_labels`` on the tape's unary scores.
+    Generation runs ``reference_beam_decode`` over one-row ``decode_step``
+    calls, or splices the idiom over the span for ``rule_based``.
+
+    Returns a list of ``TransformResult``: the tie rule's winner first, then
+    one for every other candidate that scores within
+    ``RETRIEVAL_TIE_TOLERANCE`` of it (only the first of equal scores).
+    ``transform`` scores all keys as one gemm batch, and a gemm row moves in
+    its last bits with the batch, so a near-tie may go either way.
+    """
+    from idiomatize.extractor import crf_viterbi, repair_labels, unary_scores
+    from idiomatize.generator import build_generator_input
+    from idiomatize.numerics import no_grad
+    from idiomatize.pipeline import TransformResult
+    from idiomatize.retrieval import score_pair
+
+    tokens = tuple(tokens)
+    by_definition = config.retrieval_key == "definition"
+
+    def extract(definition):
+        extractor = models.extractor
+        with no_grad():
+            unary = unary_scores(extractor, tokens, definition).data
+        path, score = crf_viterbi(unary, extractor.transitions.data, extractor.start.data, extractor.end.data)
+        return repair_labels(path, unary), score
+
+    def retrieve(sentence):
+        candidates = [
+            (position, sense, key)
+            for position, entry in enumerate(lexicon)
+            for sense, key in (enumerate(entry.senses) if by_definition else [(0, entry.surface)])
+        ]
+        scores = {key: score_pair(models.retrieval, sentence, key) for _, _, key in candidates}
+        winner = reference_retrieve_top1(scores.__getitem__, candidates)
+        winners, seen = [winner], {winner[2]}
+        for position, sense, key in candidates:
+            if scores[key] not in seen and winner[2] - scores[key] <= RETRIEVAL_TIE_TOLERANCE:
+                winners.append((position, sense, scores[key]))
+                seen.add(scores[key])
+        return [(lexicon[position], sense, score) for position, sense, score in winners]
+
+    def generate(entry, span):
+        if config.generator_mode == "rule_based":
+            return tokens if span is None else tokens[: span[0]] + tuple(entry.surface) + tokens[span[1] :]
+        inp = build_generator_input(entry.surface, tokens, span, config.generator_mode == "guided")
+        return reference_generator_beam(models.generator, inp, config.beam, config.max_len)
+
+    results = []
+    if config.order == "retrieve_then_extract":
+        for entry, sense, r_score in retrieve(tokens):
+            span, e_score = extract(entry.senses[sense] if by_definition else entry.surface)
+            results.append((entry, sense, r_score, span, e_score))
+    else:
+        span, e_score = extract(())
+        for entry, sense, r_score in retrieve(tokens[slice(*span)] if span else tokens):
+            results.append((entry, sense, r_score, span, e_score))
+    return [
+        TransformResult(tokens, entry.id, sense, span, generate(entry, span), {"retrieval": r, "extraction": e})
+        for entry, sense, r, span, e in results
+    ]
 
 
 # 20 hypothesis/reference pairs exercising clipping, brevity, repeats,

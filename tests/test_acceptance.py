@@ -31,7 +31,7 @@ from idiomatize.extractor import (
 from idiomatize.generator import (
     GeneratorModel,
     beam_decode,
-    build_guided_input,
+    build_generator_input,
     decode_context,
     rule_based_generate,
     selective_read,
@@ -115,7 +115,7 @@ def test_distribution_validity(record_criterion):
         )
         s = rng.randrange(len(literal))
         e = rng.randint(s + 1, len(literal))
-        inp = build_guided_input(idiom, literal, (s, e))
+        inp = build_generator_input(idiom, literal, (s, e), guided=True)
         with no_grad():
             ctx = decode_context(model, inp)
         pool.append((inp, ctx))
@@ -127,10 +127,10 @@ def test_distribution_validity(record_criterion):
         h = Tensor(npr.normal(scale=2.0, size=(1, 12)))
         with no_grad():
             copy_s, gen_s = matvec(ctx.copy_keys, h).data[0], matvec(model.w_gen, h).data[0]
-            dist = step_distribution(ctx, copy_s, gen_s)
-        worst_sum = max(worst_sum, abs(dist.probs.sum() - 1.0))
-        worst_split = max(worst_split, abs(dist.p_copy + dist.p_gen - 1.0))
-        copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+            dist = step_distribution(ctx, copy_s[None], gen_s[None])
+        worst_sum = max(worst_sum, abs(dist.probs[0].sum() - 1.0))
+        worst_split = max(worst_split, abs(dist.p_copy[0] + dist.p_gen[0] - 1.0))
+        copy_shares = dist.probs[0] - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
         leaked = leaked or not {t for t, c in zip(ctx.tokens, copy_shares) if c} <= set(inp.tokens)
     ok = worst_sum <= 1e-6 and worst_split <= 1e-6 and not leaked
     record_criterion(
@@ -144,7 +144,7 @@ def test_distribution_validity(record_criterion):
 def test_selective_read_property(record_criterion):
     vocab = Vocabulary(RESERVED + ("a", "b", "c", "d"))
     model = GeneratorModel(vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
-    inp = build_guided_input(("a", "b"), ("c", "d", "c"), (0, 2))
+    inp = build_generator_input(("a", "b"), ("c", "d", "c"), (0, 2), guided=True)
     with no_grad():
         ctx = decode_context(model, inp)
     memory = ctx.memory

@@ -15,8 +15,7 @@ from idiomatize import (
     GeneratorInput,
     GeneratorModel,
     beam_decode,
-    build_guided_input,
-    build_unguided_input,
+    build_generator_input,
     rule_based_generate,
     train_generator,
 )
@@ -36,14 +35,14 @@ from idiomatize.generator import (
     selective_read,
     step_distribution,
     teacher_forced_accuracy,
-    teacher_forced_loss,
+    teacher_forced_pass,
 )
 from idiomatize.numerics import ParamStore, Tensor, grad_check, no_grad, tsum
 from idiomatize.rng import Rng
 
 from oracles import (
-    reference_beam_decode,
     reference_generate_share,
+    reference_generator_beam,
     reference_selective_read,
     reference_step_distribution,
     reference_target_indices,
@@ -73,8 +72,8 @@ def _context(model, tokens):
 
 
 def _demo_input():
-    return build_guided_input(
-        ("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4)
+    return build_generator_input(
+        ("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4), guided=True
     )
 
 
@@ -84,22 +83,22 @@ def _demo_input():
 def test_build_guided_input_layout():
     idiom = ("run", "for", "cover")
     literal = ("the", "visitors", "headed", "for", "shelter", "when", "the", "rain", "began")
-    inp = build_guided_input(idiom, literal, (2, 5))
+    inp = build_generator_input(idiom, literal, (2, 5), guided=True)
     assert inp.tokens == idiom + (SEP,) + literal
     assert inp.indicators == (1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1)
 
 
 def test_build_guided_input_without_span():
-    inp = build_guided_input(("a",), ("b", "c"), None)
+    inp = build_generator_input(("a",), ("b", "c"), None, guided=True)
     assert inp.tokens == ("a", SEP, "b", "c")
     assert inp.indicators == (1, 0, 1, 1)
 
 
 def test_build_unguided_input_drops_span():
-    inp = build_unguided_input(("run", "for", "cover"), ("the", "cat", "sat", "well"), (1, 3))
+    inp = build_generator_input(("run", "for", "cover"), ("the", "cat", "sat", "well"), (1, 3), guided=False)
     assert inp.tokens == ("run", "for", "cover", SEP, "the", "well")
     assert inp.indicators == (0,) * 6
-    keep_all = build_unguided_input(("a",), ("b", "c"), None)
+    keep_all = build_generator_input(("a",), ("b", "c"), None, guided=False)
     assert keep_all.tokens == ("a", SEP, "b", "c")
 
 
@@ -121,7 +120,7 @@ def test_guided_indicators_mark_exactly_sep_and_span(literal, idiom, data):
     n = len(literal)
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
     e = data.draw(st.integers(min_value=s + 1, max_value=n))
-    inp = build_guided_input(idiom, literal, (s, e))
+    inp = build_generator_input(idiom, literal, (s, e), guided=True)
     zeros_at = {i for i, flag in enumerate(inp.indicators) if flag == 0}
     sep_pos = len(idiom)
     expected = {sep_pos} | {sep_pos + 1 + i for i in range(s, e)}
@@ -245,34 +244,35 @@ def test_distribution_matches_manual_normalization(tiny_vocab, gen_model):
     copy_s = rng.normal(size=3)
     gen_s = rng.normal(size=len(tiny_vocab))
     ctx = _context(gen_model, inp_tokens)
-    dist = step_distribution(ctx, copy_s, gen_s)
+    dist = step_distribution(ctx, copy_s[None], gen_s[None])
+    probs, p_copy, p_gen = dist.probs[0], dist.p_copy[0], dist.p_gen[0]
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.p_copy + dist.p_gen == pytest.approx(1.0, abs=1e-12)
-    assert dist.p_copy == pytest.approx(np.exp(copy_s - shift).sum() / z, abs=1e-12)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert p_copy + p_gen == pytest.approx(1.0, abs=1e-12)
+    assert p_copy == pytest.approx(np.exp(copy_s - shift).sum() / z, abs=1e-12)
     expect_the = (
         np.exp(gen_s[tiny_vocab.encode("the")] - shift) + np.exp(copy_s[0] - shift)
     ) / z
-    assert dist.probs[ctx.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
-    copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+    assert probs[ctx.tokens.index("the")] == pytest.approx(expect_the, abs=1e-12)
+    copy_shares = probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
     assert {t for t, c in zip(ctx.tokens, copy_shares) if c} == {"the", "cat", "zzz"}
     # The OOV token is reachable through the copy route only.
     _, copy_probs, _, _ = reference_step_distribution(tiny_vocab.tokens, inp_tokens, copy_s, gen_s)
     zzz = ctx.tokens.index("zzz")
-    assert dist.probs[zzz] == pytest.approx(copy_probs["zzz"], abs=1e-15)
-    assert dist.probs[zzz] > 0.0
+    assert probs[zzz] == pytest.approx(copy_probs["zzz"], abs=1e-15)
+    assert probs[zzz] > 0.0
 
 
 def test_distribution_merges_repeated_tokens(tiny_vocab, gen_model):
     copy_s = np.array([0.3, -0.2, 0.3])
     gen_s = np.zeros(len(tiny_vocab))
     ctx = _context(gen_model, ("cat", "dog", "cat"))
-    dist = step_distribution(ctx, copy_s, gen_s)
+    dist = step_distribution(ctx, copy_s[None], gen_s[None])
     shift = max(copy_s.max(), gen_s.max())
     z = np.exp(copy_s - shift).sum() + np.exp(gen_s - shift).sum()
     both = (np.exp(copy_s[0] - shift) + np.exp(copy_s[2] - shift)) / z
-    copy_shares = dist.probs - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
+    copy_shares = dist.probs[0] - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
     assert copy_shares[ctx.tokens.index("cat")] == pytest.approx(both, abs=1e-15)
 
 
@@ -299,15 +299,15 @@ def test_distribution_equals_dict_oracle(tiny_vocab, gen_model, seed):
     if seed % 6 == 0:
         copy_s[:] = 0.7
     ctx = _context(gen_model, inp_tokens)
-    dist = step_distribution(ctx, copy_s, gen_s)
+    dist = step_distribution(ctx, copy_s[None], gen_s[None])
     probs, copy_probs, p_copy, p_gen = reference_step_distribution(
         tiny_vocab.tokens, inp_tokens, copy_s, gen_s
     )
     assert ctx.tokens == tuple(probs)
-    assert dist.probs.tolist() == list(probs.values())
-    _assert_copy_shares(ctx, dist.probs, copy_s, gen_s, copy_probs)
-    assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
-    order = np.argsort(-dist.probs, kind="stable")
+    assert dist.probs[0].tolist() == list(probs.values())
+    _assert_copy_shares(ctx, dist.probs[0], copy_s, gen_s, copy_probs)
+    assert (dist.p_copy[0], dist.p_gen[0]) == (p_copy, p_gen)
+    order = np.argsort(-dist.probs[0], kind="stable")
     ranked = sorted(probs.items(), key=lambda kv: -kv[1])
     for k in range(1, 9):
         assert [ctx.tokens[i] for i in order[:k]] == [t for t, _ in ranked[:k]]
@@ -327,11 +327,13 @@ def test_step_distribution_rows_equal_single_rows(tiny_vocab, gen_model, seed):
     rows = step_distribution(ctx, copy_s, gen_s)
     labels = infer_label(rows)
     assert rows.probs.shape == (batch, len(ctx.tokens))
+    with pytest.raises(ValueError):  # rows only: one [n] and [V] score vector is not a row
+        step_distribution(ctx, copy_s[0], gen_s[0])
     for b in range(batch):
-        one = step_distribution(ctx, copy_s[b], gen_s[b])
+        one = step_distribution(ctx, copy_s[b : b + 1], gen_s[b : b + 1])
         for field in ("probs", "p_copy", "p_gen"):
-            assert np.array_equal(getattr(rows, field)[b], getattr(one, field)), field
-        assert labels[b] == infer_label(one)
+            assert np.array_equal(getattr(rows, field)[b], getattr(one, field)[0]), field
+        assert labels[b] == infer_label(one)[0]
         probs, copy_probs, p_copy, p_gen = reference_step_distribution(
             tiny_vocab.tokens, inp_tokens, copy_s[b], gen_s[b]
         )
@@ -341,13 +343,13 @@ def test_step_distribution_rows_equal_single_rows(tiny_vocab, gen_model, seed):
 
 
 def test_infer_label_strictly_greater():
-    empty = np.zeros(0)
-    tie = StepDistribution(probs=empty, p_copy=0.5, p_gen=0.5)
-    assert infer_label(tie) == 0
-    copyish = StepDistribution(probs=empty, p_copy=0.6, p_gen=0.4)
-    assert infer_label(copyish) == 1
-    genish = StepDistribution(probs=empty, p_copy=0.4, p_gen=0.6)
-    assert infer_label(genish) == 0
+    empty = np.zeros((1, 0))
+    tie = StepDistribution(probs=empty, p_copy=np.array([0.5]), p_gen=np.array([0.5]))
+    assert infer_label(tie)[0] == 0
+    copyish = StepDistribution(probs=empty, p_copy=np.array([0.6]), p_gen=np.array([0.4]))
+    assert infer_label(copyish)[0] == 1
+    genish = StepDistribution(probs=empty, p_copy=np.array([0.4]), p_gen=np.array([0.6]))
+    assert infer_label(genish)[0] == 0
 
 
 def test_step_distribution_sums_to_one_from_real_state(gen_model):
@@ -355,8 +357,8 @@ def test_step_distribution_sums_to_one_from_real_state(gen_model):
     with no_grad():
         ctx = decode_context(gen_model, inp)
         state = decode_step(gen_model, ctx, decode_init(gen_model, ctx), [SEP], np.array([0]))
-        dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
-    assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+    assert dist.probs[0].sum() == pytest.approx(1.0, abs=1e-12)
     assert state.copy_scores.shape == (1, len(inp.tokens))
 
 
@@ -365,13 +367,13 @@ def test_target_indices_routes(tiny_vocab, gen_model):
     n = len(inp_tokens)
     ctx = _context(gen_model, inp_tokens)
     # In input twice and in the vocabulary.
-    assert _target_indices(tiny_vocab, ctx, "the") == [0, 2, n + tiny_vocab.encode("the")]
+    assert _target_indices(tiny_vocab, ctx, "the") == ([0, 2, n + tiny_vocab.encode("the")], "the")
     # In the vocabulary only.
-    assert _target_indices(tiny_vocab, ctx, "dog") == [n + tiny_vocab.encode("dog")]
+    assert _target_indices(tiny_vocab, ctx, "dog") == ([n + tiny_vocab.encode("dog")], "dog")
     # In the input only (not in the vocabulary).
-    assert _target_indices(tiny_vocab, _context(gen_model, ("zzz",)), "zzz") == [0]
-    # Nowhere: fall back to the <unk> generation route.
-    assert _target_indices(tiny_vocab, ctx, "zzz") == [n + 1]
+    assert _target_indices(tiny_vocab, _context(gen_model, ("zzz",)), "zzz") == ([0], "zzz")
+    # Nowhere: fall back to the <unk> generation route, which emits <unk>.
+    assert _target_indices(tiny_vocab, ctx, "zzz") == ([n + 1], "<unk>")
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,18 +399,18 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
             assert read.data[0].tolist() == expect.tolist()
             state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
             copy_s, gen_s = state.copy_scores.data[0], state.gen_scores.data[0]
-            dist = step_distribution(ctx, copy_s, gen_s)
+            dist = step_distribution(ctx, copy_s[None], gen_s[None])
             keys = np.tanh(np.vecmat(ctx.memory.data, gen_model.u_copy.data))  # recomputed per step
             assert copy_s.tolist() == (keys @ state.hidden.data[0]).tolist()
             probs, copy_probs, p_copy, p_gen = reference_step_distribution(
                 vocab.tokens, inp.tokens, copy_s, gen_s
             )
             assert ctx.tokens == tuple(probs)
-            assert dist.probs.tolist() == list(probs.values())
-            _assert_copy_shares(ctx, dist.probs, copy_s, gen_s, copy_probs)
-            assert (dist.p_copy, dist.p_gen) == (p_copy, p_gen)
+            assert dist.probs[0].tolist() == list(probs.values())
+            _assert_copy_shares(ctx, dist.probs[0], copy_s, gen_s, copy_probs)
+            assert (dist.p_copy[0], dist.p_gen[0]) == (p_copy, p_gen)
             y_prev, l_prev = data.draw(choices), data.draw(st.integers(0, 1))
-            assert _target_indices(vocab, ctx, y_prev) == reference_target_indices(
+            assert _target_indices(vocab, ctx, y_prev)[0] == reference_target_indices(
                 vocab.tokens, inp.tokens, y_prev
             )
 
@@ -493,7 +495,7 @@ def test_selective_read_rows_gradcheck(gen_model):
 
 
 def test_unguided_model_ignores_label_channel(unguided_model):
-    inp = build_unguided_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2))
+    inp = build_generator_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2), guided=False)
     with no_grad():
         ctx = decode_context(unguided_model, inp)
         state = decode_init(unguided_model, ctx)
@@ -516,7 +518,7 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
     inp = _demo_input()
     reference = ("the", "cat", "ran", "fast")
     with no_grad():
-        loss = teacher_forced_loss(gen_model, inp, reference).item()
+        loss = teacher_forced_pass(gen_model, inp, reference)[0].item()
         ctx = decode_context(gen_model, inp)
         state = decode_init(gen_model, ctx)
         manual = 0.0
@@ -524,15 +526,15 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
         y_prev, l_prev = SEP, 0
         for target in list(reference) + [EOS]:
             state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
-            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
-            manual -= math.log(dist.probs[ctx.tokens.index(target)])
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            manual -= math.log(dist.probs[0, ctx.tokens.index(target)])
             y_prev, l_prev = target, 1 if (gen_model.guided and target in input_tokens) else 0
     assert loss == pytest.approx(manual, abs=1e-10)
 
 
 def test_teacher_forced_loss_empty_reference(gen_model):
     with pytest.raises(ValueError):
-        teacher_forced_loss(gen_model, _demo_input(), ())
+        teacher_forced_pass(gen_model, _demo_input(), ())
 
 
 def test_teacher_forced_accuracy_bounds(gen_model):
@@ -551,12 +553,12 @@ def test_beam_one_is_greedy(gen_model):
         y_prev, l_prev = SEP, 0
         for _ in range(10):
             state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
-            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
-            token = ctx.tokens[int(np.argmax(dist.probs))]
+            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+            token = ctx.tokens[int(np.argmax(dist.probs[0]))]
             if token == EOS:
                 break
             tokens.append(token)
-            y_prev, l_prev = token, infer_label(dist)
+            y_prev, l_prev = token, infer_label(dist)[0]
     assert got == tuple(tokens)
 
 
@@ -568,19 +570,6 @@ def test_beam_decode_breaks_exact_ties_by_vocabulary_id(tiny_vocab, beam):
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
     # The input's in-vocabulary tokens tie for the most mass; "the" has the lowest id.
     assert beam_decode(model, inp, beam=beam, max_len=3) == ("the", "the", "the")
-
-
-def _oracle_beam(model, inp, beam, max_len):
-    """The per-hypothesis beam of ``reference_beam_decode`` over one-row decoder steps."""
-    with no_grad():
-        ctx = decode_context(model, inp)
-
-        def step(state, y_prev, label):
-            state = decode_step(model, ctx, state, [y_prev], np.array([label]))
-            dist = step_distribution(ctx, state.copy_scores.data[0], state.gen_scores.data[0])
-            return state, dist.probs, infer_label(dist)
-
-        return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
 
 
 @settings(max_examples=60)
@@ -601,7 +590,7 @@ def test_beam_decode_equals_per_hypothesis_oracle(tiny_vocab, seed, gain, guided
         t.data *= gain
     indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
     inp = GeneratorInput(tuple(tokens), tuple(indicators))
-    assert beam_decode(model, inp, beam=beam, max_len=max_len) == _oracle_beam(model, inp, beam, max_len)
+    assert beam_decode(model, inp, beam=beam, max_len=max_len) == reference_generator_beam(model, inp, beam, max_len)
 
 
 @pytest.mark.parametrize("beam", range(1, 7))
@@ -611,7 +600,7 @@ def test_beam_decode_equals_per_hypothesis_oracle_on_exact_ties(tiny_vocab, beam
     model.u_copy.data[:] = 0.0
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
     for max_len in (1, 3, 6, 20):
-        assert beam_decode(model, inp, beam=beam, max_len=max_len) == _oracle_beam(model, inp, beam, max_len)
+        assert beam_decode(model, inp, beam=beam, max_len=max_len) == reference_generator_beam(model, inp, beam, max_len)
 
 
 def _peaked_model(vocab, seed):
@@ -627,14 +616,14 @@ def _peaked_model(vocab, seed):
 def test_beam_decode_equals_per_hypothesis_oracle_on_peaked_models(tiny_vocab, seed, beam):
     model = _peaked_model(tiny_vocab, seed)
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
-    assert beam_decode(model, inp, beam=beam, max_len=20) == _oracle_beam(model, inp, beam, 20)
+    assert beam_decode(model, inp, beam=beam, max_len=20) == reference_generator_beam(model, inp, beam, 20)
 
 
 @pytest.mark.parametrize("seed", [65, 348, 397])
 def test_beam_decode_stops_early_with_the_oracle_output(tiny_vocab, seed, monkeypatch):
     model = _peaked_model(tiny_vocab, seed)
     inp = GeneratorInput(("fox", "cat", "the", "zzz"), (1, 1, 1, 1))
-    expect = _oracle_beam(model, inp, 4, 20)
+    expect = reference_generator_beam(model, inp, 4, 20)
     positions = []
 
     def counted(model, ctx, state, y_prev, l_prev):
@@ -744,7 +733,7 @@ def test_train_rejects_empty_data(gen_model):
 def test_train_deterministic(tiny_vocab):
     data = [
         (_demo_input(), ("the", "cat", "ran", "fast")),
-        (build_guided_input(("slow",), ("a", "dog", "ran"), (2, 3)), ("a", "dog", "slow")),
+        (build_generator_input(("slow",), ("a", "dog", "ran"), (2, 3), guided=True), ("a", "dog", "slow")),
     ]
 
     def run():
@@ -766,11 +755,11 @@ def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
     )
     data = [
         (_demo_input(), ("the", "cat", "ran", "fast")),
-        (build_guided_input(("slow",), ("a", "dog", "ran"), (2, 3)), ("a", "dog", "slow")),
-        (build_guided_input(("ran",), ("the", "cat", "sat"), (2, 3)), ("the", "cat", "ran")),
+        (build_generator_input(("slow",), ("a", "dog", "ran"), (2, 3), guided=True), ("a", "dog", "slow")),
+        (build_generator_input(("ran",), ("the", "cat", "sat"), (2, 3), guided=True), ("the", "cat", "ran")),
     ]
     history = train_generator(model, data, epochs=1, batch_size=2, lr=0.0)
-    per_instance = [teacher_forced_loss(model, inp, ref).item() for inp, ref in data]
+    per_instance = [teacher_forced_pass(model, inp, ref)[0].item() for inp, ref in data]
     assert abs(history["epoch_losses"][0] - sum(per_instance) / len(data)) <= 1e-12
 
 

@@ -8,9 +8,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idiomatize import (
     ExtractorModel,
+    GeneratorModel,
     IdiomEntry,
     ParallelPair,
     PipelineConfig,
@@ -26,16 +29,17 @@ from idiomatize import (
     transform,
     transform_tokens,
 )
-from idiomatize.corpus import CorpusError, tokenize
+from idiomatize.corpus import RESERVED, CorpusError, Vocabulary, tokenize
 from idiomatize.extractor import SpanPrediction
 from idiomatize.generator import (
     beam_decode,
-    build_guided_input,
-    build_unguided_input,
+    build_generator_input,
     rule_based_generate,
 )
 from idiomatize.pipeline import (
     CHECKPOINT_VERSION,
+    GENERATOR_MODES,
+    ORDERS,
     CheckpointError,
     Dataset,
     PipelineModels,
@@ -43,9 +47,10 @@ from idiomatize.pipeline import (
     load_dataset,
     write_dataset,
 )
-from idiomatize.retrieval import candidate_keys, score_keys
+from idiomatize.retrieval import KEY_MODES, candidate_keys, score_keys
 
 from conftest import write_config
+from oracles import reference_transform
 
 
 # ---------------------------------------------------------------- config
@@ -160,8 +165,8 @@ def test_loaded_generator_decodes_identically(tiny_models, tmp_path):
     path = str(tmp_path / "g.json")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    inp = build_guided_input(
-        ("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4)
+    inp = build_generator_input(
+        ("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4), guided=True
     )
     assert beam_decode(loaded, inp, beam=4, max_len=10) == beam_decode(
         model, inp, beam=4, max_len=10
@@ -202,6 +207,8 @@ def _corrupt(payload, mutation):
         payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = None
     elif mutation == "zero_hidden":
         payload["hyperparameters"]["hidden"] = 0
+    elif mutation == "vocabulary_nonstring":
+        payload["vocabulary"][-2:] = [5, None]
     elif mutation == "nonnumeric_values":
         payload["tensors"][sorted(payload["tensors"])[0]]["values"][0] = "x"
     return payload
@@ -226,6 +233,7 @@ def _corrupt(payload, mutation):
         ("shape_null", "malformed shape or values"),
         ("nonnumeric_values", "malformed shape or values"),
         ("zero_hidden", "hidden must be a positive integer"),
+        ("vocabulary_nonstring", "bad checkpoint structure"),
     ],
 )
 def test_load_rejects_corrupt_checkpoint(tiny_models, tmp_path, mutation, message):
@@ -409,6 +417,73 @@ def test_extract_then_retrieve_falls_back_to_whole_sentence(
     assert result.output == literal
 
 
+# ------------------------------------------------- differential oracle
+
+ORACLE_VOCAB = Vocabulary(RESERVED + ("a", "b", "c", "d", "e", "f"))
+ORACLE_WORDS = ORACLE_VOCAB.tokens[len(RESERVED) :] + ("x", "y")  # x and y are out of vocabulary
+oracle_keys = st.one_of(
+    st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=3).map(tuple),
+    st.sampled_from([("x",), ("y", "x")]),  # all-<unk> keys, which encode alike
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**16), st.data())
+def test_transform_equals_reference_transform(seed, data):
+    """``transform_tokens`` on random tiny models equals the stages composed the slow way.
+
+    Lexicons draw keys and surfaces from a small pool, so keys repeat, and
+    hold all-<unk> keys and one-entry lexicons.  Zeroed heads give exact
+    ties in retrieval and beam search, where only the tie rules decide.
+    Retrieval may pick any candidate the oracle accepts: ``transform``
+    scores the keys as one gemm batch, whose rows move in their last bits
+    (about 1e-14) with the batch, so a candidate within 1e-12 of the
+    oracle's best may win in its place.
+    """
+    draw = data.draw
+    mode = draw(st.sampled_from(GENERATOR_MODES), label="generator mode")
+    config = PipelineConfig(
+        order=draw(st.sampled_from(ORDERS), label="order"),
+        retrieval_key=draw(st.sampled_from(KEY_MODES), label="key mode"),
+        generator_mode=mode,
+        beam=draw(st.integers(1, 4), label="beam"),
+        max_len=draw(st.integers(1, 12), label="max_len"),
+    )
+    pool = draw(st.lists(oracle_keys, min_size=1, max_size=4), label="key pool")
+    keys = st.sampled_from(pool)
+    lexicon = [
+        IdiomEntry(f"i{k}", draw(keys), tuple(draw(st.lists(keys, min_size=1, max_size=2))))
+        for k in range(draw(st.integers(1, 4), label="idioms"))
+    ]
+    sentence = draw(st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=15), label="sentence")
+    sizes = st.integers(2, 8)
+    models = PipelineModels(
+        retrieval=RetrievalModel(ORACLE_VOCAB, embed_dim=draw(sizes), hidden=draw(sizes), seed=seed),
+        extractor=ExtractorModel(ORACLE_VOCAB, embed_dim=draw(sizes), hidden=draw(sizes), seed=seed + 1),
+    )
+    if draw(st.booleans(), label="flat retrieval head"):
+        models.retrieval.score_w.data[:] = 0.0
+    for t in models.extractor.store.params.values():
+        t.data *= draw(st.sampled_from([1.0, 8.0, 32.0]), label="extractor gain")
+    if mode != "rule_based":
+        models.generator = GeneratorModel(
+            ORACLE_VOCAB, word_dim=draw(sizes), copy_dim=2, label_dim=2,
+            hidden=draw(st.sampled_from([2, 4, 6, 8])), guided=mode == "guided", seed=seed + 2,
+        )
+        gain = draw(st.sampled_from([0.0, 1.0, 8.0]), label="generator output gain")
+        for t in (models.generator.w_gen, models.generator.u_copy):
+            t.data *= gain
+    got = transform_tokens(models, lexicon, sentence, config)
+    accepted = reference_transform(models, lexicon, sentence, config)
+    same_retrieval = [r for r in accepted if (r.idiom_id, r.sense_index) == (got.idiom_id, got.sense_index)]
+    assert same_retrieval, f"retrieved {(got.idiom_id, got.sense_index)}, oracle accepts {accepted}"
+    expect = same_retrieval[0]
+    assert (got.literal, got.span, got.output) == (expect.literal, expect.span, expect.output)
+    assert got.scores.keys() == expect.scores.keys()
+    for stage, score in expect.scores.items():
+        assert abs(got.scores[stage] - score) <= 1e-12, stage
+
+
 # ------------------------------------------------- repeated idiom ids
 
 def _repeated_id_corpus():
@@ -529,8 +604,8 @@ def test_generator_training_data_guided(demo):
     data = generator_training_data(pairs, lexicon, guided=True)
     assert len(data) == len(pairs)
     for (inp, reference), pair in zip(data, pairs):
-        expected = build_guided_input(
-            by_id[pair.idiom_id].surface, pair.literal, pair.span
+        expected = build_generator_input(
+            by_id[pair.idiom_id].surface, pair.literal, pair.span, guided=True
         )
         assert inp == expected
         assert reference == pair.idiomatic
@@ -541,8 +616,8 @@ def test_generator_training_data_unguided(demo):
     by_id = {e.id: e for e in lexicon}
     data = generator_training_data(pairs, lexicon, guided=False)
     for (inp, _), pair in zip(data, pairs):
-        expected = build_unguided_input(
-            by_id[pair.idiom_id].surface, pair.literal, pair.span
+        expected = build_generator_input(
+            by_id[pair.idiom_id].surface, pair.literal, pair.span, guided=False
         )
         assert inp == expected
         assert all(i == 0 for i in inp.indicators)
