@@ -13,11 +13,11 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from .checks import ALL_CHECKS
 from .corpus import (
     CorpusError,
-    SplitCorpus,
     build_vocab,
     load_lexicon,
     load_pairs,
@@ -27,7 +27,6 @@ from .extractor import ExtractorModel, train_extractor
 from .generator import GeneratorModel, train_generator
 from .numerics import NumericError
 from .pipeline import (
-    CheckpointError,
     Dataset,
     PipelineConfig,
     evaluate,
@@ -87,8 +86,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embed-dim", type=int, default=64, help="retrieval/extractor only")
-    p.add_argument("--hidden", type=int, default=None, help="default: 64, generator 256")
+    p.add_argument("--embed-dim", type=int, help="retrieval/extractor only; default: the model's")
+    p.add_argument("--hidden", type=int, help="default: the model's")
     p.add_argument("--key", choices=KEY_MODES, default="definition",
                    help="retrieval only: candidate key")
     p.add_argument("--negatives", type=int, default=100,
@@ -136,13 +135,7 @@ def _cmd_ingest(args) -> int:
     else:
         annotated = tuple(e.id for e in lexicon)
     split = split_corpus(pairs, annotated, args.seed)
-    if aug:
-        split = SplitCorpus(
-            train=split.train + tuple(aug),
-            validation=split.validation,
-            test=split.test,
-            seed=split.seed,
-        )
+    split = replace(split, train=split.train + tuple(aug))  # augmented pairs join the train split only
     vocab = build_vocab(list(pairs) + list(aug), lexicon)
     write_dataset(args.out, Dataset(lexicon=lexicon, split=split, vocab=vocab, annotated_ids=annotated))
     logging.info(
@@ -154,9 +147,10 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = load_dataset(args.data)
+    # Only the sizes given here; the model classes hold the defaults.
+    sizes = {k: v for k, v in (("embed_dim", args.embed_dim), ("hidden", args.hidden)) if v is not None}
     if args.component == "retrieval":
-        hidden = args.hidden if args.hidden is not None else 64
-        model = RetrievalModel(ds.vocab, embed_dim=args.embed_dim, hidden=hidden, seed=args.seed)
+        model = RetrievalModel(ds.vocab, **sizes, seed=args.seed)
         train_retrieval(
             model, ds.split.train, ds.lexicon,
             epochs=args.epochs, negatives_per_positive=args.negatives, lr=args.lr,
@@ -164,17 +158,16 @@ def _cmd_train(args) -> int:
             batch_size=args.batch,
         )
     elif args.component == "extractor":
-        hidden = args.hidden if args.hidden is not None else 64
-        model = ExtractorModel(ds.vocab, embed_dim=args.embed_dim, hidden=hidden, seed=args.seed)
+        model = ExtractorModel(ds.vocab, **sizes, seed=args.seed)
         train_extractor(
             model, ds.split.train, ds.lexicon,
             epochs=args.epochs, lr=args.lr, seed=args.seed, validation=ds.split.validation,
             batch_size=args.batch,
         )
     else:
-        hidden = args.hidden if args.hidden is not None else 256
+        sizes.pop("embed_dim", None)  # the generator has no embed_dim
         guided = args.mode == "guided"
-        model = GeneratorModel(ds.vocab, hidden=hidden, guided=guided, seed=args.seed)
+        model = GeneratorModel(ds.vocab, **sizes, guided=guided, seed=args.seed)
         train_generator(
             model,
             generator_training_data(ds.split.train, ds.lexicon, guided),
@@ -256,13 +249,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (CorpusError, CheckpointError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # CorpusError, CheckpointError and JSONDecodeError among them
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -96,22 +96,16 @@ def _gate_terms(d: np.ndarray, w: Tensor, x: np.ndarray, u_in: np.ndarray, d_h: 
     return d.sum(axis=0), _row_outer(d, x), np.vecmat(d, w.data), _row_outer(d, u_in), d_h
 
 
-def gru_run(cell: GruCell, inputs: Sequence[Tensor]) -> list[Tensor]:
-    """The [1,H] states after each [1,I] input, starting from zeros."""
-    h = zeros((1, cell.hidden_size))
-    states = []
-    for x in inputs:
-        h = gru_step(cell, h, x)
-        states.append(h)
-    return states
-
-
 def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor:
     """The [T,2H] matrix whose row t is position t's [forward ; backward] state, over T [1,I] inputs."""
     if not inputs:
         raise ValueError("bigru_encode needs at least one input, got an empty input sequence")
-    fwd_states = gru_run(fwd, inputs)
-    bwd_states = gru_run(bwd, list(reversed(inputs)))
+    fwd_states, bwd_states = [], []
+    for cell, xs, states in ((fwd, inputs, fwd_states), (bwd, reversed(inputs), bwd_states)):
+        h = zeros((1, cell.hidden_size))
+        for x in xs:
+            h = gru_step(cell, h, x)
+            states.append(h)
     bwd_states.reverse()
     return concat([concat([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0)
 
@@ -121,18 +115,26 @@ def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
     One stacked ``np.matmul`` per weight, which equals the per-step gemm
     ``xs[t] @ w.T`` bit for bit; one flat (T*B, I) gemm does not.  They do
-    not depend on the state, so ``gru_pool_projected`` can rerun the
-    recurrence from another initial state without forming them again.
+    not depend on the state, so ``gru_pool`` can rerun the recurrence from
+    another initial state without forming them again.
     """
     if xs.ndim != 3 or xs.shape[-1] != cell.input_size:
         raise ValueError(f"inputs {xs.shape} must be [T,B,{cell.input_size}]")
     return tuple(np.matmul(xs, w.data.T) for w in (cell.w_z, cell.w_r, cell.w_h))
 
 
-def gru_pool_projected(
+def gru_pool(
     cell: GruCell, projected: tuple[np.ndarray, ...], h0: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``gru_pool`` over the input products ``gru_project`` made: (sum of states, final state)."""
+    """Tape-free recurrence of ``B`` rows at once: (sum of states, final state), each [B,H].
+
+    ``projected`` are ``gru_project``'s products over [T,B,I] inputs, or
+    [T,1,I] inputs every row shares; ``h0`` is [B,H].  Each step is
+    ``gru_step``'s gate equations with gemm products: over hundreds of rows
+    one gemm is much faster than ``gru_step``'s row products, but a row may
+    differ from its one-row step in the last bits.  Where the [T,B] ``mask``
+    is False a row keeps its state exactly and adds nothing to its sum.
+    """
     h = np.asarray(h0, dtype=np.float64)
     steps, batch, _ = projected[0].shape
     if h.ndim != 2 or h.shape[1] != cell.hidden_size or batch not in (1, h.shape[0]):
@@ -146,18 +148,3 @@ def gru_pool_projected(
         total += np.where(keep[t], new, 0.0)
         h = np.where(keep[t], new, h)
     return total, h
-
-
-def gru_pool(
-    cell: GruCell, xs: np.ndarray, h0: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tape-free recurrence of ``B`` rows at once: (sum of states, final state), each [B,H].
-
-    ``xs`` is [T,B,I], or [T,1,I] for inputs every row shares; ``h0`` is
-    [B,H].  Each step is ``gru_step``'s gate equations with gemm products:
-    over hundreds of rows one gemm is much faster than ``gru_step``'s
-    row products, but a row may differ from its one-row step in the last bits.
-    Where the [T,B] ``mask`` is False a row keeps its state exactly and adds
-    nothing to its sum.  It is ``gru_project`` followed by ``gru_pool_projected``.
-    """
-    return gru_pool_projected(cell, gru_project(cell, xs), h0, mask)

@@ -47,7 +47,7 @@ from .metrics import (
     span_f1,
     stratify_by_rigidity,
 )
-from .retrieval import KEY_MODES, RetrievalModel, entry_key, retrieve_top1
+from .retrieval import KEY_MODES, RetrievalModel, retrieve_top1
 
 ORDERS = ("retrieve_then_extract", "extract_then_retrieve")
 GENERATOR_MODES = ("guided", "unguided", "rule_based")
@@ -152,7 +152,7 @@ def load_checkpoint(path: str):
             f"{path}: format_version {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
     component = payload.get("component")
-    cls = _MODEL_CLASSES.get(component)
+    cls = _MODEL_CLASSES.get(component) if isinstance(component, str) else None
     if cls is None:
         raise CheckpointError(f"{path}: unknown component {component!r}")
     try:
@@ -176,6 +176,8 @@ def load_checkpoint(path: str):
         try:
             shape = tuple(spec["shape"])
             values = np.asarray(spec["values"], dtype=np.float64)
+            if not all(type(d) is int for d in shape):
+                raise TypeError(f"shape {spec['shape']!r} has a non-integer dimension")
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or values ({err})") from err
         if shape != param.shape:
@@ -197,24 +199,31 @@ class PipelineModels:
     generator: GeneratorModel | None = None
 
 
+def _stages(config: PipelineConfig) -> tuple[str, ...]:
+    """The stages whose models the configured pipeline runs."""
+    return ("retrieval", "extractor") + (() if config.generator_mode == "rule_based" else ("generator",))
+
+
 def load_pipeline_models(ckpt_dir: str, config: PipelineConfig) -> PipelineModels:
-    """Load the checkpoints the configured pipeline needs from a directory."""
-    models = PipelineModels()
-    models.retrieval = load_checkpoint(os.path.join(ckpt_dir, "retrieval.json"))
-    models.extractor = load_checkpoint(os.path.join(ckpt_dir, "extractor.json"))
-    if config.generator_mode != "rule_based":
-        models.generator = load_checkpoint(os.path.join(ckpt_dir, "generator.json"))
-    _check_generator_mode(models, config)
+    """Load ``<stage>.json`` from a directory for each stage the configured pipeline runs."""
+    models = PipelineModels(**{s: load_checkpoint(os.path.join(ckpt_dir, f"{s}.json")) for s in _stages(config)})
+    _check_models(models, config)
     return models
 
 
-def _check_generator_mode(models: PipelineModels, config: PipelineConfig) -> None:
-    if config.generator_mode == "rule_based":
-        return
-    if models.generator is None:
-        raise CheckpointError(f"generator checkpoint required for mode {config.generator_mode!r}")
-    wants_guided = config.generator_mode == "guided"
-    if models.generator.guided != wants_guided:
+def _check_models(models: PipelineModels, config: PipelineConfig) -> None:
+    """Raise ``CheckpointError`` unless the models fit the config.
+
+    Each stage the config runs has a model whose ``component`` is the
+    stage's name, and the generator's ``guided`` matches ``generator_mode``.
+    """
+    for stage in _stages(config):
+        model = getattr(models, stage)
+        if model is None:
+            raise CheckpointError(f"the {stage} stage has no model")
+        if model.component != stage:
+            raise CheckpointError(f"the {stage} stage holds a model of component {model.component!r}")
+    if config.generator_mode != "rule_based" and models.generator.guided != (config.generator_mode == "guided"):
         raise CheckpointError(
             f"generator checkpoint was trained with guided={models.generator.guided}, "
             f"config asks for generator_mode={config.generator_mode!r}"
@@ -231,14 +240,7 @@ class TransformResult:
     scores: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "literal": list(self.literal),
-            "idiom_id": self.idiom_id,
-            "sense_index": self.sense_index,
-            "span": list(self.span) if self.span is not None else None,
-            "output": list(self.output),
-            "scores": self.scores,
-        }
+        return asdict(self)
 
 
 def transform_tokens(
@@ -250,17 +252,15 @@ def transform_tokens(
     if not tokens:
         raise CorpusError("empty input sentence")
     reject_reserved(tokens)
-    _check_generator_mode(models, config)
-    if models.retrieval is None or models.extractor is None:
-        raise CheckpointError("pipeline needs retrieval and extractor models")
+    _check_models(models, config)
     tokens = tuple(tokens)
 
     if config.order == "retrieve_then_extract":
         entry, sense_index, r_score = retrieve_top1(
             models.retrieval, tokens, lexicon, config.retrieval_key
         )
-        key = entry_key(entry, sense_index, config.retrieval_key)
-        prediction = extract_span(models.extractor, tokens, key)
+        # The extractor reads a definition in both key modes, as it does in training.
+        prediction = extract_span(models.extractor, tokens, entry.senses[sense_index])
     else:
         # Extract first with no definition, then retrieve on the span text
         # (whole sentence when no span was found).

@@ -28,7 +28,6 @@ from .numerics import (
     check_sizes,
     fit,
     gru_pool,
-    gru_pool_projected,
     gru_project,
     neg,
     no_grad,
@@ -155,7 +154,7 @@ def build_key_index(model: RetrievalModel, keys: tuple[tuple[str, ...], ...]) ->
         mask[: len(ids), j] = True
     params = tuple(p.data.copy() for p in model.store.params.values())
     emb = model.embedding.data
-    bwd_sum, bwd_final = gru_pool(model.bwd, emb[bwd_ids], np.zeros((n, model.hidden)), mask)
+    bwd_sum, bwd_final = gru_pool(model.bwd, gru_project(model.bwd, emb[bwd_ids]), np.zeros((n, model.hidden)), mask)
     return KeyIndex(keys, model.vocab, params, rows, mask, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
 
 
@@ -185,9 +184,9 @@ def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Se
         index = model._key_index = build_key_index(model, keys)
     emb = model.embedding.data
     prefix = emb[model.vocab.encode_all(list(sentence) + [SEP])][:, None, :]
-    f_prefix, h = gru_pool(model.fwd, prefix, np.zeros((1, model.hidden)))
-    f_key, _ = gru_pool_projected(model.fwd, index.fwd_inputs, np.repeat(h, len(index.bwd_sum), axis=0), index.mask)
-    b_prefix, _ = gru_pool(model.bwd, prefix[::-1], index.bwd_final)
+    f_prefix, h = gru_pool(model.fwd, gru_project(model.fwd, prefix), np.zeros((1, model.hidden)))
+    f_key, _ = gru_pool(model.fwd, index.fwd_inputs, np.repeat(h, len(index.bwd_sum), axis=0), index.mask)
+    b_prefix, _ = gru_pool(model.bwd, gru_project(model.bwd, prefix[::-1]), index.bwd_final)
     pooled = np.concatenate([f_prefix + f_key, index.bwd_sum + b_prefix], axis=1)
     return (pooled @ model.score_w.data + model.score_b.data)[index.rows]
 

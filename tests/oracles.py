@@ -517,7 +517,7 @@ def reference_transform(models, lexicon, tokens, config):
     results = []
     if config.order == "retrieve_then_extract":
         for entry, sense, r_score in retrieve(tokens):
-            span, e_score = extract(entry.senses[sense] if by_definition else entry.surface)
+            span, e_score = extract(entry.senses[sense])
             results.append((entry, sense, r_score, span, e_score))
     else:
         span, e_score = extract(())

@@ -456,6 +456,37 @@ def test_transform_mode_mismatch_exits_two(demo_files, ckpt_dir, tmp_path, capsy
     assert "guided" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "layout, stage",
+    [
+        ({"retrieval": "extractor", "extractor": "retrieval", "generator": "generator"}, "retrieval"),
+        ({"retrieval": "retrieval", "extractor": "extractor", "generator": "extractor"}, "generator"),
+    ],
+    ids=["retrieval_and_extractor_swapped", "extractor_in_generator_file"],
+)
+def test_transform_stage_file_holding_another_stage_exits_two(
+    tiny_models, config_file, demo_files, tmp_path, capsys, layout, stage
+):
+    from idiomatize import save_checkpoint
+
+    ckpts = tmp_path / "ckpts"
+    ckpts.mkdir()
+    for name, held in layout.items():
+        save_checkpoint(tiny_models[held], str(ckpts / f"{name}.json"))
+    code = cli.main(
+        [
+            "transform",
+            "--config", config_file,
+            "--lexicon", demo_files["lexicon"],
+            "--ckpt-dir", str(ckpts),
+            "--input", "He ran away quickly.",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"the {stage} stage holds a model of component" in err
+
+
 @pytest.mark.parametrize("content", ['{"beam": 2, "widths": 3}', "{oops", "[]", '{"beam": "4"}'])
 def test_transform_bad_config_exits_two(
     demo_files, ckpt_dir, tmp_path, capsys, content

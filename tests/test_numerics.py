@@ -29,9 +29,7 @@ from idiomatize.numerics import (
     global_grad_norm,
     grad_check,
     gru_pool,
-    gru_pool_projected,
     gru_project,
-    gru_run,
     gru_step,
     logsumexp,
     matvec,
@@ -577,31 +575,23 @@ def test_gru_step_bounded_by_prev_state(h_vals, x_vals, seed):
     assert (np.abs(out.data[0]) <= bound + 1e-12).all()
 
 
-def test_gru_run_chains_steps():
-    store = ParamStore()
-    cell = GruCell(store, "cell", 2, 3, Rng(1))
-    xs = [Tensor([[0.1, 0.2]]), Tensor([[-0.3, 0.5]]), Tensor([[1.0, -1.0]])]
-    states = gru_run(cell, xs)
-    h = zeros((1, 3))
-    for x, state in zip(xs, states):
-        h = gru_step(cell, h, x)
-        assert np.array_equal(h.data, state.data)
-
-
 def test_bigru_encode_concatenates_directions():
     store = ParamStore()
     rng = Rng(2)
     fwd = GruCell(store, "fwd", 2, 3, rng)
     bwd = GruCell(store, "bwd", 2, 3, rng)
-    xs = [Tensor([[0.4, -0.1]]), Tensor([[0.2, 0.9]])]
+    xs = [Tensor([[0.4, -0.1]]), Tensor([[0.2, 0.9]]), Tensor([[-1.0, 0.3]])]
     states = bigru_encode(fwd, bwd, xs)
-    assert states.shape == (2, 6)
-    f = gru_run(fwd, xs)
-    b = gru_run(bwd, list(reversed(xs)))
-    assert np.array_equal(states.data[0:1, :3], f[0].data)
-    assert np.array_equal(states.data[1:2, :3], f[1].data)
-    assert np.array_equal(states.data[0:1, 3:], b[1].data)
-    assert np.array_equal(states.data[1:2, 3:], b[0].data)
+    assert states.shape == (3, 6)
+    # Each direction chains gru_step from zeros; the backward one runs over the reversed inputs.
+    h = zeros((1, 3))
+    for t in range(3):
+        h = gru_step(fwd, h, xs[t])
+        assert np.array_equal(states.data[t : t + 1, :3], h.data)
+    h = zeros((1, 3))
+    for t in reversed(range(3)):
+        h = gru_step(bwd, h, xs[t])
+        assert np.array_equal(states.data[t : t + 1, 3:], h.data)
     with pytest.raises(ValueError, match="empty input"):
         bigru_encode(fwd, bwd, [])
 
@@ -620,8 +610,9 @@ def test_gru_pool_matches_reference_steps(batch, steps, shared, seed):
     xs = rng.normal(size=(steps, 1 if shared else batch, 3))
     h0 = rng.normal(size=(batch, 4))
     mask = rng.random((steps, batch)) < 0.6
-    pooled, final = gru_pool(cell, xs, h0, mask)
-    assert np.array_equal(gru_pool(cell, xs, h0)[0], gru_pool(cell, xs, h0, np.ones_like(mask))[0])
+    projected = gru_project(cell, xs)
+    pooled, final = gru_pool(cell, projected, h0, mask)
+    assert np.array_equal(gru_pool(cell, projected, h0)[0], gru_pool(cell, projected, h0, np.ones_like(mask))[0])
     for b in range(batch):
         h, total = h0[b], np.zeros(4)
         for t in range(steps):
@@ -633,7 +624,7 @@ def test_gru_pool_matches_reference_steps(batch, steps, shared, seed):
     # A masked step leaves the row's state bit for bit where it was.
     before = h0
     for t in range(steps):
-        after = gru_pool(cell, xs[: t + 1], h0, mask[: t + 1])[1]
+        after = gru_pool(cell, gru_project(cell, xs[: t + 1]), h0, mask[: t + 1])[1]
         assert np.array_equal(after[~mask[t]], before[~mask[t]])
         before = after
 
@@ -652,7 +643,7 @@ def test_gru_pool_equals_gemm_reference(batch, steps, shared, seed):
     xs = rng.normal(size=(steps, 1 if shared else batch, 24))
     h0 = rng.normal(size=(batch, 16))
     mask = rng.random((steps, batch)) < 0.7
-    pooled, final = gru_pool(cell, xs, h0, mask)
+    pooled, final = gru_pool(cell, gru_project(cell, xs), h0, mask)
     want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
     assert np.array_equal(pooled, want_pooled)
     assert np.array_equal(final, want_final)
@@ -682,7 +673,7 @@ def test_gru_project_equals_per_step_products(steps, batch, rows, ragged):
     mask = np.arange(steps)[:, None] < lengths
     # The same products serve any initial state, each run equal to the gemm recurrence.
     for h0 in (np.zeros((rows, 64)), rng.normal(size=(rows, 64))):
-        pooled, final = gru_pool_projected(cell, projected, h0, mask)
+        pooled, final = gru_pool(cell, projected, h0, mask)
         want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
         assert np.array_equal(pooled, want_pooled)
         assert np.array_equal(final, want_final)
@@ -691,19 +682,19 @@ def test_gru_project_equals_per_step_products(steps, batch, rows, ragged):
 def test_gru_pool_shape_errors():
     store = ParamStore()
     cell = GruCell(store, "cell", 3, 5, Rng(0))
-    xs, h0 = np.zeros((2, 4, 3)), np.zeros((4, 5))
+    projected, h0 = gru_project(cell, np.zeros((2, 4, 3))), np.zeros((4, 5))
     with pytest.raises(ValueError):
-        gru_pool(cell, xs, np.zeros((4, 6)))
+        gru_pool(cell, projected, np.zeros((4, 6)))
     with pytest.raises(ValueError):
-        gru_pool(cell, xs, np.zeros(5))
+        gru_pool(cell, projected, np.zeros(5))
     with pytest.raises(ValueError):
-        gru_pool(cell, np.zeros((2, 4, 2)), h0)
+        gru_project(cell, np.zeros((2, 4, 2)))
     with pytest.raises(ValueError):
-        gru_pool(cell, np.zeros((2, 3, 3)), h0)
+        gru_pool(cell, gru_project(cell, np.zeros((2, 3, 3))), h0)
     with pytest.raises(ValueError):
-        gru_pool(cell, np.zeros((4, 3)), h0)
+        gru_project(cell, np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        gru_pool(cell, xs, h0, np.ones((2, 3), dtype=bool))
+        gru_pool(cell, projected, h0, np.ones((2, 3), dtype=bool))
 
 
 def _composed_step(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
@@ -915,7 +906,9 @@ def test_gru_step_saturating_preactivations_stay_finite(gain):
 def test_gru_gradients():
     def loss(cell_holder):
         def inner(_s):
-            h = gru_run(cell_holder[0], [Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])])[-1]
+            h = zeros((1, 3))
+            for x in (Tensor([[0.5, -0.5]]), Tensor([[1.0, 0.0]])):
+                h = gru_step(cell_holder[0], h, x)
             return _projected(h, [[1.0, -1.0, 2.0]])
         return inner
 

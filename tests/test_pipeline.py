@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from idiomatize import (
     transform_tokens,
 )
 from idiomatize.corpus import RESERVED, CorpusError, Vocabulary, tokenize
-from idiomatize.extractor import SpanPrediction
+from idiomatize.extractor import SpanPrediction, extract_span
 from idiomatize.generator import (
     beam_decode,
     build_generator_input,
@@ -178,6 +179,8 @@ def _corrupt(payload, mutation):
         payload["format_version"] = 99
     elif mutation == "component":
         payload["component"] = "reranker"
+    elif mutation == "component_list":
+        payload["component"] = ["extractor"]
     elif mutation == "missing_tensor":
         payload["tensors"].pop(sorted(payload["tensors"])[0])
     elif mutation == "extra_tensor":
@@ -205,6 +208,9 @@ def _corrupt(payload, mutation):
         payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = 5
     elif mutation == "shape_null":
         payload["tensors"][sorted(payload["tensors"])[0]]["shape"] = None
+    elif mutation == "shape_float":
+        spec = payload["tensors"][sorted(payload["tensors"])[0]]
+        spec["shape"] = [float(d) for d in spec["shape"]]
     elif mutation == "zero_hidden":
         payload["hyperparameters"]["hidden"] = 0
     elif mutation == "vocabulary_nonstring":
@@ -219,6 +225,7 @@ def _corrupt(payload, mutation):
     [
         ("version", "format_version"),
         ("component", "unknown component"),
+        ("component_list", "unknown component"),
         ("missing_tensor", "tensor name mismatch"),
         ("extra_tensor", "tensor name mismatch"),
         ("wrong_shape", "shape"),
@@ -231,6 +238,7 @@ def _corrupt(payload, mutation):
         ("tensors_list", "'tensors' must be an object"),
         ("shape_int", "malformed shape or values"),
         ("shape_null", "malformed shape or values"),
+        ("shape_float", "malformed shape or values"),
         ("nonnumeric_values", "malformed shape or values"),
         ("zero_hidden", "hidden must be a positive integer"),
         ("vocabulary_nonstring", "bad checkpoint structure"),
@@ -245,6 +253,45 @@ def test_load_rejects_corrupt_checkpoint(tiny_models, tmp_path, mutation, messag
         json.dump(_corrupt(payload, mutation), fh)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+GRID_TENSOR = "encoder.fwd.w_z"
+GRID_FIELDS = (
+    "format_version", "component", "vocabulary", "hyperparameters", "hyperparameters/hidden",
+    "tensors", f"tensors/{GRID_TENSOR}", f"tensors/{GRID_TENSOR}/shape", f"tensors/{GRID_TENSOR}/values",
+)
+GRID_SUBSTITUTES = {
+    "null": None, "true": True, "int": 1, "float": 1.5, "str": "x", "empty_list": [],
+    "component_list": ["retrieval"], "empty_object": {}, "object": {"a": 1}, "float_shape": [4.0, 4.0],
+}
+
+
+@pytest.fixture(scope="module")
+def grid_payload(tmp_path_factory, tiny_vocab):
+    path = str(tmp_path_factory.mktemp("grid") / "m.json")
+    save_checkpoint(RetrievalModel(tiny_vocab, embed_dim=4, hidden=4, seed=0), path)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("substitute", GRID_SUBSTITUTES)
+@pytest.mark.parametrize("field", GRID_FIELDS)
+def test_load_returns_a_model_or_raises_checkpoint_error(grid_payload, tmp_path, field, substitute):
+    # Any value in any field: the loader builds a model or refuses the file, and raises nothing else.
+    payload = copy.deepcopy(grid_payload)
+    *parents, last = field.split("/")
+    target = payload
+    for key in parents:
+        target = target[key]
+    target[last] = copy.deepcopy(GRID_SUBSTITUTES[substitute])
+    path = str(tmp_path / "m.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(model, RetrievalModel)
 
 
 def test_load_rejects_non_json_file(tmp_path):
@@ -313,6 +360,25 @@ def test_transform_tokens_needs_models(demo):
     config = PipelineConfig(generator_mode="rule_based")
     with pytest.raises(CheckpointError):
         transform_tokens(PipelineModels(), lexicon, ("a",), config)
+
+
+def test_extractor_reads_the_retrieved_definition_under_idiom_keys(tiny_pipeline, demo, monkeypatch):
+    # Retrieval ranks surface forms, but the extractor is trained on definitions only.
+    lexicon, pairs = demo
+    seen = []
+
+    def recording_extract(model, tokens, definition):
+        seen.append(tuple(definition))
+        return extract_span(model, tokens, definition)
+
+    monkeypatch.setattr("idiomatize.pipeline.extract_span", recording_extract)
+    config = PipelineConfig(retrieval_key="idiom", generator_mode="rule_based")
+    for pair in pairs[:4]:
+        result = transform_tokens(tiny_pipeline, lexicon, pair.literal, config)
+        entry = next(e for e in lexicon if e.id == result.idiom_id)
+        assert entry.senses[result.sense_index] != entry.surface
+        assert seen == [entry.senses[result.sense_index]]
+        seen.clear()
 
 
 def test_transform_rule_based_output_is_splice(tiny_pipeline, demo):
