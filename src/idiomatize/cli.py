@@ -21,6 +21,7 @@ from .corpus import (
     build_vocab,
     load_lexicon,
     load_pairs,
+    read_text,
     split_corpus,
 )
 from .extractor import ExtractorModel, train_extractor
@@ -126,8 +127,7 @@ def _cmd_ingest(args) -> int:
     pairs = load_pairs(args.pairs, lexicon)
     aug = load_pairs(args.pairs_aug, lexicon) if args.pairs_aug else []
     if args.annotated:
-        with open(args.annotated, encoding="utf-8") as fh:
-            annotated = tuple(line.strip() for line in fh if line.strip())
+        annotated = tuple(line.strip() for line in read_text(args.annotated).split("\n") if line.strip())
         known = {e.id for e in lexicon}
         unknown = sorted(set(annotated) - known)
         if unknown:
@@ -165,7 +165,6 @@ def _cmd_train(args) -> int:
             batch_size=args.batch,
         )
     else:
-        sizes.pop("embed_dim", None)  # the generator has no embed_dim
         guided = args.mode == "guided"
         model = GeneratorModel(ds.vocab, **sizes, guided=guided, seed=args.seed)
         train_generator(
@@ -242,6 +241,8 @@ def _cmd_gradcheck(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "component", None) == "generator" and args.embed_dim is not None:
+        parser.error("--embed-dim applies to retrieval and extractor only, not generator")
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -1,4 +1,4 @@
-"""Idiom lexicon and parallel corpus: loading, validation, derived views.
+"""Input files, the idiom lexicon and the parallel corpus: reading, validation, derived views.
 
 File formats (UTF-8, one JSON object per line, LF endings):
 
@@ -161,27 +161,46 @@ def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) ->
     return Vocabulary(RESERVED + tuple(ordered))
 
 
+def read_text(path: str) -> str:
+    """The text of ``path`` with ``\\n`` line ends; bytes that are not UTF-8 raise ``CorpusError("path: ...")``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise CorpusError(f"{path}: not UTF-8 ({err})") from err
+
+
+def read_json(path: str) -> dict:
+    """The JSON object held in ``path``; each fault raises ``CorpusError("path: ...")``."""
+    try:
+        value = json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise CorpusError(f"{path}: invalid JSON ({err})") from err
+    if not isinstance(value, dict):
+        raise CorpusError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _read_jsonl(path: str, build: Callable[[dict], object]) -> Iterator:
     """``build(record)`` for each JSON object line of ``path``; blank lines are skipped.
 
     Malformed JSON, a missing field (a ``KeyError`` from ``build``) and a
     ``CorpusError`` from ``build`` all raise ``CorpusError("path:line: ...")``.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise CorpusError("expected a JSON object")
-                yield build(record)
-            except json.JSONDecodeError as err:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON ({err.msg})") from err
-            except KeyError as err:
-                raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
-            except CorpusError as err:
-                raise CorpusError(f"{path}:{lineno}: {err}") from err
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise CorpusError("expected a JSON object")
+            yield build(record)
+        except json.JSONDecodeError as err:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON ({err.msg})") from err
+        except KeyError as err:
+            raise CorpusError(f"{path}:{lineno}: missing field {err.args[0]!r}") from err
+        except CorpusError as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from err
 
 
 def load_lexicon(path: str) -> list[IdiomEntry]:

@@ -101,6 +101,8 @@ class GeneratorModel:
         check_sizes(word_dim=word_dim, copy_dim=copy_dim, label_dim=label_dim, hidden=hidden)
         if hidden % 2:
             raise ValueError("hidden must be even (split across two encoder directions)")
+        if not isinstance(guided, bool):
+            raise ValueError(f"guided must be a bool, got {guided!r}")
         self.vocab = vocab
         self.word_dim = word_dim
         self.copy_dim = copy_dim

@@ -21,8 +21,10 @@ from .corpus import (
     ParallelPair,
     SplitCorpus,
     Vocabulary,
+    _is_int,
     load_lexicon,
     load_pairs,
+    read_json,
     reject_reserved,
     resolve_pairs,
     save_lexicon,
@@ -47,6 +49,7 @@ from .metrics import (
     span_f1,
     stratify_by_rigidity,
 )
+from .numerics import check_sizes
 from .retrieval import KEY_MODES, RetrievalModel, retrieve_top1
 
 ORDERS = ("retrieve_then_extract", "extract_then_retrieve")
@@ -77,29 +80,20 @@ class PipelineConfig:
             raise ValueError(
                 f"generator_mode must be one of {GENERATOR_MODES}, got {self.generator_mode!r}"
             )
-        for name in ("beam", "max_len", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.beam < 1:
-            raise ValueError("beam must be >= 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        check_sizes(beam=self.beam, max_len=self.max_len)
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: invalid JSON ({err.msg})") from err
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        raw = read_json(path)
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from err
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,14 +134,11 @@ def save_checkpoint(model, path: str) -> None:
 def load_checkpoint(path: str):
     """Rebuild a model from its checkpoint; strict about shapes and version."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise CheckpointError(f"{path}: not a valid checkpoint ({err})") from err
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: checkpoint must be a JSON object")
+        payload = read_json(path)
+    except CorpusError as err:
+        raise CheckpointError(f"{err}; not a valid checkpoint") from err
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if not _is_int(version) or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: format_version {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
@@ -176,7 +167,7 @@ def load_checkpoint(path: str):
         try:
             shape = tuple(spec["shape"])
             values = np.asarray(spec["values"], dtype=np.float64)
-            if not all(type(d) is int for d in shape):
+            if not all(_is_int(d) for d in shape):
                 raise TypeError(f"shape {spec['shape']!r} has a non-integer dimension")
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or values ({err})") from err
@@ -394,25 +385,25 @@ def write_dataset(out_dir: str, dataset: Dataset) -> None:
 def load_dataset(data_dir: str) -> Dataset:
     lexicon = load_lexicon(os.path.join(data_dir, "lexicon.jsonl"))
     vocab_path = os.path.join(data_dir, "vocab.json")
-    with open(vocab_path, encoding="utf-8") as fh:
-        tokens = json.load(fh)
-    tokens = tokens.get("tokens") if isinstance(tokens, dict) else None
-    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-        raise CorpusError(f"{vocab_path}: expected an object with a 'tokens' list of strings")
-    vocab = Vocabulary(tokens)
+    tokens = read_json(vocab_path).get("tokens")
+    if not isinstance(tokens, list):
+        raise CorpusError(f"{vocab_path}: expected a 'tokens' list of strings")
+    try:
+        vocab = Vocabulary(tokens)
+    except CorpusError as err:
+        raise CorpusError(f"{vocab_path}: {err}") from err
     meta_path = os.path.join(data_dir, "meta.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise CorpusError(f"{meta_path}: expected a JSON object")
-    annotated = meta.get("annotated_ids", [])
+    meta = read_json(meta_path)
+    annotated, seed = meta.get("annotated_ids", []), meta.get("seed", 0)
     if not (isinstance(annotated, list) and all(isinstance(i, str) for i in annotated)):
         raise CorpusError(f"{meta_path}: 'annotated_ids' must be a list of strings")
+    if not _is_int(seed):
+        raise CorpusError(f"{meta_path}: 'seed' must be an integer, got {seed!r}")
     split = SplitCorpus(
         train=tuple(load_pairs(os.path.join(data_dir, "train.jsonl"), lexicon)),
         validation=tuple(load_pairs(os.path.join(data_dir, "validation.jsonl"), lexicon)),
         test=tuple(load_pairs(os.path.join(data_dir, "test.jsonl"), lexicon)),
-        seed=meta.get("seed", 0),
+        seed=seed,
     )
     return Dataset(
         lexicon=lexicon,

@@ -277,23 +277,17 @@ def demo_annotated_ids() -> tuple[str, ...]:
 def synthetic_retrieval_data(
     n_idioms: int = 50,
     seed: int = 0,
-    train_sentences_per_idiom: int = 3,
-    val_sentences_per_idiom: int = 1,
 ) -> tuple[list[IdiomEntry], list[ParallelPair], list[ParallelPair]]:
     """Idioms with mutually disjoint definition vocabularies.
 
     Idiom i owns two private words; its single definition is the pair
     in canonical order and sentences are two-token arrangements of the
     pair, so sentence/key token overlap fully determines the gold
-    idiom.  Train and validation take disjoint arrangements per idiom,
-    but every arrangement shape occurs in training across idioms —
-    held-out sentences are unseen combinations, not an unseen sequence
-    regime.
+    idiom.  Of the four arrangements per idiom, three (in seeded order)
+    are train sentences and one is a validation sentence, but every
+    arrangement shape occurs in training across idioms — held-out
+    sentences are unseen combinations, not an unseen sequence regime.
     """
-    if train_sentences_per_idiom < 1 or val_sentences_per_idiom < 1:
-        raise ValueError("need at least one train and one validation sentence per idiom")
-    if train_sentences_per_idiom + val_sentences_per_idiom > 4:
-        raise ValueError("only 4 distinct arrangements exist per idiom")
     rng = Rng(seed)
     entries: list[IdiomEntry] = []
     train: list[ParallelPair] = []
@@ -309,23 +303,17 @@ def synthetic_retrieval_data(
         entries.append(entry)
         arrangements = [(a, b), (b, a), (a, a), (b, b)]
         rng.shuffle(arrangements)
-        split_at = train_sentences_per_idiom
-        chosen = arrangements[: split_at + val_sentences_per_idiom]
-        for j, sentence in enumerate(chosen):
+        for j, sentence in enumerate(arrangements):
             pair = ParallelPair(
                 idiom_id=entry.id, sense_index=0,
                 literal=sentence, idiomatic=sentence, span=(0, 1),
             )
-            (train if j < split_at else val).append(pair)
+            (train if j < 3 else val).append(pair)
     return entries, train, val
 
 
-def synthetic_span_data(
-    n_train: int = 40,
-    n_val: int = 10,
-    seed: int = 0,
-) -> tuple[list[IdiomEntry], list[ParallelPair], list[ParallelPair]]:
-    """Sentences whose gold span is bracketed by sentinel tokens.
+def synthetic_span_data(seed: int = 0) -> tuple[list[IdiomEntry], list[ParallelPair], list[ParallelPair]]:
+    """40 train and 10 validation sentences whose gold span is bracketed by sentinel tokens.
 
     The span always runs from the "lbr" token through the matching
     "rbr" token, so a position tagger can solve the task from local
@@ -341,7 +329,7 @@ def synthetic_span_data(
         rigidity=None,
     )
     pairs: list[ParallelPair] = []
-    for _ in range(n_train + n_val):
+    for _ in range(50):
         left = [rng.choice(fillers) for _ in range(2 + rng.randint(3))]
         inner = [rng.choice(content) for _ in range(1 + rng.randint(3))]
         right = [rng.choice(fillers) for _ in range(2 + rng.randint(3))]
@@ -357,4 +345,4 @@ def synthetic_span_data(
                 span=span,
             )
         )
-    return [entry], pairs[:n_train], pairs[n_train:]
+    return [entry], pairs[:40], pairs[40:]

@@ -244,6 +244,17 @@ def test_train_non_positive_model_size_exits_two(demo_files, tmp_path, capsys, s
     assert not os.path.exists(out)
 
 
+def test_train_generator_embed_dim_is_a_usage_error(tmp_path, capsys):
+    # Refused before the dataset is read: the dataset directory does not exist.
+    out = tmp_path / "generator.json"
+    argv = ["train", "generator", "--data", str(tmp_path / "absent"), "--out", str(out), "--embed-dim", "8"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "--embed-dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -251,6 +262,7 @@ def test_train_non_positive_model_size_exits_two(demo_files, tmp_path, capsys, s
         ("vocab.json", '{"tokens": 5}'),
         ("meta.json", "[]"),
         ("meta.json", '{"seed": 0, "annotated_ids": 5}'),
+        ("meta.json", '{"seed": true, "annotated_ids": []}'),
     ],
 )
 def test_train_malformed_dataset_exits_two(demo_files, tmp_path, capsys, name, content):
@@ -504,7 +516,51 @@ def test_transform_bad_config_exits_two(
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {config}")
+
+
+# ------------------------------------------------------------ data files
+
+FILE_FAULTS = {
+    "not_utf8": b'{"tokens": "\xff"}\n',
+    "invalid_json": b"{oops\n",
+    "not_object": b"[1, 2]\n",
+    "no_reserved_prefix": b'{"tokens": ["the", "<pad>", "<unk>", "<sep>", "<eos>"]}\n',
+}
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        (name, fault)
+        for name in ("config", "vocab.json", "meta.json", "lexicon", "pairs", "checkpoint")
+        for fault in ("not_utf8", "invalid_json", "not_object")
+    ]
+    + [("annotated", "not_utf8"), ("vocab.json", "no_reserved_prefix")],
+)
+def test_data_error_names_its_file(demo_files, config_file, ckpt_dir, tmp_path, capsys, name, fault):
+    # One faulty file among good inputs; stderr starts with that file's path.
+    bad = tmp_path / name
+    if name in ("vocab.json", "meta.json"):
+        shutil.copytree(demo_files["dataset"], tmp_path / "dataset")
+        bad = tmp_path / "dataset" / name
+        argv = ["train", "extractor", "--data", str(bad.parent), "--out", str(tmp_path / "x.json")]
+    elif name == "config":
+        argv = ["transform", "--config", str(bad), "--lexicon", demo_files["lexicon"], "--ckpt-dir", ckpt_dir, "--input", "x"]
+    elif name == "checkpoint":
+        # retrieval.json is the first checkpoint loaded, so a directory holding it alone will do.
+        bad = tmp_path / "ckpts" / "retrieval.json"
+        bad.parent.mkdir()
+        argv = ["transform", "--config", config_file, "--lexicon", demo_files["lexicon"],
+                "--ckpt-dir", str(bad.parent), "--input", "x"]
+    else:
+        files = {key: demo_files[key] for key in ("lexicon", "pairs", "annotated")} | {name: str(bad)}
+        argv = ["ingest", "--out", str(tmp_path / "ds")]
+        for key, path in files.items():
+            argv += [f"--{key}", path]
+    bad.write_bytes(FILE_FAULTS[fault])
+    assert cli.main(["--quiet", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}")
 
 
 # -------------------------------------------------------------- evaluate

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import string
 from collections import Counter
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idiomatize
 from idiomatize import (
     CorpusError,
     IdiomEntry,
@@ -234,6 +237,47 @@ def test_load_lexicon_reports_exact_line(tmp_path):
     path = _write(tmp_path / "lex.jsonl", good + "\n\n" + "{broken\n")
     with pytest.raises(CorpusError, match=rf"{path}:4"):
         load_lexicon(path)
+
+
+def test_load_lexicon_ends_lines_as_a_text_file_does(tmp_path):
+    # CRLF ends a line; U+2028, which JSON allows inside a string, does not.
+    good = '{"id": "a", "text": "kick off", "definitions": ["start\u2028now"]}'
+    path = tmp_path / "lex.jsonl"
+    path.write_bytes(f"{good}\r\n\r\n".encode())
+    assert load_lexicon(str(path))[0].senses == (("start", "now"),)
+    path.write_bytes(f"{good}\r\n\r\n{{broken\r\n".encode())
+    with pytest.raises(CorpusError, match=rf"{path}:3"):
+        load_lexicon(str(path))
+
+
+def _reads_files(tree: ast.AST):
+    """Each ``json.load``/``json.loads`` and each ``open`` that is not for writing, by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield from (f"{node.lineno} imports json.{a.name}" for a in node.names if a.name in ("load", "loads"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("load", "loads") and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json":
+            yield f"{node.lineno} calls json.{name}"
+        elif name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) & set("wax")):
+                yield f"{node.lineno} opens a file for reading"
+
+
+def test_only_the_corpus_module_reads_input_files():
+    # Every input file is decoded, parsed and reported on in corpus.py alone.
+    root = pathlib.Path(idiomatize.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{where}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "corpus.py"
+        for where in _reads_files(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    assert list(_reads_files(ast.parse((root / "corpus.py").read_text(encoding="utf-8"))))
 
 
 def test_load_pairs_errors(tmp_path):

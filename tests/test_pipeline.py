@@ -177,6 +177,8 @@ def test_loaded_generator_decodes_identically(tiny_models, tmp_path):
 def _corrupt(payload, mutation):
     if mutation == "version":
         payload["format_version"] = 99
+    elif mutation == "version_true":
+        payload["format_version"] = True
     elif mutation == "component":
         payload["component"] = "reranker"
     elif mutation == "component_list":
@@ -224,6 +226,7 @@ def _corrupt(payload, mutation):
     "mutation, message",
     [
         ("version", "format_version"),
+        ("version_true", "format_version"),
         ("component", "unknown component"),
         ("component_list", "unknown component"),
         ("missing_tensor", "tensor name mismatch"),
@@ -274,24 +277,47 @@ def grid_payload(tmp_path_factory, tiny_vocab):
         return json.load(fh)
 
 
-@pytest.mark.parametrize("substitute", GRID_SUBSTITUTES)
-@pytest.mark.parametrize("field", GRID_FIELDS)
-def test_load_returns_a_model_or_raises_checkpoint_error(grid_payload, tmp_path, field, substitute):
-    # Any value in any field: the loader builds a model or refuses the file, and raises nothing else.
-    payload = copy.deepcopy(grid_payload)
+@pytest.fixture(scope="module")
+def generator_grid_payload(tmp_path_factory, tiny_vocab):
+    path = str(tmp_path_factory.mktemp("grid") / "m.json")
+    save_checkpoint(GeneratorModel(tiny_vocab, word_dim=4, copy_dim=2, label_dim=2, hidden=4, seed=0), path)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _load_substituted(payload, field, value, path):
+    """``load_checkpoint`` of ``payload`` with ``field`` (a /-separated path) set to ``value``;
+    None where it raises ``CheckpointError``."""
+    payload = copy.deepcopy(payload)
     *parents, last = field.split("/")
     target = payload
     for key in parents:
         target = target[key]
-    target[last] = copy.deepcopy(GRID_SUBSTITUTES[substitute])
-    path = str(tmp_path / "m.json")
+    target[last] = copy.deepcopy(value)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     try:
-        model = load_checkpoint(path)
+        return load_checkpoint(path)
     except CheckpointError:
-        return
-    assert isinstance(model, RetrievalModel)
+        return None
+
+
+@pytest.mark.parametrize("substitute", GRID_SUBSTITUTES)
+@pytest.mark.parametrize("field", GRID_FIELDS)
+def test_load_returns_a_model_or_raises_checkpoint_error(grid_payload, tmp_path, field, substitute):
+    # Any value in any field: the loader builds a model or refuses the file, and raises nothing else.
+    model = _load_substituted(grid_payload, field, GRID_SUBSTITUTES[substitute], str(tmp_path / "m.json"))
+    assert model is None or isinstance(model, RetrievalModel)
+
+
+@pytest.mark.parametrize("substitute", GRID_SUBSTITUTES)
+@pytest.mark.parametrize("field", ["hyperparameters/guided", "hyperparameters/word_dim"])
+def test_generator_load_refuses_a_guided_that_is_not_a_bool(generator_grid_payload, tmp_path, field, substitute):
+    value = GRID_SUBSTITUTES[substitute]
+    model = _load_substituted(generator_grid_payload, field, value, str(tmp_path / "m.json"))
+    assert model is None or isinstance(model, GeneratorModel)
+    if field == "hyperparameters/guided":
+        assert (model is not None) == isinstance(value, bool)
 
 
 def test_load_rejects_non_json_file(tmp_path):
