@@ -8,15 +8,19 @@ and the 223-key distractor lexicons, runs every recorded request through
 ``transform`` on both, and runs ``evaluate`` once per lexicon.  Each
 (idiom, span, output) triple and each report is compared with the
 recorded one.  Prints the number of differences, next to the mean number
-of ``generator.decode_step`` calls (decoder positions) per ``transform``
-request and the number of ``retrieval.build_key_index`` calls (key-index
-builds) per lexicon, so an index that is rebuilt on every query shows.
-Exits 1 if any differ, so a change that should not alter inference can be
-checked against all of them in one run (a few minutes on one core).
+of ``generator.decode_step`` calls (decoder positions) and of tape
+``bigru_encode`` calls (read through the ``retrieval``, ``extractor`` and
+``generator`` module globals) per ``transform`` request, and the number of
+``retrieval.build_key_index`` calls (key-index builds) per lexicon, so an
+index that is rebuilt on every query, or an inference encoder back on the
+tape, shows.  Exits 1 if any differ, so a change that should not alter
+inference can be checked against all of them in one run (a few minutes
+on one core).
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import sys
 import tempfile
@@ -36,15 +40,18 @@ def main() -> int:
     config = workloads.pipeline_config(m)
     with tempfile.TemporaryDirectory() as tmp:
         models = m.pipeline.load_pipeline_models(workloads.unpack_checkpoints(tmp), config)
-    steps = 0
-    decode_step = m.generator.decode_step
-    build_key_index = m.retrieval.build_key_index
-    builds = {}
+    calls = collections.Counter()
 
-    def counted(*args):
-        nonlocal steps
-        steps += 1
-        return decode_step(*args)
+    def counting(owner, attr: str, key: str):
+        """Make ``owner.attr`` add one to ``calls[key]`` before it runs; returns what undoes that."""
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        setattr(owner, attr, wrapper)
+        return lambda: setattr(owner, attr, original)
 
     differ = triples = reports_differ = 0
     for name, workload in LEXICONS:
@@ -52,29 +59,27 @@ def main() -> int:
         if gen.lexicon_digest(lexicon) != reference["lexicons"][name]["digest"]:
             print(f"{name}: lexicon differs from the recorded one", file=sys.stderr)
             return 2
-        builds[name] = 0
-
-        def built(*args, name=name):
-            builds[name] += 1
-            return build_key_index(*args)
-
-        m.generator.decode_step = counted
-        m.retrieval.build_key_index = built
+        unbuilt = counting(m.retrieval, "build_key_index", f"builds {name}")
+        per_request = [counting(m.generator, "decode_step", "decode_step")] + [
+            counting(mod, "bigru_encode", "bigru_encode") for mod in (m.retrieval, m.extractor, m.generator)
+        ]
         for text, row in recorded.items():
             got = workloads.result_key(m.pipeline.transform(models, lexicon, text, config))
             triples += 1
             if got != row[name]:
                 differ += 1
                 print(f"{name}: {text!r}: recorded {row[name]}, got {got}")
-        m.generator.decode_step = decode_step
+        for undo in per_request:
+            undo()
         report = workloads.report_key(m.pipeline.evaluate(models, pairs, lexicon, config))
-        m.retrieval.build_key_index = build_key_index
+        unbuilt()
         if report != reference["lexicons"][name]["evaluate"]:
             reports_differ += 1
             print(f"{name}: evaluate report differs: got {report}")
-    print(f"{differ} of {triples} triples differ ({steps / triples:.2f} decode_step calls per request); "
+    print(f"{differ} of {triples} triples differ ({calls['decode_step'] / triples:.2f} decode_step and "
+          f"{calls['bigru_encode'] / triples:.2f} tape bigru_encode calls per request); "
           f"{reports_differ} of {len(LEXICONS)} evaluate reports differ; key-index builds: "
-          + ", ".join(f"{name} {count}" for name, count in builds.items()))
+          + ", ".join(f"{name} {calls['builds ' + name]}" for name, _ in LEXICONS))
     return 1 if differ or reports_differ else 0
 
 

@@ -162,10 +162,13 @@ def build_vocab(pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) ->
 
 
 def read_text(path: str) -> str:
-    """The text of ``path`` with ``\\n`` line ends; bytes that are not UTF-8 raise ``CorpusError("path: ...")``."""
+    """The text of ``path`` with ``\\n`` line ends; a file that cannot be read or is not UTF-8
+    raises ``CorpusError("path: ...")``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+    except OSError as err:
+        raise CorpusError(f"{path}: {err.strerror}") from err
     except UnicodeDecodeError as err:
         raise CorpusError(f"{path}: not UTF-8 ({err})") from err
 

@@ -22,7 +22,6 @@ from .numerics import (
     concat,
     fit,
     logsumexp,
-    no_grad,
     reshape,
     tsum,
     vecmat,
@@ -145,9 +144,12 @@ def repair_labels(labels: Sequence[int], unary: np.ndarray) -> tuple[int, int] |
 
 
 def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str]) -> SpanPrediction:
-    """Viterbi decode + single-span repair for one sentence."""
-    with no_grad():
-        unary = unary_scores(model, sentence, definition).data
+    """Viterbi decode + single-span repair for one sentence, on ``unary_scores``' values
+    computed off the tape (``scan_pair``), bit for bit."""
+    if not sentence:
+        raise ValueError("empty sentence")
+    states = model.scan_pair(sentence, definition)[: len(sentence)]
+    unary = np.vecmat(states, model.unary_w.data) + model.unary_b.data
     path, score = crf_viterbi(unary, model.transitions.data, model.start.data, model.end.data)
     return SpanPrediction(span=repair_labels(path, unary), score=score)
 

@@ -29,6 +29,7 @@ from .numerics import (
     Tensor,
     adam_step,
     bigru_encode,
+    bigru_scan,
     check_sizes,
     concat,
     fit,
@@ -139,9 +140,16 @@ class GeneratorModel:
 
 
 def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
-    """(n, hidden) memory matrix of BiGRU states."""
+    """(n, hidden) memory matrix of BiGRU states, on the tape."""
     xs = concat([model.word_emb[model.vocab.encode_all(inp.tokens)], model.copy_emb[list(inp.indicators)]])
     return bigru_encode(model.enc_fwd, model.enc_bwd, [xs[t : t + 1] for t in range(len(inp.tokens))])
+
+
+def scan_input(model: GeneratorModel, inp: GeneratorInput) -> np.ndarray:
+    """``encode_input``'s memory matrix as a plain array, bit for bit, from the tape-free ``bigru_scan``."""
+    words = model.word_emb.data[model.vocab.encode_all(inp.tokens)]
+    xs = np.concatenate([words, model.copy_emb.data[list(inp.indicators)]], axis=1)
+    return bigru_scan(model.enc_fwd, model.enc_bwd, xs)
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,9 @@ class DecodeContext:
     positions: dict[str, list[int]]
 
 
-def decode_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
-    """Encode the input and derive its copy keys and token mapping."""
-    memory = encode_input(model, inp)
+def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor) -> DecodeContext:
+    """The input's copy keys and token mapping around its ``memory``: ``encode_input``'s matrix
+    when training, ``scan_input``'s when decoding."""
     vocab = model.vocab
     positions: dict[str, list[int]] = {}
     for k, token in enumerate(inp.tokens):
@@ -301,7 +309,7 @@ def teacher_forced_pass(
     steps' most probable token is the one their target's indices emit."""
     if not reference:
         raise ValueError("empty reference")
-    ctx = decode_context(model, inp)
+    ctx = decode_context(model, inp, encode_input(model, inp))
     state = decode_init(model, ctx)
     targets = list(reference) + [EOS]
     loss: Tensor | None = None
@@ -432,7 +440,7 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
-        ctx = decode_context(model, inp)
+        ctx = decode_context(model, inp, Tensor(scan_input(model, inp)))
         state = decode_init(model, ctx)
         # Bounds the log of a step probability: each is a few rounded e/z terms over a rounded z.
         slack = 4 * (len(ctx.tokens) + len(ctx.slots)) * _EPS

@@ -36,14 +36,23 @@ def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"input shape {x.shape} != {(h_prev.shape[0], cell.input_size)}")
 
 
-def _gru_forward(cell: GruCell, h: np.ndarray, xw: Sequence[np.ndarray], matmul) -> tuple[np.ndarray, ...]:
+def _gru_forward(h: np.ndarray, xw: Sequence[np.ndarray], u: Sequence[np.ndarray], b: Sequence[np.ndarray], matmul):
     """The gate equations: (z, r, candidate, new state) from the input products
-    ``xw`` = (W_z x, W_r x, W_h x); ``matmul(a, u.T)`` forms the state products."""
+    ``xw`` = (W_z x, W_r x, W_h x), the transposed state matrices ``u`` =
+    (U_z.T, U_r.T, U_h.T) and the biases ``b`` = (b_z, b_r, b_h); ``matmul(a, u)``
+    forms the state products."""
     xz, xr, xh = xw
-    z = _sigmoid_np(xz + matmul(h, cell.u_z.data.T) + cell.b_z.data)
-    r = _sigmoid_np(xr + matmul(h, cell.u_r.data.T) + cell.b_r.data)
-    cand = np.tanh(xh + matmul(r * h, cell.u_h.data.T) + cell.b_h.data)
+    uz, ur, uh = u
+    bz, br, bh = b
+    z = _sigmoid_np(xz + matmul(h, uz) + bz)
+    r = _sigmoid_np(xr + matmul(h, ur) + br)
+    cand = np.tanh(xh + matmul(r * h, uh) + bh)
     return z, r, cand, (1.0 - z) * h + z * cand
+
+
+def _state_params(cell: GruCell) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """``_gru_forward``'s ``u`` and ``b`` for one cell."""
+    return (cell.u_z.data.T, cell.u_r.data.T, cell.u_h.data.T), (cell.b_z.data, cell.b_r.data, cell.b_h.data)
 
 
 def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
@@ -66,7 +75,7 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     h, xd = h_prev.data, x.data
     _check_shapes(cell, h, xd)
     xw = (np.vecmat(xd, cell.w_z.data.T), np.vecmat(xd, cell.w_r.data.T), np.vecmat(xd, cell.w_h.data.T))
-    z, r, cand, data = _gru_forward(cell, h, xw, np.vecmat)
+    z, r, cand, data = _gru_forward(h, xw, *_state_params(cell), np.vecmat)
 
     def vjp(g):
         if not g.any():
@@ -110,6 +119,34 @@ def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor
     return concat([concat([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0)
 
 
+def bigru_scan(fwd: GruCell, bwd: GruCell, xs: np.ndarray) -> np.ndarray:
+    """``bigru_encode`` off the tape: the [T,2H] states over the T rows of ``xs`` [T,I], bit for bit.
+
+    Each direction's input products are one ``np.vecmat`` over the T rows,
+    which equals ``gru_step``'s one-row products row by row; they are
+    stacked as [T,2,H], the backward ones reversed.  The two cells' state
+    matrices are stacked as [2,H,H] and their biases as [2,H], so both
+    directions step together as one two-row recurrence whose row d uses
+    cell d's matrices (``np.vecmat`` with one matrix per row).
+    """
+    sizes = {(cell.input_size, cell.hidden_size) for cell in (fwd, bwd)}
+    if xs.ndim != 2 or not len(xs) or sizes != {(xs.shape[1], fwd.hidden_size)}:
+        raise ValueError(f"bigru_scan needs [T,I] inputs with T >= 1 for two cells of sizes (I, H) = {sizes}, "
+                         f"got shape {xs.shape}")
+    xw = [
+        np.stack([np.vecmat(xs, wf.data.T), np.vecmat(xs, wb.data.T)[::-1]], axis=1)
+        for wf, wb in ((fwd.w_z, bwd.w_z), (fwd.w_r, bwd.w_r), (fwd.w_h, bwd.w_h))
+    ]
+    (u_f, b_f), (u_b, b_b) = _state_params(fwd), _state_params(bwd)
+    u = [np.stack(pair) for pair in zip(u_f, u_b)]
+    b = [np.stack(pair) for pair in zip(b_f, b_b)]
+    states = np.empty((len(xs), 2, fwd.hidden_size))
+    h = np.zeros((2, fwd.hidden_size))
+    for t, step in enumerate(zip(*xw)):
+        h = states[t] = _gru_forward(h, step, u, b, np.vecmat)[-1]
+    return np.concatenate([states[:, 0], states[::-1, 1]], axis=1)
+
+
 def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The input products (W_z x, W_r x, W_h x) of every step of ``xs`` [T,B,I], each [T,B,H].
 
@@ -143,8 +180,9 @@ def gru_pool(
         raise ValueError(f"mask shape {mask.shape} != ({steps}, {h.shape[0]})")
     keep = np.ones((steps, h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
     total = np.zeros_like(h)
+    u, b = _state_params(cell)
     for t, xw in enumerate(zip(*projected)):
-        new = _gru_forward(cell, h, xw, np.matmul)[-1]
+        new = _gru_forward(h, xw, u, b, np.matmul)[-1]
         total += np.where(keep[t], new, 0.0)
         h = np.where(keep[t], new, h)
     return total, h

@@ -25,6 +25,7 @@ from .numerics import (
     Tensor,
     adam_step,
     bigru_encode,
+    bigru_scan,
     check_sizes,
     fit,
     gru_pool,
@@ -64,10 +65,16 @@ class PairEncoderModel:
     def hyperparameters(self) -> dict:
         return {"embed_dim": self.embed_dim, "hidden": self.hidden, "seed": self.seed}
 
+    def _pair_ids(self, sentence: Sequence[str], key: Sequence[str]) -> list[int]:
+        return self.vocab.encode_all(list(sentence) + [SEP] + list(key))
+
     def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
-        """The [T,2H] BiGRU states over [sentence, <sep>, key], one row per position."""
-        ids = self.vocab.encode_all(list(sentence) + [SEP] + list(key))
-        return bigru_encode(self.fwd, self.bwd, [self.embedding[i : i + 1] for i in ids])
+        """The [T,2H] BiGRU states over [sentence, <sep>, key], one row per position, on the tape."""
+        return bigru_encode(self.fwd, self.bwd, [self.embedding[i : i + 1] for i in self._pair_ids(sentence, key)])
+
+    def scan_pair(self, sentence: Sequence[str], key: Sequence[str]) -> np.ndarray:
+        """``encode_pair``'s states as a plain array, bit for bit, from the tape-free ``bigru_scan``."""
+        return bigru_scan(self.fwd, self.bwd, self.embedding.data[self._pair_ids(sentence, key)])
 
 
 class RetrievalModel(PairEncoderModel):

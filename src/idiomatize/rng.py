@@ -74,9 +74,10 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        state, z = _splitmix64(seed & _MASK64)
+        # An integer proper, as ``corpus._is_int`` has it: True would seed as 1.
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        state, z = _splitmix64(seed)
         while z == 0:
             state, z = _splitmix64(state)
         self._state = z

@@ -442,13 +442,16 @@ def reference_beam_decode(step, state, tokens, sep, eos, beam, max_len):
 
 
 def reference_generator_beam(model, inp, beam, max_len):
-    """``reference_beam_decode`` over one-row ``decode_step`` calls of a package generator."""
+    """``reference_beam_decode`` over one-row ``decode_step`` calls of a package generator, whose
+    memory comes from the tape's ``encode_input``."""
     from idiomatize.corpus import EOS, SEP
-    from idiomatize.generator import decode_context, decode_init, decode_step, infer_label, step_distribution
+    from idiomatize.generator import (
+        decode_context, decode_init, decode_step, encode_input, infer_label, step_distribution,
+    )
     from idiomatize.numerics import no_grad
 
     with no_grad():
-        ctx = decode_context(model, inp)
+        ctx = decode_context(model, inp, encode_input(model, inp))
 
         def step(state, y_prev, label):
             state = decode_step(model, ctx, state, [y_prev], np.array([label]))

@@ -33,6 +33,7 @@ from idiomatize.generator import (
     beam_decode,
     build_generator_input,
     decode_context,
+    encode_input,
     rule_based_generate,
     selective_read,
     step_distribution,
@@ -117,7 +118,7 @@ def test_distribution_validity(record_criterion):
         e = rng.randint(s + 1, len(literal))
         inp = build_generator_input(idiom, literal, (s, e), guided=True)
         with no_grad():
-            ctx = decode_context(model, inp)
+            ctx = decode_context(model, inp, encode_input(model, inp))
         pool.append((inp, ctx))
     worst_sum = 0.0
     worst_split = 0.0
@@ -146,7 +147,7 @@ def test_selective_read_property(record_criterion):
     model = GeneratorModel(vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
     inp = build_generator_input(("a", "b"), ("c", "d", "c"), (0, 2), guided=True)
     with no_grad():
-        ctx = decode_context(model, inp)
+        ctx = decode_context(model, inp, encode_input(model, inp))
     memory = ctx.memory
     psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0])[None])
     with no_grad():

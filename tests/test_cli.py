@@ -64,7 +64,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'absent.jsonl'}: ")
 
 
 # ---------------------------------------------------------------- ingest
@@ -517,6 +517,22 @@ def test_transform_bad_config_exits_two(
     )
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {config}")
+
+
+@pytest.mark.parametrize("seed", [True, 2**64])
+def test_transform_checkpoint_seed_not_an_integer_exits_two(config_file, demo_files, ckpt_dir, tmp_path, capsys, seed):
+    # True would seed as 1 and 2**64 would fold onto seed 0.
+    ckpts = tmp_path / "ckpts"
+    shutil.copytree(ckpt_dir, ckpts)
+    path = ckpts / "extractor.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["hyperparameters"]["seed"] = seed
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["transform", "--config", config_file, "--lexicon", demo_files["lexicon"],
+            "--ckpt-dir", str(ckpts), "--input", "x"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "seed must be an integer" in err
 
 
 # ------------------------------------------------------------ data files

@@ -44,8 +44,9 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
 
 
 def test_unary_scores_empty_sentence(tiny_extractor):
-    with pytest.raises(ValueError):
-        unary_scores(tiny_extractor, (), ("x",))
+    for reader in (unary_scores, extract_span):
+        with pytest.raises(ValueError, match="empty sentence"):
+            reader(tiny_extractor, (), ("x",))
 
 
 # --- repair ------------------------------------------------------------
@@ -121,6 +122,16 @@ def test_extract_span_is_repaired_viterbi(tiny_extractor):
     assert pred.score == score
     assert np.isfinite(pred.score)
 
+
+
+@given(
+    st.lists(st.sampled_from(("the", "cat", "sat", "zzz", "fox")), min_size=1, max_size=12),
+    st.lists(st.sampled_from(("ran", "fast", "qqq", "the")), min_size=1, max_size=8),
+)
+def test_scan_pair_equals_encode_pair(tiny_extractor, sentence, definition):
+    # extract_span reads the tape-free scan; training reads the tape.
+    tape = tiny_extractor.encode_pair(sentence, definition)
+    assert np.array_equal(tiny_extractor.scan_pair(sentence, definition), tape.data)
 
 # --- loss and training ---------------------------------------------------
 

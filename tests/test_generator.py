@@ -32,6 +32,7 @@ from idiomatize.generator import (
     decode_step,
     encode_input,
     infer_label,
+    scan_input,
     selective_read,
     step_distribution,
     teacher_forced_accuracy,
@@ -68,7 +69,8 @@ def unguided_model(tiny_vocab):
 def _context(model, tokens):
     """Decode context over ``tokens`` as an input (indicators do not matter here)."""
     with no_grad():
-        return decode_context(model, GeneratorInput(tuple(tokens), (1,) * len(tokens)))
+        inp = GeneratorInput(tuple(tokens), (1,) * len(tokens))
+        return decode_context(model, inp, encode_input(model, inp))
 
 
 def _demo_input():
@@ -152,10 +154,21 @@ def test_encode_input_shape(gen_model):
     assert memory.shape == (len(inp.tokens), gen_model.hidden)
 
 
+
+@given(
+    st.lists(st.sampled_from(("the", "cat", "ran", "zzz", SEP)), min_size=1, max_size=15),
+    st.data(),
+)
+def test_scan_input_equals_encode_input(gen_model, tokens, data):
+    # beam_decode's memory comes from the tape-free scan; teacher forcing's from the tape.
+    indicators = data.draw(st.lists(st.sampled_from((0, 1)), min_size=len(tokens), max_size=len(tokens)))
+    inp = GeneratorInput(tuple(tokens), tuple(indicators))
+    assert np.array_equal(scan_input(gen_model, inp), encode_input(gen_model, inp).data)
+
 def test_decode_init_matches_formula(gen_model):
     inp = _demo_input()
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
     memory = ctx.memory
     half = gen_model.hidden // 2
@@ -355,7 +368,7 @@ def test_infer_label_strictly_greater():
 def test_step_distribution_sums_to_one_from_real_state(gen_model):
     inp = _demo_input()
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_step(gen_model, ctx, decode_init(gen_model, ctx), [SEP], np.array([0]))
         dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
     assert dist.probs[0].sum() == pytest.approx(1.0, abs=1e-12)
@@ -389,7 +402,7 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
     inp = GeneratorInput(tuple(tokens), tuple(indicators))
     choices = st.sampled_from(tuple(tokens) + ("fox", "www", EOS))
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
         y_prev, l_prev = SEP, 0
         for _ in range(data.draw(st.integers(1, 6))):
@@ -421,7 +434,7 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
 def test_decode_step_leaves_its_input_state_and_returns_its_scores(gen_model):
     inp = _demo_input()
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         first = decode_init(gen_model, ctx)
         memory, hidden = ctx.memory.data.copy(), first.hidden.data.copy()
         second = decode_step(gen_model, ctx, first, [SEP], np.array([0]))
@@ -451,7 +464,7 @@ def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
     hidden = rng.normal(size=(len(y_prev), 8))
     psi = rng.normal(size=(len(y_prev), len(inp.tokens)))
     with no_grad():
-        ctx = decode_context(model, inp)
+        ctx = decode_context(model, inp, encode_input(model, inp))
         for copy_scores in (None, psi):  # the first step has no copy scores yet
             state = DecodeState(Tensor(hidden), None if copy_scores is None else Tensor(copy_scores))
             rows = decode_step(model, ctx, state, y_prev, l_prev)
@@ -465,8 +478,9 @@ def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
 
 
 def test_decode_step_rejects_non_row_inputs(gen_model):
+    inp = _demo_input()
     with no_grad():
-        ctx = decode_context(gen_model, _demo_input())
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
         # A bare string would be read as one token per character.
         for token in (".", "cat"):
@@ -497,7 +511,7 @@ def test_selective_read_rows_gradcheck(gen_model):
 def test_unguided_model_ignores_label_channel(unguided_model):
     inp = build_generator_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2), guided=False)
     with no_grad():
-        ctx = decode_context(unguided_model, inp)
+        ctx = decode_context(unguided_model, inp, encode_input(unguided_model, inp))
         state = decode_init(unguided_model, ctx)
         advanced = decode_step(unguided_model, ctx, state, [SEP], np.array([0]))
         advanced_labelled = decode_step(unguided_model, ctx, state, [SEP], np.array([1]))
@@ -507,7 +521,7 @@ def test_unguided_model_ignores_label_channel(unguided_model):
 def test_guided_model_uses_label_channel(gen_model):
     inp = _demo_input()
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
         plain = decode_step(gen_model, ctx, state, [SEP], np.array([0]))
         labelled = decode_step(gen_model, ctx, state, [SEP], np.array([1]))
@@ -519,7 +533,7 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
     reference = ("the", "cat", "ran", "fast")
     with no_grad():
         loss = teacher_forced_pass(gen_model, inp, reference)[0].item()
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
         manual = 0.0
         input_tokens = set(inp.tokens)
@@ -547,7 +561,7 @@ def test_beam_one_is_greedy(gen_model):
     inp = _demo_input()
     got = beam_decode(gen_model, inp, beam=1, max_len=10)
     with no_grad():
-        ctx = decode_context(gen_model, inp)
+        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
         state = decode_init(gen_model, ctx)
         tokens = []
         y_prev, l_prev = SEP, 0

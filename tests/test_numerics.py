@@ -23,6 +23,7 @@ from idiomatize.numerics import (
     adam_step,
     add,
     bigru_encode,
+    bigru_scan,
     concat,
     exp,
     getitem,
@@ -102,9 +103,11 @@ def test_rng_same_seed_same_stream():
     assert [a.next_u64() for _ in range(16)] == [b.next_u64() for _ in range(16)]
 
 
-def test_rng_rejects_negative_seed():
-    with pytest.raises(ValueError):
-        Rng(-1)
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, False, 1.0, 3.5, "1", None, np.int64(1)])
+def test_rng_rejects_seeds_that_are_not_64_bit_integers(seed):
+    # True would seed as 1 and 2**64 would fold onto 0: neither is taken.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Rng(seed)
 
 
 def test_rng_random_unit_interval():
@@ -594,6 +597,47 @@ def test_bigru_encode_concatenates_directions():
         assert np.array_equal(states.data[t : t + 1, 3:], h.data)
     with pytest.raises(ValueError, match="empty input"):
         bigru_encode(fwd, bwd, [])
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=70),
+    st.sampled_from(("extractor", "generator")),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.data(),
+)
+def test_bigru_scan_equals_bigru_encode(steps, hidden, family, gain, data):
+    # Extraction and beam search read the scan where training reads the
+    # tape, so the two must agree bit for bit.  The extractor's rows are
+    # embedding rows (I = H); the generator's join a word row and one of
+    # two copy-indicator rows (I != H).
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32)))
+    if family == "extractor":
+        xs = rng.normal(size=(6, hidden))[rng.integers(0, 6, steps)]
+    else:
+        word_dim = data.draw(st.integers(min_value=1, max_value=140))
+        copy_dim = data.draw(st.integers(min_value=1, max_value=30).filter(lambda c: word_dim + c != hidden))
+        words = rng.normal(size=(6, word_dim))[rng.integers(0, 6, steps)]
+        xs = np.concatenate([words, rng.normal(size=(2, copy_dim))[rng.integers(0, 2, steps)]], axis=1)
+    store = ParamStore()
+    fwd = GruCell(store, "fwd", xs.shape[1], hidden, Rng(0))
+    bwd = GruCell(store, "bwd", xs.shape[1], hidden, Rng(0))
+    for p in store.params.values():
+        p.data = gain * rng.normal(size=p.shape)
+    tape = bigru_encode(fwd, bwd, [Tensor(xs[t : t + 1]) for t in range(steps)])
+    assert np.array_equal(bigru_scan(fwd, bwd, xs), tape.data)
+
+
+def test_bigru_scan_shape_errors():
+    store = ParamStore()
+    fwd = GruCell(store, "fwd", 3, 4, Rng(0))
+    bwd = GruCell(store, "bwd", 3, 4, Rng(0))
+    for xs in (np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="bigru_scan needs"):
+            bigru_scan(fwd, bwd, xs)
+    for other in (GruCell(store, "wide", 3, 5, Rng(0)), GruCell(store, "narrow", 2, 4, Rng(0))):
+        with pytest.raises(ValueError, match="bigru_scan needs"):
+            bigru_scan(fwd, other, np.zeros((2, 3)))
 
 
 @given(

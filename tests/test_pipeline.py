@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -111,8 +112,9 @@ def test_config_from_file_rejects_bad_json(tmp_path):
 
 
 def test_config_from_file_missing_file(tmp_path):
-    with pytest.raises(OSError):
-        PipelineConfig.from_file(str(tmp_path / "absent.json"))
+    path = str(tmp_path / "absent.json")
+    with pytest.raises(CorpusError, match=f"^{re.escape(path)}: "):
+        PipelineConfig.from_file(path)
 
 
 # ----------------------------------------------------------- checkpoints
@@ -215,6 +217,10 @@ def _corrupt(payload, mutation):
         spec["shape"] = [float(d) for d in spec["shape"]]
     elif mutation == "zero_hidden":
         payload["hyperparameters"]["hidden"] = 0
+    elif mutation == "seed_true":
+        payload["hyperparameters"]["seed"] = True
+    elif mutation == "seed_2_64":
+        payload["hyperparameters"]["seed"] = 2**64
     elif mutation == "vocabulary_nonstring":
         payload["vocabulary"][-2:] = [5, None]
     elif mutation == "nonnumeric_values":
@@ -244,6 +250,8 @@ def _corrupt(payload, mutation):
         ("shape_float", "malformed shape or values"),
         ("nonnumeric_values", "malformed shape or values"),
         ("zero_hidden", "hidden must be a positive integer"),
+        ("seed_true", "seed must be an integer"),
+        ("seed_2_64", "seed must be an integer"),
         ("vocabulary_nonstring", "bad checkpoint structure"),
     ],
 )
@@ -363,7 +371,7 @@ def test_load_pipeline_models_mode_mismatch(ckpt_dir):
 def test_load_pipeline_models_missing_file(tiny_models, tmp_path):
     save_checkpoint(tiny_models["retrieval"], str(tmp_path / "retrieval.json"))
     save_checkpoint(tiny_models["extractor"], str(tmp_path / "extractor.json"))
-    with pytest.raises(OSError):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(tmp_path / 'generator.json'))}: "):
         load_pipeline_models(str(tmp_path), PipelineConfig())
 
 
@@ -776,5 +784,5 @@ def test_dataset_round_trip_keeps_the_split_seed(demo, demo_vocab, tmp_path):
 
 
 def test_load_dataset_missing_directory(tmp_path):
-    with pytest.raises(OSError):
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(tmp_path / 'absent'))}"):
         load_dataset(str(tmp_path / "absent"))
