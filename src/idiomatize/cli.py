@@ -28,6 +28,7 @@ from .extractor import ExtractorModel, train_extractor
 from .generator import GeneratorModel, train_generator
 from .numerics import NumericError
 from .pipeline import (
+    CheckpointError,
     Dataset,
     PipelineConfig,
     evaluate,
@@ -146,6 +147,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if os.path.isdir(args.out) or args.out.endswith(("/", os.sep)):  # fail before any training, not after
+        raise CheckpointError(f"{args.out}: names a directory, not a checkpoint file")
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    except OSError as err:
+        raise CheckpointError(f"{args.out}: cannot make its directory ({err.strerror})") from err
     ds = load_dataset(args.data)
     # Only the sizes given here; the model classes hold the defaults.
     sizes = {k: v for k, v in (("embed_dim", args.embed_dim), ("hidden", args.hidden)) if v is not None}
@@ -173,8 +180,6 @@ def _cmd_train(args) -> int:
             epochs=args.epochs, batch_size=args.batch, lr=args.lr, seed=args.seed,
             validation=generator_training_data(ds.split.validation, ds.lexicon, guided),
         )
-    parent = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(parent, exist_ok=True)
     save_checkpoint(model, args.out)
     logging.info("saved %s checkpoint to %s", args.component, args.out)
     return 0

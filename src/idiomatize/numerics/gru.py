@@ -36,17 +36,17 @@ def _check_shapes(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> None:
         raise ValueError(f"input shape {x.shape} != {(h_prev.shape[0], cell.input_size)}")
 
 
-def _gru_forward(h: np.ndarray, xw: Sequence[np.ndarray], u: Sequence[np.ndarray], b: Sequence[np.ndarray], matmul):
+def _gru_forward(h: np.ndarray, xw: Sequence[np.ndarray], u: Sequence[np.ndarray], b: Sequence[np.ndarray]):
     """The gate equations: (z, r, candidate, new state) from the input products
     ``xw`` = (W_z x, W_r x, W_h x), the transposed state matrices ``u`` =
-    (U_z.T, U_r.T, U_h.T) and the biases ``b`` = (b_z, b_r, b_h); ``matmul(a, u)``
-    forms the state products."""
+    (U_z.T, U_r.T, U_h.T), one for all rows or one per row, and the biases
+    ``b`` = (b_z, b_r, b_h); each state product is an ``np.vecmat`` row product."""
     xz, xr, xh = xw
     uz, ur, uh = u
     bz, br, bh = b
-    z = _sigmoid_np(xz + matmul(h, uz) + bz)
-    r = _sigmoid_np(xr + matmul(h, ur) + br)
-    cand = np.tanh(xh + matmul(r * h, uh) + bh)
+    z = _sigmoid_np(xz + np.vecmat(h, uz) + bz)
+    r = _sigmoid_np(xr + np.vecmat(h, ur) + br)
+    cand = np.tanh(xh + np.vecmat(r * h, uh) + bh)
     return z, r, cand, (1.0 - z) * h + z * cand
 
 
@@ -74,8 +74,7 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     """
     h, xd = h_prev.data, x.data
     _check_shapes(cell, h, xd)
-    xw = (np.vecmat(xd, cell.w_z.data.T), np.vecmat(xd, cell.w_r.data.T), np.vecmat(xd, cell.w_h.data.T))
-    z, r, cand, data = _gru_forward(h, xw, *_state_params(cell), np.vecmat)
+    z, r, cand, data = _gru_forward(h, gru_project(cell, xd), *_state_params(cell))
 
     def vjp(g):
         if not g.any():
@@ -122,8 +121,7 @@ def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor
 def bigru_scan(fwd: GruCell, bwd: GruCell, xs: np.ndarray) -> np.ndarray:
     """``bigru_encode`` off the tape: the [T,2H] states over the T rows of ``xs`` [T,I], bit for bit.
 
-    Each direction's input products are one ``np.vecmat`` over the T rows,
-    which equals ``gru_step``'s one-row products row by row; they are
+    Each direction's input products are ``gru_project``'s over the T rows,
     stacked as [T,2,H], the backward ones reversed.  The two cells' state
     matrices are stacked as [2,H,H] and their biases as [2,H], so both
     directions step together as one two-row recurrence whose row d uses
@@ -133,56 +131,51 @@ def bigru_scan(fwd: GruCell, bwd: GruCell, xs: np.ndarray) -> np.ndarray:
     if xs.ndim != 2 or not len(xs) or sizes != {(xs.shape[1], fwd.hidden_size)}:
         raise ValueError(f"bigru_scan needs [T,I] inputs with T >= 1 for two cells of sizes (I, H) = {sizes}, "
                          f"got shape {xs.shape}")
-    xw = [
-        np.stack([np.vecmat(xs, wf.data.T), np.vecmat(xs, wb.data.T)[::-1]], axis=1)
-        for wf, wb in ((fwd.w_z, bwd.w_z), (fwd.w_r, bwd.w_r), (fwd.w_h, bwd.w_h))
-    ]
+    xw = [np.stack([f, b[::-1]], axis=1) for f, b in zip(gru_project(fwd, xs), gru_project(bwd, xs))]
     (u_f, b_f), (u_b, b_b) = _state_params(fwd), _state_params(bwd)
     u = [np.stack(pair) for pair in zip(u_f, u_b)]
     b = [np.stack(pair) for pair in zip(b_f, b_b)]
     states = np.empty((len(xs), 2, fwd.hidden_size))
-    h = np.zeros((2, fwd.hidden_size))
-    for t, step in enumerate(zip(*xw)):
-        h = states[t] = _gru_forward(h, step, u, b, np.vecmat)[-1]
+    _recur(np.zeros((2, fwd.hidden_size)), xw, u, b, [2] * len(xs), states)
     return np.concatenate([states[:, 0], states[::-1, 1]], axis=1)
 
 
 def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The input products (W_z x, W_r x, W_h x) of every step of ``xs`` [T,B,I], each [T,B,H].
+    """The input products (W_z x, W_r x, W_h x) of every [..., I] row of ``xs``, each [..., H].
 
-    One stacked ``np.matmul`` per weight, which equals the per-step gemm
-    ``xs[t] @ w.T`` bit for bit; one flat (T*B, I) gemm does not.  They do
-    not depend on the state, so ``gru_pool`` can rerun the recurrence from
-    another initial state without forming them again.
+    One ``np.vecmat`` per weight, so each row equals its one-row product bit
+    for bit.  They do not depend on the state, so ``gru_pool`` can rerun a
+    recurrence from another initial state without forming them again.
     """
-    if xs.ndim != 3 or xs.shape[-1] != cell.input_size:
-        raise ValueError(f"inputs {xs.shape} must be [T,B,{cell.input_size}]")
-    return tuple(np.matmul(xs, w.data.T) for w in (cell.w_z, cell.w_r, cell.w_h))
+    return np.vecmat(xs, cell.w_z.data.T), np.vecmat(xs, cell.w_r.data.T), np.vecmat(xs, cell.w_h.data.T)
 
 
-def gru_pool(
-    cell: GruCell, projected: tuple[np.ndarray, ...], h0: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _recur(h0, xw, u, b, live, states=None) -> tuple[np.ndarray, np.ndarray]:
+    """The one tape-free GRU loop, over ``_gru_forward``'s ``u`` and ``b``, as ``gru_pool`` describes it;
+    ``states[t]``, when given, receives the [B,H] states after step t."""
+    h, total = np.array(h0, dtype=np.float64), np.zeros(h0.shape)
+    for t, n in enumerate(live):
+        h[:n] = _gru_forward(h[:n], [x[t, :n] for x in xw], u, b)[-1]
+        total[:n] += h[:n]
+        if states is not None:
+            states[t] = h
+    return total, h
+
+
+def gru_pool(cell: GruCell, projected: Sequence[np.ndarray], h0: np.ndarray,
+             live: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Tape-free recurrence of ``B`` rows at once: (sum of states, final state), each [B,H].
 
     ``projected`` are ``gru_project``'s products over [T,B,I] inputs, or
-    [T,1,I] inputs every row shares; ``h0`` is [B,H].  Each step is
-    ``gru_step``'s gate equations with gemm products: over hundreds of rows
-    one gemm is much faster than ``gru_step``'s row products, but a row may
-    differ from its one-row step in the last bits.  Where the [T,B] ``mask``
-    is False a row keeps its state exactly and adds nothing to its sum.
+    [T,1,I] inputs every row shares; ``h0`` is [B,H].  At step t only the
+    first ``live[t]`` rows step (all of them by default); the others keep
+    their state exactly and add nothing to their sum.  Each row equals its
+    own ``gru_step`` calls bit for bit, whatever the other rows hold.
     """
-    h = np.asarray(h0, dtype=np.float64)
     steps, batch, _ = projected[0].shape
-    if h.ndim != 2 or h.shape[1] != cell.hidden_size or batch not in (1, h.shape[0]):
-        raise ValueError(f"initial state {h.shape} must be [B,{cell.hidden_size}] for inputs of {batch} rows")
-    if mask is not None and mask.shape != (steps, h.shape[0]):
-        raise ValueError(f"mask shape {mask.shape} != ({steps}, {h.shape[0]})")
-    keep = np.ones((steps, h.shape[0], 1), dtype=bool) if mask is None else mask[:, :, None]
-    total = np.zeros_like(h)
-    u, b = _state_params(cell)
-    for t, xw in enumerate(zip(*projected)):
-        new = _gru_forward(h, xw, u, b, np.matmul)[-1]
-        total += np.where(keep[t], new, 0.0)
-        h = np.where(keep[t], new, h)
-    return total, h
+    if h0.ndim != 2 or h0.shape[1] != cell.hidden_size or batch not in (1, len(h0)):
+        raise ValueError(f"initial state {h0.shape} must be [B,{cell.hidden_size}] for inputs of {batch} rows")
+    live = [len(h0)] * steps if live is None else list(live)
+    if len(live) != steps or not all(0 <= n <= len(h0) for n in live):
+        raise ValueError(f"live counts {live} must be {steps} counts of 0 to {len(h0)} rows")
+    return _recur(h0, projected, *_state_params(cell), live)

@@ -135,8 +135,9 @@ def load_checkpoint(path: str):
     """Rebuild a model from its checkpoint; strict about shapes and version."""
     try:
         payload = read_json(path)
-    except CorpusError as err:
-        raise CheckpointError(f"{err}; not a valid checkpoint") from err
+    except CorpusError as err:  # a file that cannot be read is not an invalid checkpoint
+        suffix = "" if isinstance(err.__cause__, OSError) else "; not a valid checkpoint"
+        raise CheckpointError(f"{err}{suffix}") from err
     version = payload.get("format_version")
     if not _is_int(version) or version != CHECKPOINT_VERSION:
         raise CheckpointError(

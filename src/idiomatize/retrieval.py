@@ -124,18 +124,18 @@ class KeyIndex:
 
     An index is identified by ``keys``, exactly as the caller gave them,
     and ``params``, copies of every parameter in ``model.store`` taken at
-    build time (and by the ``vocab`` that encoded the keys).  ``rows`` maps each key to its distinct encoded key, and
-    the [T,n] ``mask`` marks each distinct key's tokens.  ``fwd_inputs``
-    are the forward cell's input products over the keys (``gru_project``);
-    ``bwd_sum`` and ``bwd_final`` are the backward pass over the keys from
-    zero states.
+    build time (and by the ``vocab`` that encoded the keys).  ``rows`` maps
+    each key to its distinct encoded key, laid out longest first, so the
+    ``live[t]`` keys longer than t are a prefix.  ``fwd_inputs`` are the
+    forward cell's input products over the keys (``gru_project``);
+    ``bwd_sum`` and ``bwd_final`` are the backward pass over the keys from zero states.
     """
 
     keys: tuple[tuple[str, ...], ...]
     vocab: Vocabulary
     params: tuple[np.ndarray, ...]
     rows: np.ndarray
-    mask: np.ndarray
+    live: list[int]
     fwd_inputs: tuple[np.ndarray, ...]
     bwd_sum: np.ndarray
     bwd_final: np.ndarray
@@ -147,22 +147,20 @@ class KeyIndex:
 
 
 def build_key_index(model: RetrievalModel, keys: tuple[tuple[str, ...], ...]) -> KeyIndex:
-    """Encode the keys, lay them out as one ragged batch and run their query-independent passes."""
-    unique: dict[tuple[int, ...], int] = {}
-    rows = np.array([unique.setdefault(tuple(model.vocab.encode_all(key)), len(unique)) for key in keys], dtype=np.intp)
-    n = len(unique)
-    longest = max(len(ids) for ids in unique)
-    fwd_ids = np.zeros((longest, n), dtype=np.int64)
-    bwd_ids = np.zeros((longest, n), dtype=np.int64)
-    mask = np.zeros((longest, n), dtype=bool)
-    for j, ids in enumerate(unique):
+    """Encode the keys, lay them out longest first as one ragged batch and run their query-independent passes."""
+    encoded = [tuple(model.vocab.encode_all(key)) for key in keys]
+    distinct = sorted(dict.fromkeys(encoded), key=len, reverse=True)
+    slot = {ids: j for j, ids in enumerate(distinct)}
+    rows = np.array([slot[ids] for ids in encoded], dtype=np.intp)
+    live = [sum(len(ids) > t for ids in distinct) for t in range(len(distinct[0]))]
+    fwd_ids, bwd_ids = np.zeros((2, len(live), len(distinct)), dtype=np.int64)
+    for j, ids in enumerate(distinct):
         fwd_ids[: len(ids), j] = ids
         bwd_ids[: len(ids), j] = ids[::-1]
-        mask[: len(ids), j] = True
     params = tuple(p.data.copy() for p in model.store.params.values())
-    emb = model.embedding.data
-    bwd_sum, bwd_final = gru_pool(model.bwd, gru_project(model.bwd, emb[bwd_ids]), np.zeros((n, model.hidden)), mask)
-    return KeyIndex(keys, model.vocab, params, rows, mask, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
+    emb, h0 = model.embedding.data, np.zeros((len(distinct), model.hidden))
+    bwd_sum, bwd_final = gru_pool(model.bwd, gru_project(model.bwd, emb[bwd_ids]), h0, live)
+    return KeyIndex(keys, model.vocab, params, rows, live, gru_project(model.fwd, emb[fwd_ids]), bwd_sum, bwd_final)
 
 
 def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Sequence[str]]) -> np.ndarray:
@@ -173,8 +171,9 @@ def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Se
     the forward prefix runs once, the forward pass over the keys runs as
     one ragged batch from its final state, and the backward prefix pass
     starts from each key's final backward state.  Each distinct encoded key
-    is scored once, so keys that encode alike (duplicates, or all-<unk>)
-    score exactly alike.
+    is scored once, and every product is a row product, so a key scores the
+    same bit for bit in any list of keys that holds it, and keys that encode
+    alike (duplicates, or all-<unk>) score exactly alike.
 
     The keys' backward pass and their forward input products do not depend
     on the query either: they form a ``KeyIndex``, kept on the model and
@@ -192,10 +191,10 @@ def score_keys(model: RetrievalModel, sentence: Sequence[str], keys: Sequence[Se
     emb = model.embedding.data
     prefix = emb[model.vocab.encode_all(list(sentence) + [SEP])][:, None, :]
     f_prefix, h = gru_pool(model.fwd, gru_project(model.fwd, prefix), np.zeros((1, model.hidden)))
-    f_key, _ = gru_pool(model.fwd, index.fwd_inputs, np.repeat(h, len(index.bwd_sum), axis=0), index.mask)
+    f_key, _ = gru_pool(model.fwd, index.fwd_inputs, np.repeat(h, len(index.bwd_sum), axis=0), index.live)
     b_prefix, _ = gru_pool(model.bwd, gru_project(model.bwd, prefix[::-1]), index.bwd_final)
     pooled = np.concatenate([f_prefix + f_key, index.bwd_sum + b_prefix], axis=1)
-    return (pooled @ model.score_w.data + model.score_b.data)[index.rows]
+    return (np.vecmat(pooled, model.score_w.data[:, None])[:, 0] + model.score_b.data)[index.rows]
 
 
 def retrieve_top1(

@@ -278,30 +278,6 @@ def reference_gru_step(weights, h_prev, x):
     return (1.0 - z) * h_prev + z * cand
 
 
-def reference_gru_pool_gemm(weights, xs, h0, mask):
-    """(sum of states, final state) of a masked GRU recurrence over [B,H] rows, as gemm products.
-
-    Each step multiplies the [B or 1, I] inputs and the [B,H] states by the
-    transposed weights in one matrix product per weight, and uses the
-    sigmoid that cannot overflow, exp(-|v|) over one plus it, so it
-    rounds as a tape-free gemm recurrence does.
-    """
-
-    def sig(v):
-        e = np.exp(-np.abs(v))
-        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    h, total = h0, np.zeros_like(h0)
-    for x, keep in zip(xs, mask[:, :, None]):
-        z = sig(x @ weights["w_z"].T + h @ weights["u_z"].T + weights["b_z"])
-        r = sig(x @ weights["w_r"].T + h @ weights["u_r"].T + weights["b_r"])
-        cand = np.tanh(x @ weights["w_h"].T + (r * h) @ weights["u_h"].T + weights["b_h"])
-        new = (1.0 - z) * h + z * cand
-        total = total + np.where(keep, new, 0.0)
-        h = np.where(keep, new, h)
-    return total, h
-
-
 def reference_retrieve_top1(score, candidates):
     """Best (idiom id, sense index, score) by scoring one key at a time.
 
@@ -477,8 +453,11 @@ def reference_transform(models, lexicon, tokens, config):
     Returns a list of ``TransformResult``: the tie rule's winner first, then
     one for every other candidate that scores within
     ``RETRIEVAL_TIE_TOLERANCE`` of it (only the first of equal scores).
-    ``transform`` scores all keys as one gemm batch, and a gemm row moves in
-    its last bits with the batch, so a near-tie may go either way.
+    ``transform``'s scores are row products, so they do not depend on the
+    other keys, but its batched pass sums the pooled states in another
+    order than ``score_pair`` (the sentence's states, then the key's, in
+    place of one sum over [sentence, <sep>, key]).  The two scores may then
+    differ in their last bits, so a near-tie may go either way.
     """
     from idiomatize.extractor import crf_viterbi, repair_labels, unary_scores
     from idiomatize.generator import build_generator_input

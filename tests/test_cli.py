@@ -277,6 +277,20 @@ def test_train_malformed_dataset_exits_two(demo_files, tmp_path, capsys, name, c
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("out", ["adir", "adir/", "newdir/", "afile/m.json", "afile/sub/m.json"])
+def test_train_bad_out_path_exits_two_before_training(tmp_path, capsys, out):
+    # Refused before the dataset is read (its directory does not exist), so
+    # no training is lost to a checkpoint path that cannot be written.
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    out = os.path.join(tmp_path, out)  # keeps a trailing slash, which pathlib drops
+    code = cli.main(["--quiet", "train", "retrieval", "--data", str(tmp_path / "absent"), "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "x"
+    assert not (tmp_path / "newdir").exists()
+
+
 # ------------------------------------------------------------- transform
 
 def test_transform_inline_input(config_file, demo_files, ckpt_dir, capsys):

@@ -50,7 +50,6 @@ from idiomatize.numerics.tensor import _node, _sigmoid_np
 from idiomatize.rng import Rng
 
 from oracles import (
-    reference_gru_pool_gemm,
     reference_gru_step,
     reference_logsumexp,
     reference_matmul,
@@ -640,6 +639,12 @@ def test_bigru_scan_shape_errors():
             bigru_scan(fwd, other, np.zeros((2, 3)))
 
 
+def _ragged_live(rng, steps, batch):
+    """Live counts of a ragged batch laid out longest first: row b steps while b < live[t]."""
+    lengths = np.sort(rng.integers(0, steps + 1, size=batch))[::-1]
+    return [int(n) for n in (lengths[:, None] > np.arange(steps)).sum(axis=0)]
+
+
 @given(
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=1, max_value=7),
@@ -653,74 +658,75 @@ def test_gru_pool_matches_reference_steps(batch, steps, shared, seed):
     weights = _cell_weights(cell)
     xs = rng.normal(size=(steps, 1 if shared else batch, 3))
     h0 = rng.normal(size=(batch, 4))
-    mask = rng.random((steps, batch)) < 0.6
+    live = _ragged_live(rng, steps, batch)
     projected = gru_project(cell, xs)
-    pooled, final = gru_pool(cell, projected, h0, mask)
-    assert np.array_equal(gru_pool(cell, projected, h0)[0], gru_pool(cell, projected, h0, np.ones_like(mask))[0])
+    pooled, final = gru_pool(cell, projected, h0, live)
+    assert np.array_equal(gru_pool(cell, projected, h0)[0], gru_pool(cell, projected, h0, [batch] * steps)[0])
     for b in range(batch):
         h, total = h0[b], np.zeros(4)
         for t in range(steps):
-            if mask[t, b]:
+            if b < live[t]:
                 h = reference_gru_step(weights, h, xs[t, 0 if shared else b])
                 total = total + h
         assert np.allclose(pooled[b], total, rtol=0, atol=1e-12)
         assert np.allclose(final[b], h, rtol=0, atol=1e-12)
-    # A masked step leaves the row's state bit for bit where it was.
+    # A row past the live count leaves its state bit for bit where it was.
     before = h0
     for t in range(steps):
-        after = gru_pool(cell, gru_project(cell, xs[: t + 1]), h0, mask[: t + 1])[1]
-        assert np.array_equal(after[~mask[t]], before[~mask[t]])
+        after = gru_pool(cell, gru_project(cell, xs[: t + 1]), h0, live[: t + 1])[1]
+        assert np.array_equal(after[live[t]:], before[live[t]:])
         before = after
 
 
 @given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=8),
     st.booleans(),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_gru_pool_equals_gemm_reference(batch, steps, shared, seed):
-    # Bit for bit: the pool must keep gemm products, which are faster over
-    # hundreds of keys than gru_step's stacked rows and round differently.
+def test_gru_pool_rows_equal_gru_step_calls(batch, steps, shared, seed):
+    # Bit for bit: each row steps as its own one-row gru_step would, so a
+    # row's sum and final state do not depend on the other rows or the live
+    # counts of the rows after it.
     rng = np.random.default_rng(seed)
     cell = GruCell(ParamStore(), "cell", 24, 16, Rng(seed))
+    for p in (cell.w_z, cell.u_z, cell.b_z, cell.w_r, cell.u_r, cell.b_r, cell.w_h, cell.u_h, cell.b_h):
+        p.data = rng.normal(size=p.shape)
     xs = rng.normal(size=(steps, 1 if shared else batch, 24))
     h0 = rng.normal(size=(batch, 16))
-    mask = rng.random((steps, batch)) < 0.7
-    pooled, final = gru_pool(cell, gru_project(cell, xs), h0, mask)
-    want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
-    assert np.array_equal(pooled, want_pooled)
-    assert np.array_equal(final, want_final)
+    live = _ragged_live(rng, steps, batch)
+    pooled, final = gru_pool(cell, gru_project(cell, xs), h0, live)
+    for b in range(batch):
+        h, total = Tensor(h0[b : b + 1]), np.zeros((1, 16))
+        for t in range(steps):
+            if b < live[t]:
+                h = gru_step(cell, h, Tensor(xs[t, 0 if shared else b][None]))
+                total += h.data
+        assert np.array_equal(pooled[b], total[0])
+        assert np.array_equal(final[b], h.data[0])
 
 
 @pytest.mark.parametrize(
-    "steps, batch, rows, ragged",
+    "shape",
     [
-        (15, 1, 1, False),  # one row
-        (40, 1, 1, False),
-        (7, 1, 5, False),  # a [T,1,I] input shared by every row
-        (3, 1, 7, True),
-        (10, 23, 23, True),  # a masked ragged batch, as score_keys lays out its keys
-        (10, 223, 223, True),
+        (15, 1, 64),  # one row per step
+        (7, 1, 64),  # a [T,1,I] input shared by every row
+        (10, 23, 64),  # a ragged batch, as score_keys lays out its keys
+        (10, 223, 64),
+        (18, 64),  # bigru_scan's [T,I] rows
+        (2, 64),  # gru_step's [B,I] rows
     ],
 )
-def test_gru_project_equals_per_step_products(steps, batch, rows, ragged):
-    rng = np.random.default_rng(steps * 1000 + batch)
+def test_gru_project_equals_per_row_products(shape):
+    # Each row is its own np.vecmat product, whatever the rows around it,
+    # so gru_step, bigru_scan and gru_pool share one input-product rule.
+    rng = np.random.default_rng(sum(shape))
     cell = GruCell(ParamStore(), "cell", 64, 64, Rng(3))
-    xs = rng.normal(size=(steps, batch, 64))
-    projected = gru_project(cell, xs)
-    for w, products in zip((cell.w_z, cell.w_r, cell.w_h), projected):
-        assert products.shape == (steps, batch, 64)
-        for t in range(steps):
-            assert np.array_equal(products[t], xs[t] @ w.data.T)
-    lengths = rng.integers(1, steps + 1, size=rows) if ragged else np.full(rows, steps)
-    mask = np.arange(steps)[:, None] < lengths
-    # The same products serve any initial state, each run equal to the gemm recurrence.
-    for h0 in (np.zeros((rows, 64)), rng.normal(size=(rows, 64))):
-        pooled, final = gru_pool(cell, projected, h0, mask)
-        want_pooled, want_final = reference_gru_pool_gemm(_cell_weights(cell), xs, h0, mask)
-        assert np.array_equal(pooled, want_pooled)
-        assert np.array_equal(final, want_final)
+    xs = rng.normal(size=shape)
+    for w, products in zip((cell.w_z, cell.w_r, cell.w_h), gru_project(cell, xs)):
+        assert products.shape == shape
+        for index in np.ndindex(shape[:-1]):
+            assert np.array_equal(products[index], np.vecmat(xs[index], w.data.T))
 
 
 def test_gru_pool_shape_errors():
@@ -736,9 +742,32 @@ def test_gru_pool_shape_errors():
     with pytest.raises(ValueError):
         gru_pool(cell, gru_project(cell, np.zeros((2, 3, 3))), h0)
     with pytest.raises(ValueError):
-        gru_project(cell, np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        gru_pool(cell, projected, h0, np.ones((2, 3), dtype=bool))
+        gru_project(cell, np.zeros(()))
+    for live in ([4], [4, 4, 4], [5, 4], [4, -1]):
+        with pytest.raises(ValueError, match="live counts"):
+            gru_pool(cell, projected, h0, live)
+
+
+def _row_products_only(tree: ast.AST):
+    """Each ``@``, ``np.matmul`` and ``np.dot`` in a module, by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield f"{node.lineno} uses @"
+        elif isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot"):
+            yield f"{node.lineno} names {node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            yield from (f"{node.lineno} imports {a.name}" for a in node.names if a.name in ("matmul", "dot"))
+
+
+def test_gru_recurrences_use_row_products_only():
+    # Every GRU product is an np.vecmat row product, so each row equals its
+    # one-row step bit for bit; a gemm would tie a row's last bits to the
+    # other rows in its batch.
+    gru_py = pathlib.Path(numerics.__file__).parent / "gru.py"
+    assert list(_row_products_only(ast.parse(gru_py.read_text(encoding="utf-8")))) == []
+    assert sorted(_row_products_only(ast.parse("a @ b\nnp.matmul(a, b)\nx.dot(y)\nfrom numpy import dot"))) == [
+        "1 uses @", "2 names matmul", "3 names dot", "4 imports dot",
+    ]
 
 
 def _composed_step(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:

@@ -371,8 +371,10 @@ def test_load_pipeline_models_mode_mismatch(ckpt_dir):
 def test_load_pipeline_models_missing_file(tiny_models, tmp_path):
     save_checkpoint(tiny_models["retrieval"], str(tmp_path / "retrieval.json"))
     save_checkpoint(tiny_models["extractor"], str(tmp_path / "extractor.json"))
-    with pytest.raises(CheckpointError, match=f"^{re.escape(str(tmp_path / 'generator.json'))}: "):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(tmp_path / 'generator.json'))}: ") as err:
         load_pipeline_models(str(tmp_path), PipelineConfig())
+    # A file that is not there is no content error.
+    assert "not a valid checkpoint" not in str(err.value)
 
 
 # ------------------------------------------------------------- transform
@@ -536,9 +538,9 @@ def test_transform_equals_reference_transform(seed, data):
     hold all-<unk> keys and one-entry lexicons.  Zeroed heads give exact
     ties in retrieval and beam search, where only the tie rules decide.
     Retrieval may pick any candidate the oracle accepts: ``transform``
-    scores the keys as one gemm batch, whose rows move in their last bits
-    (about 1e-14) with the batch, so a candidate within 1e-12 of the
-    oracle's best may win in its place.
+    sums each key's pooled states in another order than ``score_pair``, so
+    its scores differ in their last bits (about 1e-14), and a candidate
+    within 1e-12 of the oracle's best may win in its place.
     """
     draw = data.draw
     mode = draw(st.sampled_from(GENERATOR_MODES), label="generator mode")

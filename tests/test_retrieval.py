@@ -280,6 +280,28 @@ def test_key_index_alternating_lexicons_and_key_modes(tmp_path, index_builds):
         )
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from((5, 24, 64)), st.data())
+def test_key_score_does_not_depend_on_the_lexicon(seed, hidden, data):
+    # Every product of the batched pass is a row product, so a key scores the
+    # same bit for bit in any list of keys that holds it: any subset, in any
+    # order, with duplicates and with out-of-vocabulary keys that encode alike.
+    rng = np.random.default_rng(seed)
+    words = _INDEX_WORDS + ("oov1", "oov2")
+
+    def phrase(max_len):
+        return tuple(rng.choice(words, size=int(rng.integers(1, max_len + 1))).tolist())
+
+    pool = [phrase(6) for _ in range(30)] + [("oov1",), ("oov2", "oov1"), ("oov1", "oov1")]
+    model = RetrievalModel(Vocabulary(RESERVED + _INDEX_WORDS), embed_dim=8, hidden=hidden, seed=seed % 1000)
+    sentence = phrase(8)
+    full = dict(zip(pool, score_keys(model, sentence, pool)))
+    keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    got = score_keys(model, sentence, keys)
+    assert np.array_equal(got, [full[key] for key in keys])
+    assert max(abs(score_pair(model, sentence, key) - s) for key, s in zip(keys, got)) <= 1e-12
+
+
 def _scale_bwd_weight_in_place(model):
     model.bwd.w_z.data *= 1.5
 
