@@ -8,12 +8,12 @@ and the 223-key distractor lexicons, runs every recorded request through
 ``transform`` on both, and runs ``evaluate`` once per lexicon.  Each
 (idiom, span, output) triple and each report is compared with the
 recorded one.  Prints the number of differences, next to the mean number
-of ``generator.decode_step`` calls (decoder positions) and of tape
+of ``generator.decode_rows`` calls (decoder positions), of tape
 ``bigru_encode`` calls (read through the ``retrieval``, ``extractor`` and
-``generator`` module globals) per ``transform`` request, and the number of
-``retrieval.build_key_index`` calls (key-index builds) per lexicon, so an
-index that is rebuilt on every query, or an inference encoder back on the
-tape, shows.  Exits 1 if any differ, so a change that should not alter
+``generator`` module globals) and of ``Tensor``s constructed per
+``transform`` request, and the number of ``retrieval.build_key_index``
+calls (key-index builds) per lexicon, so an index that is rebuilt on every
+query, or any inference step back on the tape, shows.  Exits 1 if any differ, so a change that should not alter
 inference can be checked against all of them in one run (a few minutes
 on one core).
 """
@@ -60,8 +60,9 @@ def main() -> int:
             print(f"{name}: lexicon differs from the recorded one", file=sys.stderr)
             return 2
         unbuilt = counting(m.retrieval, "build_key_index", f"builds {name}")
-        per_request = [counting(m.generator, "decode_step", "decode_step")] + [
-            counting(mod, "bigru_encode", "bigru_encode") for mod in (m.retrieval, m.extractor, m.generator)
+        per_request = [
+            counting(m.generator, "decode_rows", "decode_rows"), counting(m.tensor.Tensor, "__init__", "tensors"),
+            *[counting(mod, "bigru_encode", "bigru_encode") for mod in (m.retrieval, m.extractor, m.generator)],
         ]
         for text, row in recorded.items():
             got = workloads.result_key(m.pipeline.transform(models, lexicon, text, config))
@@ -76,8 +77,9 @@ def main() -> int:
         if report != reference["lexicons"][name]["evaluate"]:
             reports_differ += 1
             print(f"{name}: evaluate report differs: got {report}")
-    print(f"{differ} of {triples} triples differ ({calls['decode_step'] / triples:.2f} decode_step and "
-          f"{calls['bigru_encode'] / triples:.2f} tape bigru_encode calls per request); "
+    print(f"{differ} of {triples} triples differ ({calls['decode_rows'] / triples:.2f} decode_rows and "
+          f"{calls['bigru_encode'] / triples:.2f} tape bigru_encode calls and {calls['tensors'] / triples:.2f} "
+          f"Tensors constructed per request); "
           f"{reports_differ} of {len(LEXICONS)} evaluate reports differ; key-index builds: "
           + ", ".join(f"{name} {calls['builds ' + name]}" for name, _ in LEXICONS))
     return 1 if differ or reports_differ else 0

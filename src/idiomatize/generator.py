@@ -12,6 +12,12 @@ vocabulary word; both score families are exponentiated and normalized
 together, so tokens that appear in the input can draw probability from
 both routes.  ``guided=False`` disables the label channel (the label
 embedding input is held at 0) for the unguided variant.
+
+Training steps the decoder on the autodiff tape (``decode_context``,
+``decode_init``, ``decode_step``).  Beam search and the teacher-forced
+accuracy check step its tape-free twin on plain arrays (``scan_context``,
+``scan_init``, ``decode_rows``), which uses the same ops in the same order,
+so each value equals the tape's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from .numerics import (
     check_sizes,
     concat,
     fit,
+    gru_rows,
     gru_step,
     logsumexp,
     matvec,
-    no_grad,
     softmax,
     tanh,
     vecmat,
@@ -154,7 +160,9 @@ def scan_input(model: GeneratorModel, inp: GeneratorInput) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """What every decoding step reads about one input, built once by ``decode_context``.
+    """What every decoding step reads about one input, built once by ``decode_context`` for the tape
+    step (``memory`` and ``copy_keys`` are Tensors) or by ``scan_context`` for ``decode_rows``
+    (plain arrays).
 
     ``tokens`` is the extended vocabulary: the vocabulary followed by the
     input tokens it lacks, in first-occurrence order.  ``slots`` holds the
@@ -162,35 +170,45 @@ class DecodeContext:
     the input positions of each input token.
     """
 
-    memory: Tensor
-    copy_keys: Tensor
+    memory: Tensor | np.ndarray
+    copy_keys: Tensor | np.ndarray
     tokens: tuple[str, ...]
     slots: np.ndarray
     positions: dict[str, list[int]]
 
 
-def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor) -> DecodeContext:
-    """The input's copy keys and token mapping around its ``memory``: ``encode_input``'s matrix
-    when training, ``scan_input``'s when decoding."""
-    vocab = model.vocab
+def _context(vocab: Vocabulary, inp: GeneratorInput, memory, copy_keys) -> DecodeContext:
+    """``memory`` and ``copy_keys`` with the input's extended vocabulary, slots and positions."""
     positions: dict[str, list[int]] = {}
     for k, token in enumerate(inp.tokens):
         positions.setdefault(token, []).append(k)
     extra = {t: len(vocab) + i for i, t in enumerate(t for t in positions if t not in vocab)}
     slots = np.array([extra[t] if t in extra else vocab.get(t) for t in inp.tokens], dtype=np.intp)
-    copy_keys = tanh(vecmat(memory, model.u_copy))
     return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions)
+
+
+def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor) -> DecodeContext:
+    """The tape step's context: the input's copy keys and token mapping around its ``memory``,
+    ``encode_input``'s matrix."""
+    return _context(model.vocab, inp, memory, tanh(vecmat(memory, model.u_copy)))
+
+
+def scan_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
+    """``decode_context`` on plain arrays, around ``scan_input``'s memory, bit for bit."""
+    memory = scan_input(model, inp)
+    return _context(model.vocab, inp, memory, np.tanh(np.vecmat(memory, model.u_copy.data)))
 
 
 @dataclass(frozen=True)
 class DecodeState:
     """Decoder states ``hidden`` [B,H] of B hypotheses (one for teacher forcing, each live one in
-    beam search) and the copy [B,n] and generate [B,V] scores they produced.  ``decode_init``'s
-    state has no scores yet, so the first step's selective read is exactly zero."""
+    beam search) and the copy [B,n] and generate [B,V] scores they produced: Tensors for the tape
+    step, plain arrays for ``decode_rows``.  The first state has no scores yet, so the first
+    step's selective read is exactly zero."""
 
-    hidden: Tensor
-    copy_scores: Tensor | None = None
-    gen_scores: Tensor | None = None
+    hidden: Tensor | np.ndarray
+    copy_scores: Tensor | np.ndarray | None = None
+    gen_scores: Tensor | np.ndarray | None = None
 
 
 def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
@@ -201,12 +219,41 @@ def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
     return DecodeState(tanh(matvec(model.init_w, final) + model.init_b))
 
 
+def scan_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
+    """``decode_init`` on plain arrays, bit for bit."""
+    half = model.hidden // 2
+    n = ctx.memory.shape[0]
+    final = np.concatenate([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]], axis=-1)
+    return DecodeState(np.tanh(np.vecmat(final, model.init_w.data.T) + model.init_b.data))
+
+
 def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
     """Bilinear attention over all memory states, for each of the [B,H] decoder rows."""
     if memory.shape[0] == 0:
         raise ValueError("empty memory")
     scores = matvec(memory, vecmat(h_dec, model.w_att))
     return vecmat(softmax(scores), memory)
+
+
+def _copy_batches(y_prev: Sequence[str], ctx: DecodeContext, has_scores: bool):
+    """``selective_read``'s batches: per match count, the rows whose token matches that many input
+    positions and those positions, plus each row's place in the joined reads (0, the zero read,
+    for a row that reads nothing).  No batches before any copy scores exist."""
+    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for b, y in enumerate(y_prev):
+        matches = ctx.positions.get(y)
+        if has_scores and matches:
+            rows, positions = by_count.setdefault(len(matches), ([], []))
+            rows.append(b)
+            positions.append(matches)
+    batches = []
+    place = np.zeros(len(y_prev), dtype=np.intp)
+    start = 1
+    for rows, positions in by_count.values():
+        batches.append((np.array(rows)[:, None], np.array(positions)))
+        place[rows] = np.arange(start, start + len(rows))
+        start += len(rows)
+    return batches, place
 
 
 def selective_read(
@@ -219,22 +266,9 @@ def selective_read(
     are weighted as one batch, so each row equals its one-row read bit for bit.  The batches'
     reads and one zero row are joined, and one gather places them in the [B,H] read.
     """
-    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for b, y in enumerate(y_prev):
-        matches = ctx.positions.get(y)
-        if psi_prev is not None and matches:
-            rows, positions = by_count.setdefault(len(matches), ([], []))
-            rows.append(b)
-            positions.append(matches)
-    if not by_count:
-        return zeros((len(y_prev), model.hidden))
+    batches, place = _copy_batches(y_prev, ctx, psi_prev is not None)
     reads = [zeros((1, model.hidden))]
-    place = np.zeros(len(y_prev), dtype=np.intp)  # row 0, the zero read, by default
-    start = 1
-    for rows, positions in by_count.values():
-        reads.append(vecmat(softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions]))
-        place[rows] = np.arange(start, start + len(rows))
-        start += len(rows)
+    reads += [vecmat(softmax(psi_prev[rows, positions]), ctx.memory[positions]) for rows, positions in batches]
     return concat(reads, axis=0)[place]
 
 
@@ -245,16 +279,46 @@ def decode_step(
 
     ``state.hidden`` is [B,H] with B tokens and B labels.  Each row equals its one-row call
     bit for bit, and the step is tracked on the tape when its inputs are."""
-    if isinstance(y_prev, str):
-        raise ValueError(f"y_prev must be a sequence of tokens, one per row, not the string {y_prev!r}")
-    if state.hidden.shape != (len(y_prev), model.hidden):
-        raise ValueError(f"decoder state {state.hidden.shape} is not [B,H] = {(len(y_prev), model.hidden)}")
+    _check_rows(model, state, y_prev)
     attentive = attentive_read(model, state.hidden, ctx.memory)
     selective = selective_read(model, y_prev, ctx, state.copy_scores)
     w = model.word_emb[model.vocab.encode_all(y_prev)]
     label = model.label_emb[l_prev * model.guided]  # label 0 throughout for the unguided model
     h = gru_step(model.decoder, state.hidden, concat([w, label, attentive, selective]))
     return DecodeState(h, matvec(ctx.copy_keys, h), matvec(model.w_gen, h))
+
+
+def _check_rows(model: GeneratorModel, state: DecodeState, y_prev: Sequence[str]) -> None:
+    """Raise unless ``y_prev`` is a sequence of B tokens and ``state.hidden`` is [B,H]."""
+    if isinstance(y_prev, str):
+        raise ValueError(f"y_prev must be a sequence of tokens, one per row, not the string {y_prev!r}")
+    if state.hidden.shape != (len(y_prev), model.hidden):
+        raise ValueError(f"decoder state {state.hidden.shape} is not [B,H] = {(len(y_prev), model.hidden)}")
+
+
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """The tape's ``softmax`` of each row on plain arrays: ``logsumexp``, subtract, ``exp``."""
+    m = a.max(axis=-1, keepdims=True)
+    return np.exp(a - (np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m))
+
+
+def decode_rows(
+    model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: Sequence[str], l_prev: np.ndarray
+) -> DecodeState:
+    """``decode_step`` on plain arrays, over ``scan_context``'s context: the same ops in the same
+    order, so each value equals the tape step's bit for bit."""
+    _check_rows(model, state, y_prev)
+    memory, hidden = ctx.memory, state.hidden
+    attentive = np.vecmat(_softmax_rows(np.vecmat(np.vecmat(hidden, model.w_att.data), memory.T)), memory)
+    batches, place = _copy_batches(y_prev, ctx, state.copy_scores is not None)
+    reads = [np.zeros((1, model.hidden))]
+    reads += [np.vecmat(_softmax_rows(state.copy_scores[rows, positions]), memory[positions])
+              for rows, positions in batches]
+    selective = np.concatenate(reads, axis=0)[place]
+    w = model.word_emb.data[model.vocab.encode_all(y_prev)]
+    label = model.label_emb.data[l_prev * model.guided]
+    h = gru_rows(model.decoder, hidden, np.concatenate([w, label, attentive, selective], axis=-1))
+    return DecodeState(h, np.vecmat(h, ctx.copy_keys.T), np.vecmat(h, model.w_gen.data.T))
 
 
 @dataclass
@@ -302,41 +366,51 @@ def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> tuple
     return (idxs, target) if idxs else ([n + vocab.encode(UNK)], UNK)
 
 
+def _teacher_forced(model: GeneratorModel, ctx: DecodeContext, state: DecodeState, step, reference: Sequence[str]):
+    """Teacher forcing over the reference plus <eos> with ``step``, ``decode_step`` or ``decode_rows``:
+    each step's state, and the indices that emit its target and the token they emit."""
+    if not reference:
+        raise ValueError("empty reference")
+    y_prev, l_prev = SEP, 0
+    for target in list(reference) + [EOS]:
+        state = step(model, ctx, state, [y_prev], np.array([l_prev]))
+        yield (state, *_target_indices(model.vocab, ctx, target))
+        y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
+
+
+def _argmax_token(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> str:
+    """The most probable token of a one-row step's distribution."""
+    return ctx.tokens[int(np.argmax(step_distribution(ctx, copy_scores, gen_scores).probs[0]))]
+
+
 def teacher_forced_pass(
     model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str]
 ) -> tuple[Tensor, int, int]:
-    """Teacher forcing over the reference plus <eos>: its summed NLL, its steps, and how many
-    steps' most probable token is the one their target's indices emit."""
-    if not reference:
-        raise ValueError("empty reference")
+    """Teacher forcing on the tape over the reference plus <eos>: its summed NLL, its steps, and
+    how many steps' most probable token is the one their target's indices emit."""
     ctx = decode_context(model, inp, encode_input(model, inp))
-    state = decode_init(model, ctx)
-    targets = list(reference) + [EOS]
     loss: Tensor | None = None
-    correct = 0
-    y_prev, l_prev = SEP, 0
-    for target in targets:
-        state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
+    steps = correct = 0
+    for state, idxs, emitted in _teacher_forced(model, ctx, decode_init(model, ctx), decode_step, reference):
         all_scores = concat([state.copy_scores, state.gen_scores])[0]
-        idxs, emitted = _target_indices(model.vocab, ctx, target)
         step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
         loss = step_nll if loss is None else loss + step_nll
-        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-        correct += ctx.tokens[int(np.argmax(dist.probs[0]))] == emitted
-        y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
+        steps += 1
+        correct += _argmax_token(ctx, state.copy_scores.data, state.gen_scores.data) == emitted
     assert loss is not None
-    return loss, len(targets), correct
+    return loss, steps, correct
 
 
 def teacher_forced_accuracy(model: GeneratorModel, data: Sequence[tuple[GeneratorInput, Sequence[str]]]) -> float:
-    """Fraction of teacher-forced steps whose argmax equals the target."""
+    """Fraction of teacher-forced steps whose argmax equals the target: ``teacher_forced_pass``'s
+    count, stepping ``decode_rows`` off the tape."""
     steps = 0
     correct = 0
-    with no_grad():
-        for inp, reference in data:
-            _, n, c = teacher_forced_pass(model, inp, reference)
-            steps += n
-            correct += c
+    for inp, reference in data:
+        ctx = scan_context(model, inp)
+        for state, _, emitted in _teacher_forced(model, ctx, scan_init(model, ctx), decode_rows, reference):
+            steps += 1
+            correct += _argmax_token(ctx, state.copy_scores, state.gen_scores) == emitted
     return correct / steps if steps else 0.0
 
 
@@ -426,9 +500,10 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     """Length-normalized beam search; beam=1 is greedy decoding.
 
     Each position advances every live hypothesis as one row of a single
-    ``decode_step``.  Candidates keep the order of a loop over hypotheses:
-    hypothesis order, then each one's stable ranking of the extended
-    vocabulary, and a stable sort by score picks the next beam from them.
+    ``decode_rows`` step, on plain arrays.  Candidates keep the order of a
+    loop over hypotheses: hypothesis order, then each one's stable ranking
+    of the extended vocabulary, and a stable sort by score picks the next
+    beam from them.
 
     Decoding stops once ``_score_bound`` shows that no live hypothesis can
     end with a score above the best finished one.  The stop is exact:
@@ -439,40 +514,39 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    with no_grad():
-        ctx = decode_context(model, inp, Tensor(scan_input(model, inp)))
-        state = decode_init(model, ctx)
-        # Bounds the log of a step probability: each is a few rounded e/z terms over a rounded z.
-        slack = 4 * (len(ctx.tokens) + len(ctx.slots)) * _EPS
-        prefixes: list[tuple[str, ...]] = [()]
-        logp = np.zeros(1)
-        labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token
-        finished: list[tuple[float, tuple[str, ...]]] = []
-        for steps in range(1, max_len + 1):
-            state = decode_step(model, ctx, state, [p[-1] if p else SEP for p in prefixes], labels)
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-            # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
-            labels = infer_label(dist)
-            top = _top_ranks(dist.probs, beam)
-            logps = (logp[:, None] + np.log(dist.probs[np.arange(len(top))[:, None], top])).ravel()
-            scores = logps / steps
-            alive = []
-            for c in np.argsort(-scores, kind="stable")[:beam]:
-                token = ctx.tokens[top.flat[c]]
-                prefix = prefixes[c // top.shape[1]]
-                if token == EOS:
-                    finished.append((scores[c], prefix))
-                else:
-                    alive.append((c, prefix + (token,)))
-            if not alive:
-                break
-            survivors, prefixes = map(list, zip(*alive))
-            logp = logps[survivors]
-            if finished and _score_bound(logp.max(), steps, max_len, slack) <= max(f[0] for f in finished):
-                break
-            parents = np.array(survivors) // top.shape[1]
-            labels = labels[parents]
-            state = DecodeState(state.hidden[parents], state.copy_scores[parents])
-        else:  # no stop before max_len: the live prefixes end there
-            finished.extend((scores[c], prefix) for c, prefix in alive)
-        return max(finished, key=lambda f: f[0])[1]  # the first of equal scores wins
+    ctx = scan_context(model, inp)
+    state = scan_init(model, ctx)
+    # Bounds the log of a step probability: each is a few rounded e/z terms over a rounded z.
+    slack = 4 * (len(ctx.tokens) + len(ctx.slots)) * _EPS
+    prefixes: list[tuple[str, ...]] = [()]
+    logp = np.zeros(1)
+    labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token
+    finished: list[tuple[float, tuple[str, ...]]] = []
+    for steps in range(1, max_len + 1):
+        state = decode_rows(model, ctx, state, [p[-1] if p else SEP for p in prefixes], labels)
+        dist = step_distribution(ctx, state.copy_scores, state.gen_scores)
+        # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
+        labels = infer_label(dist)
+        top = _top_ranks(dist.probs, beam)
+        logps = (logp[:, None] + np.log(dist.probs[np.arange(len(top))[:, None], top])).ravel()
+        scores = logps / steps
+        alive = []
+        for c in np.argsort(-scores, kind="stable")[:beam]:
+            token = ctx.tokens[top.flat[c]]
+            prefix = prefixes[c // top.shape[1]]
+            if token == EOS:
+                finished.append((scores[c], prefix))
+            else:
+                alive.append((c, prefix + (token,)))
+        if not alive:
+            break
+        survivors, prefixes = map(list, zip(*alive))
+        logp = logps[survivors]
+        if finished and _score_bound(logp.max(), steps, max_len, slack) <= max(f[0] for f in finished):
+            break
+        parents = np.array(survivors) // top.shape[1]
+        labels = labels[parents]
+        state = DecodeState(state.hidden[parents], state.copy_scores[parents])
+    else:  # no stop before max_len: the live prefixes end there
+        finished.extend((scores[c], prefix) for c, prefix in alive)
+    return max(finished, key=lambda f: f[0])[1]  # the first of equal scores wins

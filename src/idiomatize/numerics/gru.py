@@ -99,6 +99,12 @@ def gru_step(cell: GruCell, h_prev: Tensor, x: Tensor) -> Tensor:
     return _node(data, parents, vjp)
 
 
+def gru_rows(cell: GruCell, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``gru_step`` off the tape: the [B,H] states after one step of ``h_prev`` [B,H] on ``x`` [B,I], bit for bit."""
+    _check_shapes(cell, h_prev, x)
+    return _gru_forward(h_prev, gru_project(cell, x), *_state_params(cell))[-1]
+
+
 def _gate_terms(d: np.ndarray, w: Tensor, x: np.ndarray, u_in: np.ndarray, d_h: np.ndarray) -> tuple:
     """One gate's VJP terms for its uses (b, w, x, u, h_prev), from its pre-activation gradient ``d``."""
     return d.sum(axis=0), _row_outer(d, x), np.vecmat(d, w.data), _row_outer(d, u_in), d_h
@@ -150,14 +156,16 @@ def gru_project(cell: GruCell, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return np.vecmat(xs, cell.w_z.data.T), np.vecmat(xs, cell.w_r.data.T), np.vecmat(xs, cell.w_h.data.T)
 
 
-def _recur(h0, xw, u, b, live, states=None) -> tuple[np.ndarray, np.ndarray]:
-    """The one tape-free GRU loop, over ``_gru_forward``'s ``u`` and ``b``, as ``gru_pool`` describes it;
-    ``states[t]``, when given, receives the [B,H] states after step t."""
-    h, total = np.array(h0, dtype=np.float64), np.zeros(h0.shape)
+def _recur(h0, xw, u, b, live, states=None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The one tape-free GRU loop, over ``_gru_forward``'s ``u`` and ``b``, as ``gru_pool`` describes it.
+    With ``states``, ``states[t]`` receives the [B,H] states after step t and no sum is formed (None)."""
+    h = np.array(h0, dtype=np.float64)
+    total = np.zeros(h0.shape) if states is None else None
     for t, n in enumerate(live):
         h[:n] = _gru_forward(h[:n], [x[t, :n] for x in xw], u, b)[-1]
-        total[:n] += h[:n]
-        if states is not None:
+        if states is None:
+            total[:n] += h[:n]
+        else:
             states[t] = h
     return total, h
 

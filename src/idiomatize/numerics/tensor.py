@@ -7,8 +7,6 @@ per parent (a vector-Jacobian product), and ``Tensor.backward`` adds
 those into the parents that require one.
 Only the operations the models in this package need are implemented.
 Gradients of broadcast operands are summed back to the operand's shape.
-
-Wrap inference code in ``no_grad()`` to skip graph construction.
 """
 
 from __future__ import annotations
@@ -20,24 +18,6 @@ import numpy as np
 
 class NumericError(RuntimeError):
     """Non-finite values or an inconsistent gradient state."""
-
-
-_grad_enabled = True
-
-
-class no_grad:
-    """Context manager that disables graph construction."""
-
-    def __enter__(self) -> "no_grad":
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
 
 
 class Tensor:
@@ -127,7 +107,7 @@ def _wrap(x) -> Tensor:
 
 
 def _node(data, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """An op's result: plain ``Tensor(data)`` unless grad mode is on and a parent requires a gradient.
+    """An op's result: plain ``Tensor(data)`` unless a parent requires a gradient.
 
     This is the one place that decides tracking.  A tracked result keeps
     ``vjp``, which maps its gradient ``g`` to one gradient per entry of
@@ -137,7 +117,10 @@ def _node(data, parents: tuple[Tensor, ...], vjp) -> Tensor:
     so no node refers back to itself and a dropped graph is freed by
     reference counting.
     """
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+    for p in parents:  # a loop, not any() over a generator: this runs for every op
+        if p.requires_grad:
+            break
+    else:
         return Tensor(data)
     out = Tensor(data, requires_grad=True)
     out._parents = parents

@@ -31,7 +31,6 @@ from .numerics import (
     gru_pool,
     gru_project,
     neg,
-    no_grad,
     reshape,
     softplus,
     tsum,
@@ -100,8 +99,7 @@ def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
 
 
 def score_pair(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> float:
-    with no_grad():
-        return score(model, encode_candidate(model, sentence, key)).item()
+    return score(model, encode_candidate(model, sentence, key)).item()
 
 
 def entry_key(entry: IdiomEntry, sense_index: int, key_mode: str) -> tuple[str, ...]:

@@ -424,17 +424,15 @@ def reference_generator_beam(model, inp, beam, max_len):
     from idiomatize.generator import (
         decode_context, decode_init, decode_step, encode_input, infer_label, step_distribution,
     )
-    from idiomatize.numerics import no_grad
 
-    with no_grad():
-        ctx = decode_context(model, inp, encode_input(model, inp))
+    ctx = decode_context(model, inp, encode_input(model, inp))
 
-        def step(state, y_prev, label):
-            state = decode_step(model, ctx, state, [y_prev], np.array([label]))
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-            return state, dist.probs[0], infer_label(dist)[0]
+    def step(state, y_prev, label):
+        state = decode_step(model, ctx, state, [y_prev], np.array([label]))
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        return state, dist.probs[0], infer_label(dist)[0]
 
-        return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
+    return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
 
 
 RETRIEVAL_TIE_TOLERANCE = 1e-12
@@ -461,7 +459,6 @@ def reference_transform(models, lexicon, tokens, config):
     """
     from idiomatize.extractor import crf_viterbi, repair_labels, unary_scores
     from idiomatize.generator import build_generator_input
-    from idiomatize.numerics import no_grad
     from idiomatize.pipeline import TransformResult
     from idiomatize.retrieval import score_pair
 
@@ -470,8 +467,7 @@ def reference_transform(models, lexicon, tokens, config):
 
     def extract(definition):
         extractor = models.extractor
-        with no_grad():
-            unary = unary_scores(extractor, tokens, definition).data
+        unary = unary_scores(extractor, tokens, definition).data
         path, score = crf_viterbi(unary, extractor.transitions.data, extractor.start.data, extractor.end.data)
         return repair_labels(path, unary), score
 

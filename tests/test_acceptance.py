@@ -41,7 +41,7 @@ from idiomatize.generator import (
 )
 from idiomatize.corpus import RESERVED, Vocabulary
 from idiomatize.metrics import bleu, meteor, part_accuracy, rouge
-from idiomatize.numerics import Tensor, matvec, no_grad
+from idiomatize.numerics import Tensor, matvec
 from idiomatize.pipeline import PipelineModels
 from idiomatize.retrieval import RetrievalModel
 
@@ -117,8 +117,7 @@ def test_distribution_validity(record_criterion):
         s = rng.randrange(len(literal))
         e = rng.randint(s + 1, len(literal))
         inp = build_generator_input(idiom, literal, (s, e), guided=True)
-        with no_grad():
-            ctx = decode_context(model, inp, encode_input(model, inp))
+        ctx = decode_context(model, inp, encode_input(model, inp))
         pool.append((inp, ctx))
     worst_sum = 0.0
     worst_split = 0.0
@@ -126,9 +125,8 @@ def test_distribution_validity(record_criterion):
     for trial in range(1000):
         inp, ctx = pool[trial % len(pool)]
         h = Tensor(npr.normal(scale=2.0, size=(1, 12)))
-        with no_grad():
-            copy_s, gen_s = matvec(ctx.copy_keys, h).data[0], matvec(model.w_gen, h).data[0]
-            dist = step_distribution(ctx, copy_s[None], gen_s[None])
+        copy_s, gen_s = matvec(ctx.copy_keys, h).data[0], matvec(model.w_gen, h).data[0]
+        dist = step_distribution(ctx, copy_s[None], gen_s[None])
         worst_sum = max(worst_sum, abs(dist.probs[0].sum() - 1.0))
         worst_split = max(worst_split, abs(dist.p_copy[0] + dist.p_gen[0] - 1.0))
         copy_shares = dist.probs[0] - reference_generate_share(len(ctx.tokens), copy_s, gen_s)
@@ -146,14 +144,12 @@ def test_selective_read_property(record_criterion):
     vocab = Vocabulary(RESERVED + ("a", "b", "c", "d"))
     model = GeneratorModel(vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
     inp = build_generator_input(("a", "b"), ("c", "d", "c"), (0, 2), guided=True)
-    with no_grad():
-        ctx = decode_context(model, inp, encode_input(model, inp))
+    ctx = decode_context(model, inp, encode_input(model, inp))
     memory = ctx.memory
     psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0])[None])
-    with no_grad():
-        absent = selective_read(model, ["zzz"], ctx, psi)
-        first_step = selective_read(model, ["a"], ctx, None)
-        unique = selective_read(model, ["d"], ctx, psi)
+    absent = selective_read(model, ["zzz"], ctx, psi)
+    first_step = selective_read(model, ["a"], ctx, None)
+    unique = selective_read(model, ["d"], ctx, psi)
     zero_ok = not absent.data.any() and not first_step.data.any()
     row = inp.tokens.index("d")
     unique_ok = np.array_equal(unique.data[0], memory.data[row])

@@ -19,7 +19,7 @@ from idiomatize.extractor import (
     unary_scores,
     validation_span_f1,
 )
-from idiomatize.numerics import bigru_encode, grad_check, no_grad
+from idiomatize.numerics import bigru_encode, grad_check
 from idiomatize.toydata import synthetic_span_data
 
 from oracles import reference_extractor_loss
@@ -34,12 +34,11 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
     model = tiny_extractor
     sentence = ("the", "cat", "sat")
     definition = ("ran", "fast")
-    with no_grad():
-        scores = unary_scores(model, sentence, definition)
-        assert scores.shape == (3, 3)
-        ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
-        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
-        manual = np.vecmat(states.data[:3], model.unary_w.data) + model.unary_b.data
+    scores = unary_scores(model, sentence, definition)
+    assert scores.shape == (3, 3)
+    ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
+    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+    manual = np.vecmat(states.data[:3], model.unary_w.data) + model.unary_b.data
     assert np.array_equal(scores.data, manual)
 
 
@@ -115,8 +114,7 @@ def test_extract_span_is_repaired_viterbi(tiny_extractor):
     model = tiny_extractor
     sentence = ("the", "cat", "sat", "on", "mat")
     pred = extract_span(model, sentence, ("ran",))
-    with no_grad():
-        unary = unary_scores(model, sentence, ("ran",)).data
+    unary = unary_scores(model, sentence, ("ran",)).data
     path, score = crf_viterbi(unary, model.transitions.data, model.start.data, model.end.data)
     assert pred.span == repair_labels(path, unary)
     assert pred.score == score

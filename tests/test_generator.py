@@ -29,16 +29,19 @@ from idiomatize.generator import (
     attentive_read,
     decode_context,
     decode_init,
+    decode_rows,
     decode_step,
     encode_input,
     infer_label,
+    scan_context,
+    scan_init,
     scan_input,
     selective_read,
     step_distribution,
     teacher_forced_accuracy,
     teacher_forced_pass,
 )
-from idiomatize.numerics import ParamStore, Tensor, grad_check, no_grad, tsum
+from idiomatize.numerics import ParamStore, Tensor, grad_check, tsum
 from idiomatize.rng import Rng
 
 from oracles import (
@@ -68,9 +71,8 @@ def unguided_model(tiny_vocab):
 
 def _context(model, tokens):
     """Decode context over ``tokens`` as an input (indicators do not matter here)."""
-    with no_grad():
-        inp = GeneratorInput(tuple(tokens), (1,) * len(tokens))
-        return decode_context(model, inp, encode_input(model, inp))
+    inp = GeneratorInput(tuple(tokens), (1,) * len(tokens))
+    return decode_context(model, inp, encode_input(model, inp))
 
 
 def _demo_input():
@@ -149,8 +151,7 @@ def test_rule_based_splice(literal, idiom, data):
 
 def test_encode_input_shape(gen_model):
     inp = _demo_input()
-    with no_grad():
-        memory = encode_input(gen_model, inp)
+    memory = encode_input(gen_model, inp)
     assert memory.shape == (len(inp.tokens), gen_model.hidden)
 
 
@@ -167,9 +168,8 @@ def test_scan_input_equals_encode_input(gen_model, tokens, data):
 
 def test_decode_init_matches_formula(gen_model):
     inp = _demo_input()
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
     memory = ctx.memory
     half = gen_model.hidden // 2
     final = np.concatenate([memory.data[-1][:half], memory.data[0][half:]])
@@ -204,8 +204,7 @@ def test_attentive_read_matches_manual_softmax(gen_model):
     rng = np.random.default_rng(1)
     memory = Tensor(rng.normal(size=(3, 8)))
     h = Tensor(rng.normal(size=(1, 8)))
-    with no_grad():
-        out = attentive_read(gen_model, h, memory)
+    out = attentive_read(gen_model, h, memory)
     scores = memory.data @ (h.data[0] @ gen_model.w_att.data)
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
@@ -367,10 +366,9 @@ def test_infer_label_strictly_greater():
 
 def test_step_distribution_sums_to_one_from_real_state(gen_model):
     inp = _demo_input()
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_step(gen_model, ctx, decode_init(gen_model, ctx), [SEP], np.array([0]))
-        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_step(gen_model, ctx, decode_init(gen_model, ctx), [SEP], np.array([0]))
+    dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
     assert dist.probs[0].sum() == pytest.approx(1.0, abs=1e-12)
     assert state.copy_scores.shape == (1, len(inp.tokens))
 
@@ -401,31 +399,30 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
     indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
     inp = GeneratorInput(tuple(tokens), tuple(indicators))
     choices = st.sampled_from(tuple(tokens) + ("fox", "www", EOS))
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
-        y_prev, l_prev = SEP, 0
-        for _ in range(data.draw(st.integers(1, 6))):
-            read = selective_read(gen_model, [y_prev], ctx, state.copy_scores)
-            psi = None if state.copy_scores is None else state.copy_scores.data[0]
-            expect = reference_selective_read(y_prev, ctx.memory.data, inp.tokens, psi)
-            assert read.data[0].tolist() == expect.tolist()
-            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
-            copy_s, gen_s = state.copy_scores.data[0], state.gen_scores.data[0]
-            dist = step_distribution(ctx, copy_s[None], gen_s[None])
-            keys = np.tanh(np.vecmat(ctx.memory.data, gen_model.u_copy.data))  # recomputed per step
-            assert copy_s.tolist() == (keys @ state.hidden.data[0]).tolist()
-            probs, copy_probs, p_copy, p_gen = reference_step_distribution(
-                vocab.tokens, inp.tokens, copy_s, gen_s
-            )
-            assert ctx.tokens == tuple(probs)
-            assert dist.probs[0].tolist() == list(probs.values())
-            _assert_copy_shares(ctx, dist.probs[0], copy_s, gen_s, copy_probs)
-            assert (dist.p_copy[0], dist.p_gen[0]) == (p_copy, p_gen)
-            y_prev, l_prev = data.draw(choices), data.draw(st.integers(0, 1))
-            assert _target_indices(vocab, ctx, y_prev)[0] == reference_target_indices(
-                vocab.tokens, inp.tokens, y_prev
-            )
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
+    y_prev, l_prev = SEP, 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        read = selective_read(gen_model, [y_prev], ctx, state.copy_scores)
+        psi = None if state.copy_scores is None else state.copy_scores.data[0]
+        expect = reference_selective_read(y_prev, ctx.memory.data, inp.tokens, psi)
+        assert read.data[0].tolist() == expect.tolist()
+        state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+        copy_s, gen_s = state.copy_scores.data[0], state.gen_scores.data[0]
+        dist = step_distribution(ctx, copy_s[None], gen_s[None])
+        keys = np.tanh(np.vecmat(ctx.memory.data, gen_model.u_copy.data))  # recomputed per step
+        assert copy_s.tolist() == (keys @ state.hidden.data[0]).tolist()
+        probs, copy_probs, p_copy, p_gen = reference_step_distribution(
+            vocab.tokens, inp.tokens, copy_s, gen_s
+        )
+        assert ctx.tokens == tuple(probs)
+        assert dist.probs[0].tolist() == list(probs.values())
+        _assert_copy_shares(ctx, dist.probs[0], copy_s, gen_s, copy_probs)
+        assert (dist.p_copy[0], dist.p_gen[0]) == (p_copy, p_gen)
+        y_prev, l_prev = data.draw(choices), data.draw(st.integers(0, 1))
+        assert _target_indices(vocab, ctx, y_prev)[0] == reference_target_indices(
+            vocab.tokens, inp.tokens, y_prev
+        )
 
 
 # --- decoding ---------------------------------------------------------------
@@ -433,13 +430,12 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
 
 def test_decode_step_leaves_its_input_state_and_returns_its_scores(gen_model):
     inp = _demo_input()
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        first = decode_init(gen_model, ctx)
-        memory, hidden = ctx.memory.data.copy(), first.hidden.data.copy()
-        second = decode_step(gen_model, ctx, first, [SEP], np.array([0]))
-        second_copy = second.copy_scores.data.copy()
-        third = decode_step(gen_model, ctx, second, ["cat"], np.array([1]))
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    first = decode_init(gen_model, ctx)
+    memory, hidden = ctx.memory.data.copy(), first.hidden.data.copy()
+    second = decode_step(gen_model, ctx, first, [SEP], np.array([0]))
+    second_copy = second.copy_scores.data.copy()
+    third = decode_step(gen_model, ctx, second, ["cat"], np.array([1]))
     assert first.copy_scores is None and first.gen_scores is None
     assert np.array_equal(ctx.memory.data, memory)
     assert np.array_equal(first.hidden.data, hidden)
@@ -463,32 +459,86 @@ def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
     rng = np.random.default_rng(seed)
     hidden = rng.normal(size=(len(y_prev), 8))
     psi = rng.normal(size=(len(y_prev), len(inp.tokens)))
-    with no_grad():
-        ctx = decode_context(model, inp, encode_input(model, inp))
-        for copy_scores in (None, psi):  # the first step has no copy scores yet
-            state = DecodeState(Tensor(hidden), None if copy_scores is None else Tensor(copy_scores))
-            rows = decode_step(model, ctx, state, y_prev, l_prev)
-            assert rows.hidden.shape == (len(y_prev), 8)
-            for b in range(len(y_prev)):
-                one_state = DecodeState(Tensor(hidden[[b]]), None if copy_scores is None else Tensor(copy_scores[[b]]))
-                one = decode_step(model, ctx, one_state, y_prev[b : b + 1], l_prev[b : b + 1])
-                assert np.array_equal(rows.hidden.data[b], one.hidden.data[0])
-                assert np.array_equal(rows.copy_scores.data[b], one.copy_scores.data[0])
-                assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data[0])
+    ctx = decode_context(model, inp, encode_input(model, inp))
+    for copy_scores in (None, psi):  # the first step has no copy scores yet
+        state = DecodeState(Tensor(hidden), None if copy_scores is None else Tensor(copy_scores))
+        rows = decode_step(model, ctx, state, y_prev, l_prev)
+        assert rows.hidden.shape == (len(y_prev), 8)
+        for b in range(len(y_prev)):
+            one_state = DecodeState(Tensor(hidden[[b]]), None if copy_scores is None else Tensor(copy_scores[[b]]))
+            one = decode_step(model, ctx, one_state, y_prev[b : b + 1], l_prev[b : b + 1])
+            assert np.array_equal(rows.hidden.data[b], one.hidden.data[0])
+            assert np.array_equal(rows.copy_scores.data[b], one.copy_scores.data[0])
+            assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data[0])
 
 
 def test_decode_step_rejects_non_row_inputs(gen_model):
     inp = _demo_input()
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
-        # A bare string would be read as one token per character.
-        for token in (".", "cat"):
-            with pytest.raises(ValueError, match="sequence of tokens"):
-                decode_step(gen_model, ctx, state, token, np.array([0]))
-        for hidden in (state.hidden.data[0], np.zeros((2, gen_model.hidden)), np.zeros((1, 4))):
-            with pytest.raises(ValueError, match=r"not \[B,H\]"):
-                decode_step(gen_model, ctx, DecodeState(Tensor(hidden)), [SEP], np.array([0]))
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
+    # A bare string would be read as one token per character.
+    for token in (".", "cat"):
+        with pytest.raises(ValueError, match="sequence of tokens"):
+            decode_step(gen_model, ctx, state, token, np.array([0]))
+    for hidden in (state.hidden.data[0], np.zeros((2, gen_model.hidden)), np.zeros((1, 4))):
+        with pytest.raises(ValueError, match=r"not \[B,H\]"):
+            decode_step(gen_model, ctx, DecodeState(Tensor(hidden)), [SEP], np.array([0]))
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.booleans(),
+    st.lists(st.sampled_from(("the", "cat", "dog", "zzz", "qqq", SEP)), min_size=1, max_size=8),
+    st.data(),
+)
+def test_decode_rows_equals_decode_step(tiny_vocab, seed, guided, tokens, data):
+    # The tape-free context, first state and step equal the tape's bit for
+    # bit: 1-8 rows, with and without copy scores, and row tokens repeated
+    # in the input, absent from it, or out of the vocabulary.
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
+    indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
+    inp = GeneratorInput(tuple(tokens), tuple(indicators))
+    tape = decode_context(model, inp, encode_input(model, inp))
+    arrays = scan_context(model, inp)
+    assert (arrays.tokens, arrays.positions, arrays.slots.tolist()) == (tape.tokens, tape.positions, tape.slots.tolist())
+    assert _bits(arrays.memory) == _bits(tape.memory.data) and _bits(arrays.copy_keys) == _bits(tape.copy_keys.data)
+    assert _bits(scan_init(model, arrays).hidden) == _bits(decode_init(model, tape).hidden.data)
+    rows = data.draw(st.integers(1, 8))
+    y_prev = data.draw(st.lists(st.sampled_from(tuple(tokens) + ("dog", "www", EOS)), min_size=rows, max_size=rows))
+    l_prev = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=(rows, 8))
+    for psi in (None, rng.normal(size=(rows, len(tokens)))):  # the first step has no copy scores yet
+        want = decode_step(model, tape, DecodeState(Tensor(hidden), None if psi is None else Tensor(psi)), y_prev, l_prev)
+        got = decode_rows(model, arrays, DecodeState(hidden, psi), y_prev, l_prev)
+        for g, w in zip((got.hidden, got.copy_scores, got.gen_scores), (want.hidden, want.copy_scores, want.gen_scores)):
+            assert isinstance(g, np.ndarray) and g.shape == w.shape and _bits(g) == _bits(w.data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16), st.booleans(), st.sampled_from([1.0, 8.0]), st.data())
+def test_teacher_forced_accuracy_equals_the_tape_pass_count(tiny_vocab, seed, guided, gain, data):
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
+    for t in model.store.params.values():
+        t.data *= gain
+    examples = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        tokens = data.draw(st.lists(st.sampled_from(("the", "cat", "dog", "zzz", SEP)), min_size=1, max_size=6))
+        reference = data.draw(st.lists(st.sampled_from(tuple(tokens) + ("fox", "www")), min_size=1, max_size=6))
+        examples.append((GeneratorInput(tuple(tokens), (1,) * len(tokens)), tuple(reference)))
+    passes = [teacher_forced_pass(model, inp, reference) for inp, reference in examples]
+    expect = sum(correct for _, _, correct in passes) / sum(steps for _, steps, _ in passes)
+    assert teacher_forced_accuracy(model, examples) == expect
+
+
+def test_teacher_forced_accuracy_rejects_an_empty_reference(gen_model):
+    with pytest.raises(ValueError, match="empty reference"):
+        teacher_forced_accuracy(gen_model, [(_demo_input(), ())])
 
 
 def test_selective_read_rows_gradcheck(gen_model):
@@ -510,39 +560,36 @@ def test_selective_read_rows_gradcheck(gen_model):
 
 def test_unguided_model_ignores_label_channel(unguided_model):
     inp = build_generator_input(("ran", "fast"), ("the", "cat", "sat"), (1, 2), guided=False)
-    with no_grad():
-        ctx = decode_context(unguided_model, inp, encode_input(unguided_model, inp))
-        state = decode_init(unguided_model, ctx)
-        advanced = decode_step(unguided_model, ctx, state, [SEP], np.array([0]))
-        advanced_labelled = decode_step(unguided_model, ctx, state, [SEP], np.array([1]))
+    ctx = decode_context(unguided_model, inp, encode_input(unguided_model, inp))
+    state = decode_init(unguided_model, ctx)
+    advanced = decode_step(unguided_model, ctx, state, [SEP], np.array([0]))
+    advanced_labelled = decode_step(unguided_model, ctx, state, [SEP], np.array([1]))
     assert np.array_equal(advanced.hidden.data, advanced_labelled.hidden.data)
 
 
 def test_guided_model_uses_label_channel(gen_model):
     inp = _demo_input()
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
-        plain = decode_step(gen_model, ctx, state, [SEP], np.array([0]))
-        labelled = decode_step(gen_model, ctx, state, [SEP], np.array([1]))
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
+    plain = decode_step(gen_model, ctx, state, [SEP], np.array([0]))
+    labelled = decode_step(gen_model, ctx, state, [SEP], np.array([1]))
     assert not np.array_equal(plain.hidden.data, labelled.hidden.data)
 
 
 def test_teacher_forced_loss_matches_step_distributions(gen_model):
     inp = _demo_input()
     reference = ("the", "cat", "ran", "fast")
-    with no_grad():
-        loss = teacher_forced_pass(gen_model, inp, reference)[0].item()
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
-        manual = 0.0
-        input_tokens = set(inp.tokens)
-        y_prev, l_prev = SEP, 0
-        for target in list(reference) + [EOS]:
-            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-            manual -= math.log(dist.probs[0, ctx.tokens.index(target)])
-            y_prev, l_prev = target, 1 if (gen_model.guided and target in input_tokens) else 0
+    loss = teacher_forced_pass(gen_model, inp, reference)[0].item()
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
+    manual = 0.0
+    input_tokens = set(inp.tokens)
+    y_prev, l_prev = SEP, 0
+    for target in list(reference) + [EOS]:
+        state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        manual -= math.log(dist.probs[0, ctx.tokens.index(target)])
+        y_prev, l_prev = target, 1 if (gen_model.guided and target in input_tokens) else 0
     assert loss == pytest.approx(manual, abs=1e-10)
 
 
@@ -560,19 +607,18 @@ def test_teacher_forced_accuracy_bounds(gen_model):
 def test_beam_one_is_greedy(gen_model):
     inp = _demo_input()
     got = beam_decode(gen_model, inp, beam=1, max_len=10)
-    with no_grad():
-        ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
-        state = decode_init(gen_model, ctx)
-        tokens = []
-        y_prev, l_prev = SEP, 0
-        for _ in range(10):
-            state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
-            dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
-            token = ctx.tokens[int(np.argmax(dist.probs[0]))]
-            if token == EOS:
-                break
-            tokens.append(token)
-            y_prev, l_prev = token, infer_label(dist)[0]
+    ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
+    state = decode_init(gen_model, ctx)
+    tokens = []
+    y_prev, l_prev = SEP, 0
+    for _ in range(10):
+        state = decode_step(gen_model, ctx, state, [y_prev], np.array([l_prev]))
+        dist = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data)
+        token = ctx.tokens[int(np.argmax(dist.probs[0]))]
+        if token == EOS:
+            break
+        tokens.append(token)
+        y_prev, l_prev = token, infer_label(dist)[0]
     assert got == tuple(tokens)
 
 
@@ -642,9 +688,9 @@ def test_beam_decode_stops_early_with_the_oracle_output(tiny_vocab, seed, monkey
 
     def counted(model, ctx, state, y_prev, l_prev):
         positions.append(len(y_prev))
-        return decode_step(model, ctx, state, y_prev, l_prev)
+        return decode_rows(model, ctx, state, y_prev, l_prev)
 
-    monkeypatch.setattr(generator, "decode_step", counted)
+    monkeypatch.setattr(generator, "decode_rows", counted)
     assert beam_decode(model, inp, beam=4, max_len=20) == expect
     assert len(positions) < 20 and max(positions) > 1
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import contextlib
 import inspect
 import math
 import pathlib
@@ -31,11 +30,11 @@ from idiomatize.numerics import (
     grad_check,
     gru_pool,
     gru_project,
+    gru_rows,
     gru_step,
     logsumexp,
     matvec,
     mul,
-    no_grad,
     reshape,
     softmax,
     softplus,
@@ -243,21 +242,19 @@ def test_backward_requires_scalar_and_finite():
         tsum(bad).backward()
 
 
-def test_no_grad_skips_graph():
-    # Every op and gru_step builds no node under no_grad(), nor when no
-    # operand, weights included, requires a gradient.
+def test_ops_track_exactly_when_an_operand_requires_a_gradient():
+    # Every op and gru_step builds a node when its operands, weights
+    # included, require a gradient, and a plain Tensor when none does.
     rng = np.random.default_rng(0)
-    for mode in ("no_grad", "constants"):
+    for tracked in (True, False):
         store = ParamStore()
         cell = GruCell(store, "cell", 3, 4, Rng(0))
         for t in store.params.values():
-            t.requires_grad = mode == "no_grad"
+            t.requires_grad = tracked
         cases = {**OP_CASES, "gru_step": (lambda h, x: gru_step(cell, h, x), [(2, 4), (2, 3)])}
         for name, (build, shapes) in cases.items():
-            operands = [Tensor(rng.normal(size=shape), requires_grad=mode == "no_grad") for shape in shapes]
-            with no_grad() if mode == "no_grad" else contextlib.nullcontext():
-                out = build(*operands)
-            assert not out.requires_grad and out._backward is None, (mode, name)
+            out = build(*[Tensor(rng.normal(size=shape), requires_grad=tracked) for shape in shapes])
+            assert out.requires_grad == tracked and (out._backward is not None) == tracked, (tracked, name)
 
 
 def test_getitem_accumulates_duplicate_indices():
@@ -437,20 +434,19 @@ def _identifiers(tree: ast.AST):
 
 
 def test_only_the_tensor_module_decides_tracking_and_adds_gradients():
-    # ``_node`` alone decides whether a result is tracked, and only
-    # numerics/tensor.py touches gradient buffers or the grad-mode flag.
+    # ``_node`` alone decides whether a result is tracked, from its parents
+    # only (there is no grad mode), and only numerics/tensor.py touches
+    # gradient buffers.
     root = pathlib.Path(numerics.__file__).parent.parent
     tensor_py = root / "numerics" / "tensor.py"
     found = []
     for path in sorted(root.rglob("*.py")):
         for name, scopes, read in _identifiers(ast.parse(path.read_text(encoding="utf-8"))):
             where = f"{path.relative_to(root)}:{'.'.join(scopes) or '<module>'}"
-            if name == "_track":
-                found.append(f"{where} names _track")
-            elif read and name in ("_accum", "_grad", "_grad_enabled") and path != tensor_py:
+            if name in ("_track", "no_grad", "_grad_enabled"):
+                found.append(f"{where} names {name}")
+            elif read and name in ("_accum", "_grad") and path != tensor_py:
                 found.append(f"{where} reads {name}")
-            elif read and name == "_grad_enabled" and not {"no_grad", "_node"} & set(scopes):
-                found.append(f"{where} reads _grad_enabled")
     assert found == []
 
 
@@ -512,6 +508,27 @@ def test_grad_check_rejects_nonfinite_gradients():
     # log(w) is finite at w but NaN one eps below w[0].
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="numeric gradient of 'w'"):
         grad_check(lambda _s: tsum(_log_node(w)), store, eps=1e-5)
+
+
+def test_grad_check_restores_parameters_and_tracking_when_the_loss_raises():
+    store = ParamStore()
+    store.add("w", (2, 3), Rng(0))
+    store.add("b", (3,), Rng(1))
+    store["b"].requires_grad = False  # a frozen parameter keeps its flag too
+    before = {name: (t.data.copy(), t.requires_grad) for name, t in store.items()}
+    tracked = []
+
+    def loss(_store):
+        tracked.append(store["w"].requires_grad)
+        if len(tracked) == 2:  # the first call at a perturbed value
+            raise RuntimeError("loss failed")
+        return tsum(store["w"] * store["w"]) + tsum(store["b"])
+
+    with pytest.raises(RuntimeError, match="loss failed"):
+        grad_check(loss, store)
+    assert tracked == [True, False]  # the finite differences run untracked
+    for name, t in store.items():
+        assert np.array_equal(t.data, before[name][0]) and t.requires_grad == before[name][1], name
 
 
 # --- GRU ----------------------------------------------------------------
@@ -820,11 +837,13 @@ def test_gru_step_rows_match_single_rows(batch, seed):
     cell = GruCell(ParamStore(), "cell", 3, 4, Rng(seed))
     h = rng.normal(size=(batch, 4))
     x = rng.normal(size=(batch, 3))
-    with no_grad():
-        rows = gru_step(cell, Tensor(h), Tensor(x))
-        with pytest.raises(ValueError):
-            gru_step(cell, Tensor(h), Tensor(np.zeros((batch + 1, 3))))
-    assert rows.shape == (batch, 4) and not rows.requires_grad
+    rows = gru_step(cell, Tensor(h), Tensor(x))
+    with pytest.raises(ValueError):
+        gru_step(cell, Tensor(h), Tensor(np.zeros((batch + 1, 3))))
+    with pytest.raises(ValueError):
+        gru_rows(cell, h, np.zeros((batch + 1, 3)))
+    assert rows.shape == (batch, 4)
+    assert np.array_equal(gru_rows(cell, h, x), rows.data)  # the tape-free step, bit for bit
     for b in range(batch):
         one = gru_step(cell, Tensor(h[b : b + 1]), Tensor(x[b : b + 1]))
         assert np.array_equal(rows.data[b : b + 1], one.data)

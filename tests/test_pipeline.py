@@ -49,6 +49,7 @@ from idiomatize.pipeline import (
     load_dataset,
     write_dataset,
 )
+from idiomatize.numerics import Tensor
 from idiomatize.retrieval import KEY_MODES, candidate_keys, score_keys
 
 from conftest import write_config
@@ -584,6 +585,27 @@ def test_transform_equals_reference_transform(seed, data):
     assert got.scores.keys() == expect.scores.keys()
     for stage, score in expect.scores.items():
         assert abs(got.scores[stage] - score) <= 1e-12, stage
+
+
+@pytest.mark.parametrize("mode", ["guided", "unguided"])
+def test_transform_constructs_no_tensor(tiny_models, demo, demo_vocab, mode, monkeypatch):
+    # Inference runs on plain arrays end to end: a request builds no autodiff Tensor.
+    lexicon, pairs = demo
+    generator = tiny_models["generator"] if mode == "guided" else GeneratorModel(
+        demo_vocab, word_dim=16, copy_dim=8, label_dim=8, hidden=16, guided=False, seed=0
+    )
+    models = PipelineModels(retrieval=tiny_models["retrieval"], extractor=tiny_models["extractor"], generator=generator)
+    constructed = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    result = transform_tokens(models, lexicon, pairs[0].literal, PipelineConfig(generator_mode=mode, beam=4))
+    monkeypatch.undo()
+    assert result.output and constructed == []
 
 
 # ------------------------------------------------- repeated idiom ids

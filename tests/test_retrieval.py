@@ -22,7 +22,7 @@ from idiomatize import (
     train_retrieval,
 )
 from idiomatize.corpus import RESERVED, SEP, Vocabulary
-from idiomatize.numerics import adam_step, bigru_encode, no_grad
+from idiomatize.numerics import adam_step, bigru_encode
 from idiomatize.retrieval import (
     KEY_MODES,
     candidate_keys,
@@ -70,14 +70,13 @@ def test_pair_encoder_rejects_non_positive_sizes(tiny_vocab, cls, field, value):
 def test_score_composes_pool_and_linear(tiny_retrieval):
     model, _, _ = tiny_retrieval
     sentence, key = ("this", "alpha"), ("beta",)
-    with no_grad():
-        pooled = encode_candidate(model, sentence, key)
-        ids = model.vocab.encode_all(["this", "alpha", "<sep>", "beta"])
-        states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
-        manual = states.data.sum(axis=0)
-        assert pooled.shape == (1, 2 * model.hidden)
-        assert np.array_equal(pooled.data[0], manual)
-        expect = float(model.score_w.data @ pooled.data[0] + model.score_b.data)
+    pooled = encode_candidate(model, sentence, key)
+    ids = model.vocab.encode_all(["this", "alpha", "<sep>", "beta"])
+    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+    manual = states.data.sum(axis=0)
+    assert pooled.shape == (1, 2 * model.hidden)
+    assert np.array_equal(pooled.data[0], manual)
+    expect = float(model.score_w.data @ pooled.data[0] + model.score_b.data)
     assert score_pair(model, sentence, key) == pytest.approx(expect, abs=1e-12)
 
 
