@@ -11,6 +11,7 @@ import argparse
 import os
 
 from idiomatize import save_lexicon, save_pairs
+from idiomatize.corpus import write_text
 from idiomatize.toydata import demo_annotated_ids, demo_lexicon, demo_pairs
 
 
@@ -21,10 +22,7 @@ def main() -> int:
     os.makedirs(args.out, exist_ok=True)
     save_lexicon(os.path.join(args.out, "lexicon.jsonl"), demo_lexicon())
     save_pairs(os.path.join(args.out, "pairs.jsonl"), demo_pairs())
-    annotated = os.path.join(args.out, "annotated.txt")
-    with open(annotated, "w", encoding="utf-8") as fh:
-        for idiom_id in demo_annotated_ids():
-            fh.write(idiom_id + "\n")
+    write_text(os.path.join(args.out, "annotated.txt"), (idiom_id + "\n" for idiom_id in demo_annotated_ids()))
     print(f"wrote lexicon.jsonl, pairs.jsonl, annotated.txt under {args.out}/")
     return 0
 

@@ -34,6 +34,7 @@ from idiomatize import (
     train_generator,
     train_retrieval,
 )
+from idiomatize.corpus import write_text
 from idiomatize.toydata import demo_lexicon, demo_pairs
 
 
@@ -113,8 +114,7 @@ def main() -> int:
         )
 
     out = os.path.join(args.workdir, "ablations.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump({k: v.to_dict() for k, v in reports.items()}, fh, indent=2, sort_keys=True)
+    write_text(out, [json.dumps({k: v.to_dict() for k, v in reports.items()}, indent=2, sort_keys=True)])
     print(f"\nfull reports written to {out}")
     return 0
 

@@ -31,6 +31,7 @@ from idiomatize import (
     train_retrieval,
     transform,
 )
+from idiomatize.corpus import write_text
 from idiomatize.toydata import demo_lexicon, demo_pairs
 
 EXAMPLES = [
@@ -80,8 +81,7 @@ def main() -> int:
         save_checkpoint(model, os.path.join(args.workdir, f"{name}.json"))
 
     config = PipelineConfig(seed=args.seed)
-    with open(os.path.join(args.workdir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
+    write_text(os.path.join(args.workdir, "config.json"), [json.dumps(config.to_dict(), indent=2)])
     models = PipelineModels(retrieval=retrieval, extractor=extractor, generator=generator)
 
     print("\nsample rewrites:")
@@ -95,8 +95,7 @@ def main() -> int:
     for key, value in sorted(report.to_dict().items()):
         if isinstance(value, float):
             print(f"  {key:<20} {value:.4f}")
-    with open(os.path.join(args.workdir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+    write_text(os.path.join(args.workdir, "report.json"), [json.dumps(report.to_dict(), indent=2, sort_keys=True)])
     print(f"\ncheckpoints and report written under {args.workdir}/")
     return 0
 

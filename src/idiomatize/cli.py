@@ -2,8 +2,9 @@
 
 Subcommands: ingest, train, transform, evaluate, gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error (missing or
-malformed files, bad configs/checkpoints), 3 numeric failure.
+Exit codes: 0 success, 1 usage error (a numeric flag out of range among
+them), 2 data error (missing or malformed files, bad configs/checkpoints,
+an output file that cannot be written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable
 
 from .checks import ALL_CHECKS
 from .corpus import (
@@ -53,15 +56,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _tolerance(text: str) -> float:
-    """A non-negative error bound; NaN would let every comparison pass."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be a non-negative number, got {text!r}")
-    return value
+def _bounded(kind: type, rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse type: the text as a ``kind`` that passes ``ok``, else a usage error at parse time.
+
+    NaN fails every rule, since every comparison with it is false.
+    """
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_RATE = _bounded(float, "a finite number > 0", lambda v: 0 < v < math.inf)
+_TOLERANCE = _bounded(float, "a non-negative number", lambda v: v >= 0)
+_COUNT = _bounded(int, "an integer >= 0", lambda v: v >= 0)
+_SIZE = _bounded(int, "an integer >= 1", lambda v: v >= 1)
+_SEED = _bounded(int, "an integer in [0, 2**64)", lambda v: 0 <= v < 2**64)
 
 
 def _build_parser() -> _Parser:
@@ -74,7 +90,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", required=True, help="parallel pairs (jsonl)")
     p.add_argument("--pairs-aug", help="augmented pairs appended to the train split (jsonl)")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument(
         "--annotated",
         help="file of idiom ids (one per line) eligible for validation/test; default: all",
@@ -85,18 +101,18 @@ def _build_parser() -> _Parser:
     p.add_argument("component", choices=("retrieval", "extractor", "generator"))
     p.add_argument("--data", required=True, help="dataset directory from ingest")
     p.add_argument("--out", required=True, help="checkpoint path (json)")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--embed-dim", type=int, help="retrieval/extractor only; default: the model's")
-    p.add_argument("--hidden", type=int, help="default: the model's")
+    p.add_argument("--epochs", type=_COUNT, default=10)
+    p.add_argument("--lr", type=_RATE, default=1e-3)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--embed-dim", type=_SIZE, help="retrieval/extractor only; default: the model's")
+    p.add_argument("--hidden", type=_SIZE, help="default: the model's")
     p.add_argument("--key", choices=KEY_MODES, default="definition",
                    help="retrieval only: candidate key")
-    p.add_argument("--negatives", type=int, default=100,
+    p.add_argument("--negatives", type=_COUNT, default=100,
                    help="retrieval only: negatives per positive")
     p.add_argument("--mode", choices=("guided", "unguided"), default="guided",
                    help="generator only")
-    p.add_argument("--batch", type=int, default=32, help="instances per Adam step")
+    p.add_argument("--batch", type=_SIZE, default=32, help="instances per Adam step")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("transform", help="rewrite literal sentences (one per input line)")
@@ -116,8 +132,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--module", choices=sorted(ALL_CHECKS), help="default: all three")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=_tolerance, default=GRADCHECK_TOLERANCE)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=GRADCHECK_TOLERANCE)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

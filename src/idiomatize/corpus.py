@@ -1,4 +1,9 @@
-"""Input files, the idiom lexicon and the parallel corpus: reading, validation, derived views.
+"""Files, the idiom lexicon and the parallel corpus: reading, writing, validation, derived views.
+
+Every file the program reads goes through ``read_text`` (``read_json``
+parses what it reads), and every file it writes goes through
+``write_text``, which replaces the file whole or not at all.  Each fault
+raises ``CorpusError`` beginning with the file's path.
 
 File formats (UTF-8, one JSON object per line, LF endings):
 
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -184,6 +190,35 @@ def read_json(path: str) -> dict:
     return value
 
 
+def write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in order to ``path`` as UTF-8 with ``\\n`` line ends, all or nothing.
+
+    The pieces go to a temporary file in ``path``'s directory, which then
+    replaces ``path``, so a reader sees the old file or the whole new one.
+    Any exception, ``KeyboardInterrupt`` included, removes the temporary
+    file and leaves ``path`` as it was; an ``OSError`` raises
+    ``CorpusError("path: ...")``.  There is no fsync: a writer that is
+    interrupted or fails leaves ``path`` whole, a power loss may not.
+    """
+    # A symlink at path is written through, as open(path, "w") writes through it.
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise CorpusError(f"{path}: {err.strerror}") from err
+    try:
+        with fh:
+            fh.writelines(pieces)
+        os.replace(tmp, target)
+    except BaseException as err:
+        os.remove(tmp)
+        if isinstance(err, OSError):
+            raise CorpusError(f"{path}: {err.strerror}") from err
+        raise
+
+
 def _read_jsonl(path: str, build: Callable[[dict], object]) -> Iterator:
     """``build(record)`` for each JSON object line of ``path``; blank lines are skipped.
 
@@ -302,15 +337,11 @@ def pair_to_record(pair: ParallelPair) -> dict:
 
 
 def save_lexicon(path: str, entries: Sequence[IdiomEntry]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry_to_record(entry), ensure_ascii=False) + "\n")
+    write_text(path, (json.dumps(entry_to_record(entry), ensure_ascii=False) + "\n" for entry in entries))
 
 
 def save_pairs(path: str, pairs: Sequence[ParallelPair]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for pair in pairs:
-            fh.write(json.dumps(pair_to_record(pair), ensure_ascii=False) + "\n")
+    write_text(path, (json.dumps(pair_to_record(pair), ensure_ascii=False) + "\n" for pair in pairs))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .corpus import (
     save_lexicon,
     save_pairs,
     tokenize,
+    write_text,
 )
 from .extractor import ExtractorModel, extract_span
 from .generator import (
@@ -111,24 +112,27 @@ def save_checkpoint(model, path: str) -> None:
 
     Every parameter is checked before the file is opened.  The header and
     then each tensor are encoded with ``json.dumps`` (the C encoder) and
-    written in turn, so the largest string held is one tensor's.
+    written in turn through ``write_text``, so the largest string held is
+    one tensor's and an interrupted save leaves the previous file whole.
     """
     params = list(model.store.items())
     for name, t in params:
         if not np.isfinite(t.data).all():
             raise CheckpointError(f"parameter {name!r} contains non-finite values")
-    header = {
-        "format_version": CHECKPOINT_VERSION,
-        "component": model.component,
-        "hyperparameters": model.hyperparameters(),
-        "vocabulary": list(model.vocab.tokens),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header)[:-1] + ', "tensors": {')
+
+    def pieces():
+        yield json.dumps({
+            "format_version": CHECKPOINT_VERSION,
+            "component": model.component,
+            "hyperparameters": model.hyperparameters(),
+            "vocabulary": list(model.vocab.tokens),
+        })[:-1] + ', "tensors": {'
         for i, (name, t) in enumerate(params):
-            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
-            fh.write(json.dumps({"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}))
-        fh.write("}}\n")
+            yield f"{', ' if i else ''}{json.dumps(name)}: "
+            yield json.dumps({"shape": list(t.shape), "values": t.data.reshape(-1).tolist()})
+        yield "}}\n"
+
+    write_text(path, pieces())
 
 
 def load_checkpoint(path: str):
@@ -361,14 +365,15 @@ class Dataset:
 
 
 def write_dataset(out_dir: str, dataset: Dataset) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise CorpusError(f"{out_dir}: {err.strerror}") from err
     save_lexicon(os.path.join(out_dir, "lexicon.jsonl"), dataset.lexicon)
     save_pairs(os.path.join(out_dir, "train.jsonl"), dataset.split.train)
     save_pairs(os.path.join(out_dir, "validation.jsonl"), dataset.split.validation)
     save_pairs(os.path.join(out_dir, "test.jsonl"), dataset.split.test)
-    with open(os.path.join(out_dir, "vocab.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"tokens": list(dataset.vocab.tokens)}, fh)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "vocab.json"), (json.dumps({"tokens": list(dataset.vocab.tokens)}), "\n"))
     meta = {
         "seed": dataset.split.seed,
         "annotated_ids": list(dataset.annotated_ids),
@@ -378,9 +383,7 @@ def write_dataset(out_dir: str, dataset: Dataset) -> None:
             "test": len(dataset.split.test),
         },
     }
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "meta.json"), (json.dumps(meta, indent=2), "\n"))
 
 
 def load_dataset(data_dir: str) -> Dataset:

@@ -210,38 +210,55 @@ def test_train_generator_checkpoint(demo_files, tmp_path):
     assert model.hidden == 16
 
 
-@pytest.mark.parametrize("flag, value", [("--batch", "-1"), ("--batch", "0"), ("--epochs", "-1")])
-def test_train_bad_sizes_exit_two(demo_files, tmp_path, capsys, flag, value):
-    out = str(tmp_path / "extractor.json")
-    code = cli.main(
-        [
-            "--quiet",
-            "train", "extractor",
-            "--data", demo_files["dataset"],
-            "--out", out,
-            "--embed-dim", "8",
-            "--hidden", "8",
-            flag, value,
-        ]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "must be >=" in err
-    assert not os.path.exists(out)
+OUT_OF_RANGE_FLAGS = [
+    ("train extractor", "--lr", "-1"),
+    ("train extractor", "--lr", "0"),
+    ("train extractor", "--lr", "nan"),
+    ("train extractor", "--lr", "inf"),
+    ("train extractor", "--epochs", "-1"),
+    ("train extractor", "--epochs", "1.5"),
+    ("train retrieval", "--negatives", "-1"),
+    ("train extractor", "--batch", "0"),
+    ("train extractor", "--batch", "-1"),
+    ("train extractor", "--hidden", "0"),
+    ("train generator", "--hidden", "-2"),
+    ("train retrieval", "--embed-dim", "0"),
+    ("train extractor", "--seed", "-1"),
+    ("ingest", "--seed", str(2**64)),
+    ("gradcheck", "--seed", "-1"),
+]
 
 
-@pytest.mark.parametrize(
-    "stage, flag, value, field",
-    [("extractor", "--hidden", "0", "hidden"), ("retrieval", "--embed-dim", "0", "embed_dim"),
-     ("generator", "--hidden", "-2", "hidden")],
-)
-def test_train_non_positive_model_size_exits_two(demo_files, tmp_path, capsys, stage, flag, value, field):
-    out = str(tmp_path / f"{stage}.json")
-    code = cli.main(["--quiet", "train", stage, "--data", demo_files["dataset"], "--out", out, flag, value])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{field} must be a positive integer" in err
-    assert not os.path.exists(out)
+@pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE_FLAGS, ids=[f"{c} {f}={v}" for c, f, v in OUT_OF_RANGE_FLAGS])
+def test_out_of_range_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # Refused at parse time, before any file is read: every input named here is absent.
+    absent = str(tmp_path / "absent")
+    files = {
+        "train": ["--data", absent, "--out", str(tmp_path / "m.json")],
+        "ingest": ["--lexicon", absent, "--pairs", absent, "--out", str(tmp_path / "ds")],
+        "gradcheck": [],
+    }[command.split()[0]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--quiet", *command.split(), *files, f"{flag}={value}"])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numeric_flags_keep_their_defaults_and_accept_their_edges():
+    parser = cli._build_parser()
+    train = ["train", "retrieval", "--data", "d", "--out", "o"]
+    args = parser.parse_args(train)
+    assert (args.epochs, args.lr, args.seed, args.negatives, args.batch) == (10, 1e-3, 0, 100, 32)
+    assert (args.embed_dim, args.hidden) == (None, None)
+    edges = ["--epochs=0", "--negatives=0", "--batch=1", "--hidden=1", "--embed-dim=1", "--lr=5e-324", f"--seed={2**64 - 1}"]
+    args = parser.parse_args(train + edges)
+    assert (args.epochs, args.negatives, args.batch, args.hidden, args.embed_dim) == (0, 0, 1, 1, 1)
+    assert (args.lr, args.seed) == (5e-324, 2**64 - 1)
+    assert parser.parse_args(["ingest", "--lexicon", "l", "--pairs", "p", "--out", "o", "--seed=0"]).seed == 0
+    args = parser.parse_args(["gradcheck", f"--seed={2**64 - 1}", "--tolerance=0"])
+    assert (args.seed, args.tolerance) == (2**64 - 1, 0.0)
+    assert parser.parse_args(["gradcheck"]).tolerance == cli.GRADCHECK_TOLERANCE
 
 
 def test_train_generator_embed_dim_is_a_usage_error(tmp_path, capsys):
@@ -593,6 +610,26 @@ def test_data_error_names_its_file(demo_files, config_file, ckpt_dir, tmp_path, 
     assert capsys.readouterr().err.startswith(f"error: {bad}")
 
 
+DATASET_FILES = ("lexicon.jsonl", "train.jsonl", "validation.jsonl", "test.jsonl", "vocab.json", "meta.json")
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub", *DATASET_FILES])
+def test_output_error_names_its_path(demo_files, tmp_path, capsys, target):
+    # A file where ingest's --out directory should be, or a directory where a dataset file should be.
+    (tmp_path / "afile").write_text("x", encoding="utf-8")
+    if target.startswith("afile"):
+        out = bad = tmp_path / target
+    else:
+        out = tmp_path / "ds"
+        bad = out / target
+        bad.mkdir(parents=True)
+    argv = ["--quiet", "ingest", "--lexicon", demo_files["lexicon"], "--pairs", demo_files["pairs"], "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "x"
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+
+
 # -------------------------------------------------------------- evaluate
 
 def test_evaluate_prints_report(config_file, demo_files, ckpt_dir, capsys):
@@ -638,7 +675,7 @@ def test_gradcheck_bad_tolerance_exits_one(capsys, tolerance):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--quiet", "gradcheck", "--module", "extractor", f"--tolerance={tolerance}"])
     assert exc.value.code == 1
-    assert "tolerance must be a non-negative number" in capsys.readouterr().err
+    assert "argument --tolerance: must be a non-negative number" in capsys.readouterr().err
 
 
 def test_gradcheck_nonfinite_gradient_exits_three(monkeypatch, capsys):

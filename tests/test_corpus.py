@@ -26,7 +26,7 @@ from idiomatize import (
     split_corpus,
     tokenize,
 )
-from idiomatize.corpus import RESERVED
+from idiomatize.corpus import RESERVED, write_text
 from idiomatize.toydata import demo_lexicon, demo_pairs
 from oracles import reference_tokenize
 
@@ -262,9 +262,36 @@ def _reads_files(tree: ast.AST):
         if name in ("load", "loads") and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json":
             yield f"{node.lineno} calls json.{name}"
         elif name == "open":
-            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
-            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and set(mode.value) & set("wax")):
+            mode = _open_mode(node)
+            if not (mode is not None and set(mode) & set("wax")):
                 yield f"{node.lineno} opens a file for reading"
+
+
+def _open_mode(call: ast.Call) -> str | None:
+    """The mode of an ``open`` call: ``"r"`` when none is given, None when it is not a string constant."""
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
+def _writes_files(tree: ast.AST):
+    """Each ``open`` for writing, ``os.fdopen``, ``json.dump`` and ``.write_text``/``.write_bytes`` call, by line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "os"):
+            yield from (f"{node.lineno} imports {node.module}.{a.name}" for a in node.names if a.name in ("dump", "fdopen"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            mode = _open_mode(node)
+            if mode is None or set(mode) & set("wax+"):
+                yield f"{node.lineno} opens a file for writing"
+        elif name == "fdopen" or (name == "dump" and getattr(getattr(func, "value", None), "id", None) == "json"):
+            yield f"{node.lineno} calls {name}"
+        elif name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+            yield f"{node.lineno} calls Path.{name}"
 
 
 def test_only_the_corpus_module_reads_input_files():
@@ -278,6 +305,74 @@ def test_only_the_corpus_module_reads_input_files():
     ]
     assert found == []
     assert list(_reads_files(ast.parse((root / "corpus.py").read_text(encoding="utf-8"))))
+
+
+def test_only_the_corpus_module_writes_files():
+    # Every output file is written, replaced and reported on by corpus.write_text alone.
+    root = pathlib.Path(idiomatize.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{where}"
+        for path in sorted(root.rglob("*.py"))
+        if path != root / "corpus.py"
+        for where in _writes_files(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+    assert list(_writes_files(ast.parse((root / "corpus.py").read_text(encoding="utf-8"))))
+
+
+def test_write_text_writes_utf8_with_lf_and_the_mode_of_open_w(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(str(path), iter(["caf\u00e9\n", "", "x\r\ny"]))
+    assert path.read_bytes() == "caf\u00e9\nx\r\ny".encode("utf-8")
+    with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_write_text_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real").mkdir()
+    link = tmp_path / "link.txt"
+    link.symlink_to(tmp_path / "real" / "file.txt")
+    write_text(str(link), ["one\n"])
+    write_text(str(link), ["two\n"])
+    assert link.is_symlink() and (tmp_path / "real" / "file.txt").read_text(encoding="utf-8") == "two\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file.txt", "link.txt", "real"]
+
+
+@pytest.mark.parametrize("fault", [KeyboardInterrupt(), RuntimeError("boom"), OSError(28, "No space left on device")])
+def test_interrupted_write_text_leaves_the_old_file(tmp_path, fault):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+
+    def pieces():
+        yield "new\n"
+        raise fault
+
+    expected = CorpusError if isinstance(fault, OSError) else type(fault)
+    with pytest.raises(expected) as err:
+        write_text(str(path), pieces())
+    if expected is CorpusError:
+        assert str(err.value) == f"{path}: No space left on device"
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_save_to_a_directory_or_a_missing_directory_names_the_path(tmp_path):
+    target = tmp_path / "lexicon.jsonl"
+    target.mkdir()
+    with pytest.raises(CorpusError) as err:
+        save_lexicon(str(target), demo_lexicon())
+    assert str(err.value).startswith(f"{target}: ")
+    missing = tmp_path / "absent" / "pairs.jsonl"
+    with pytest.raises(CorpusError) as err:
+        save_pairs(str(missing), demo_pairs())
+    assert str(err.value) == f"{missing}: No such file or directory"
+    slashed = f"{tmp_path / 'newdir'}/"
+    with pytest.raises(CorpusError) as err:
+        save_pairs(slashed, demo_pairs())
+    assert str(err.value).startswith(f"{slashed}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lexicon.jsonl"]
+    assert list(target.iterdir()) == []
 
 
 def test_load_pairs_errors(tmp_path):

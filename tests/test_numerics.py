@@ -25,6 +25,7 @@ from idiomatize.numerics import (
     bigru_scan,
     concat,
     exp,
+    fit,
     getitem,
     global_grad_norm,
     grad_check,
@@ -1075,6 +1076,20 @@ def test_adam_nonfinite_gradient_raises():
     w.grad = np.array([np.inf, 1.0])
     with pytest.raises(NumericError):
         adam_step(store, lr=0.1)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [({"batch_size": 0}, "batch_size must be >= 1"), ({"batch_size": -1}, "batch_size must be >= 1"),
+     ({"epochs": -1}, "epochs must be >= 0")],
+)
+def test_fit_rejects_bad_sizes_before_training(sizes, message):
+    drawn = []
+    settings = dict(epochs=1, batch_size=1, evaluate=None, eval_every=1, after_epoch=lambda metric: False,
+                    name="t", metric_name="m") | sizes
+    with pytest.raises(ValueError, match=message):
+        fit(ParamStore(), Rng(0), lambda: drawn.append(1) or [0], None, lambda: 0.0, **settings)
+    assert drawn == []
 
 
 def test_global_grad_norm():

@@ -348,6 +348,40 @@ def test_save_rejects_non_finite_parameters(tiny_vocab, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fault", [KeyboardInterrupt, RuntimeError])
+def test_interrupted_save_leaves_the_previous_checkpoint(tiny_models, tmp_path, monkeypatch, fault):
+    # The third json.dumps encodes the first tensor, after the header is written.
+    path = tmp_path / "m.json"
+    save_checkpoint(tiny_models["extractor"], str(path))
+    before = path.read_bytes()
+    calls = []
+    real_dumps = json.dumps
+
+    def dumps(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise fault("interrupted")
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    with pytest.raises(fault):
+        save_checkpoint(tiny_models["generator"], str(path))
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert path.read_bytes() == before
+    assert load_checkpoint(str(path)).component == "extractor"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_save_to_a_directory_names_the_path(tiny_models, tmp_path):
+    path = tmp_path / "m.json"
+    path.mkdir()
+    with pytest.raises(CorpusError) as err:
+        save_checkpoint(tiny_models["extractor"], str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"] and not any(path.iterdir())
+
+
 # --------------------------------------------------- load_pipeline_models
 
 def test_load_pipeline_models_guided(ckpt_dir):
