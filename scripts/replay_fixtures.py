@@ -8,7 +8,7 @@ and the 223-key distractor lexicons, runs every recorded request through
 ``transform`` on both, and runs ``evaluate`` once per lexicon.  Each
 (idiom, span, output) triple and each report is compared with the
 recorded one.  Prints the number of differences, next to the mean number
-of ``generator.decode_rows`` calls (decoder positions), of tape
+of ``generator.decode_step`` calls (decoder positions), of tape
 ``bigru_encode`` calls (read through the ``retrieval``, ``extractor`` and
 ``generator`` module globals) and of ``Tensor``s constructed per
 ``transform`` request, and the number of ``retrieval.build_key_index``
@@ -61,7 +61,7 @@ def main() -> int:
             return 2
         unbuilt = counting(m.retrieval, "build_key_index", f"builds {name}")
         per_request = [
-            counting(m.generator, "decode_rows", "decode_rows"), counting(m.tensor.Tensor, "__init__", "tensors"),
+            counting(m.generator, "decode_step", "decode_step"), counting(m.tensor.Tensor, "__init__", "tensors"),
             *[counting(mod, "bigru_encode", "bigru_encode") for mod in (m.retrieval, m.extractor, m.generator)],
         ]
         for text, row in recorded.items():
@@ -77,7 +77,7 @@ def main() -> int:
         if report != reference["lexicons"][name]["evaluate"]:
             reports_differ += 1
             print(f"{name}: evaluate report differs: got {report}")
-    print(f"{differ} of {triples} triples differ ({calls['decode_rows'] / triples:.2f} decode_rows and "
+    print(f"{differ} of {triples} triples differ ({calls['decode_step'] / triples:.2f} decode_step and "
           f"{calls['bigru_encode'] / triples:.2f} tape bigru_encode calls and {calls['tensors'] / triples:.2f} "
           f"Tensors constructed per request); "
           f"{reports_differ} of {len(LEXICONS)} evaluate reports differ; key-index builds: "

@@ -18,15 +18,17 @@ sentence and marks the phrase the idiom replaces.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .rng import Rng
+from .rng import Rng, is_int
 
 log = logging.getLogger(__name__)
 
@@ -65,11 +67,6 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _is_int(value: object) -> bool:
-    """An integer proper: booleans and floats such as ``1.0`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class IdiomEntry:
     id: str
@@ -84,7 +81,7 @@ class IdiomEntry:
             raise CorpusError(f"idiom {self.id!r}: empty surface form")
         if not self.senses or any(not s for s in self.senses):
             raise CorpusError(f"idiom {self.id!r}: needs at least one non-empty definition")
-        if self.rigidity is not None and not (_is_int(self.rigidity) and self.rigidity in (1, 2, 3)):
+        if self.rigidity is not None and not (is_int(self.rigidity) and self.rigidity in (1, 2, 3)):
             raise CorpusError(f"idiom {self.id!r}: rigidity must be 1, 2, 3 or null")
 
 
@@ -99,7 +96,7 @@ class ParallelPair:
     def __post_init__(self):
         if not (isinstance(self.span, tuple) and len(self.span) == 2):
             raise CorpusError(f"pair for {self.idiom_id!r}: span must be a (start, end) pair of integers")
-        if not (_is_int(self.sense_index) and all(_is_int(v) for v in self.span)):
+        if not (is_int(self.sense_index) and all(is_int(v) for v in self.span)):
             raise CorpusError(f"pair for {self.idiom_id!r}: sense index and span ends must be integers")
         if not self.literal or not self.idiomatic:
             raise CorpusError(f"pair for {self.idiom_id!r}: empty sentence")
@@ -195,6 +192,9 @@ def write_text(path: str, pieces: Iterable[str]) -> None:
 
     The pieces go to a temporary file in ``path``'s directory, which then
     replaces ``path``, so a reader sees the old file or the whole new one.
+    The new file takes an existing file's permission bits, and a new path
+    the mode that ``open(path, "w")`` gives.  Being a new file, it is not
+    shared with hard links to the old one: they keep the old bytes.
     Any exception, ``KeyboardInterrupt`` included, removes the temporary
     file and leaves ``path`` as it was; an ``OSError`` raises
     ``CorpusError("path: ...")``.  There is no fsync: a writer that is
@@ -211,6 +211,8 @@ def write_text(path: str, pieces: Iterable[str]) -> None:
     try:
         with fh:
             fh.writelines(pieces)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
     except BaseException as err:
         os.remove(tmp)

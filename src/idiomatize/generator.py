@@ -13,15 +13,17 @@ together, so tokens that appear in the input can draw probability from
 both routes.  ``guided=False`` disables the label channel (the label
 embedding input is held at 0) for the unguided variant.
 
-Training steps the decoder on the autodiff tape (``decode_context``,
-``decode_init``, ``decode_step``).  Beam search and the teacher-forced
-accuracy check step its tape-free twin on plain arrays (``scan_context``,
-``scan_init``, ``decode_rows``), which uses the same ops in the same order,
-so each value equals the tape's bit for bit.
+Training and inference step one decoder (``decode_context``,
+``decode_init``, ``decode_step``), and its context picks how.  Around
+``encode_input``'s memory, a Tensor, the step runs on the autodiff tape, as
+training needs.  Around ``scan_input``'s, a plain array, the same ops in
+the same order run on numpy arrays, as in beam search and the
+teacher-forced accuracy check, so each value equals the tape's bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -158,11 +160,29 @@ def scan_input(model: GeneratorModel, inp: GeneratorInput) -> np.ndarray:
     return bigru_scan(model.enc_fwd, model.enc_bwd, xs)
 
 
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """The tape's ``softmax`` of each row on plain arrays: ``logsumexp``, subtract, ``exp``."""
+    m = a.max(axis=-1, keepdims=True)
+    return np.exp(a - (np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m))
+
+
+# The primitives a decoding step runs: the tape ops over Tensors, or numpy over plain arrays,
+# which forms the same values in the same order, bit for bit.
+_Ops = namedtuple("_Ops", "tape vecmat matvec softmax concat tanh zeros")
+_TAPE = _Ops(True, vecmat, matvec, softmax, concat, tanh, zeros)
+_ARRAYS = _Ops(False, np.vecmat, lambda w, x: np.vecmat(x, w.T), _softmax_rows, np.concatenate, np.tanh, np.zeros)
+# The model parameters a decoding step reads.
+_WEIGHTS = ("word_emb", "label_emb", "w_att", "u_copy", "w_gen", "init_w", "init_b")
+
+
 @dataclass(frozen=True)
 class DecodeContext:
-    """What every decoding step reads about one input, built once by ``decode_context`` for the tape
-    step (``memory`` and ``copy_keys`` are Tensors) or by ``scan_context`` for ``decode_rows``
-    (plain arrays).
+    """What every decoding step reads about one input, built once by ``decode_context``.
+
+    Around ``encode_input``'s memory, a Tensor, ``ops`` are the tape ops and
+    ``weights`` maps each name in ``_WEIGHTS`` to its parameter Tensor; around
+    ``scan_input``'s, a plain array, they are numpy and the parameters'
+    arrays.  ``copy_keys`` has ``memory``'s type.
 
     ``tokens`` is the extended vocabulary: the vocabulary followed by the
     input tokens it lacks, in first-occurrence order.  ``slots`` holds the
@@ -175,36 +195,32 @@ class DecodeContext:
     tokens: tuple[str, ...]
     slots: np.ndarray
     positions: dict[str, list[int]]
+    ops: _Ops
+    weights: dict[str, Tensor | np.ndarray]
 
 
-def _context(vocab: Vocabulary, inp: GeneratorInput, memory, copy_keys) -> DecodeContext:
-    """``memory`` and ``copy_keys`` with the input's extended vocabulary, slots and positions."""
+def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor | np.ndarray) -> DecodeContext:
+    """The context of the input whose ``memory`` is ``encode_input``'s Tensor, for steps on the tape,
+    or ``scan_input``'s array, for steps on plain arrays: its copy keys and token mapping, and the
+    primitives and parameter views of that kind."""
+    ops = _TAPE if isinstance(memory, Tensor) else _ARRAYS
+    weights = {name: getattr(model, name) if ops.tape else getattr(model, name).data for name in _WEIGHTS}
+    vocab = model.vocab
     positions: dict[str, list[int]] = {}
     for k, token in enumerate(inp.tokens):
         positions.setdefault(token, []).append(k)
     extra = {t: len(vocab) + i for i, t in enumerate(t for t in positions if t not in vocab)}
     slots = np.array([extra[t] if t in extra else vocab.get(t) for t in inp.tokens], dtype=np.intp)
-    return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions)
-
-
-def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor) -> DecodeContext:
-    """The tape step's context: the input's copy keys and token mapping around its ``memory``,
-    ``encode_input``'s matrix."""
-    return _context(model.vocab, inp, memory, tanh(vecmat(memory, model.u_copy)))
-
-
-def scan_context(model: GeneratorModel, inp: GeneratorInput) -> DecodeContext:
-    """``decode_context`` on plain arrays, around ``scan_input``'s memory, bit for bit."""
-    memory = scan_input(model, inp)
-    return _context(model.vocab, inp, memory, np.tanh(np.vecmat(memory, model.u_copy.data)))
+    copy_keys = ops.tanh(ops.vecmat(memory, weights["u_copy"]))
+    return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions, ops, weights)
 
 
 @dataclass(frozen=True)
 class DecodeState:
     """Decoder states ``hidden`` [B,H] of B hypotheses (one for teacher forcing, each live one in
-    beam search) and the copy [B,n] and generate [B,V] scores they produced: Tensors for the tape
-    step, plain arrays for ``decode_rows``.  The first state has no scores yet, so the first
-    step's selective read is exactly zero."""
+    beam search) and the copy [B,n] and generate [B,V] scores they produced, of the context's
+    kind: Tensors or plain arrays.  The first state has no scores yet, so the first step's
+    selective read is exactly zero."""
 
     hidden: Tensor | np.ndarray
     copy_scores: Tensor | np.ndarray | None = None
@@ -213,52 +229,22 @@ class DecodeState:
 
 def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
     """First decoder state, one [1,H] row, from the final forward/backward encoder states."""
-    half = model.hidden // 2
-    n = ctx.memory.shape[0]
-    final = concat([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]])
-    return DecodeState(tanh(matvec(model.init_w, final) + model.init_b))
+    ops, half, n = ctx.ops, model.hidden // 2, ctx.memory.shape[0]
+    final = ops.concat([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]], axis=-1)
+    return DecodeState(ops.tanh(ops.matvec(ctx.weights["init_w"], final) + ctx.weights["init_b"]))
 
 
-def scan_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
-    """``decode_init`` on plain arrays, bit for bit."""
-    half = model.hidden // 2
-    n = ctx.memory.shape[0]
-    final = np.concatenate([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]], axis=-1)
-    return DecodeState(np.tanh(np.vecmat(final, model.init_w.data.T) + model.init_b.data))
-
-
-def attentive_read(model: GeneratorModel, h_dec: Tensor, memory: Tensor) -> Tensor:
-    """Bilinear attention over all memory states, for each of the [B,H] decoder rows."""
+def attentive_read(ctx: DecodeContext, hidden: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    """Bilinear attention over all memory states, for each of the [B,H] decoder rows ``hidden``."""
+    ops, memory = ctx.ops, ctx.memory
     if memory.shape[0] == 0:
         raise ValueError("empty memory")
-    scores = matvec(memory, vecmat(h_dec, model.w_att))
-    return vecmat(softmax(scores), memory)
-
-
-def _copy_batches(y_prev: Sequence[str], ctx: DecodeContext, has_scores: bool):
-    """``selective_read``'s batches: per match count, the rows whose token matches that many input
-    positions and those positions, plus each row's place in the joined reads (0, the zero read,
-    for a row that reads nothing).  No batches before any copy scores exist."""
-    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for b, y in enumerate(y_prev):
-        matches = ctx.positions.get(y)
-        if has_scores and matches:
-            rows, positions = by_count.setdefault(len(matches), ([], []))
-            rows.append(b)
-            positions.append(matches)
-    batches = []
-    place = np.zeros(len(y_prev), dtype=np.intp)
-    start = 1
-    for rows, positions in by_count.values():
-        batches.append((np.array(rows)[:, None], np.array(positions)))
-        place[rows] = np.arange(start, start + len(rows))
-        start += len(rows)
-    return batches, place
+    return ops.vecmat(ops.softmax(ops.matvec(memory, ops.vecmat(hidden, ctx.weights["w_att"]))), memory)
 
 
 def selective_read(
-    model: GeneratorModel, y_prev: Sequence[str], ctx: DecodeContext, psi_prev: Tensor | None
-) -> Tensor:
+    ctx: DecodeContext, y_prev: Sequence[str], psi_prev: Tensor | np.ndarray | None
+) -> Tensor | np.ndarray:
     """Per row, the memory states at positions matching that row's token, weighted by its copy scores.
 
     B tokens with [B,n] scores give [B,H] reads, exactly zero in a row whose token is not in the
@@ -266,10 +252,23 @@ def selective_read(
     are weighted as one batch, so each row equals its one-row read bit for bit.  The batches'
     reads and one zero row are joined, and one gather places them in the [B,H] read.
     """
-    batches, place = _copy_batches(y_prev, ctx, psi_prev is not None)
-    reads = [zeros((1, model.hidden))]
-    reads += [vecmat(softmax(psi_prev[rows, positions]), ctx.memory[positions]) for rows, positions in batches]
-    return concat(reads, axis=0)[place]
+    by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for b, y in enumerate(y_prev):
+        matches = ctx.positions.get(y)
+        if psi_prev is not None and matches:
+            rows, positions = by_count.setdefault(len(matches), ([], []))
+            rows.append(b)
+            positions.append(matches)
+    ops = ctx.ops
+    reads = [ops.zeros((1, ctx.memory.shape[1]))]
+    place = np.zeros(len(y_prev), dtype=np.intp)  # 0, the zero read, for a row that reads nothing
+    start = 1
+    for rows, positions in by_count.values():
+        positions = np.array(positions)
+        reads.append(ops.vecmat(ops.softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions]))
+        place[rows] = np.arange(start, start + len(rows))
+        start += len(rows)
+    return ops.concat(reads, axis=0)[place]
 
 
 def decode_step(
@@ -277,48 +276,20 @@ def decode_step(
 ) -> DecodeState:
     """Feed each row's previous token and its copy/generate label; the next state and its scores.
 
-    ``state.hidden`` is [B,H] with B tokens and B labels.  Each row equals its one-row call
-    bit for bit, and the step is tracked on the tape when its inputs are."""
-    _check_rows(model, state, y_prev)
-    attentive = attentive_read(model, state.hidden, ctx.memory)
-    selective = selective_read(model, y_prev, ctx, state.copy_scores)
-    w = model.word_emb[model.vocab.encode_all(y_prev)]
-    label = model.label_emb[l_prev * model.guided]  # label 0 throughout for the unguided model
-    h = gru_step(model.decoder, state.hidden, concat([w, label, attentive, selective]))
-    return DecodeState(h, matvec(ctx.copy_keys, h), matvec(model.w_gen, h))
-
-
-def _check_rows(model: GeneratorModel, state: DecodeState, y_prev: Sequence[str]) -> None:
-    """Raise unless ``y_prev`` is a sequence of B tokens and ``state.hidden`` is [B,H]."""
+    ``state.hidden`` is [B,H] with B tokens and B labels.  The step runs on the tape or on plain
+    arrays as ``ctx`` was built, with the same values either way, and each row equals its one-row
+    call, all bit for bit."""
     if isinstance(y_prev, str):
         raise ValueError(f"y_prev must be a sequence of tokens, one per row, not the string {y_prev!r}")
     if state.hidden.shape != (len(y_prev), model.hidden):
         raise ValueError(f"decoder state {state.hidden.shape} is not [B,H] = {(len(y_prev), model.hidden)}")
-
-
-def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """The tape's ``softmax`` of each row on plain arrays: ``logsumexp``, subtract, ``exp``."""
-    m = a.max(axis=-1, keepdims=True)
-    return np.exp(a - (np.log(np.exp(a - m).sum(axis=-1, keepdims=True)) + m))
-
-
-def decode_rows(
-    model: GeneratorModel, ctx: DecodeContext, state: DecodeState, y_prev: Sequence[str], l_prev: np.ndarray
-) -> DecodeState:
-    """``decode_step`` on plain arrays, over ``scan_context``'s context: the same ops in the same
-    order, so each value equals the tape step's bit for bit."""
-    _check_rows(model, state, y_prev)
-    memory, hidden = ctx.memory, state.hidden
-    attentive = np.vecmat(_softmax_rows(np.vecmat(np.vecmat(hidden, model.w_att.data), memory.T)), memory)
-    batches, place = _copy_batches(y_prev, ctx, state.copy_scores is not None)
-    reads = [np.zeros((1, model.hidden))]
-    reads += [np.vecmat(_softmax_rows(state.copy_scores[rows, positions]), memory[positions])
-              for rows, positions in batches]
-    selective = np.concatenate(reads, axis=0)[place]
-    w = model.word_emb.data[model.vocab.encode_all(y_prev)]
-    label = model.label_emb.data[l_prev * model.guided]
-    h = gru_rows(model.decoder, hidden, np.concatenate([w, label, attentive, selective], axis=-1))
-    return DecodeState(h, np.vecmat(h, ctx.copy_keys.T), np.vecmat(h, model.w_gen.data.T))
+    ops, weights = ctx.ops, ctx.weights
+    w = weights["word_emb"][model.vocab.encode_all(y_prev)]
+    label = weights["label_emb"][l_prev * model.guided]  # label 0 throughout for the unguided model
+    x = ops.concat([w, label, attentive_read(ctx, state.hidden), selective_read(ctx, y_prev, state.copy_scores)],
+                   axis=-1)
+    h = gru_step(model.decoder, state.hidden, x) if ops.tape else gru_rows(model.decoder, state.hidden, x)
+    return DecodeState(h, ops.matvec(ctx.copy_keys, h), ops.matvec(weights["w_gen"], h))
 
 
 @dataclass
@@ -366,14 +337,14 @@ def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> tuple
     return (idxs, target) if idxs else ([n + vocab.encode(UNK)], UNK)
 
 
-def _teacher_forced(model: GeneratorModel, ctx: DecodeContext, state: DecodeState, step, reference: Sequence[str]):
-    """Teacher forcing over the reference plus <eos> with ``step``, ``decode_step`` or ``decode_rows``:
-    each step's state, and the indices that emit its target and the token they emit."""
+def _teacher_forced(model: GeneratorModel, ctx: DecodeContext, reference: Sequence[str]):
+    """Teacher forcing over the reference plus <eos>, on the tape or on plain arrays as ``ctx`` was
+    built: each step's state, and the indices that emit its target and the token they emit."""
     if not reference:
         raise ValueError("empty reference")
-    y_prev, l_prev = SEP, 0
+    state, y_prev, l_prev = decode_init(model, ctx), SEP, 0
     for target in list(reference) + [EOS]:
-        state = step(model, ctx, state, [y_prev], np.array([l_prev]))
+        state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
         yield (state, *_target_indices(model.vocab, ctx, target))
         y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
 
@@ -391,7 +362,7 @@ def teacher_forced_pass(
     ctx = decode_context(model, inp, encode_input(model, inp))
     loss: Tensor | None = None
     steps = correct = 0
-    for state, idxs, emitted in _teacher_forced(model, ctx, decode_init(model, ctx), decode_step, reference):
+    for state, idxs, emitted in _teacher_forced(model, ctx, reference):
         all_scores = concat([state.copy_scores, state.gen_scores])[0]
         step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
         loss = step_nll if loss is None else loss + step_nll
@@ -403,12 +374,11 @@ def teacher_forced_pass(
 
 def teacher_forced_accuracy(model: GeneratorModel, data: Sequence[tuple[GeneratorInput, Sequence[str]]]) -> float:
     """Fraction of teacher-forced steps whose argmax equals the target: ``teacher_forced_pass``'s
-    count, stepping ``decode_rows`` off the tape."""
-    steps = 0
-    correct = 0
+    count, stepping ``decode_step`` on plain arrays."""
+    steps = correct = 0
     for inp, reference in data:
-        ctx = scan_context(model, inp)
-        for state, _, emitted in _teacher_forced(model, ctx, scan_init(model, ctx), decode_rows, reference):
+        ctx = decode_context(model, inp, scan_input(model, inp))
+        for state, _, emitted in _teacher_forced(model, ctx, reference):
             steps += 1
             correct += _argmax_token(ctx, state.copy_scores, state.gen_scores) == emitted
     return correct / steps if steps else 0.0
@@ -500,7 +470,7 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     """Length-normalized beam search; beam=1 is greedy decoding.
 
     Each position advances every live hypothesis as one row of a single
-    ``decode_rows`` step, on plain arrays.  Candidates keep the order of a
+    ``decode_step`` on plain arrays.  Candidates keep the order of a
     loop over hypotheses: hypothesis order, then each one's stable ranking
     of the extended vocabulary, and a stable sort by score picks the next
     beam from them.
@@ -514,8 +484,8 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    ctx = scan_context(model, inp)
-    state = scan_init(model, ctx)
+    ctx = decode_context(model, inp, scan_input(model, inp))
+    state = decode_init(model, ctx)
     # Bounds the log of a step probability: each is a few rounded e/z terms over a rounded z.
     slack = 4 * (len(ctx.tokens) + len(ctx.slots)) * _EPS
     prefixes: list[tuple[str, ...]] = [()]
@@ -523,7 +493,7 @@ def beam_decode(model: GeneratorModel, inp: GeneratorInput, beam: int = 4, max_l
     labels = np.zeros(1, dtype=np.intp)  # the copy/generate label of each prefix's last token
     finished: list[tuple[float, tuple[str, ...]]] = []
     for steps in range(1, max_len + 1):
-        state = decode_rows(model, ctx, state, [p[-1] if p else SEP for p in prefixes], labels)
+        state = decode_step(model, ctx, state, [p[-1] if p else SEP for p in prefixes], labels)
         dist = step_distribution(ctx, state.copy_scores, state.gen_scores)
         # Not training's rule (token in the input): that one changes 10 recorded benchmark outputs (README).
         labels = infer_label(dist)

@@ -40,13 +40,25 @@ def _gru_forward(h: np.ndarray, xw: Sequence[np.ndarray], u: Sequence[np.ndarray
     """The gate equations: (z, r, candidate, new state) from the input products
     ``xw`` = (W_z x, W_r x, W_h x), the transposed state matrices ``u`` =
     (U_z.T, U_r.T, U_h.T), one for all rows or one per row, and the biases
-    ``b`` = (b_z, b_r, b_h); each state product is an ``np.vecmat`` row product."""
+    ``b`` = (b_z, b_r, b_h); each state product is an ``np.vecmat`` row product.
+
+    Each sum is formed in place on its product, as U h + x + b: addition
+    commutes exactly, so that is x + U h + b bit for bit."""
     xz, xr, xh = xw
     uz, ur, uh = u
     bz, br, bh = b
-    z = _sigmoid_np(xz + np.vecmat(h, uz) + bz)
-    r = _sigmoid_np(xr + np.vecmat(h, ur) + br)
-    cand = np.tanh(xh + np.vecmat(r * h, uh) + bh)
+    z = np.vecmat(h, uz)
+    z += xz
+    z += bz
+    z = _sigmoid_np(z)
+    r = np.vecmat(h, ur)
+    r += xr
+    r += br
+    r = _sigmoid_np(r)
+    cand = np.vecmat(r * h, uh)
+    cand += xh
+    cand += bh
+    np.tanh(cand, out=cand)
     return z, r, cand, (1.0 - z) * h + z * cand
 
 

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..rng import Rng
+from ..rng import Rng, is_int
 from .tensor import NumericError, Tensor
 
 log = logging.getLogger(__name__)
@@ -22,7 +22,7 @@ CLIP_NORM = 5.0
 def check_sizes(**sizes: object) -> None:
     """Raise ValueError naming the first size that is not a positive integer."""
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        if not is_int(value) or value < 1:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

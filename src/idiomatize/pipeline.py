@@ -21,7 +21,6 @@ from .corpus import (
     ParallelPair,
     SplitCorpus,
     Vocabulary,
-    _is_int,
     load_lexicon,
     load_pairs,
     read_json,
@@ -52,6 +51,7 @@ from .metrics import (
 )
 from .numerics import check_sizes
 from .retrieval import KEY_MODES, RetrievalModel, retrieve_top1
+from .rng import is_int
 
 ORDERS = ("retrieve_then_extract", "extract_then_retrieve")
 GENERATOR_MODES = ("guided", "unguided", "rule_based")
@@ -82,7 +82,7 @@ class PipelineConfig:
                 f"generator_mode must be one of {GENERATOR_MODES}, got {self.generator_mode!r}"
             )
         check_sizes(beam=self.beam, max_len=self.max_len)
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
@@ -143,7 +143,7 @@ def load_checkpoint(path: str):
         suffix = "" if isinstance(err.__cause__, OSError) else "; not a valid checkpoint"
         raise CheckpointError(f"{err}{suffix}") from err
     version = payload.get("format_version")
-    if not _is_int(version) or version != CHECKPOINT_VERSION:
+    if not is_int(version) or version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: format_version {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
@@ -172,7 +172,7 @@ def load_checkpoint(path: str):
         try:
             shape = tuple(spec["shape"])
             values = np.asarray(spec["values"], dtype=np.float64)
-            if not all(_is_int(d) for d in shape):
+            if not all(is_int(d) for d in shape):
                 raise TypeError(f"shape {spec['shape']!r} has a non-integer dimension")
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: tensor {name!r} has a malformed shape or values ({err})") from err
@@ -401,7 +401,7 @@ def load_dataset(data_dir: str) -> Dataset:
     annotated, seed = meta.get("annotated_ids", []), meta.get("seed", 0)
     if not (isinstance(annotated, list) and all(isinstance(i, str) for i in annotated)):
         raise CorpusError(f"{meta_path}: 'annotated_ids' must be a list of strings")
-    if not _is_int(seed):
+    if not is_int(seed):
         raise CorpusError(f"{meta_path}: 'seed' must be an integer, got {seed!r}")
     split = SplitCorpus(
         train=tuple(load_pairs(os.path.join(data_dir, "train.jsonl"), lexicon)),

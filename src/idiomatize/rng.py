@@ -15,6 +15,9 @@ arrays, whose shifts drop bits past 64 and whose multiply wraps mod
 ``2**64`` as the masked integer code does.  The scaling to floats is the
 same float64 operations in the same order, so values and the state left
 behind are bit-identical to the scalar loop.
+
+``is_int`` is the package's one rule for integers; it lives here, the
+lowest module that both ``corpus`` and ``numerics`` import.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ def _jump(k: int) -> tuple[int, ...]:
     return tuple(_apply(half, column) for column in half)
 
 
+def is_int(value: object) -> bool:
+    """An integer proper: booleans and floats such as ``1.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Rng:
     """xorshift64* generator seeded through splitmix64.
 
@@ -74,8 +82,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        # An integer proper, as ``corpus._is_int`` has it: True would seed as 1.
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        if not (is_int(seed) and 0 <= seed <= _MASK64):  # True would seed as 1
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
         state, z = _splitmix64(seed)
         while z == 0:

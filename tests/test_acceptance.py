@@ -147,9 +147,9 @@ def test_selective_read_property(record_criterion):
     ctx = decode_context(model, inp, encode_input(model, inp))
     memory = ctx.memory
     psi = Tensor(np.linspace(-1.0, 1.0, memory.shape[0])[None])
-    absent = selective_read(model, ["zzz"], ctx, psi)
-    first_step = selective_read(model, ["a"], ctx, None)
-    unique = selective_read(model, ["d"], ctx, psi)
+    absent = selective_read(ctx, ["zzz"], psi)
+    first_step = selective_read(ctx, ["a"], None)
+    unique = selective_read(ctx, ["d"], psi)
     zero_ok = not absent.data.any() and not first_step.data.any()
     row = inp.tokens.index("d")
     unique_ok = np.array_equal(unique.data[0], memory.data[row])

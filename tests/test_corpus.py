@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import stat
 import string
 from collections import Counter
 
@@ -327,6 +328,15 @@ def test_write_text_writes_utf8_with_lf_and_the_mode_of_open_w(tmp_path):
     with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
         pass
     assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_save_keeps_an_existing_files_permission_bits(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    save_pairs(str(path), demo_pairs())
+    path.chmod(0o600)
+    save_pairs(str(path), demo_pairs()[:1])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert load_pairs(str(path), demo_lexicon()) == demo_pairs()[:1]
 
 
 def test_write_text_writes_through_a_symlink(tmp_path):

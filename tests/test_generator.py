@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,12 +31,9 @@ from idiomatize.generator import (
     attentive_read,
     decode_context,
     decode_init,
-    decode_rows,
     decode_step,
     encode_input,
     infer_label,
-    scan_context,
-    scan_init,
     scan_input,
     selective_read,
     step_distribution,
@@ -180,10 +179,15 @@ def test_decode_init_matches_formula(gen_model):
     assert state.gen_scores is None
 
 
+def _with_memory(model, memory):
+    """A tape context whose memory is ``memory``, [n,H]."""
+    return replace(_context(model, ("the",) * memory.shape[0]), memory=memory)
+
+
 def test_attentive_read_single_state(gen_model):
     memory = Tensor(np.arange(8.0).reshape(1, 8))
     h = Tensor(np.ones((1, 8)))
-    out = attentive_read(gen_model, h, memory)
+    out = attentive_read(_with_memory(gen_model, memory), h)
     assert np.array_equal(out.data, memory.data)
 
 
@@ -194,7 +198,7 @@ def test_attentive_read_zero_weight_is_mean(gen_model):
     keep = gen_model.w_att.data.copy()
     gen_model.w_att.data[...] = 0.0
     try:
-        out = attentive_read(gen_model, h, memory)
+        out = attentive_read(_with_memory(gen_model, memory), h)
     finally:
         gen_model.w_att.data[...] = keep
     assert np.allclose(out.data[0], memory.data.mean(axis=0), atol=1e-14)
@@ -204,7 +208,7 @@ def test_attentive_read_matches_manual_softmax(gen_model):
     rng = np.random.default_rng(1)
     memory = Tensor(rng.normal(size=(3, 8)))
     h = Tensor(rng.normal(size=(1, 8)))
-    out = attentive_read(gen_model, h, memory)
+    out = attentive_read(_with_memory(gen_model, memory), h)
     scores = memory.data @ (h.data[0] @ gen_model.w_att.data)
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
@@ -212,8 +216,9 @@ def test_attentive_read_matches_manual_softmax(gen_model):
 
 
 def test_attentive_read_empty_memory(gen_model):
+    ctx = replace(_context(gen_model, ("the",)), memory=Tensor(np.zeros((0, 8))))
     with pytest.raises(ValueError):
-        attentive_read(gen_model, Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 8))))
+        attentive_read(ctx, Tensor(np.zeros((1, 8))))
 
 
 def test_selective_read_zero_cases(gen_model):
@@ -222,10 +227,10 @@ def test_selective_read_zero_cases(gen_model):
     ctx = replace(_context(gen_model, inp.tokens), memory=memory)
     psi = Tensor(np.arange(float(len(inp.tokens)))[None])
     # First step: no copy scores yet.
-    out = selective_read(gen_model, ["the"], ctx, None)
+    out = selective_read(ctx, ["the"], None)
     assert np.array_equal(out.data, np.zeros((1, 8)))
     # Token absent from the input.
-    out = selective_read(gen_model, ["zebra"], ctx, psi)
+    out = selective_read(ctx, ["zebra"], psi)
     assert np.array_equal(out.data, np.zeros((1, 8)))
 
 
@@ -234,7 +239,7 @@ def test_selective_read_single_match_returns_row(gen_model):
     memory = Tensor(np.random.default_rng(3).normal(size=(len(inp.tokens), 8)))
     psi = Tensor(np.zeros((1, len(inp.tokens))))
     k = inp.tokens.index("cat")
-    out = selective_read(gen_model, ["cat"], replace(_context(gen_model, inp.tokens), memory=memory), psi)
+    out = selective_read(replace(_context(gen_model, inp.tokens), memory=memory), ["cat"], psi)
     assert np.array_equal(out.data, memory.data[[k]])
 
 
@@ -242,7 +247,7 @@ def test_selective_read_equal_scores_average(gen_model):
     inp = GeneratorInput(("go", SEP, "go", "now"), (1, 0, 1, 1))
     memory = Tensor(np.random.default_rng(4).normal(size=(4, 8)))
     psi = Tensor(np.zeros((1, 4)))
-    out = selective_read(gen_model, ["go"], replace(_context(gen_model, inp.tokens), memory=memory), psi)
+    out = selective_read(replace(_context(gen_model, inp.tokens), memory=memory), ["go"], psi)
     expect = 0.5 * memory.data[0] + 0.5 * memory.data[2]
     assert np.allclose(out.data[0], expect, atol=1e-15)
 
@@ -403,7 +408,7 @@ def test_decode_context_steps_equal_scan_oracles(gen_model, tokens, data):
     state = decode_init(gen_model, ctx)
     y_prev, l_prev = SEP, 0
     for _ in range(data.draw(st.integers(1, 6))):
-        read = selective_read(gen_model, [y_prev], ctx, state.copy_scores)
+        read = selective_read(ctx, [y_prev], state.copy_scores)
         psi = None if state.copy_scores is None else state.copy_scores.data[0]
         expect = reference_selective_read(y_prev, ctx.memory.data, inp.tokens, psi)
         assert read.data[0].tolist() == expect.tolist()
@@ -472,6 +477,20 @@ def test_decode_step_rows_equal_single_rows(tiny_vocab, guided, seed):
             assert np.array_equal(rows.gen_scores.data[b], one.gen_scores.data[0])
 
 
+def test_only_decode_step_steps_the_decoder_gru():
+    # Training and inference share one decoder step: no other top-level
+    # statement of the generator names a GRU step, on the tape or off it.
+    tree = ast.parse(pathlib.Path(generator.__file__).read_text(encoding="utf-8"))
+    steppers = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        for node in ast.walk(stmt):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("gru_step", "gru_rows"):
+                steppers.add(getattr(stmt, "name", f"line {stmt.lineno}"))
+    assert steppers == {"decode_step"}
+
+
 def test_decode_step_rejects_non_row_inputs(gen_model):
     inp = _demo_input()
     ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
@@ -496,18 +515,20 @@ def _bits(x) -> bytes:
     st.lists(st.sampled_from(("the", "cat", "dog", "zzz", "qqq", SEP)), min_size=1, max_size=8),
     st.data(),
 )
-def test_decode_rows_equals_decode_step(tiny_vocab, seed, guided, tokens, data):
-    # The tape-free context, first state and step equal the tape's bit for
-    # bit: 1-8 rows, with and without copy scores, and row tokens repeated
-    # in the input, absent from it, or out of the vocabulary.
+def test_decode_step_on_arrays_equals_decode_step_on_the_tape(tiny_vocab, seed, guided, tokens, data):
+    # The array context, first state and step equal the tape's bit for bit:
+    # 1-8 rows, with and without copy scores, and row tokens repeated in the
+    # input, absent from it, or out of the vocabulary.
     model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
     indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
     inp = GeneratorInput(tuple(tokens), tuple(indicators))
     tape = decode_context(model, inp, encode_input(model, inp))
-    arrays = scan_context(model, inp)
+    arrays = decode_context(model, inp, scan_input(model, inp))
     assert (arrays.tokens, arrays.positions, arrays.slots.tolist()) == (tape.tokens, tape.positions, tape.slots.tolist())
+    assert isinstance(arrays.copy_keys, np.ndarray) and isinstance(tape.copy_keys, Tensor)
     assert _bits(arrays.memory) == _bits(tape.memory.data) and _bits(arrays.copy_keys) == _bits(tape.copy_keys.data)
-    assert _bits(scan_init(model, arrays).hidden) == _bits(decode_init(model, tape).hidden.data)
+    first = decode_init(model, arrays).hidden
+    assert isinstance(first, np.ndarray) and _bits(first) == _bits(decode_init(model, tape).hidden.data)
     rows = data.draw(st.integers(1, 8))
     y_prev = data.draw(st.lists(st.sampled_from(tuple(tokens) + ("dog", "www", EOS)), min_size=rows, max_size=rows))
     l_prev = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
@@ -515,7 +536,7 @@ def test_decode_rows_equals_decode_step(tiny_vocab, seed, guided, tokens, data):
     hidden = rng.normal(size=(rows, 8))
     for psi in (None, rng.normal(size=(rows, len(tokens)))):  # the first step has no copy scores yet
         want = decode_step(model, tape, DecodeState(Tensor(hidden), None if psi is None else Tensor(psi)), y_prev, l_prev)
-        got = decode_rows(model, arrays, DecodeState(hidden, psi), y_prev, l_prev)
+        got = decode_step(model, arrays, DecodeState(hidden, psi), y_prev, l_prev)
         for g, w in zip((got.hidden, got.copy_scores, got.gen_scores), (want.hidden, want.copy_scores, want.gen_scores)):
             assert isinstance(g, np.ndarray) and g.shape == w.shape and _bits(g) == _bits(w.data)
 
@@ -551,8 +572,8 @@ def test_selective_read_rows_gradcheck(gen_model):
     coeffs = Tensor(np.random.default_rng(0).normal(size=(3, 8)))
 
     def loss(_store):
-        return tsum(selective_read(gen_model, ["go", "zebra", "go"], ctx, psi) * coeffs) + tsum(
-            selective_read(gen_model, ["now", "go", "then"], ctx, psi) * coeffs
+        return tsum(selective_read(ctx, ["go", "zebra", "go"], psi) * coeffs) + tsum(
+            selective_read(ctx, ["now", "go", "then"], psi) * coeffs
         )
 
     assert grad_check(loss, store, eps=1e-5) <= 1e-6  # test_numerics.OP_TOLERANCE
@@ -688,9 +709,9 @@ def test_beam_decode_stops_early_with_the_oracle_output(tiny_vocab, seed, monkey
 
     def counted(model, ctx, state, y_prev, l_prev):
         positions.append(len(y_prev))
-        return decode_rows(model, ctx, state, y_prev, l_prev)
+        return decode_step(model, ctx, state, y_prev, l_prev)
 
-    monkeypatch.setattr(generator, "decode_rows", counted)
+    monkeypatch.setattr(generator, "decode_step", counted)
     assert beam_decode(model, inp, beam=4, max_len=20) == expect
     assert len(positions) < 20 and max(positions) > 1
 
