@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print the epochs each gated training fixture takes to reach its threshold, over model seeds and 1-ulp nudges.
 
-Usage: python3 scripts/convergence_sweep.py
+Usage: python3 scripts/convergence_sweep.py [span|generator|retrieval ...]
 
-Trains the three fixtures that acceptance criteria 5 and 7 gate, each
-with the hyperparameters ``tests/conftest.py`` gives it:
+Trains the three fixtures that acceptance criteria 5 and 7 gate, or only
+the ones named, in this order, each with the hyperparameters
+``tests/conftest.py`` gives it:
 
 - ``span``: the sentinel span task (``sentinel_extractor``), validation
   span F1 0.96 within 50 epochs;
@@ -21,7 +22,7 @@ threshold was reached (the fixture stops there), the first and best
 metric, and the seconds taken.  A kernel that reorders floating-point
 sums moves training at least as much as a 1-ulp nudge, so the spread of
 these lines is the room the criteria leave for such a change.  It is a
-measurement, not a test; it takes about 20 minutes on one core.
+measurement, not a test; all three take about 20 minutes on one core.
 """
 
 from __future__ import annotations
@@ -84,8 +85,14 @@ def retrieval(seed):
 TASKS = {"span": (span, 0.96, 50), "generator": (generator, 0.998, 300), "retrieval": (retrieval, 0.96, 50)}
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in TASKS]
+    if unknown:
+        print(f"unknown fixture {unknown[0]!r}; choose from {', '.join(TASKS)}", file=sys.stderr)
+        return 1
     for name, (build, threshold, budget) in TASKS.items():
+        if argv and name not in argv:
+            continue
         for seed, nudge in RUNS:
             model, train = build(seed)
             if nudge:
@@ -108,4 +115,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .corpus import RESERVED, Vocabulary
 from .extractor import ExtractorModel, extractor_loss
-from .generator import GeneratorModel, build_generator_input, teacher_forced_pass
+from .generator import GeneratorModel, build_generator_input, teacher_forced_batch
 from .numerics import grad_check
 from .retrieval import RetrievalModel, _bce_loss
 
@@ -66,16 +66,20 @@ def gradcheck_extractor(seed: int = 0) -> float:
 
 
 def gradcheck_generator(seed: int = 0) -> float:
-    """Worst relative gradient error of the teacher-forced mean step NLL."""
+    """Worst relative gradient error of the teacher-forced mean step NLL of a two-instance batch,
+    whose inputs and references differ in length."""
     model = GeneratorModel(
         _toy_vocab(), word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=True, seed=seed
     )
-    inp = build_generator_input(("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4), guided=True)
-    reference = ("the", "cat", "ran", "fast")
-    steps = len(reference) + 1  # reference tokens plus <eos>
+    batch = [
+        (build_generator_input(("ran", "fast"), ("the", "cat", "sat", "on", "mat"), (2, 4), guided=True),
+         ("the", "cat", "ran", "fast")),
+        (build_generator_input(("slow",), ("a", "dog"), (1, 2), guided=True), ("a", "slow")),
+    ]
+    steps = sum(len(reference) + 1 for _, reference in batch)  # reference tokens plus <eos>
 
     def loss_fn(_store):
-        return teacher_forced_pass(model, inp, reference)[0] * (1.0 / steps)
+        return teacher_forced_batch(model, batch)[0] * (1.0 / steps)
 
     return grad_check(loss_fn, model.store, eps=CHECK_EPS)
 

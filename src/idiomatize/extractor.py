@@ -21,6 +21,7 @@ from .numerics import (
     adam_step,
     concat,
     fit,
+    instance_sum,
     logsumexp,
     reshape,
     tsum,
@@ -192,7 +193,7 @@ def train_extractor(
         raise ValueError("no trainable pairs")
     val = [pair for pair, _ in resolve_pairs(validation, lexicon)]
     losses, val_f1s = fit(
-        model.store, Rng(seed), lambda: instances, lambda inst: extractor_loss(model, *inst),
+        model.store, Rng(seed), lambda: instances, instance_sum(lambda inst: extractor_loss(model, *inst)),
         lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
         evaluate=(lambda: validation_span_f1(model, val, lexicon)) if validation else None,

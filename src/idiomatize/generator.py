@@ -19,12 +19,16 @@ Training and inference step one decoder (``decode_context``,
 training needs.  Around ``scan_input``'s, a plain array, the same ops in
 the same order run on numpy arrays, as in beam search and the
 teacher-forced accuracy check, so each value equals the tape's bit for bit.
+A context over one input's memory serves every row; training builds one
+over a minibatch's memories, padded to the longest input, so that each
+row reads its own instance and the batch is teacher-forced as one pass of
+[B,·] rows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,8 +49,10 @@ from .numerics import (
     gru_step,
     logsumexp,
     matvec,
+    reshape,
     softmax,
     tanh,
+    tsum,
     vecmat,
     zeros,
 )
@@ -168,51 +174,102 @@ def _softmax_rows(a: np.ndarray) -> np.ndarray:
 
 # The primitives a decoding step runs: the tape ops over Tensors, or numpy over plain arrays,
 # which forms the same values in the same order, bit for bit.
-_Ops = namedtuple("_Ops", "tape vecmat matvec softmax concat tanh zeros")
-_TAPE = _Ops(True, vecmat, matvec, softmax, concat, tanh, zeros)
-_ARRAYS = _Ops(False, np.vecmat, lambda w, x: np.vecmat(x, w.T), _softmax_rows, np.concatenate, np.tanh, np.zeros)
+_Ops = namedtuple("_Ops", "tape vecmat matvec softmax concat tanh zeros reshape")
+_TAPE = _Ops(True, vecmat, matvec, softmax, concat, tanh, zeros, reshape)
+_ARRAYS = _Ops(False, np.vecmat, lambda w, x: np.vecmat(x, w.swapaxes(-1, -2)), _softmax_rows, np.concatenate,
+               np.tanh, np.zeros, np.reshape)
 # The model parameters a decoding step reads.
 _WEIGHTS = ("word_emb", "label_emb", "w_att", "u_copy", "w_gen", "init_w", "init_b")
 
 
 @dataclass(frozen=True)
 class DecodeContext:
-    """What every decoding step reads about one input, built once by ``decode_context``.
+    """What every decoding step reads about its input or inputs, built once by ``decode_context``.
 
     Around ``encode_input``'s memory, a Tensor, ``ops`` are the tape ops and
     ``weights`` maps each name in ``_WEIGHTS`` to its parameter Tensor; around
     ``scan_input``'s, a plain array, they are numpy and the parameters'
-    arrays.  ``copy_keys`` has ``memory``'s type.
+    arrays.  ``copy_keys`` has ``memory``'s type and shape.
 
-    ``tokens`` is the extended vocabulary: the vocabulary followed by the
-    input tokens it lacks, in first-occurrence order.  ``slots`` holds the
-    extended-vocabulary index of each input position, and ``positions``
-    the input positions of each input token.
+    Over one input, ``memory`` is its [n,H] states, which every row reads,
+    and ``mask`` is None.  ``tokens`` is the extended vocabulary: the
+    vocabulary followed by the input tokens it lacks, in first-occurrence
+    order.  ``slots`` holds the extended-vocabulary index of each input
+    position, and ``positions`` the input positions of each input token.
+
+    Over B inputs, row b reads input b: ``memory`` is [B,n,H], each input's
+    states padded with zero rows to the longest input's n, and ``mask`` [B,n]
+    is 0 at each row's own positions and -inf at its padding.  ``tokens`` and
+    ``positions`` then hold one entry per row, and ``slots`` [B,n] is each
+    row's slots, 0 at its padding.
     """
 
     memory: Tensor | np.ndarray
     copy_keys: Tensor | np.ndarray
-    tokens: tuple[str, ...]
+    tokens: tuple[str, ...] | tuple[tuple[str, ...], ...]
     slots: np.ndarray
-    positions: dict[str, list[int]]
+    positions: dict[str, list[int]] | tuple[dict[str, list[int]], ...]
     ops: _Ops
     weights: dict[str, Tensor | np.ndarray]
+    mask: np.ndarray | None = None
 
 
-def decode_context(model: GeneratorModel, inp: GeneratorInput, memory: Tensor | np.ndarray) -> DecodeContext:
-    """The context of the input whose ``memory`` is ``encode_input``'s Tensor, for steps on the tape,
-    or ``scan_input``'s array, for steps on plain arrays: its copy keys and token mapping, and the
-    primitives and parameter views of that kind."""
-    ops = _TAPE if isinstance(memory, Tensor) else _ARRAYS
-    weights = {name: getattr(model, name) if ops.tape else getattr(model, name).data for name in _WEIGHTS}
-    vocab = model.vocab
+def _token_map(vocab: Vocabulary, inp: GeneratorInput) -> tuple[tuple[str, ...], np.ndarray, dict[str, list[int]]]:
+    """One input's extended vocabulary, slots and positions, as ``DecodeContext`` describes them."""
     positions: dict[str, list[int]] = {}
     for k, token in enumerate(inp.tokens):
         positions.setdefault(token, []).append(k)
     extra = {t: len(vocab) + i for i, t in enumerate(t for t in positions if t not in vocab)}
     slots = np.array([extra[t] if t in extra else vocab.get(t) for t in inp.tokens], dtype=np.intp)
-    copy_keys = ops.tanh(ops.vecmat(memory, weights["u_copy"]))
-    return DecodeContext(memory, copy_keys, vocab.tokens + tuple(extra), slots, positions, ops, weights)
+    return vocab.tokens + tuple(extra), slots, positions
+
+
+def decode_context(
+    model: GeneratorModel,
+    inp: GeneratorInput | Sequence[GeneratorInput],
+    memory: Tensor | np.ndarray | Sequence[Tensor | np.ndarray],
+) -> DecodeContext:
+    """The context of the input whose ``memory`` is ``encode_input``'s Tensor, for steps on the tape,
+    or ``scan_input``'s array, for steps on plain arrays: its copy keys and token mapping, and the
+    primitives and parameter views of that kind.  A sequence of B inputs with one memory each gives
+    the context whose row b reads input b, their memories padded and stacked as [B,n,H]."""
+    batch = not isinstance(inp, GeneratorInput)
+    ops = _TAPE if isinstance(memory[0] if batch else memory, Tensor) else _ARRAYS
+    weights = {name: getattr(model, name) if ops.tape else getattr(model, name).data for name in _WEIGHTS}
+    if not batch:
+        tokens, slots, positions = _token_map(model.vocab, inp)
+        copy_keys = ops.tanh(ops.vecmat(memory, weights["u_copy"]))
+        return DecodeContext(memory, copy_keys, tokens, slots, positions, ops, weights)
+    if not inp or len(inp) != len(memory):
+        raise ValueError(f"a batch context needs one memory per input, got {len(memory)} for {len(inp)} inputs")
+    maps = [_token_map(model.vocab, i) for i in inp]
+    n = max(len(i.tokens) for i in inp)
+    pieces = []
+    for m in memory:
+        pieces.append(m)
+        if m.shape[0] < n:
+            pieces.append(ops.zeros((n - m.shape[0], model.hidden)))
+    flat = ops.concat(pieces, axis=0)  # [B*n,H]: each row product equals its own input's bit for bit
+    slots = np.zeros((len(inp), n), dtype=np.intp)
+    mask = np.full((len(inp), n), -np.inf)
+    for b, (_, row_slots, _) in enumerate(maps):
+        slots[b, : len(row_slots)] = row_slots
+        mask[b, : len(row_slots)] = 0.0
+    shape = (len(inp), n, model.hidden)
+    return DecodeContext(
+        ops.reshape(flat, shape), ops.reshape(ops.tanh(ops.vecmat(flat, weights["u_copy"])), shape),
+        tuple(m[0] for m in maps), slots, tuple(m[2] for m in maps), ops, weights, mask,
+    )
+
+
+def _first_rows(ctx: DecodeContext, n: int) -> DecodeContext:
+    """The context of ``ctx``'s first ``n`` rows: ``ctx`` itself over one input, which every row reads."""
+    if ctx.mask is None or len(ctx.mask) == n:
+        return ctx
+    return replace(
+        ctx, memory=ctx.memory[:n], copy_keys=ctx.copy_keys[:n], tokens=ctx.tokens[:n], slots=ctx.slots[:n],
+        positions=ctx.positions[:n], mask=ctx.mask[:n],
+    )
 
 
 @dataclass(frozen=True)
@@ -228,18 +285,28 @@ class DecodeState:
 
 
 def decode_init(model: GeneratorModel, ctx: DecodeContext) -> DecodeState:
-    """First decoder state, one [1,H] row, from the final forward/backward encoder states."""
-    ops, half, n = ctx.ops, model.hidden // 2, ctx.memory.shape[0]
-    final = ops.concat([ctx.memory[n - 1 : n, :half], ctx.memory[0:1, half:]], axis=-1)
+    """First decoder state from the final forward/backward encoder states: one [1,H] row over one
+    input, or one row per input of a batch context."""
+    ops, half, memory = ctx.ops, model.hidden // 2, ctx.memory
+    if ctx.mask is None:
+        n = memory.shape[0]
+        final = ops.concat([memory[n - 1 : n, :half], memory[0:1, half:]], axis=-1)
+    else:
+        last = np.count_nonzero(np.isfinite(ctx.mask), axis=1) - 1
+        final = ops.concat([memory[np.arange(len(last)), last, :half], memory[:, 0, half:]], axis=-1)
     return DecodeState(ops.tanh(ops.matvec(ctx.weights["init_w"], final) + ctx.weights["init_b"]))
 
 
 def attentive_read(ctx: DecodeContext, hidden: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    """Bilinear attention over all memory states, for each of the [B,H] decoder rows ``hidden``."""
+    """Bilinear attention over all memory states, for each of the [B,H] decoder rows ``hidden``;
+    a batch context's padding gets no weight."""
     ops, memory = ctx.ops, ctx.memory
-    if memory.shape[0] == 0:
+    if memory.shape[-2] == 0:
         raise ValueError("empty memory")
-    return ops.vecmat(ops.softmax(ops.matvec(memory, ops.vecmat(hidden, ctx.weights["w_att"]))), memory)
+    scores = ops.matvec(memory, ops.vecmat(hidden, ctx.weights["w_att"]))
+    if ctx.mask is not None:
+        scores = scores + ctx.mask
+    return ops.vecmat(ops.softmax(scores), memory)
 
 
 def selective_read(
@@ -250,22 +317,25 @@ def selective_read(
     B tokens with [B,n] scores give [B,H] reads, exactly zero in a row whose token is not in the
     input and in every row before any copy scores exist.  Rows whose tokens occur equally often
     are weighted as one batch, so each row equals its one-row read bit for bit.  The batches'
-    reads and one zero row are joined, and one gather places them in the [B,H] read.
+    reads and one zero row are joined, and one gather places them in the [B,H] read.  In a batch
+    context each row matches and reads its own input.
     """
+    per_row = ctx.mask is not None
     by_count: dict[int, tuple[list[int], list[list[int]]]] = {}
     for b, y in enumerate(y_prev):
-        matches = ctx.positions.get(y)
+        matches = (ctx.positions[b] if per_row else ctx.positions).get(y)
         if psi_prev is not None and matches:
             rows, positions = by_count.setdefault(len(matches), ([], []))
             rows.append(b)
             positions.append(matches)
     ops = ctx.ops
-    reads = [ops.zeros((1, ctx.memory.shape[1]))]
+    reads = [ops.zeros((1, ctx.memory.shape[-1]))]
     place = np.zeros(len(y_prev), dtype=np.intp)  # 0, the zero read, for a row that reads nothing
     start = 1
     for rows, positions in by_count.values():
-        positions = np.array(positions)
-        reads.append(ops.vecmat(ops.softmax(psi_prev[np.array(rows)[:, None], positions]), ctx.memory[positions]))
+        rows_, positions = np.array(rows)[:, None], np.array(positions)
+        states = ctx.memory[rows_, positions] if per_row else ctx.memory[positions]
+        reads.append(ops.vecmat(ops.softmax(psi_prev[rows_, positions]), states))
         place[rows] = np.arange(start, start + len(rows))
         start += len(rows)
     return ops.concat(reads, axis=0)[place]
@@ -283,6 +353,8 @@ def decode_step(
         raise ValueError(f"y_prev must be a sequence of tokens, one per row, not the string {y_prev!r}")
     if state.hidden.shape != (len(y_prev), model.hidden):
         raise ValueError(f"decoder state {state.hidden.shape} is not [B,H] = {(len(y_prev), model.hidden)}")
+    if ctx.mask is not None and len(ctx.mask) != len(y_prev):
+        raise ValueError(f"a batch context of {len(ctx.mask)} inputs steps {len(ctx.mask)} rows, not {len(y_prev)}")
     ops, weights = ctx.ops, ctx.weights
     w = weights["word_emb"][model.vocab.encode_all(y_prev)]
     label = weights["label_emb"][l_prev * model.guided]  # label 0 throughout for the unguided model
@@ -306,18 +378,24 @@ class StepDistribution:
 def step_distribution(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> StepDistribution:
     """[B,n] copy and [B,V] generate scores normalized together over the extended vocabulary.
 
-    Each row equals its one-row call bit for bit.
+    Each row equals its one-row call bit for bit.  In a batch context row b is over its own
+    extended vocabulary, ``ctx.tokens[b]``, padded with zeros to the longest, and its padding
+    has no copy mass.
     """
+    rows, width = slice(None), len(ctx.tokens)
+    if ctx.mask is not None:
+        copy_scores = copy_scores + ctx.mask
+        rows, width = np.arange(len(ctx.mask))[:, None], max(map(len, ctx.tokens))
     shift = np.maximum(copy_scores.max(axis=1), gen_scores.max(axis=1))[:, None]
     e_copy = np.exp(copy_scores - shift)
     e_gen = np.exp(gen_scores - shift)
     copy_mass = e_copy.sum(axis=1, keepdims=True)
     gen_mass = e_gen.sum(axis=1, keepdims=True)
     z = copy_mass + gen_mass
-    probs = np.zeros((len(gen_scores), len(ctx.tokens)))
+    probs = np.zeros((len(gen_scores), width))
     probs[:, : gen_scores.shape[1]] = e_gen / z
     # np.add.at adds position by position, so a repeated token sums in input order.
-    np.add.at(probs, (slice(None), ctx.slots), e_copy / z)
+    np.add.at(probs, (rows, ctx.slots), e_copy / z)
     return StepDistribution(probs, p_copy=(copy_mass / z)[:, 0], p_gen=(gen_mass / z)[:, 0])
 
 
@@ -326,61 +404,103 @@ def infer_label(dist: StepDistribution) -> np.ndarray:
     return np.greater(dist.p_copy, dist.p_gen).astype(np.intp)
 
 
-def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str) -> tuple[list[int], str]:
-    """Positions in [copy scores ++ generate scores] that emit ``target``, and the token they emit:
-    ``target``, or <unk> for a target in neither the input nor the vocabulary (the <unk> route)."""
-    n = len(ctx.slots)
-    idxs = list(ctx.positions.get(target, ()))
+def _target_indices(vocab: Vocabulary, ctx: DecodeContext, target: str, row: int = 0) -> tuple[list[int], str]:
+    """Positions in [copy scores ++ generate scores] that emit ``target`` (in row ``row``'s
+    scores, of a batch context), and the token they emit: ``target``, or <unk> for a target in
+    neither the row's input nor the vocabulary (the <unk> route)."""
+    n = ctx.slots.shape[-1]
+    idxs = list((ctx.positions if ctx.mask is None else ctx.positions[row]).get(target, ()))
     vocab_id = vocab.get(target)
     if vocab_id is not None:
         idxs.append(n + vocab_id)
     return (idxs, target) if idxs else ([n + vocab.encode(UNK)], UNK)
 
 
-def _teacher_forced(model: GeneratorModel, ctx: DecodeContext, reference: Sequence[str]):
-    """Teacher forcing over the reference plus <eos>, on the tape or on plain arrays as ``ctx`` was
-    built: each step's state, and the indices that emit its target and the token they emit."""
-    if not reference:
+def _teacher_forced(model: GeneratorModel, ctx: DecodeContext, references: Sequence[Sequence[str]]):
+    """Teacher forcing of each row over its reference plus <eos>, on the tape or on plain arrays as
+    ``ctx`` was built, every row stepping in one ``decode_step`` per position.
+
+    The references run longest first, so the rows still teacher-forced at a position are the first
+    ones, and only they step.  Yields each position's context and state over those rows, and each
+    row's indices that emit its target with the token they emit (``_target_indices``).
+    """
+    lengths = [len(reference) + 1 for reference in references]
+    if min(lengths) == 1:
         raise ValueError("empty reference")
-    state, y_prev, l_prev = decode_init(model, ctx), SEP, 0
-    for target in list(reference) + [EOS]:
-        state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
-        yield (state, *_target_indices(model.vocab, ctx, target))
-        y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
+    if lengths != sorted(lengths, reverse=True):
+        raise ValueError("references must run longest first")
+    state = decode_init(model, ctx)
+    y_prev, l_prev = [SEP] * len(lengths), np.zeros(len(lengths), dtype=np.intp)
+    for t in range(lengths[0]):
+        live = sum(n > t for n in lengths)
+        if live < len(y_prev):
+            ctx = _first_rows(ctx, live)
+            state = DecodeState(state.hidden[:live], state.copy_scores[:live])
+            y_prev, l_prev = y_prev[:live], l_prev[:live]
+        state = decode_step(model, ctx, state, y_prev, l_prev)
+        y_prev = [reference[t] if t < len(reference) else EOS for reference in references[:live]]
+        yield ctx, state, [_target_indices(model.vocab, ctx, target, b) for b, target in enumerate(y_prev)]
+        rows = [ctx.positions] * live if ctx.mask is None else ctx.positions
+        l_prev = np.array([1 if model.guided and y in p else 0 for y, p in zip(y_prev, rows)], dtype=np.intp)
 
 
-def _argmax_token(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray) -> str:
-    """The most probable token of a one-row step's distribution."""
-    return ctx.tokens[int(np.argmax(step_distribution(ctx, copy_scores, gen_scores).probs[0]))]
+def _argmax_hits(ctx: DecodeContext, copy_scores: np.ndarray, gen_scores: np.ndarray, routes) -> int:
+    """How many rows' most probable token is the one their target's indices emit."""
+    best = np.argmax(step_distribution(ctx, copy_scores, gen_scores).probs, axis=1)
+    tokens = [ctx.tokens] * len(routes) if ctx.mask is None else ctx.tokens
+    return sum(tokens[b][i] == emitted for b, (i, (_, emitted)) in enumerate(zip(best, routes)))
 
 
-def teacher_forced_pass(
-    model: GeneratorModel, inp: GeneratorInput, reference: Sequence[str]
+def _batch_nll(copy_scores: Tensor, gen_scores: Tensor, mask: np.ndarray, routes) -> Tensor:
+    """The NLL summed over teacher-forced rows, each of them a row of [S,n] copy scores, [S,V]
+    generate scores and [S,n] copy mask: ``logsumexp`` over its [copy ++ generate] scores, its
+    padding masked out, minus ``logsumexp`` over its target's indices, ``routes[s]``'s."""
+    scores = concat([copy_scores + mask, gen_scores])
+    index = np.zeros((len(routes), max(len(idxs) for idxs, _ in routes)), dtype=np.intp)
+    pad = np.zeros(index.shape)
+    for s, (idxs, _) in enumerate(routes):
+        index[s, : len(idxs)] = idxs
+        pad[s, len(idxs) :] = -np.inf
+    targets = scores[np.arange(len(routes))[:, None], index] + pad
+    return tsum(logsumexp(scores, axis=-1) - logsumexp(targets, axis=-1))
+
+
+def teacher_forced_batch(
+    model: GeneratorModel, examples: Sequence[tuple[GeneratorInput, Sequence[str]]]
 ) -> tuple[Tensor, int, int]:
-    """Teacher forcing on the tape over the reference plus <eos>: its summed NLL, its steps, and
-    how many steps' most probable token is the one their target's indices emit."""
-    ctx = decode_context(model, inp, encode_input(model, inp))
-    loss: Tensor | None = None
-    steps = correct = 0
-    for state, idxs, emitted in _teacher_forced(model, ctx, reference):
-        all_scores = concat([state.copy_scores, state.gen_scores])[0]
-        step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
-        loss = step_nll if loss is None else loss + step_nll
-        steps += 1
-        correct += _argmax_token(ctx, state.copy_scores.data, state.gen_scores.data) == emitted
-    assert loss is not None
-    return loss, steps, correct
+    """Teacher forcing on the tape of a minibatch of (input, reference) instances as one pass of
+    [B,·] rows: their summed NLL, their steps, and how many steps' most probable token is the one
+    their target's indices emit.
+
+    Each instance is encoded on its own; the rows read their memories padded into one batch
+    context, longest reference first.  Each instance's NLL is the sum over its reference plus
+    <eos> of ``logsumexp`` over its [copy ++ generate] scores minus that over its target's indices;
+    every step's rows are stacked and scored at once.
+    """
+    ordered = sorted(examples, key=lambda example: -len(example[1]))  # stable: ties keep batch order
+    inputs = [inp for inp, _ in ordered]
+    ctx = decode_context(model, inputs, [encode_input(model, inp) for inp in inputs])
+    copy_scores, gen_scores, masks, routes = [], [], [], []
+    correct = 0
+    for step_ctx, state, step_routes in _teacher_forced(model, ctx, [reference for _, reference in ordered]):
+        copy_scores.append(state.copy_scores)
+        gen_scores.append(state.gen_scores)
+        masks.append(step_ctx.mask)
+        routes.extend(step_routes)
+        correct += _argmax_hits(step_ctx, state.copy_scores.data, state.gen_scores.data, step_routes)
+    loss = _batch_nll(concat(copy_scores, axis=0), concat(gen_scores, axis=0), np.concatenate(masks), routes)
+    return loss, len(routes), correct
 
 
 def teacher_forced_accuracy(model: GeneratorModel, data: Sequence[tuple[GeneratorInput, Sequence[str]]]) -> float:
-    """Fraction of teacher-forced steps whose argmax equals the target: ``teacher_forced_pass``'s
-    count, stepping ``decode_step`` on plain arrays."""
+    """Fraction of teacher-forced steps whose argmax equals the target, as ``teacher_forced_batch``
+    counts them, stepping ``decode_step`` on plain arrays one instance at a time."""
     steps = correct = 0
     for inp, reference in data:
         ctx = decode_context(model, inp, scan_input(model, inp))
-        for state, _, emitted in _teacher_forced(model, ctx, reference):
-            steps += 1
-            correct += _argmax_token(ctx, state.copy_scores, state.gen_scores) == emitted
+        for step_ctx, state, routes in _teacher_forced(model, ctx, [reference]):
+            steps += len(routes)
+            correct += _argmax_hits(step_ctx, state.copy_scores, state.gen_scores, routes)
     return correct / steps if steps else 0.0
 
 
@@ -397,7 +517,7 @@ def train_generator(
     max_len: int = 40,
     stop_at_token_accuracy: float | None = None,
 ) -> dict:
-    """Teacher-forced NLL with batched Adam updates.
+    """Teacher-forced NLL with batched Adam updates, each minibatch one ``teacher_forced_batch`` pass.
 
     Reports the per-epoch mean loss per instance, running teacher-forced
     token accuracy and (every ``eval_every`` epochs) greedy-decode BLEU
@@ -408,8 +528,8 @@ def train_generator(
     accuracies: list[float] = []
     counts = [0, 0]  # teacher-forced steps and correct argmax steps in this epoch
 
-    def loss(example: tuple[GeneratorInput, Sequence[str]]) -> Tensor:
-        value, steps, correct = teacher_forced_pass(model, *example)
+    def batch_loss(batch: list[tuple[GeneratorInput, Sequence[str]]]) -> Tensor:
+        value, steps, correct = teacher_forced_batch(model, batch)
         counts[0] += steps
         counts[1] += correct
         return value
@@ -430,7 +550,7 @@ def train_generator(
         )
 
     losses, val_bleu = fit(
-        model.store, Rng(seed), lambda: data, loss, lambda: adam_step(model.store, lr),
+        model.store, Rng(seed), lambda: data, batch_loss, lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
         evaluate=greedy_bleu if validation else None, after_epoch=after_epoch,
         name="generator", metric_name="val_bleu",

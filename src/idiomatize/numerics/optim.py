@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 import time
 from typing import Callable, Sequence
 
@@ -113,11 +115,16 @@ def adam_step(store: ParamStore, lr: float) -> float:
     return norm
 
 
+def instance_sum(loss: Callable[..., Tensor]) -> Callable[[list], Tensor]:
+    """A ``batch_loss`` for ``fit``: ``loss`` of each instance in batch order, added left to right."""
+    return lambda batch: functools.reduce(operator.add, map(loss, batch))
+
+
 def fit(
     store: ParamStore,
     rng: Rng,
     draw: Callable[[], Sequence],
-    loss: Callable[..., Tensor],
+    batch_loss: Callable[[list], Tensor],
     step: Callable[[], float],
     *,
     epochs: int,
@@ -132,9 +139,11 @@ def fit(
 
     Each epoch visits the instances ``draw`` returns (it may consume
     ``rng``) in an order shuffled by ``rng``, and steps once per batch on
-    the batch-mean loss; ``step`` returns the gradient norm before
-    clipping.  Every ``eval_every`` epochs ``evaluate`` gives
-    the epoch's metric (None otherwise).  ``after_epoch(metric)`` returning
+    the batch-mean loss: ``batch_loss`` maps the batch's instances, in
+    that order, to their summed loss (``instance_sum`` adds one loss per
+    instance).  ``step`` returns the gradient norm before clipping.
+    Every ``eval_every`` epochs ``evaluate`` gives the epoch's metric
+    (None otherwise).  ``after_epoch(metric)`` returning
     True stops training.  Each epoch logs one INFO line, with the
     epoch's largest gradient norm.
     """
@@ -156,12 +165,9 @@ def fit(
         for lo in range(0, len(order), batch_size):
             batch = order[lo : lo + batch_size]
             store.zero_grads()
-            batch_loss = loss(instances[batch[0]])
-            for i in batch[1:]:
-                batch_loss = batch_loss + loss(instances[i])
-            batch_loss = batch_loss * (1.0 / len(batch))
-            total += batch_loss.item() * len(batch)
-            batch_loss.backward()
+            mean_loss = batch_loss([instances[i] for i in batch]) * (1.0 / len(batch))
+            total += mean_loss.item() * len(batch)
+            mean_loss.backward()
             max_norm = max(max_norm, step())
         losses.append(total / len(instances))
         metric = evaluate() if evaluate is not None and (epoch + 1) % eval_every == 0 else None

@@ -152,9 +152,18 @@ def zeros(shape) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: exp(-|x|) never overflows.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + e) where x >= 0 and e / (1 + e) below, with e = exp(-|x|), which never overflows.
+
+    ``np.maximum(x >= 0, e)`` is the numerator: 1 where x >= 0, since e <= 1
+    there, and e (NaN included) below, without ``np.where``'s slower select.
+    """
+    e = np.asarray(np.abs(x))  # of a 0-d input, np.abs gives a scalar, which has no buffer to write in place
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(x >= 0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def add(a, b) -> Tensor:
@@ -188,10 +197,16 @@ def _row_outer(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def matvec(w, x) -> Tensor:
     """``w @ x[b]`` for each row of ``x`` [B,I]: [B,J].  ``np.vecmat`` forms each row as its own
     vector-matrix product, so each row equals its 1-D product bit for bit, gradient included, where
-    the gemm ``x @ w.T`` does not; ``w``'s gradient sums the rows' outer products."""
+    the gemm ``x @ w.T`` does not; ``w``'s gradient sums the rows' outer products.  ``w`` is one
+    [J,I] matrix, or [B,J,I], one matrix per row, each with its own outer-product gradient."""
     w, x = _wrap(w), _wrap(x)
     if x.ndim != 2:
         raise ValueError(f"matvec takes [B,I] rows, got shape {x.shape}")
+    if w.ndim == 3:
+        return _node(
+            np.vecmat(x.data, w.data.swapaxes(1, 2)), (w, x),
+            lambda g: (g[:, :, None] * x.data[:, None, :], np.vecmat(g, w.data)),
+        )
     return _node(np.vecmat(x.data, w.data.T), (w, x), lambda g: (_row_outer(g, x.data), np.vecmat(g, w.data)))
 
 
@@ -223,12 +238,6 @@ def tanh(a) -> Tensor:
     return _node(data, (a,), lambda g: (g * (1.0 - data**2),))
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    data = np.exp(a.data)
-    return _node(data, (a,), lambda g: (g * data,))
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(x)), stable for large |x|."""
     a = _wrap(a)
@@ -248,9 +257,12 @@ def logsumexp(a, axis: int | None = None) -> Tensor:
 
 
 def softmax(a) -> Tensor:
-    """Softmax over the last axis via logsumexp: of a vector, or of each row of a matrix."""
+    """Softmax over the last axis, of a vector or of each row of a matrix, as one node: its value is
+    ``exp(a - logsumexp(a))``, the composed ops' bit for bit, and its VJP ``y * (g - sum(g * y))``."""
     a = _wrap(a)
-    return exp(sub(a, reshape(logsumexp(a, axis=-1), a.shape[:-1] + (1,))))
+    m = np.max(a.data, axis=-1, keepdims=True)
+    y = np.exp(a.data - (np.log(np.sum(np.exp(a.data - m), axis=-1, keepdims=True)) + m))
+    return _node(y, (a,), lambda g: (y * (g - np.sum(g * y, axis=-1, keepdims=True)),))
 
 
 def concat(parts: Sequence, axis: int = -1) -> Tensor:

@@ -365,10 +365,23 @@ class Dataset:
 
 
 def write_dataset(out_dir: str, dataset: Dataset) -> None:
+    """Write the dataset's six files to ``out_dir``, ``meta.json`` last.
+
+    ``meta.json`` marks a whole dataset: any old one is removed before the
+    first file is written, so a write that fails part-way leaves none, and
+    ``load_dataset``, which reads it first, refuses the mixed directory.
+    """
+    meta_path = os.path.join(out_dir, "meta.json")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise CorpusError(f"{out_dir}: {err.strerror}") from err
+    try:
+        os.remove(meta_path)
+    except FileNotFoundError:
+        pass
+    except OSError as err:
+        raise CorpusError(f"{meta_path}: {err.strerror}") from err
     save_lexicon(os.path.join(out_dir, "lexicon.jsonl"), dataset.lexicon)
     save_pairs(os.path.join(out_dir, "train.jsonl"), dataset.split.train)
     save_pairs(os.path.join(out_dir, "validation.jsonl"), dataset.split.validation)
@@ -383,10 +396,13 @@ def write_dataset(out_dir: str, dataset: Dataset) -> None:
             "test": len(dataset.split.test),
         },
     }
-    write_text(os.path.join(out_dir, "meta.json"), (json.dumps(meta, indent=2), "\n"))
+    write_text(meta_path, (json.dumps(meta, indent=2), "\n"))
 
 
 def load_dataset(data_dir: str) -> Dataset:
+    """Read a dataset that ``write_dataset`` wrote, ``meta.json`` first: without it the set is not whole."""
+    meta_path = os.path.join(data_dir, "meta.json")
+    meta = read_json(meta_path)
     lexicon = load_lexicon(os.path.join(data_dir, "lexicon.jsonl"))
     vocab_path = os.path.join(data_dir, "vocab.json")
     tokens = read_json(vocab_path).get("tokens")
@@ -396,8 +412,6 @@ def load_dataset(data_dir: str) -> Dataset:
         vocab = Vocabulary(tokens)
     except CorpusError as err:
         raise CorpusError(f"{vocab_path}: {err}") from err
-    meta_path = os.path.join(data_dir, "meta.json")
-    meta = read_json(meta_path)
     annotated, seed = meta.get("annotated_ids", []), meta.get("seed", 0)
     if not (isinstance(annotated, list) and all(isinstance(i, str) for i in annotated)):
         raise CorpusError(f"{meta_path}: 'annotated_ids' must be a list of strings")

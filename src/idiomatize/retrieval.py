@@ -30,6 +30,7 @@ from .numerics import (
     fit,
     gru_pool,
     gru_project,
+    instance_sum,
     neg,
     reshape,
     softplus,
@@ -277,7 +278,8 @@ def train_retrieval(
         return instances
 
     losses, val_acc = fit(
-        model.store, rng, draw, lambda inst: _bce_loss(model, *inst), lambda: adam_step(model.store, lr),
+        model.store, rng, draw, instance_sum(lambda inst: _bce_loss(model, *inst)),
+        lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
         evaluate=(lambda: evaluate_retrieval(model, validation, lexicon, key_mode)) if validation else None,
         after_epoch=lambda acc: stop_at_accuracy is not None and acc is not None and acc >= stop_at_accuracy,

@@ -9,9 +9,11 @@ and ``reference_extractor_loss``, earlier forms of the package's own CRF
 code on its own tape, kept to check the current forms' values and
 gradients; ``reference_tokenize``, the package's earlier character
 scanner, which rejects reserved tokens through the package's own rule;
-and ``reference_generator_beam`` and ``reference_transform``, which run
+``reference_generator_beam`` and ``reference_transform``, which run
 the reference beam and retrieval rules over the package's own models, so
-that ``transform`` is checked against its stages composed the slow way.
+that ``transform`` is checked against its stages composed the slow way;
+and ``reference_teacher_forced_pass``, the package's earlier per-instance
+teacher forcing on its own decoder step, kept to check the batched pass.
 """
 
 from __future__ import annotations
@@ -252,6 +254,12 @@ def reference_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def reference_sigmoid_where(x):
+    """The stable logistic as ``np.where(x >= 0, 1, e) / (1 + e)``, e = exp(-|x|): one select, one division."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def reference_matmul(a, b):
     """``a @ b`` for the 1-D and 2-D combinations numpy allows, and its gradient rules.
 
@@ -433,6 +441,38 @@ def reference_generator_beam(model, inp, beam, max_len):
         return state, dist.probs[0], infer_label(dist)[0]
 
     return reference_beam_decode(step, decode_init(model, ctx), ctx.tokens, SEP, EOS, beam, max_len)
+
+
+def reference_teacher_forced_pass(model, inp, reference):
+    """Teacher forcing of one instance on the tape, one [1,·] row per step over a context of its own:
+    (summed NLL, steps, steps whose most probable token is the one their target's indices emit).
+
+    The per-instance pass that training ran before it teacher-forced each minibatch as one batch
+    context; ``teacher_forced_batch`` of a minibatch must give the sum of these.
+    """
+    from idiomatize.corpus import EOS, SEP
+    from idiomatize.generator import (
+        _target_indices, decode_context, decode_init, decode_step, encode_input, step_distribution,
+    )
+    from idiomatize.numerics import concat, logsumexp
+
+    if not reference:
+        raise ValueError("empty reference")
+    ctx = decode_context(model, inp, encode_input(model, inp))
+    state, y_prev, l_prev = decode_init(model, ctx), SEP, 0
+    loss = None
+    steps = correct = 0
+    for target in list(reference) + [EOS]:
+        state = decode_step(model, ctx, state, [y_prev], np.array([l_prev]))
+        idxs, emitted = _target_indices(model.vocab, ctx, target)
+        all_scores = concat([state.copy_scores, state.gen_scores])[0]
+        step_nll = logsumexp(all_scores) - logsumexp(all_scores[idxs])
+        loss = step_nll if loss is None else loss + step_nll
+        steps += 1
+        probs = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data).probs[0]
+        correct += ctx.tokens[int(np.argmax(probs))] == emitted
+        y_prev, l_prev = target, 1 if (model.guided and target in ctx.positions) else 0
+    return loss, steps, correct
 
 
 RETRIEVAL_TIE_TOLERANCE = 1e-12

@@ -630,6 +630,22 @@ def test_output_error_names_its_path(demo_files, tmp_path, capsys, target):
     assert [p.name for p in tmp_path.rglob("*.tmp")] == []
 
 
+def test_failed_ingest_over_a_dataset_leaves_no_loadable_mix(demo_files, tmp_path, capsys):
+    # ingest over a whole dataset fails at vocab.json after rewriting lexicon.jsonl and the splits;
+    # the old meta.json is gone, so train refuses the directory instead of reading old and new files.
+    out = tmp_path / "ds"
+    shutil.copytree(demo_files["dataset"], out)
+    (out / "vocab.json").unlink()
+    (out / "vocab.json").mkdir()
+    argv = ["--quiet", "ingest", "--lexicon", demo_files["lexicon"], "--pairs", demo_files["pairs"], "--out", str(out)]
+    assert cli.main(argv) == 2
+    capsys.readouterr()
+    model = str(tmp_path / "extractor.json")
+    assert cli.main(["--quiet", "train", "extractor", "--data", str(out), "--out", model]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out / 'meta.json'}: ")
+    assert not os.path.exists(model)
+
+
 # -------------------------------------------------------------- evaluate
 
 def test_evaluate_prints_report(config_file, demo_files, ckpt_dir, capsys):

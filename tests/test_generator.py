@@ -38,7 +38,7 @@ from idiomatize.generator import (
     selective_read,
     step_distribution,
     teacher_forced_accuracy,
-    teacher_forced_pass,
+    teacher_forced_batch,
 )
 from idiomatize.numerics import ParamStore, Tensor, grad_check, tsum
 from idiomatize.rng import Rng
@@ -49,6 +49,7 @@ from oracles import (
     reference_selective_read,
     reference_step_distribution,
     reference_target_indices,
+    reference_teacher_forced_pass,
 )
 
 words = st.text(alphabet="abcdefg", min_size=1, max_size=4)
@@ -552,9 +553,116 @@ def test_teacher_forced_accuracy_equals_the_tape_pass_count(tiny_vocab, seed, gu
         tokens = data.draw(st.lists(st.sampled_from(("the", "cat", "dog", "zzz", SEP)), min_size=1, max_size=6))
         reference = data.draw(st.lists(st.sampled_from(tuple(tokens) + ("fox", "www")), min_size=1, max_size=6))
         examples.append((GeneratorInput(tuple(tokens), (1,) * len(tokens)), tuple(reference)))
-    passes = [teacher_forced_pass(model, inp, reference) for inp, reference in examples]
+    passes = [reference_teacher_forced_pass(model, inp, reference) for inp, reference in examples]
     expect = sum(correct for _, _, correct in passes) / sum(steps for _, steps, _ in passes)
     assert teacher_forced_accuracy(model, examples) == expect
+
+
+def _tiny_batch(data, size):
+    """``size`` instances with ragged inputs and references: inputs repeat tokens and hold
+    out-of-vocabulary ones ("zzz", "qqq") and <sep>; references draw from the input, from the
+    vocabulary only ("fox") and from neither ("www", which takes the <unk> route)."""
+    batch = []
+    for _ in range(size):
+        tokens = data.draw(st.lists(st.sampled_from(("the", "cat", "dog", "zzz", "qqq", SEP)), min_size=1, max_size=7))
+        indicators = data.draw(st.lists(st.integers(0, 1), min_size=len(tokens), max_size=len(tokens)))
+        reference = data.draw(st.lists(st.sampled_from(tuple(tokens) + ("fox", "www")), min_size=1, max_size=7))
+        batch.append((GeneratorInput(tuple(tokens), tuple(indicators)), tuple(reference)))
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16), st.booleans(), st.sampled_from([1.0, 4.0]), st.data())
+def test_teacher_forced_batch_equals_the_per_instance_oracle(tiny_vocab, seed, guided, gain, data):
+    model = GeneratorModel(tiny_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, guided=guided, seed=seed)
+    for t in model.store.params.values():
+        t.data *= gain
+    batch = _tiny_batch(data, data.draw(st.integers(1, 6)))
+    model.store.zero_grads()
+    loss, steps, correct = teacher_forced_batch(model, batch)
+    loss.backward()
+    grads = {name: t.grad.copy() for name, t in model.store.items()}
+    model.store.zero_grads()
+    passes = [reference_teacher_forced_pass(model, inp, reference) for inp, reference in batch]
+    want = passes[0][0]
+    for value, _, _ in passes[1:]:
+        want = want + value
+    want.backward()
+    assert abs(loss.item() - want.item()) <= 1e-12 * abs(want.item())
+    for name, t in model.store.items():
+        assert np.all(np.abs(grads[name] - t.grad) <= 1e-10 * np.maximum(1.0, np.abs(t.grad))), name
+    assert (steps, correct) == (sum(p[1] for p in passes), sum(p[2] for p in passes))
+
+
+def test_batch_context_rows_equal_their_own_contexts(gen_model):
+    # Ragged inputs with repeated, out-of-vocabulary ("zzz", "qqq") and absent tokens: row b of a
+    # batch context holds input b's own mapping and first state bit for bit, and its step and
+    # distribution match input b's own within rounding, with nothing past its own vocabulary.
+    inputs = [
+        GeneratorInput(("the", "zzz", "the", SEP, "cat"), (1, 0, 1, 0, 1)),
+        GeneratorInput(("qqq",), (1,)),
+        GeneratorInput(("dog", "zzz", "qqq"), (0, 1, 1)),
+    ]
+    batch = decode_context(gen_model, inputs, [encode_input(gen_model, inp) for inp in inputs])
+    own = [decode_context(gen_model, inp, encode_input(gen_model, inp)) for inp in inputs]
+    y_prev, l_prev = ["the", "qqq", "fox"], np.array([1, 1, 0])
+    first = decode_init(gen_model, batch)
+    step = decode_step(gen_model, batch, DecodeState(first.hidden, Tensor(np.ones((3, 5)))), y_prev, l_prev)
+    dist = step_distribution(batch, step.copy_scores.data, step.gen_scores.data)
+    # The batch context over scan_input's arrays runs the same step on plain arrays, bit for bit.
+    arrays = decode_context(gen_model, inputs, [scan_input(gen_model, inp) for inp in inputs])
+    array_step = decode_step(gen_model, arrays, DecodeState(decode_init(gen_model, arrays).hidden, np.ones((3, 5))),
+                             y_prev, l_prev)
+    for got, want in zip((array_step.hidden, array_step.copy_scores, array_step.gen_scores),
+                         (step.hidden, step.copy_scores, step.gen_scores)):
+        assert isinstance(got, np.ndarray) and _bits(got) == _bits(want.data)
+    for b, ctx in enumerate(own):
+        n = len(ctx.slots)
+        assert (batch.tokens[b], batch.positions[b]) == (ctx.tokens, ctx.positions)
+        assert batch.slots[b, :n].tolist() == ctx.slots.tolist() and not batch.slots[b, n:].any()
+        assert np.all(batch.mask[b, :n] == 0.0) and np.all(batch.mask[b, n:] == -np.inf)
+        state = decode_init(gen_model, ctx)
+        assert _bits(first.hidden.data[b]) == _bits(state.hidden.data[0])
+        state = decode_step(gen_model, ctx, DecodeState(state.hidden, Tensor(np.ones((1, n)))), y_prev[b : b + 1], l_prev[b : b + 1])
+        for got, want in ((step.hidden, state.hidden), (step.gen_scores, state.gen_scores)):
+            assert np.allclose(got.data[b], want.data[0], rtol=1e-12, atol=1e-15)
+        assert np.allclose(step.copy_scores.data[b, :n], state.copy_scores.data[0], rtol=1e-12, atol=1e-15)
+        probs = step_distribution(ctx, state.copy_scores.data, state.gen_scores.data).probs[0]
+        assert np.allclose(dist.probs[b, : len(probs)], probs, rtol=1e-12, atol=0) and not dist.probs[b, len(probs) :].any()
+
+
+def test_teacher_forced_batch_gradcheck(gen_model):
+    # Three instances whose inputs (5, 2 and 3 tokens) and references (4, 1 and 2 tokens) differ in
+    # length, so rows leave the batch at different steps and every memory but the longest is padded.
+    # The checked parameters are read by every row: the label embedding and the decoder's candidate
+    # bias at every step, the first state's bias, and the encoders' candidate biases through every
+    # memory state.  Their entries' gradients are large enough for central differences at eps 1e-5;
+    # entries whose terms cancel to near zero sit below their rounding noise, and the oracle test
+    # above checks those at 1e-10.
+    batch = [
+        (GeneratorInput(("go", "now", "go", "zzz", SEP), (1, 1, 0, 1, 0)), ("go", "the", "zzz", "www")),
+        (GeneratorInput(("cat", "go"), (0, 1)), ("go",)),
+        (GeneratorInput(("the", "the", "dog"), (1, 1, 1)), ("dog", "the")),
+    ]
+    steps = sum(len(reference) + 1 for _, reference in batch)
+    store = ParamStore()
+    for name in ("label_emb", "decoder.b_h", "decoder_init.bias", "encoder.fwd.b_h", "encoder.bwd.b_h"):
+        store.params[name] = gen_model.store[name]
+
+    def loss(_store):
+        return teacher_forced_batch(gen_model, batch)[0] * (1.0 / steps)
+
+    assert grad_check(loss, store, eps=1e-5) <= 1e-6  # test_numerics.OP_TOLERANCE
+    gen_model.store.clear_grads()
+
+
+def test_teacher_forced_batch_rejects_references_out_of_order(gen_model):
+    inp = _demo_input()
+    ctx = decode_context(gen_model, [inp, inp], [encode_input(gen_model, inp)] * 2)
+    with pytest.raises(ValueError, match="longest first"):
+        next(generator._teacher_forced(gen_model, ctx, [("the",), ("the", "cat")]))
+    with pytest.raises(ValueError, match="empty reference"):
+        teacher_forced_batch(gen_model, [(inp, ("the",)), (inp, ())])
 
 
 def test_teacher_forced_accuracy_rejects_an_empty_reference(gen_model):
@@ -600,7 +708,7 @@ def test_guided_model_uses_label_channel(gen_model):
 def test_teacher_forced_loss_matches_step_distributions(gen_model):
     inp = _demo_input()
     reference = ("the", "cat", "ran", "fast")
-    loss = teacher_forced_pass(gen_model, inp, reference)[0].item()
+    loss = teacher_forced_batch(gen_model, [(inp, reference)])[0].item()
     ctx = decode_context(gen_model, inp, encode_input(gen_model, inp))
     state = decode_init(gen_model, ctx)
     manual = 0.0
@@ -616,7 +724,7 @@ def test_teacher_forced_loss_matches_step_distributions(gen_model):
 
 def test_teacher_forced_loss_empty_reference(gen_model):
     with pytest.raises(ValueError):
-        teacher_forced_pass(gen_model, _demo_input(), ())
+        teacher_forced_batch(gen_model, [(_demo_input(), ())])
 
 
 def test_teacher_forced_accuracy_bounds(gen_model):
@@ -840,7 +948,7 @@ def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
         (build_generator_input(("ran",), ("the", "cat", "sat"), (2, 3), guided=True), ("the", "cat", "ran")),
     ]
     history = train_generator(model, data, epochs=1, batch_size=2, lr=0.0)
-    per_instance = [teacher_forced_pass(model, inp, ref)[0].item() for inp, ref in data]
+    per_instance = [reference_teacher_forced_pass(model, inp, ref)[0].item() for inp, ref in data]
     assert abs(history["epoch_losses"][0] - sum(per_instance) / len(data)) <= 1e-12
 
 

@@ -24,7 +24,6 @@ from idiomatize.numerics import (
     bigru_encode,
     bigru_scan,
     concat,
-    exp,
     fit,
     getitem,
     global_grad_norm,
@@ -55,6 +54,7 @@ from oracles import (
     reference_matmul,
     reference_param_init,
     reference_sigmoid,
+    reference_sigmoid_where,
     reference_softmax,
 )
 
@@ -190,6 +190,15 @@ def test_param_store_init_draws_the_scalar_stream_between_other_draws():
     assert rng.next_u64() == ref_rng.next_u64()
 
 
+def test_sigmoid_equals_the_select_form_bit_for_bit():
+    # The select-then-divide form it replaced, on every edge: signed zeros, infinities, NaN, the
+    # smallest subnormals, exp's underflow edge and the largest magnitudes.
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 745.2, -745.2, 1e308, -1e308])
+    rng = Rng(5)
+    for x in (edges, rng.uniforms(223 * 64, -40.0, 40.0).reshape(223, 64), np.array(0.5), np.array(-3.0)):
+        assert np.asarray(_sigmoid_np(x)).tobytes() == np.asarray(reference_sigmoid_where(x)).tobytes()
+
+
 def test_sigmoid_equals_the_two_division_form_bit_for_bit():
     edges = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, np.nan, 5e-324, -5e-324, 36.7, -745.2])
     rng = Rng(4)
@@ -204,6 +213,28 @@ def test_softmax_matches_reference():
     values = [0.3, -1.2, 2.5, 0.0]
     out = softmax(Tensor(values))
     assert np.allclose(out.data, reference_softmax(values), atol=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=9), st.integers(0, 2**32))
+def test_softmax_node_equals_the_composed_ops(rows, width, seed):
+    # One node in place of logsumexp, reshape, sub and exp: the same value bit for bit, and the
+    # gradient within 1e-12; entries masked to -inf (all but the first of a row may be) get
+    # exactly zero weight and zero gradient.
+    rng = np.random.default_rng(seed)
+    data = rng.normal(scale=3.0, size=(rows, width))
+    data[:, 1:][rng.random((rows, width - 1)) < 0.3] = -np.inf
+    coeffs = Tensor(rng.normal(size=(rows, width)))
+    composed = lambda a: _exp_node(a - reshape(logsumexp(a, axis=-1), (rows, 1)))
+    grads = []
+    for fn in (softmax, composed):
+        a = Tensor(data, requires_grad=True)
+        out = fn(a)
+        tsum(out * coeffs).backward()
+        grads.append((out.data, a.grad))
+    (value, grad), (want_value, want_grad) = grads
+    assert value.tobytes() == want_value.tobytes()
+    assert np.all(value[np.isinf(data)] == 0.0) and np.all(grad[np.isinf(data)] == 0.0)
+    assert np.allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
 def test_softmax_extreme_scores_no_overflow():
@@ -279,6 +310,12 @@ def test_unbroadcast_sums_gradients():
 # --- op-level gradient checks -------------------------------------------
 
 
+def _exp_node(a: Tensor) -> Tensor:
+    """``exp(a)`` as a test-local tape node."""
+    data = np.exp(a.data)
+    return _node(data, (a,), lambda g: (g * data,))
+
+
 def _log_node(a: Tensor) -> Tensor:
     """``log(a)`` as a test-local tape node: NaN below zero."""
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
@@ -308,12 +345,12 @@ OP_CASES = {
     "mul_broadcast": (lambda a, b: tsum(a * b), [(2, 3), (3,)]),
     "neg": (lambda a: tsum(-a), [(4,)]),
     "tanh": (lambda a: tsum(tanh(a)), [(7,)]),
-    "exp": (lambda a: tsum(exp(a)), [(5,)]),
     "softplus": (lambda a: tsum(softplus(a * 3.0)), [(6,)]),
     "logsumexp_flat": (lambda a: logsumexp(a), [(8,)]),
     "logsumexp_axis0": (lambda a: tsum(logsumexp(a, axis=0)), [(3, 4)]),
     "logsumexp_axis1": (lambda a: tsum(logsumexp(a, axis=1)), [(3, 4)]),
     "matvec": (lambda w, x: _projected(matvec(w, x), ROW_COEFFS), [(4, 5), (3, 5)]),
+    "matvec_per_row": (lambda w, x: _projected(matvec(w, x), ROW_COEFFS), [(3, 4, 5), (3, 5)]),
     "vecmat": (lambda x, w: _projected(vecmat(x, w), ROW_COEFFS), [(3, 5), (5, 4)]),
     "vecmat_per_row": (lambda x, w: _projected(vecmat(x, w), ROW_COEFFS), [(3, 5), (3, 5, 4)]),
     "softmax_proj": (lambda a: _projected(softmax(a), [1.0, -2.0, 0.5, 3.0]), [(4,)]),
@@ -469,6 +506,9 @@ CONSTANT_OPERAND_CASES = {
     "vecmat_one_column": (vecmat, [(1, 3), (3, 1)], lambda x, y: (y.T, x.T)),
     "vecmat_per_row": (
         vecmat, [(2, 3), (2, 3, 4)], lambda x, y: (y.sum(axis=2), np.broadcast_to(x[:, :, None], (2, 3, 4)))
+    ),
+    "matvec_per_row": (
+        matvec, [(2, 4, 3), (2, 3)], lambda x, y: (np.broadcast_to(y[:, None, :], (2, 4, 3)), x.sum(axis=1))
     ),
     "concat": (lambda x, y: concat([x, y]), [(2,), (3,)], lambda x, y: (np.ones(2), np.ones(3))),
 }
@@ -790,7 +830,7 @@ def test_gru_recurrences_use_row_products_only():
 
 def _composed_step(cell: GruCell, h: Tensor, x: Tensor) -> Tensor:
     """The step built from separate tape ops on rows, with sigmoid(a) = exp(-softplus(-a))."""
-    sig = lambda a: exp(-softplus(-a))
+    sig = lambda a: _exp_node(-softplus(-a))
     z = sig(matvec(cell.w_z, x) + matvec(cell.u_z, h) + cell.b_z)
     r = sig(matvec(cell.w_r, x) + matvec(cell.u_r, h) + cell.b_r)
     cand = tanh(matvec(cell.w_h, x) + matvec(cell.u_h, r * h) + cell.b_h)
@@ -910,7 +950,7 @@ def test_vecmat_rows_equal_their_1d_products(batch, width, out, form, seed):
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
 def test_row_products_track_each_row_as_its_1d_product(batch, seed):
-    # matvec, vecmat and per-row vecmat against the 1-D matmul on each row.
+    # matvec, vecmat and their per-row forms against the 1-D matmul on each row.
     store = ParamStore()
     rng = Rng(seed)
     w = store.add("w", (4, 5), rng, scale=1.0)
@@ -922,6 +962,7 @@ def test_row_products_track_each_row_as_its_1d_product(batch, seed):
         (lambda: matvec(w, x), lambda b: _matmul_1d(w, x[b]), c4, ("x",), ("w",)),
         (lambda: vecmat(y, w), lambda b: _matmul_1d(y[b], w), c5, ("y",), ("w",)),
         (lambda: vecmat(y, per_row), lambda b: _matmul_1d(y[b], per_row[b]), c5, ("y", "per_row"), ()),
+        (lambda: matvec(per_row, x), lambda b: _matmul_1d(per_row[b], x[b]), c4, ("x", "per_row"), ()),
     )
     for rows_fn, one_fn, c, per_row_names, shared_names in cases:
         rows = _grads(store, tsum(rows_fn() * c))
