@@ -1,9 +1,10 @@
 """Finite-difference gradient checks for each trained component.
 
 Each check builds a deliberately tiny model (hidden size 8, a
-20-entry vocabulary, one 5-token instance) at its seeded
-initialization and compares analytic gradients of a mean-normalized
-training loss against central differences.
+20-entry vocabulary, a batch of two instances of different lengths, as
+training batches them) at its seeded initialization and compares
+analytic gradients of a mean-normalized training loss against central
+differences.
 
 Numerical fine print: the reported error divides |analytic - numeric|
 by max(|analytic|, |numeric|, 1e-8), so for weakly-coupled parameter
@@ -24,7 +25,7 @@ from .corpus import RESERVED, Vocabulary
 from .extractor import ExtractorModel, extractor_loss
 from .generator import GeneratorModel, build_generator_input, teacher_forced_batch
 from .numerics import grad_check
-from .retrieval import RetrievalModel, _bce_loss
+from .retrieval import RetrievalModel, bce_loss
 
 CHECK_EPS = 1e-3
 
@@ -38,29 +39,30 @@ def _toy_vocab() -> Vocabulary:
 
 
 def gradcheck_retrieval(seed: int = 0) -> float:
-    """Worst relative gradient error of the retrieval BCE loss."""
+    """Worst relative gradient error of the mean retrieval BCE loss of a two-instance batch, a
+    positive and a negative key of different lengths."""
     model = RetrievalModel(_toy_vocab(), embed_dim=8, hidden=8, seed=seed)
     sentence = ("the", "cat", "sat", "on", "mat")
-    pos_key = ("a", "dog", "ran")
-    neg_key = ("very", "fast")
+    batch = [(sentence, ("a", "dog", "ran"), 1), (sentence, ("very", "fast"), 0)]
 
     def loss_fn(_store):
-        pos = _bce_loss(model, sentence, pos_key, 1)
-        neg = _bce_loss(model, sentence, neg_key, 0)
-        return (pos + neg) * 0.5
+        return bce_loss(model, batch) * (1.0 / len(batch))
 
     return grad_check(loss_fn, model.store, eps=CHECK_EPS)
 
 
 def gradcheck_extractor(seed: int = 0) -> float:
-    """Worst relative gradient error of the CRF NLL + marginal CE loss."""
+    """Worst relative gradient error of the CRF NLL + marginal CE loss, per sentence token, of a
+    two-instance batch whose sentences and definitions differ in length."""
     model = ExtractorModel(_toy_vocab(), embed_dim=8, hidden=8, seed=seed)
-    sentence = ("the", "cat", "sat", "on", "mat")
-    definition = ("a", "dog", "ran")
-    gold = [2, 0, 1, 1, 2]  # O B I I O
+    batch = [
+        (("the", "cat", "sat", "on", "mat"), ("a", "dog", "ran"), [2, 0, 1, 1, 2]),  # O B I I O
+        (("big", "red", "fox"), ("slow",), [0, 2, 2]),  # B O O
+    ]
+    tokens = sum(len(sentence) for sentence, _, _ in batch)
 
     def loss_fn(_store):
-        return extractor_loss(model, sentence, definition, gold) * (1.0 / len(sentence))
+        return extractor_loss(model, batch) * (1.0 / tokens)
 
     return grad_check(loss_fn, model.store, eps=CHECK_EPS)
 

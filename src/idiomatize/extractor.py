@@ -8,6 +8,8 @@ B and I, 0.04 for O) so the rare span labels are not drowned out.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -21,7 +23,6 @@ from .numerics import (
     adam_step,
     concat,
     fit,
-    instance_sum,
     logsumexp,
     reshape,
     tsum,
@@ -46,11 +47,13 @@ class ExtractorModel(PairEncoderModel):
         self.end = self.store.add("crf.end", (3,), rng)
 
 
-def unary_scores(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str]) -> Tensor:
-    """(n, 3) label scores for the n sentence positions."""
-    if not sentence:
+def unary_scores(model: ExtractorModel, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
+    """The (n, 3) label scores for the n sentence positions of each (sentence, definition) pair, from
+    one encoder node over the pairs."""
+    if not all(sentence for sentence, _ in pairs):
         raise ValueError("empty sentence")
-    return vecmat(model.encode_pair(sentence, definition)[: len(sentence)], model.unary_w) + model.unary_b
+    return [vecmat(states[: len(sentence)], model.unary_w) + model.unary_b
+            for states, (sentence, _) in zip(model.encode_pairs(pairs), pairs)]
 
 
 def _crf_alphas(unary: Tensor, transitions: Tensor, start: Tensor) -> list[Tensor]:
@@ -155,14 +158,23 @@ def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     return SpanPrediction(span=repair_labels(path, unary), score=score)
 
 
-def extractor_loss(model: ExtractorModel, sentence: Sequence[str], definition: Sequence[str], gold: Sequence[int]) -> Tensor:
-    """CRF NLL plus weighted marginal cross-entropy, summed over tokens, from one forward-backward pass."""
-    unary = unary_scores(model, sentence, definition)
+def crf_loss(model: ExtractorModel, unary: Tensor, gold: Sequence[int]) -> Tensor:
+    """CRF NLL plus weighted marginal cross-entropy of one sentence's unary scores, summed over tokens,
+    from one forward-backward pass."""
     log_marg, log_z = crf_log_marginals(unary, model.transitions, model.start, model.end)
     nll = log_z - crf_path_score(unary, model.transitions, model.start, model.end, gold)
     picked = log_marg[range(len(gold)), gold]
     weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
     return nll - tsum(picked * weights)
+
+
+def extractor_loss(
+    model: ExtractorModel, batch: Sequence[tuple[Sequence[str], Sequence[str], Sequence[int]]]
+) -> Tensor:
+    """``crf_loss`` of each (sentence, definition, gold labels) instance of a minibatch, added in batch
+    order, over one encoder node for the minibatch."""
+    unary = unary_scores(model, [(sentence, definition) for sentence, definition, _ in batch])
+    return functools.reduce(operator.add, (crf_loss(model, u, gold) for u, (_, _, gold) in zip(unary, batch)))
 
 
 def validation_span_f1(model: ExtractorModel, pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> float:
@@ -193,7 +205,7 @@ def train_extractor(
         raise ValueError("no trainable pairs")
     val = [pair for pair, _ in resolve_pairs(validation, lexicon)]
     losses, val_f1s = fit(
-        model.store, Rng(seed), lambda: instances, instance_sum(lambda inst: extractor_loss(model, *inst)),
+        model.store, Rng(seed), lambda: instances, lambda batch: extractor_loss(model, batch),
         lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
         evaluate=(lambda: validation_span_f1(model, val, lexicon)) if validation else None,

@@ -153,10 +153,18 @@ class GeneratorModel:
         }
 
 
-def encode_input(model: GeneratorModel, inp: GeneratorInput) -> Tensor:
-    """(n, hidden) memory matrix of BiGRU states, on the tape."""
-    xs = concat([model.word_emb[model.vocab.encode_all(inp.tokens)], model.copy_emb[list(inp.indicators)]])
-    return bigru_encode(model.enc_fwd, model.enc_bwd, [xs[t : t + 1] for t in range(len(inp.tokens))])
+def encode_input(
+    model: GeneratorModel, inp: GeneratorInput | Sequence[GeneratorInput]
+) -> Tensor | list[Tensor]:
+    """The (n, hidden) memory matrix of BiGRU states of one input, on the tape, or of each input of a
+    sequence, from one ``bigru_encode`` node over them all."""
+    inputs = [inp] if isinstance(inp, GeneratorInput) else list(inp)
+    rows = [concat([model.word_emb[model.vocab.encode_all(i.tokens)], model.copy_emb[list(i.indicators)]])
+            for i in inputs]
+    states = bigru_encode(model.enc_fwd, model.enc_bwd, rows)
+    starts = np.cumsum([0] + [len(i.tokens) for i in inputs])
+    memories = [states[start:end] for start, end in zip(starts[:-1], starts[1:])]
+    return memories[0] if isinstance(inp, GeneratorInput) else memories
 
 
 def scan_input(model: GeneratorModel, inp: GeneratorInput) -> np.ndarray:
@@ -479,7 +487,7 @@ def teacher_forced_batch(
     """
     ordered = sorted(examples, key=lambda example: -len(example[1]))  # stable: ties keep batch order
     inputs = [inp for inp, _ in ordered]
-    ctx = decode_context(model, inputs, [encode_input(model, inp) for inp in inputs])
+    ctx = decode_context(model, inputs, encode_input(model, inputs))
     copy_scores, gen_scores, masks, routes = [], [], [], []
     correct = 0
     for step_ctx, state, step_routes in _teacher_forced(model, ctx, [reference for _, reference in ordered]):

@@ -122,18 +122,193 @@ def _gate_terms(d: np.ndarray, w: Tensor, x: np.ndarray, u_in: np.ndarray, d_h: 
     return d.sum(axis=0), _row_outer(d, x), np.vecmat(d, w.data), _row_outer(d, u_in), d_h
 
 
+def tape_walk(length: int) -> np.ndarray:
+    """The positions of a ``length``-token input in the order in which the per-token tape's backward
+    walk reached their input rows: T-2, T-3, ..., 0, then T-1.  A caller that gathers one input's
+    rows from a table in this order has ``np.add.at`` add their gradients in that order too."""
+    return np.array([*range(length - 2, -1, -1), length - 1], dtype=np.intp)
+
+
+class _RaggedBatch:
+    """Index arrays laying out B inputs of ragged lengths, their N rows stacked input after input,
+    for both directions' live-row recurrences.
+
+    The recurrence rows are the inputs longest first (ties in batch order), so the ``live[s]`` rows
+    still running at step s are a prefix.  ``rows[d][s, j]`` is the stacked row that direction d (0 forward, 1
+    backward) reads at step s of row j: position s forward, position T-1-s backward, and N, a zero
+    padding row, once the row has stopped.  ``walk_steps`` and ``walk_rows`` list every live (step,
+    row) pair input by input in batch order, each input's last step first: the order in which
+    ``Tensor.backward`` reached the per-token steps of each cell.
+    """
+
+    def __init__(self, lengths: Sequence[int]):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)])
+        order = np.argsort(-lengths, kind="stable")
+        s = np.arange(lengths.max())[:, None]
+        self.live = [int(n) for n in (lengths > s).sum(axis=1)]
+        length, start = lengths[order], self.offsets[:-1][order]
+        self.rows = tuple(np.where(s < length, start + pos, self.offsets[-1]) for pos in (s, length - 1 - s))
+        self.walk_steps = np.concatenate([np.arange(n - 1, -1, -1) for n in lengths])
+        self.walk_rows = np.repeat(np.argsort(order), lengths)
+
+
+def _add_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` over the first axis, added left to right, as ``Tensor.backward``
+    adds one term after another, bit for bit.
+
+    ``np.add.reduce`` over the first axis adds whole slices one after another, except when a slice
+    holds one value: then it sums the column pairwise, so that case takes the last running sum."""
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The [J,I] sum of the outer products d[n] x[n]^T over the N rows of ``d`` [N,J] and ``x`` [N,I],
+    added in row order (``_add_in_order``) as ``Tensor.backward`` adds one one-row ``_row_outer``
+    term after another.
+
+    The stacked [N,J,I] products are formed a few rows of J at a time, so that each block stays in
+    cache, by ``np.einsum`` with no summed index: each entry is one product, as in the broadcast
+    ``d[:, :, None] * x[:, None, :]``, only faster.  ``np.einsum`` never forms the sum itself; its
+    reduction order is not the tape's."""
+    out = np.empty((d.shape[1], x.shape[1]))
+    block = max(1, _OUTER_BLOCK // (len(d) * x.shape[1]))
+    for k in range(0, d.shape[1], block):
+        out[k : k + block] = _add_in_order(np.einsum("nj,ni->nji", d[:, k : k + block], x))
+    return out
+
+
+_OUTER_BLOCK = 1 << 16  # values per stacked block of ``_outer_sum``: 512 KiB of float64
+# One cell's parameters in the order ``bigru_encode`` lists them among its parents.
+_CELL_PARAMS = ("b_z", "w_z", "u_z", "b_h", "w_h", "u_h", "b_r", "w_r", "u_r")
+
+
 def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor:
-    """The [T,2H] matrix whose row t is position t's [forward ; backward] state, over T [1,I] inputs."""
+    """The BiGRU states over a minibatch of B inputs as one tape node: the [N,2H] matrix, N the
+    inputs' summed lengths, whose rows hold input 0's positions, then input 1's, and so on; the row
+    of position t of input b, ``inputs[b]`` [T_b,I], is that position's [forward ; backward] state.
+
+    Both directions step their B rows as live-row recurrences through ``_gru_forward``, longest
+    input first (``_RaggedBatch``), so every state equals its one-row ``gru_step`` chain bit for
+    bit.  The VJP is a hand-written backpropagation through time that returns one term per parent
+    (each cell's biases and weights, then each input), and forms every sum in the order in which
+    ``Tensor.backward`` added the terms of the per-token graph, one ``gru_step`` node per position
+    and direction over each input in batch order, so every gradient equals that graph's bit for
+    bit where the node is its cells' only user.  Over one input of length T whose states have one
+    consumer, that order is:
+
+    * a forward state's gradient: its output row's, then the four ``h_prev`` terms of the next step;
+    * a backward state's gradient: the four ``h_prev`` terms of the step at the position before
+      it, then its output row's;
+    * an input row's gradient: the backward cell's z, candidate and r terms, then the forward
+      cell's, except at position T-1, where the forward cell's come first;
+    * a cell parameter's gradient: one term per step, the last step first, input after input.
+
+    Inputs whose rows are gathered from a table reach the table in the order ``tape_walk`` gives.
+    An all-zero output gradient adds nothing, as it stops a ``gru_step`` node.
+    """
+    sizes = {(cell.input_size, cell.hidden_size) for cell in (fwd, bwd)}
+    if len(sizes) != 1:
+        raise ValueError(f"bigru_encode needs two cells of one size (I, H), got {sorted(sizes)}")
+    (in_size, hidden), = sizes
     if not inputs:
-        raise ValueError("bigru_encode needs at least one input, got an empty input sequence")
-    fwd_states, bwd_states = [], []
-    for cell, xs, states in ((fwd, inputs, fwd_states), (bwd, reversed(inputs), bwd_states)):
-        h = zeros((1, cell.hidden_size))
-        for x in xs:
-            h = gru_step(cell, h, x)
-            states.append(h)
-    bwd_states.reverse()
-    return concat([concat([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0)
+        raise ValueError("bigru_encode needs at least one input, got an empty batch")
+    for x in inputs:
+        if x.ndim != 2 or not len(x.data) or x.shape[1] != in_size:
+            raise ValueError(f"bigru_encode needs [T,{in_size}] inputs with T >= 1, got shape {x.shape}")
+    cells = (fwd, bwd)
+    batch = _RaggedBatch([len(x.data) for x in inputs])
+    xs = np.concatenate([x.data for x in inputs] + [np.zeros((1, in_size))])
+    run = _run_directions(cells, xs, batch)
+    states, r = run[0], run[2]
+    steps, rows = batch.walk_steps, batch.walk_rows
+    at = [batch.rows[d][steps, rows] for d in (0, 1)]  # each walk pair's stacked input row, per direction
+    data = np.empty((batch.offsets[-1], 2 * hidden))
+    for d in (0, 1):
+        data[at[d], d * hidden : (d + 1) * hidden] = states[steps + 1, d, rows]
+
+    def vjp(g):
+        if not g.any():
+            return None
+        g = np.concatenate([g, np.zeros((1, 2 * hidden))])
+        gates = _bptt(cells, batch, run, np.stack([g[batch.rows[d], d * hidden : (d + 1) * hidden] for d in (0, 1)], 1))
+        terms, x_terms = [], np.zeros((2, 3) + xs.shape)
+        for d, cell in enumerate(cells):
+            d_z, d_c, d_r = gates[:, steps, d, rows]
+            x, h = xs[at[d]], states[steps, d, rows]
+            rh = r[steps, d, rows] * h
+            terms += (
+                _add_in_order(d_z), _outer_sum(d_z, x), _outer_sum(d_z, h),
+                _add_in_order(d_c), _outer_sum(d_c, x), _outer_sum(d_c, rh),
+                _add_in_order(d_r), _outer_sum(d_r, x), _outer_sum(d_r, h),
+            )
+            for k, (delta, w) in enumerate(((d_z, cell.w_z), (d_c, cell.w_h), (d_r, cell.w_r))):
+                x_terms[d, k, at[d]] = np.vecmat(delta, w.data)
+        (fz, fh, fr), (bz, bh, br) = x_terms
+        dx = bz + bh
+        for term in (br, fz, fh, fr):
+            dx += term
+        last = batch.offsets[1:] - 1
+        tail = fz[last] + fh[last]
+        for term in (fr, bz, bh, br):
+            tail += term[last]
+        dx[last] = tail
+        return (*terms, *np.split(dx[:-1], batch.offsets[1:-1]))
+
+    parents = tuple(getattr(cell, name) for cell in cells for name in _CELL_PARAMS)
+    return _node(data, (*parents, *inputs), vjp)
+
+
+def _run_directions(cells: tuple[GruCell, GruCell], xs: np.ndarray, batch: _RaggedBatch):
+    """Both directions' recurrences over the stacked inputs ``xs`` [N+1,I], as one recurrence of
+    [2,B,H] rows whose rows [d] use cell d's state matrices, stacked as [2,1,H,H] (as ``bigru_scan``
+    stacks them): the states [S+1,2,B,H] (zeros, then the states after each step) and the z, r and
+    candidate values [S,2,B,H] of each step, which the backward reads."""
+    projected = [np.stack(pair, axis=1) for pair in zip(*(
+        [p[rows] for p in gru_project(cell, xs)] for cell, rows in zip(cells, batch.rows)))]
+    (u_f, b_f), (u_b, b_b) = (_state_params(cell) for cell in cells)
+    u = [np.stack(pair)[:, None] for pair in zip(u_f, u_b)]
+    b = [np.stack(pair)[:, None] for pair in zip(b_f, b_b)]
+    shape = projected[0].shape
+    states = np.zeros((shape[0] + 1,) + shape[1:])
+    z, r, cand = (np.zeros(shape) for _ in range(3))
+    for s, n in enumerate(batch.live):
+        z[s, :, :n], r[s, :, :n], cand[s, :, :n], states[s + 1, :, :n] = _gru_forward(
+            states[s, :, :n], [p[s, :, :n] for p in projected], u, b)
+    return states, z, r, cand
+
+
+def _bptt(cells: tuple[GruCell, GruCell], batch: _RaggedBatch, run, out_grad: np.ndarray) -> np.ndarray:
+    """Backpropagation through both directions of ``bigru_encode`` from the output gradients
+    ``out_grad`` [S,2,B,H] laid out as the steps: the z, candidate and r pre-activation gradients
+    [3,S,2,B,H] of every step.  Each state's gradient adds its output row's gradient and the four
+    ``h_prev`` terms of the step after it in ``gru_step``'s parent order: the output's first in
+    the forward direction and last in the backward one."""
+    states, z, r, cand = run
+    u_z, u_h, u_r = (np.stack([getattr(cell, name).data for cell in cells])[:, None] for name in ("u_z", "u_h", "u_r"))
+    gates = np.zeros((3,) + z.shape)
+    carry = ()  # the four h_prev terms of the step after
+    for s in reversed(range(len(batch.live))):
+        n = batch.live[s]
+        g = out_grad[s, :, :n].copy()
+        if carry:
+            m = carry[0].shape[1]
+            for term in carry:
+                g[0, :m] += term[0]
+            acc = carry[0][1] + carry[1][1]
+            for term in (carry[2][1], carry[3][1], g[1, :m]):
+                acc += term
+            g[1, :m] = acc
+        zs, rs, cs, h = z[s, :, :n], r[s, :, :n], cand[s, :, :n], states[s, :, :n]
+        d_z = (g * cs - g * h) * zs * (1.0 - zs)
+        d_c = g * zs * (1.0 - cs**2)
+        d_rh = np.vecmat(d_c, u_h)
+        d_r = d_rh * h * rs * (1.0 - rs)
+        gates[:, s, :, :n] = d_z, d_c, d_r
+        carry = (g * (1.0 - zs), np.vecmat(d_z, u_z), d_rh * rs, np.vecmat(d_r, u_r))
+    return gates
 
 
 def bigru_scan(fwd: GruCell, bwd: GruCell, xs: np.ndarray) -> np.ndarray:

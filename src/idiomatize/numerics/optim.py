@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-import operator
 import time
 from typing import Callable, Sequence
 
@@ -115,11 +113,6 @@ def adam_step(store: ParamStore, lr: float) -> float:
     return norm
 
 
-def instance_sum(loss: Callable[..., Tensor]) -> Callable[[list], Tensor]:
-    """A ``batch_loss`` for ``fit``: ``loss`` of each instance in batch order, added left to right."""
-    return lambda batch: functools.reduce(operator.add, map(loss, batch))
-
-
 def fit(
     store: ParamStore,
     rng: Rng,
@@ -140,8 +133,7 @@ def fit(
     Each epoch visits the instances ``draw`` returns (it may consume
     ``rng``) in an order shuffled by ``rng``, and steps once per batch on
     the batch-mean loss: ``batch_loss`` maps the batch's instances, in
-    that order, to their summed loss (``instance_sum`` adds one loss per
-    instance).  ``step`` returns the gradient norm before clipping.
+    that order, to their summed loss.  ``step`` returns the gradient norm before clipping.
     Every ``eval_every`` epochs ``evaluate`` gives the epoch's metric
     (None otherwise).  ``after_epoch(metric)`` returning
     True stops training.  Each epoch logs one INFO line, with the
@@ -168,6 +160,7 @@ def fit(
             mean_loss = batch_loss([instances[i] for i in batch]) * (1.0 / len(batch))
             total += mean_loss.item() * len(batch)
             mean_loss.backward()
+            del mean_loss  # free this batch's graph before the next batch builds its own
             max_norm = max(max_norm, step())
         losses.append(total / len(instances))
         metric = evaluate() if evaluate is not None and (epoch + 1) % eval_every == 0 else None

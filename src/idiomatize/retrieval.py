@@ -12,6 +12,8 @@ sampled negative idioms, resampled every epoch.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,10 +32,10 @@ from .numerics import (
     fit,
     gru_pool,
     gru_project,
-    instance_sum,
     neg,
     reshape,
     softplus,
+    tape_walk,
     tsum,
     vecmat,
 )
@@ -68,12 +70,24 @@ class PairEncoderModel:
     def _pair_ids(self, sentence: Sequence[str], key: Sequence[str]) -> list[int]:
         return self.vocab.encode_all(list(sentence) + [SEP] + list(key))
 
-    def encode_pair(self, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
-        """The [T,2H] BiGRU states over [sentence, <sep>, key], one row per position, on the tape."""
-        return bigru_encode(self.fwd, self.bwd, [self.embedding[i : i + 1] for i in self._pair_ids(sentence, key)])
+    def encode_pairs(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
+        """The [T,2H] BiGRU states over each (sentence, key) pair's [sentence, <sep>, key], one row per
+        position, from one ``bigru_encode`` node over the minibatch.
+
+        The embedding rows are gathered once, each pair's in ``tape_walk`` order, so their gradients
+        reach the embedding in the order the per-token tape added them, and each pair's input is
+        those rows put back in position order."""
+        ids = [np.asarray(self._pair_ids(sentence, key), dtype=np.intp) for sentence, key in pairs]
+        walks = [tape_walk(len(row)) for row in ids]
+        gathered = self.embedding[np.concatenate([row[walk] for row, walk in zip(ids, walks)])]
+        starts = np.cumsum([0] + [len(row) for row in ids])
+        states = bigru_encode(
+            self.fwd, self.bwd, [gathered[start + np.argsort(walk)] for start, walk in zip(starts, walks)])
+        return [states[start:end] for start, end in zip(starts[:-1], starts[1:])]
 
     def scan_pair(self, sentence: Sequence[str], key: Sequence[str]) -> np.ndarray:
-        """``encode_pair``'s states as a plain array, bit for bit, from the tape-free ``bigru_scan``."""
+        """The states ``encode_pairs`` gives one (sentence, key) pair as a plain array, bit for bit, from the
+        tape-free ``bigru_scan``."""
         return bigru_scan(self.fwd, self.bwd, self.embedding.data[self._pair_ids(sentence, key)])
 
 
@@ -87,11 +101,12 @@ class RetrievalModel(PairEncoderModel):
         self.score_b = self.store.add_zeros("score.bias", ())
 
 
-def encode_candidate(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> Tensor:
-    """Sum-pooled BiGRU states over [sentence, <sep>, key]: one [1,2H] row."""
-    if not sentence or not key:
+def encode_candidates(model: RetrievalModel, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
+    """Sum-pooled BiGRU states over each (sentence, key) pair's [sentence, <sep>, key]: one [1,2H] row
+    per pair, from one encoder node."""
+    if not all(sentence and key for sentence, key in pairs):
         raise ValueError("sentence and key must be non-empty")
-    return reshape(tsum(model.encode_pair(sentence, key), axis=0), (1, 2 * model.hidden))
+    return [reshape(tsum(states, axis=0), (1, 2 * model.hidden)) for states in model.encode_pairs(pairs)]
 
 
 def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
@@ -100,7 +115,7 @@ def score(model: RetrievalModel, h_pooled: Tensor) -> Tensor:
 
 
 def score_pair(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str]) -> float:
-    return score(model, encode_candidate(model, sentence, key)).item()
+    return score(model, encode_candidates(model, [(sentence, key)])[0]).item()
 
 
 def entry_key(entry: IdiomEntry, sense_index: int, key_mode: str) -> tuple[str, ...]:
@@ -229,9 +244,13 @@ def evaluate_retrieval(
     return retrieval_accuracy(predicted, [pair.idiom_id for pair in pairs])
 
 
-def _bce_loss(model: RetrievalModel, sentence: Sequence[str], key: Sequence[str], label: int) -> Tensor:
-    r = score(model, encode_candidate(model, sentence, key))
-    return softplus(neg(r)) if label == 1 else softplus(r)
+def bce_loss(model: RetrievalModel, batch: Sequence[tuple[Sequence[str], Sequence[str], int]]) -> Tensor:
+    """The BCE losses of a minibatch of (sentence, key, label) instances, added in batch order: one
+    encoder node for the minibatch, and each instance's own score head."""
+    pooled = encode_candidates(model, [(sentence, key) for sentence, key, _ in batch])
+    scores = [score(model, row) for row in pooled]
+    losses = [softplus(neg(r)) if label == 1 else softplus(r) for r, (_, _, label) in zip(scores, batch)]
+    return functools.reduce(operator.add, losses)
 
 
 def train_retrieval(
@@ -278,7 +297,7 @@ def train_retrieval(
         return instances
 
     losses, val_acc = fit(
-        model.store, rng, draw, instance_sum(lambda inst: _bce_loss(model, *inst)),
+        model.store, rng, draw, lambda batch: bce_loss(model, batch),
         lambda: adam_step(model.store, lr),
         epochs=epochs, batch_size=batch_size, eval_every=eval_every,
         evaluate=(lambda: evaluate_retrieval(model, validation, lexicon, key_mode)) if validation else None,

@@ -12,8 +12,10 @@ scanner, which rejects reserved tokens through the package's own rule;
 ``reference_generator_beam`` and ``reference_transform``, which run
 the reference beam and retrieval rules over the package's own models, so
 that ``transform`` is checked against its stages composed the slow way;
-and ``reference_teacher_forced_pass``, the package's earlier per-instance
-teacher forcing on its own decoder step, kept to check the batched pass.
+``reference_teacher_forced_pass``, the package's earlier per-instance
+teacher forcing on its own decoder step, kept to check the batched pass;
+and ``reference_bigru_encode``, the package's earlier per-token encoder on
+its own ``gru_step``, kept to check the one-node minibatch encoder.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def reference_extractor_loss(model, sentence, definition, gold):
     from idiomatize.extractor import MARGINAL_WEIGHTS, crf_log_marginals, crf_log_partition, crf_path_score, unary_scores
     from idiomatize.numerics import tsum
 
-    unary = unary_scores(model, sentence, definition)
+    (unary,) = unary_scores(model, [(sentence, definition)])
     crf = (unary, model.transitions, model.start, model.end)
     nll = crf_log_partition(*crf) - crf_path_score(*crf, gold)
     log_marg = crf_log_marginals(*crf)[0]
@@ -284,6 +286,27 @@ def reference_gru_step(weights, h_prev, x):
     r = sig(weights["w_r"] @ x + weights["u_r"] @ h_prev + weights["b_r"])
     cand = np.tanh(weights["w_h"] @ x + weights["u_h"] @ (r * h_prev) + weights["b_h"])
     return (1.0 - z) * h_prev + z * cand
+
+
+def reference_bigru_encode(fwd, bwd, inputs):
+    """The [T,2H] matrix whose row t is position t's [forward ; backward] state over T [1,I] inputs,
+    built on the package's own tape as one ``gru_step`` node per position and direction.
+
+    The per-token encoder that training ran before ``bigru_encode`` became one node per minibatch;
+    that node's states and gradients must equal these graphs' bit for bit.
+    """
+    from idiomatize.numerics import concat, gru_step, zeros
+
+    if not inputs:
+        raise ValueError("reference_bigru_encode needs at least one input")
+    fwd_states, bwd_states = [], []
+    for cell, xs, states in ((fwd, inputs, fwd_states), (bwd, reversed(inputs), bwd_states)):
+        h = zeros((1, cell.hidden_size))
+        for x in xs:
+            h = gru_step(cell, h, x)
+            states.append(h)
+    bwd_states.reverse()
+    return concat([concat([f, b]) for f, b in zip(fwd_states, bwd_states)], axis=0)
 
 
 def reference_retrieve_top1(score, candidates):
@@ -507,7 +530,7 @@ def reference_transform(models, lexicon, tokens, config):
 
     def extract(definition):
         extractor = models.extractor
-        unary = unary_scores(extractor, tokens, definition).data
+        unary = unary_scores(extractor, [(tokens, definition)])[0].data
         path, score = crf_viterbi(unary, extractor.transitions.data, extractor.start.data, extractor.end.data)
         return repair_labels(path, unary), score
 

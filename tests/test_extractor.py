@@ -19,10 +19,10 @@ from idiomatize.extractor import (
     unary_scores,
     validation_span_f1,
 )
-from idiomatize.numerics import bigru_encode, grad_check
+from idiomatize.numerics import grad_check
 from idiomatize.toydata import synthetic_span_data
 
-from oracles import reference_extractor_loss
+from oracles import reference_bigru_encode, reference_extractor_loss
 
 
 @pytest.fixture(scope="module")
@@ -34,18 +34,20 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
     model = tiny_extractor
     sentence = ("the", "cat", "sat")
     definition = ("ran", "fast")
-    scores = unary_scores(model, sentence, definition)
+    (scores,) = unary_scores(model, [(sentence, definition)])
     assert scores.shape == (3, 3)
     ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
-    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+    states = reference_bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
     manual = np.vecmat(states.data[:3], model.unary_w.data) + model.unary_b.data
     assert np.array_equal(scores.data, manual)
 
 
 def test_unary_scores_empty_sentence(tiny_extractor):
-    for reader in (unary_scores, extract_span):
+    with pytest.raises(ValueError, match="empty sentence"):
+        extract_span(tiny_extractor, (), ("x",))
+    for pairs in ([((), ("x",))], [(("the",), ("x",)), ((), ("x",))]):
         with pytest.raises(ValueError, match="empty sentence"):
-            reader(tiny_extractor, (), ("x",))
+            unary_scores(tiny_extractor, pairs)
 
 
 # --- repair ------------------------------------------------------------
@@ -114,7 +116,7 @@ def test_extract_span_is_repaired_viterbi(tiny_extractor):
     model = tiny_extractor
     sentence = ("the", "cat", "sat", "on", "mat")
     pred = extract_span(model, sentence, ("ran",))
-    unary = unary_scores(model, sentence, ("ran",)).data
+    unary = unary_scores(model, [(sentence, ("ran",))])[0].data
     path, score = crf_viterbi(unary, model.transitions.data, model.start.data, model.end.data)
     assert pred.span == repair_labels(path, unary)
     assert pred.score == score
@@ -126,10 +128,12 @@ def test_extract_span_is_repaired_viterbi(tiny_extractor):
     st.lists(st.sampled_from(("the", "cat", "sat", "zzz", "fox")), min_size=1, max_size=12),
     st.lists(st.sampled_from(("ran", "fast", "qqq", "the")), min_size=1, max_size=8),
 )
-def test_scan_pair_equals_encode_pair(tiny_extractor, sentence, definition):
-    # extract_span reads the tape-free scan; training reads the tape.
-    tape = tiny_extractor.encode_pair(sentence, definition)
-    assert np.array_equal(tiny_extractor.scan_pair(sentence, definition), tape.data)
+def test_scan_pair_equals_encode_pairs(tiny_extractor, sentence, definition):
+    # extract_span reads the tape-free scan; training reads the tape, whatever else is in its batch.
+    alone, batched = (tiny_extractor.encode_pairs(pairs)[0] for pairs in (
+        [(sentence, definition)], [(sentence, definition), (definition, sentence + ["cat"])]))
+    scan = tiny_extractor.scan_pair(sentence, definition)
+    assert np.array_equal(scan, alone.data) and np.array_equal(scan, batched.data)
 
 # --- loss and training ---------------------------------------------------
 
@@ -140,7 +144,7 @@ def test_extractor_loss_gradients(tiny_vocab):
     gold = [O, B, I, I, O]
 
     def loss_fn(_store):
-        return extractor_loss(model, sentence, ("ran", "fast"), gold) * (1.0 / len(sentence))
+        return extractor_loss(model, [(sentence, ("ran", "fast"), gold)]) * (1.0 / len(sentence))
 
     assert grad_check(loss_fn, model.store, eps=1e-3) <= 1e-4
 
@@ -163,7 +167,7 @@ def _graph(loss):
 def test_extractor_loss_runs_one_forward_recursion(tiny_extractor, n):
     # One forward-backward pass: n - 1 alpha and n - 1 beta steps, plus log Z.
     # A second forward pass for log Z would add n more.
-    loss = extractor_loss(tiny_extractor, _LOSS_WORDS[:n], ("ran", "fast"), span_labels(n, (0, 1)))
+    loss = extractor_loss(tiny_extractor, [(_LOSS_WORDS[:n], ("ran", "fast"), span_labels(n, (0, 1)))])
     ops = [node._backward.__qualname__.split(".")[0] for node in _graph(loss) if node._backward is not None]
     assert ops.count("logsumexp") == 2 * n - 1
 
@@ -173,9 +177,10 @@ def test_extractor_loss_equals_the_two_pass_reference(tiny_vocab, n, span):
     model = ExtractorModel(tiny_vocab, embed_dim=6, hidden=5, seed=n)
     sentence, gold = _LOSS_WORDS[:n], span_labels(n, span)
     results = []
-    for loss_fn in (extractor_loss, reference_extractor_loss):
+    for loss_fn in (lambda: extractor_loss(model, [(sentence, ("big", "dog"), gold)]),
+                    lambda: reference_extractor_loss(model, sentence, ("big", "dog"), gold)):
         model.store.zero_grads()
-        loss = loss_fn(model, sentence, ("big", "dog"), gold)
+        loss = loss_fn()
         loss.backward()
         results.append((loss.item(), {name: p.grad.copy() for name, p in model.store.items()}))
     (value, grads), (ref_value, ref_grads) = results
@@ -187,7 +192,7 @@ def test_extractor_loss_equals_the_two_pass_reference(tiny_vocab, n, span):
 def test_extractor_loss_nonnegative_nll_part(tiny_extractor):
     # NLL >= 0 and the marginal term adds at most 0.48 * n * (-log p);
     # the combined loss of the gold path is finite and positive here.
-    loss = extractor_loss(tiny_extractor, ("the", "cat"), ("ran",), [B, I])
+    loss = extractor_loss(tiny_extractor, [(("the", "cat"), ("ran",), [B, I])])
     assert np.isfinite(loss.data)
     assert loss.item() > 0.0
 
@@ -267,7 +272,7 @@ def test_epoch_loss_is_mean_instance_loss_with_short_last_batch(tiny_vocab):
     history = train_extractor(model, pairs, lexicon, epochs=1, lr=0.0, batch_size=2)
     definition = lexicon[0].senses[0]
     per_instance = [
-        extractor_loss(model, p.literal, definition, span_labels(len(p.literal), p.span)).item()
+        extractor_loss(model, [(p.literal, definition, span_labels(len(p.literal), p.span))]).item()
         for p in pairs
     ]
     assert abs(history["epoch_losses"][0] - sum(per_instance) / len(pairs)) <= 1e-12

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import math
+import operator
 import pathlib
 import re
 
@@ -40,6 +42,7 @@ from idiomatize.numerics import (
     softplus,
     sub,
     tanh,
+    tape_walk,
     tsum,
     vecmat,
     zeros,
@@ -49,6 +52,7 @@ from idiomatize.numerics.tensor import _node, _sigmoid_np
 from idiomatize.rng import Rng
 
 from oracles import (
+    reference_bigru_encode,
     reference_gru_step,
     reference_logsumexp,
     reference_matmul,
@@ -635,25 +639,97 @@ def test_gru_step_bounded_by_prev_state(h_vals, x_vals, seed):
     assert (np.abs(out.data[0]) <= bound + 1e-12).all()
 
 
-def test_bigru_encode_concatenates_directions():
+def _bigru_cells(store: ParamStore, in_size: int, hidden: int, rng: np.random.Generator, gain: float = 1.0):
+    fwd = GruCell(store, "fwd", in_size, hidden, Rng(0))
+    bwd = GruCell(store, "bwd", in_size, hidden, Rng(1))
+    for p in store.params.values():
+        p.data = gain * rng.normal(size=p.shape)
+    return fwd, bwd
+
+
+def _loss_grads(store: ParamStore, loss: Tensor, leaves) -> tuple[dict, list]:
+    """The store's gradients of ``loss`` and each leaf's, a leaf no gradient reached reading zero."""
+    store.zero_grads()
+    loss.backward()
+    return ({name: t.grad.copy() for name, t in store.items()},
+            [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in leaves])
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_bigru_encode_equals_per_token_graph_bit_for_bit(lengths, in_size, hidden, from_table, gain, seed):
+    # The node's states, and every gradient it adds, equal the per-token
+    # graph's (one gru_step node per position and direction, inputs in batch
+    # order) with ==, not within a tolerance: the node must add each term in
+    # the order that graph's backward walk added it.  One output row is all
+    # zero, the gradient at which a gru_step node stops.  With from_table the
+    # inputs are rows of one table with repeated ids, gathered in tape_walk
+    # order, as the pair encoder gathers its embedding rows.
+    rng = np.random.default_rng(seed)
     store = ParamStore()
-    rng = Rng(2)
-    fwd = GruCell(store, "fwd", 2, 3, rng)
-    bwd = GruCell(store, "bwd", 2, 3, rng)
-    xs = [Tensor([[0.4, -0.1]]), Tensor([[0.2, 0.9]]), Tensor([[-1.0, 0.3]])]
-    states = bigru_encode(fwd, bwd, xs)
-    assert states.shape == (3, 6)
-    # Each direction chains gru_step from zeros; the backward one runs over the reversed inputs.
-    h = zeros((1, 3))
-    for t in range(3):
-        h = gru_step(fwd, h, xs[t])
-        assert np.array_equal(states.data[t : t + 1, :3], h.data)
-    h = zeros((1, 3))
-    for t in reversed(range(3)):
-        h = gru_step(bwd, h, xs[t])
-        assert np.array_equal(states.data[t : t + 1, 3:], h.data)
-    with pytest.raises(ValueError, match="empty input"):
+    fwd, bwd = _bigru_cells(store, in_size, hidden, rng, gain)
+    starts = np.cumsum([0, *lengths])
+    coeffs = [rng.normal(size=(n, 2 * hidden)) for n in lengths]
+    coeffs[rng.integers(len(lengths))][-1 if rng.integers(2) else 0] = 0.0
+    if from_table:
+        table = store.add("table", (4, in_size), Rng(seed), scale=1.0)
+        ids = [rng.integers(0, 4, size=n) for n in lengths]
+        per_token = [[table[i : i + 1] for i in row] for row in ids]
+        gathered = table[np.concatenate([row[tape_walk(len(row))] for row in ids])]
+        inputs = [gathered[start + np.argsort(tape_walk(n))] for start, n in zip(starts, lengths)]
+        leaves, token_leaves = [], []
+    else:
+        inputs = [Tensor(rng.normal(size=(n, in_size)), requires_grad=True) for n in lengths]
+        per_token = [[Tensor(x.data[t : t + 1], requires_grad=True) for t in range(len(x.data))] for x in inputs]
+        leaves, token_leaves = inputs, [t for xs in per_token for t in xs]
+    expected = [reference_bigru_encode(fwd, bwd, xs) for xs in per_token]
+    want, want_x = _loss_grads(
+        store, functools.reduce(operator.add, [tsum(e * Tensor(c)) for e, c in zip(expected, coeffs)]), token_leaves)
+    states = bigru_encode(fwd, bwd, inputs)
+    assert states.shape == (sum(lengths), 2 * hidden)
+    rows = [states[a:b] for a, b in zip(starts[:-1], starts[1:])]
+    for got, e in zip(rows, expected):
+        assert np.array_equal(got.data, e.data)
+    got, got_x = _loss_grads(
+        store, functools.reduce(operator.add, [tsum(r * Tensor(c)) for r, c in zip(rows, coeffs)]), leaves)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    if leaves:
+        assert np.array_equal(np.concatenate(got_x), np.concatenate(want_x))
+
+
+def test_tape_walk_is_the_per_token_gather_order():
+    assert tape_walk(1).tolist() == [0]
+    assert tape_walk(2).tolist() == [0, 1]
+    assert tape_walk(5).tolist() == [3, 2, 1, 0, 4]
+
+
+def test_bigru_encode_gradcheck():
+    store = ParamStore()
+    rng = np.random.default_rng(3)
+    fwd, bwd = _bigru_cells(store, 3, 4, rng, gain=0.5)
+    inputs = [store.add(f"x{b}", (n, 3), Rng(b), scale=1.0) for b, n in enumerate((3, 1, 4))]
+    coeffs = rng.normal(size=(8, 8))
+    assert grad_check(lambda _s: _projected(bigru_encode(fwd, bwd, inputs), coeffs), store, eps=1e-5) <= OP_TOLERANCE
+
+
+def test_bigru_encode_shape_errors():
+    store = ParamStore()
+    fwd = GruCell(store, "fwd", 3, 4, Rng(0))
+    bwd = GruCell(store, "bwd", 3, 4, Rng(0))
+    with pytest.raises(ValueError, match="empty batch"):
         bigru_encode(fwd, bwd, [])
+    for bad in (zeros((0, 3)), zeros((2, 2)), zeros(3)):
+        with pytest.raises(ValueError, match="bigru_encode needs"):
+            bigru_encode(fwd, bwd, [zeros((2, 3)), bad])
+    with pytest.raises(ValueError, match="of one size"):
+        bigru_encode(fwd, GruCell(store, "wide", 3, 5, Rng(0)), [zeros((2, 3))])
 
 
 @given(
@@ -681,7 +757,7 @@ def test_bigru_scan_equals_bigru_encode(steps, hidden, family, gain, data):
     bwd = GruCell(store, "bwd", xs.shape[1], hidden, Rng(0))
     for p in store.params.values():
         p.data = gain * rng.normal(size=p.shape)
-    tape = bigru_encode(fwd, bwd, [Tensor(xs[t : t + 1]) for t in range(steps)])
+    tape = bigru_encode(fwd, bwd, [Tensor(xs)])
     assert np.array_equal(bigru_scan(fwd, bwd, xs), tape.data)
 
 

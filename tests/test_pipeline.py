@@ -27,6 +27,7 @@ from idiomatize import (
     load_pipeline_models,
     save_checkpoint,
     train_extractor,
+    train_generator,
     train_retrieval,
     transform,
     transform_tokens,
@@ -49,7 +50,8 @@ from idiomatize.pipeline import (
     load_dataset,
     write_dataset,
 )
-from idiomatize.numerics import Tensor
+from idiomatize import generator, retrieval
+from idiomatize.numerics import Tensor, gru
 from idiomatize.retrieval import KEY_MODES, candidate_keys, score_keys
 
 from conftest import write_config
@@ -640,6 +642,52 @@ def test_transform_constructs_no_tensor(tiny_models, demo, demo_vocab, mode, mon
     result = transform_tokens(models, lexicon, pairs[0].literal, PipelineConfig(generator_mode=mode, beam=4))
     monkeypatch.undo()
     assert result.output and constructed == []
+
+
+@pytest.mark.parametrize("stage", ["retrieval", "extractor", "generator"])
+def test_training_encodes_each_minibatch_as_one_node(demo, demo_vocab, stage, monkeypatch):
+    # Every stage's encoder is one bigru_encode node per minibatch, never a
+    # gru_step per token; the generator's decoder steps gru_step once per
+    # decoder position of each minibatch, over all its rows.
+    lexicon, pairs = demo
+    pairs = pairs[:5]
+    calls = {"bigru_encode": 0, "gru_step": 0}
+    batches = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((retrieval, "bigru_encode"), (generator, "bigru_encode"), (gru, "gru_step"),
+                         (generator, "gru_step")):
+        counting(module, name)
+    if stage == "generator":
+        data = generator_training_data(pairs, lexicon, guided=True)
+        fit_batch = generator.teacher_forced_batch
+
+        def recorded(model, examples):
+            batches.append(examples)
+            return fit_batch(model, examples)
+
+        monkeypatch.setattr(generator, "teacher_forced_batch", recorded)
+        model = GeneratorModel(demo_vocab, word_dim=8, copy_dim=4, label_dim=4, hidden=8, seed=0)
+        train_generator(model, data, epochs=1, batch_size=2, lr=1e-3)
+        assert calls["bigru_encode"] == len(batches) == 3
+        assert calls["gru_step"] == sum(max(len(reference) for _, reference in batch) + 1 for batch in batches)
+        return
+    if stage == "retrieval":  # 5 positives and 10 negatives in batches of 4
+        model = RetrievalModel(demo_vocab, embed_dim=8, hidden=8, seed=0)
+        train_retrieval(model, pairs, lexicon, epochs=1, negatives_per_positive=2, batch_size=4)
+        assert calls == {"bigru_encode": 4, "gru_step": 0}
+    else:  # 5 instances in batches of 2
+        model = ExtractorModel(demo_vocab, embed_dim=8, hidden=8, seed=0)
+        train_extractor(model, pairs, lexicon, epochs=1, batch_size=2)
+        assert calls == {"bigru_encode": 3, "gru_step": 0}
 
 
 # ------------------------------------------------- repeated idiom ids

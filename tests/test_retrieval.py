@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from idiomatize import (
     train_retrieval,
 )
 from idiomatize.corpus import RESERVED, SEP, Vocabulary
-from idiomatize.numerics import adam_step, bigru_encode
+from idiomatize.numerics import adam_step, neg, reshape, softplus, tsum
 from idiomatize.retrieval import (
     KEY_MODES,
+    bce_loss,
     candidate_keys,
-    encode_candidate,
+    encode_candidates,
     evaluate_retrieval,
     score,
     score_keys,
@@ -34,7 +37,7 @@ from idiomatize.retrieval import (
 )
 from idiomatize.toydata import synthetic_retrieval_data
 
-from oracles import reference_retrieve_top1
+from oracles import reference_bigru_encode, reference_retrieve_top1
 
 
 def _separable_corpus():
@@ -70,9 +73,9 @@ def test_pair_encoder_rejects_non_positive_sizes(tiny_vocab, cls, field, value):
 def test_score_composes_pool_and_linear(tiny_retrieval):
     model, _, _ = tiny_retrieval
     sentence, key = ("this", "alpha"), ("beta",)
-    pooled = encode_candidate(model, sentence, key)
+    (pooled,) = encode_candidates(model, [(sentence, key)])
     ids = model.vocab.encode_all(["this", "alpha", "<sep>", "beta"])
-    states = bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+    states = reference_bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
     manual = states.data.sum(axis=0)
     assert pooled.shape == (1, 2 * model.hidden)
     assert np.array_equal(pooled.data[0], manual)
@@ -80,12 +83,46 @@ def test_score_composes_pool_and_linear(tiny_retrieval):
     assert score_pair(model, sentence, key) == pytest.approx(expect, abs=1e-12)
 
 
-def test_encode_candidate_rejects_empty(tiny_retrieval):
+def _per_token_bce_loss(model, batch):
+    """``bce_loss`` composed as training built it before the one-node encoder: each instance's own
+    per-token graph (``reference_bigru_encode`` over one-row embedding slices), added in batch order."""
+    losses = []
+    for sentence, key, label in batch:
+        ids = model.vocab.encode_all(list(sentence) + [SEP] + list(key))
+        states = reference_bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
+        r = score(model, reshape(tsum(states, axis=0), (1, 2 * model.hidden)))
+        losses.append(softplus(neg(r)) if label == 1 else softplus(r))
+    return functools.reduce(operator.add, losses)
+
+
+def test_bce_loss_equals_the_per_token_graph_bit_for_bit(tiny_retrieval):
+    # Retrieval training must stay byte-identical: the loss and every
+    # gradient, the embedding's included (ids repeat within and across
+    # instances), equal the per-token graph's with ==.
     model, _, _ = tiny_retrieval
-    with pytest.raises(ValueError):
-        encode_candidate(model, (), ("a",))
-    with pytest.raises(ValueError):
-        encode_candidate(model, ("a",), ())
+    batch = [
+        (("this", "alpha", "here"), ("alpha", "beta"), 1),
+        (("this", "gamma"), ("epsilon", "zeta", "this", "this"), 0),
+        (("x",), ("x",), 0),
+        (("this", "alpha", "here"), ("gamma", "delta"), 0),
+    ]
+    results = []
+    for loss_fn in (bce_loss, _per_token_bce_loss):
+        model.store.zero_grads()
+        loss = loss_fn(model, batch)
+        loss.backward()
+        results.append((loss.item(), {name: p.grad.copy() for name, p in model.store.items()}))
+    (value, grads), (ref_value, ref_grads) = results
+    assert value == ref_value
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_encode_candidates_rejects_empty(tiny_retrieval):
+    model, _, _ = tiny_retrieval
+    for pairs in ([((), ("a",))], [(("a",), ())], [(("a",), ("b",)), (("a",), ())]):
+        with pytest.raises(ValueError):
+            encode_candidates(model, pairs)
 
 
 def test_candidate_keys_modes():
@@ -310,7 +347,7 @@ def _reassign_fwd_weight(model):
 
 
 def _one_adam_step(model):
-    score(model, encode_candidate(model, _INDEX_SENTENCE, ("w9", "w4"))).backward()
+    score(model, encode_candidates(model, [(_INDEX_SENTENCE, ("w9", "w4"))])[0]).backward()
     adam_step(model.store, 0.05)
 
 
