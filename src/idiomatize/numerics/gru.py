@@ -166,21 +166,19 @@ def _add_in_order(terms: np.ndarray) -> np.ndarray:
 
 def _outer_sum(d: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The [J,I] sum of the outer products d[n] x[n]^T over the N rows of ``d`` [N,J] and ``x`` [N,I],
-    added in row order (``_add_in_order``) as ``Tensor.backward`` adds one one-row ``_row_outer``
-    term after another.
+    added in row order as ``Tensor.backward`` adds one one-row ``_row_outer`` term after another,
+    bit for bit.
 
-    The stacked [N,J,I] products are formed a few rows of J at a time, so that each block stays in
-    cache, by ``np.einsum`` with no summed index: each entry is one product, as in the broadcast
-    ``d[:, :, None] * x[:, None, :]``, only faster.  ``np.einsum`` never forms the sum itself; its
-    reduction order is not the tape's."""
-    out = np.empty((d.shape[1], x.shape[1]))
-    block = max(1, _OUTER_BLOCK // (len(d) * x.shape[1]))
-    for k in range(0, d.shape[1], block):
-        out[k : k + block] = _add_in_order(np.einsum("nj,ni->nji", d[:, k : k + block], x))
-    return out
+    One summing ``np.einsum`` over C-contiguous operands: it loops over the summed row index
+    outermost and over ``i`` innermost, with no fused multiply-add, so every entry is
+    ``((d[0] x[0] + d[1] x[1]) + d[2] x[2]) + ...``.  Fortran-ordered operands change that loop
+    order, so the operands are made contiguous first.  A lone column (J = I = 1) is summed with
+    unrolled accumulators instead, so that case adds the stacked products with ``_add_in_order``."""
+    if d.shape[1] * x.shape[1] == 1:
+        return _add_in_order(d[:, :, None] * x[:, None, :])
+    return np.einsum("nj,ni->ji", np.ascontiguousarray(d), np.ascontiguousarray(x))
 
 
-_OUTER_BLOCK = 1 << 16  # values per stacked block of ``_outer_sum``: 512 KiB of float64
 # One cell's parameters in the order ``bigru_encode`` lists them among its parents.
 _CELL_PARAMS = ("b_z", "w_z", "u_z", "b_h", "w_h", "u_h", "b_r", "w_r", "u_r")
 
@@ -204,7 +202,8 @@ def bigru_encode(fwd: GruCell, bwd: GruCell, inputs: Sequence[Tensor]) -> Tensor
       it, then its output row's;
     * an input row's gradient: the backward cell's z, candidate and r terms, then the forward
       cell's, except at position T-1, where the forward cell's come first;
-    * a cell parameter's gradient: one term per step, the last step first, input after input.
+    * a cell parameter's gradient: one term per step, the last step first, input after input; a
+      weight's terms are its rows' outer products, which ``_outer_sum`` adds in that order.
 
     Inputs whose rows are gathered from a table reach the table in the order ``tape_walk`` gives.
     An all-zero output gradient adds nothing, as it stops a ``gru_step`` node.

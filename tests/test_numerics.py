@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from idiomatize import numerics
@@ -47,6 +47,7 @@ from idiomatize.numerics import (
     vecmat,
     zeros,
 )
+from idiomatize.numerics.gru import _outer_sum
 from idiomatize.numerics.optim import INIT_SCALE
 from idiomatize.numerics.tensor import _node, _sigmoid_np
 from idiomatize.rng import Rng
@@ -702,6 +703,44 @@ def test_bigru_encode_equals_per_token_graph_bit_for_bit(lengths, in_size, hidde
         assert np.array_equal(got[name], want[name]), name
     if leaves:
         assert np.array_equal(np.concatenate(got_x), np.concatenate(want_x))
+
+
+def _laid_out(rng: np.random.Generator, rows: int, cols: int, layout: str) -> np.ndarray:
+    """A [rows, cols] array of normal values, C-contiguous or one of three other memory layouts."""
+    if layout == "column slice":
+        return rng.normal(size=(rows, cols + 2))[:, 1 : cols + 1]
+    if layout == "every other row":
+        return rng.normal(size=(2 * rows, cols))[::2]
+    values = rng.normal(size=(rows, cols))
+    return np.asfortranarray(values) if layout == "fortran" else values
+
+
+LAYOUTS = ("c", "column slice", "every other row", "fortran")
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=1, max_value=80),
+    st.sampled_from(LAYOUTS),
+    st.sampled_from(LAYOUTS),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(300, 1, 1, "c", "c", 0)
+@example(257, 1, 1, "fortran", "every other row", 1)
+@example(1, 80, 80, "column slice", "fortran", 2)
+@example(300, 80, 80, "fortran", "fortran", 3)
+def test_outer_sum_adds_the_one_row_outer_products_in_row_order(rows, j, i, d_layout, x_layout, seed):
+    # A weight's gradient in bigru_encode must equal the per-token tape's
+    # chain of one-row outer products with ==, whatever the operands' memory
+    # layout: a summing einsum follows that chain only over C-contiguous
+    # operands with more than one output value.
+    rng = np.random.default_rng(seed)
+    d, x = _laid_out(rng, rows, j, d_layout), _laid_out(rng, rows, i, x_layout)
+    want = np.outer(d[0], x[0])
+    for n in range(1, rows):
+        want = want + np.outer(d[n], x[n])
+    assert np.array_equal(_outer_sum(d, x), want)
 
 
 def test_tape_walk_is_the_per_token_gather_order():
