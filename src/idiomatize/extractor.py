@@ -8,32 +8,23 @@ B and I, 0.04 for O) so the rare span labels are not drowned out.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import IdiomEntry, ParallelPair, resolve_pairs
 from .metrics import span_f1
-from .numerics import (
-    Tensor,
-    adam_step,
-    concat,
-    fit,
-    logsumexp,
-    reshape,
-    tsum,
-    vecmat,
-)
+from .numerics import Tensor, adam_step, fit, reshape, vecmat
 from .numerics import bigru_encode  # noqa: F401  (perfbench traces it in every stage module)
+from .numerics.tensor import _node
 from .retrieval import PairEncoderModel
 from .rng import Rng
 
 B, I, O = 0, 1, 2
 MARGINAL_WEIGHTS = {B: 0.48, I: 0.48, O: 0.04}
+_MARGINAL_WEIGHTS = np.array([MARGINAL_WEIGHTS[label] for label in (B, I, O)])
 
 
 class ExtractorModel(PairEncoderModel):
@@ -47,53 +38,71 @@ class ExtractorModel(PairEncoderModel):
         self.end = self.store.add("crf.end", (3,), rng)
 
 
-def unary_scores(model: ExtractorModel, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
-    """The (n, 3) label scores for the n sentence positions of each (sentence, definition) pair, from
-    one encoder node over the pairs."""
+def unary_scores(model: ExtractorModel, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> Tensor:
+    """The [B,n,3] label scores of a minibatch of B (sentence, definition) pairs, n its longest sentence:
+    row t of pair b scores position t of its sentence, and the rows past the sentence repeat its last
+    row.  One encoder node, then one gather of every sentence row, one ``vecmat`` and one bias ``add``
+    over the minibatch."""
     if not all(sentence for sentence, _ in pairs):
         raise ValueError("empty sentence")
-    return [vecmat(states[: len(sentence)], model.unary_w) + model.unary_b
-            for states, (sentence, _) in zip(model.encode_pairs(pairs), pairs)]
+    states, starts = model.encode_batch(pairs)
+    lengths = np.array([len(sentence) for sentence, _ in pairs])
+    rows = starts[:-1, None] + np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    return reshape(vecmat(states[rows.ravel()], model.unary_w) + model.unary_b, rows.shape + (3,))
 
 
-def _crf_alphas(unary: Tensor, transitions: Tensor, start: Tensor) -> list[Tensor]:
-    """Forward log scores, one [1,K] row each: entry t sums every label path over positions 0..t."""
-    n = unary.shape[0]
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + m.squeeze(axis)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+class CrfMarginals(NamedTuple):
+    """One forward-backward pass over a padded batch of B sentences' [n,K] label scores.
+
+    Entries past a sentence's length hold no meaning.
+    """
+
+    log_marginals: np.ndarray  # [B,n,K]: log posterior of label k at position t
+    log_z: np.ndarray  # [B]: log of the summed exponentiated scores of all label paths
+    alpha: np.ndarray  # [B,n,K]: log summed scores of the paths over positions 0..t that end in label k
+    beta: np.ndarray  # [B,n,K]: log summed scores of the paths over positions t+1.. that follow label k
+
+
+def crf_log_marginals(
+    unary: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray, lengths: Sequence[int]
+) -> CrfMarginals:
+    """Forward-backward over ``unary`` [B,n,K], sentence b's scores in its first ``lengths[b]`` rows,
+    all B sentences at once.  Rows past a sentence's end must be finite; they change no result."""
+    batch, n, _ = unary.shape
     if n == 0:
         raise ValueError("empty unary score matrix")
-    alphas = [start + unary[0:1]]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > n:
+        raise ValueError(f"need {batch} sentence lengths in 1..{n}, got {lengths.tolist()}")
+    alpha = np.empty(unary.shape)
+    alpha[:, 0] = start + unary[:, 0]
     for t in range(1, n):
-        alphas.append(unary[t : t + 1] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
-    return alphas
-
-
-def crf_log_partition(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> Tensor:
-    """Log of the summed exponentiated scores over all label paths."""
-    return logsumexp(_crf_alphas(unary, transitions, start)[-1] + end)
-
-
-def crf_path_score(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor, labels: Sequence[int]) -> Tensor:
-    """Unnormalized score of one label path."""
-    n = unary.shape[0]
-    if len(labels) != n:
-        raise ValueError("label path length mismatch")
-    score = start[labels[0]] + end[labels[-1]]
-    score = score + tsum(unary[range(n), labels])
-    if n > 1:
-        score = score + tsum(transitions[labels[:-1], labels[1:]])
-    return score
-
-
-def crf_log_marginals(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor) -> tuple[Tensor, Tensor]:
-    """(n, k) log posterior marginals via forward-backward over [1,K] rows, and log Z from the same forward pass."""
-    alphas = _crf_alphas(unary, transitions, start)
-    n = len(alphas)
-    betas = [None] * n
-    betas[n - 1] = end
+        alpha[:, t] = unary[:, t] + _logsumexp(alpha[:, t - 1, :, None] + transitions, axis=1)
+    beta = np.empty(unary.shape)
+    beta[:, n - 1] = end
     for t in range(n - 2, -1, -1):
-        betas[t] = logsumexp(transitions + (unary[t + 1 : t + 2] + betas[t + 1]), axis=1)
-    log_z = logsumexp(alphas[-1] + end)
-    return concat([alphas[t] + betas[t] - log_z for t in range(n)], axis=0), log_z
+        inner = _logsumexp(transitions + (unary[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
+        beta[:, t] = np.where((t >= lengths - 1)[:, None], end, inner)
+    log_z = _logsumexp(alpha[np.arange(batch), lengths - 1] + end, axis=1)
+    return CrfMarginals(alpha + beta - log_z[:, None, None], log_z, alpha, beta)
+
+
+def crf_log_partition(
+    unary: np.ndarray, transitions: np.ndarray, start: np.ndarray, end: np.ndarray, lengths: Sequence[int]
+) -> np.ndarray:
+    """Each sentence's log Z [B], from ``crf_log_marginals``' pass.  The package itself reads log Z
+    off that pass; this name stays for the benchmark's ``extractor.crf_partition`` trace point."""
+    return crf_log_marginals(unary, transitions, start, end, lengths).log_z
 
 
 def crf_viterbi(
@@ -158,23 +167,72 @@ def extract_span(model: ExtractorModel, sentence: Sequence[str], definition: Seq
     return SpanPrediction(span=repair_labels(path, unary), score=score)
 
 
-def crf_loss(model: ExtractorModel, unary: Tensor, gold: Sequence[int]) -> Tensor:
-    """CRF NLL plus weighted marginal cross-entropy of one sentence's unary scores, summed over tokens,
-    from one forward-backward pass."""
-    log_marg, log_z = crf_log_marginals(unary, model.transitions, model.start, model.end)
-    nll = log_z - crf_path_score(unary, model.transitions, model.start, model.end, gold)
-    picked = log_marg[range(len(gold)), gold]
-    weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
-    return nll - tsum(picked * weights)
+def crf_loss(unary: Tensor, transitions: Tensor, start: Tensor, end: Tensor, gold: Sequence[Sequence[int]]) -> Tensor:
+    """The CRF NLL of each gold label path minus its ``MARGINAL_WEIGHTS``-weighted log marginals,
+    summed over a minibatch, as one tape node: sentence b's scores are the first ``len(gold[b])``
+    rows of ``unary`` [B,n,K], and the rest is padding.
+
+    The forward is one ``crf_log_marginals`` pass.  The loss reads log Z and the log marginals
+    ``alpha + beta - log Z`` of the gold labels, so the VJP runs back through the beta recursion,
+    log Z and the alpha recursion, each step weighted by the softmax its ``logsumexp`` took, and
+    subtracts the gold path's indicators.  Padding rows get zero gradient.
+    """
+    lengths = np.array([len(labels) for labels in gold], dtype=np.intp)
+    batch, n, _ = unary.shape
+    if not batch or len(gold) != batch or lengths.min() < 1 or lengths.max() != n:
+        raise ValueError(f"need {batch} gold paths of lengths 1..{n}, the longest {n}, got {lengths.tolist()}")
+    live = np.arange(n) < lengths[:, None]
+    b, t = np.nonzero(live)  # every gold position, sentence by sentence, as ``y`` lists them
+    y = np.concatenate(gold).astype(np.intp)
+    w = _MARGINAL_WEIGHTS[y]
+    first, last = y[t == 0], y[np.cumsum(lengths) - 1]
+    step = np.flatnonzero(t)  # positions with a transition in
+    fb = crf_log_marginals(unary.data, transitions.data, start.data, end.data, lengths)
+    path = (start.data[first].sum() + end.data[last].sum() + unary.data[b, t, y].sum()
+            + transitions.data[y[step - 1], y[step]].sum())
+    data = fb.log_z.sum() - path - (w * fb.log_marginals[b, t, y]).sum()
+
+    def vjp(g):
+        rows = np.arange(batch)
+        # Each gold log marginal alpha + beta - log Z seeds alpha and beta at its position.
+        d_alpha = np.zeros(unary.shape)
+        d_alpha[b, t, y] = -w
+        d_beta = d_alpha.copy()
+        d_log_z = 1.0 + np.bincount(b, weights=w, minlength=batch)
+        final = d_log_z[:, None] * np.exp(fb.log_marginals[rows, lengths - 1])
+        d_alpha[rows, lengths - 1] += final
+        moves = live[:, 1:, None, None]
+        # beta[t] = logsumexp_j(T[:, j] + unary[t+1, j] + beta[t+1, j]) and
+        # alpha[t] = unary[t] + logsumexp_i(alpha[t-1, i] + T[i, :]), weighted by their softmaxes.
+        back = np.where(moves, _softmax(transitions.data + (unary.data + fb.beta)[:, 1:, None, :], axis=3), 0.0)
+        fwd = np.where(moves, _softmax(fb.alpha[:, :-1, :, None] + transitions.data, axis=2), 0.0)
+        for s in range(n - 1):
+            d_beta[:, s + 1] += np.vecmat(d_beta[:, s], back[:, s])
+        for s in range(n - 1, 0, -1):
+            d_alpha[:, s - 1] += np.matvec(fwd[:, s - 1], d_alpha[:, s])
+        back_flow = d_beta[:, :-1, :, None] * back
+        fwd_flow = fwd * d_alpha[:, 1:, None, :]
+        d_unary = d_alpha.copy()
+        d_unary[:, 1:] += back_flow.sum(axis=2)
+        d_unary[b, t, y] -= 1.0
+        d_transitions = back_flow.sum(axis=(0, 1)) + fwd_flow.sum(axis=(0, 1))
+        np.add.at(d_transitions, (y[step - 1], y[step]), -1.0)
+        d_start = d_alpha[:, 0].sum(axis=0)
+        np.add.at(d_start, first, -1.0)
+        d_end = final.sum(axis=0) + d_beta[rows, lengths - 1].sum(axis=0)
+        np.add.at(d_end, last, -1.0)
+        return g * d_unary, g * d_transitions, g * d_start, g * d_end
+
+    return _node(np.asarray(data), (unary, transitions, start, end), vjp)
 
 
 def extractor_loss(
     model: ExtractorModel, batch: Sequence[tuple[Sequence[str], Sequence[str], Sequence[int]]]
 ) -> Tensor:
-    """``crf_loss`` of each (sentence, definition, gold labels) instance of a minibatch, added in batch
-    order, over one encoder node for the minibatch."""
+    """``crf_loss`` of a minibatch of (sentence, definition, gold labels) instances, over its
+    ``unary_scores``."""
     unary = unary_scores(model, [(sentence, definition) for sentence, definition, _ in batch])
-    return functools.reduce(operator.add, (crf_loss(model, u, gold) for u, (_, _, gold) in zip(unary, batch)))
+    return crf_loss(unary, model.transitions, model.start, model.end, [gold for _, _, gold in batch])
 
 
 def validation_span_f1(model: ExtractorModel, pairs: Sequence[ParallelPair], lexicon: Sequence[IdiomEntry]) -> float:

@@ -70,9 +70,10 @@ class PairEncoderModel:
     def _pair_ids(self, sentence: Sequence[str], key: Sequence[str]) -> list[int]:
         return self.vocab.encode_all(list(sentence) + [SEP] + list(key))
 
-    def encode_pairs(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
-        """The [T,2H] BiGRU states over each (sentence, key) pair's [sentence, <sep>, key], one row per
-        position, from one ``bigru_encode`` node over the minibatch.
+    def encode_batch(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> tuple[Tensor, np.ndarray]:
+        """The BiGRU states over each (sentence, key) pair's [sentence, <sep>, key] as one ``bigru_encode``
+        node over the minibatch: the [N,2H] states, pair after pair, one row per position, and the B + 1
+        offsets of the pairs' first rows (the last one is N).
 
         The embedding rows are gathered once, each pair's in ``tape_walk`` order, so their gradients
         reach the embedding in the order the per-token tape added them, and each pair's input is
@@ -83,6 +84,11 @@ class PairEncoderModel:
         starts = np.cumsum([0] + [len(row) for row in ids])
         states = bigru_encode(
             self.fwd, self.bwd, [gathered[start + np.argsort(walk)] for start, walk in zip(starts, walks)])
+        return states, starts
+
+    def encode_pairs(self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> list[Tensor]:
+        """The [T,2H] states of each (sentence, key) pair, sliced from ``encode_batch``'s."""
+        states, starts = self.encode_batch(pairs)
         return [states[start:end] for start, end in zip(starts[:-1], starts[1:])]
 
     def scan_pair(self, sentence: Sequence[str], key: Sequence[str]) -> np.ndarray:

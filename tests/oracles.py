@@ -4,11 +4,11 @@ Everything in this module is written straight from the textbook
 definitions (exhaustive enumeration, quadratic DP, direct formula
 evaluation) without importing anything from the package under test, so
 agreement between the two is meaningful evidence of correctness rather
-than a tautology.  The exceptions are ``reference_crf_log_marginals``
+than a tautology.  The exceptions are the ``reference_crf_*`` functions
 and ``reference_extractor_loss``, earlier forms of the package's own CRF
-code on its own tape, kept to check the current forms' values and
-gradients; ``reference_tokenize``, the package's earlier character
-scanner, which rejects reserved tokens through the package's own rule;
+code composed from its tape ops, kept to check the values and gradients
+of the one-node CRF loss; ``reference_tokenize``, the package's earlier
+character scanner, which rejects reserved tokens through the package's own rule;
 ``reference_generator_beam`` and ``reference_transform``, which run
 the reference beam and retrieval rules over the package's own models, so
 that ``transform`` is checked against its stages composed the slow way;
@@ -53,19 +53,35 @@ def brute_force_crf(unary, transitions, start, end):
     return log_z, list(best), scores[best], marginals
 
 
-def reference_crf_log_marginals(unary, transitions, start, end):
-    """(n, k) log marginals by forward-backward over [K] vectors, the tape Tensors joined by a local stack node.
+def _reference_crf_alphas(unary, transitions, start):
+    """Forward log scores of one sentence's [n,K] Tensor scores, one [K] vector each: entry t sums every
+    label path over positions 0..t."""
+    from idiomatize.numerics import logsumexp, reshape
 
-    The package's ``crf_log_marginals`` steps [1,K] rows and joins them with
-    ``concat``; both must give the same values and gradients bit for bit.
+    alphas = [start + unary[0]]
+    for t in range(1, unary.shape[0]):
+        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+    return alphas
+
+
+def reference_crf_log_partition(unary, transitions, start, end):
+    """Log Z of one sentence's [n,K] Tensor scores, from the forward recursion on the tape."""
+    from idiomatize.numerics import logsumexp
+
+    return logsumexp(_reference_crf_alphas(unary, transitions, start)[-1] + end)
+
+
+def reference_crf_log_marginals(unary, transitions, start, end):
+    """(n, k) log marginals by forward-backward over [K] vectors on the tape, joined by a local stack node.
+
+    The package runs the same recursions in numpy over a padded batch
+    (``crf_log_marginals``) inside its one-node ``crf_loss``.
     """
     from idiomatize.numerics import logsumexp, reshape
     from idiomatize.numerics.tensor import _node
 
     n = unary.shape[0]
-    alphas = [start + unary[0]]
-    for t in range(1, n):
-        alphas.append(unary[t] + logsumexp(reshape(alphas[-1], (-1, 1)) + transitions, axis=0))
+    alphas = _reference_crf_alphas(unary, transitions, start)
     betas = [None] * n
     betas[n - 1] = end
     for t in range(n - 2, -1, -1):
@@ -77,22 +93,50 @@ def reference_crf_log_marginals(unary, transitions, start, end):
     return _node(np.array([r.data for r in rows]), tuple(rows), lambda g: g)
 
 
-def reference_extractor_loss(model, sentence, definition, gold):
-    """The extractor loss with two CRF forward passes: log Z from ``crf_log_partition``, the marginals from their own.
-
-    The package's ``extractor_loss`` takes log Z from the marginals' pass;
-    values and gradients must agree within 1e-12.
-    """
-    from idiomatize.extractor import MARGINAL_WEIGHTS, crf_log_marginals, crf_log_partition, crf_path_score, unary_scores
+def reference_crf_path_score(unary, transitions, start, end, labels):
+    """Unnormalized score of one label path over one sentence's [n,K] Tensor scores, on the tape."""
     from idiomatize.numerics import tsum
 
-    (unary,) = unary_scores(model, [(sentence, definition)])
-    crf = (unary, model.transitions, model.start, model.end)
-    nll = crf_log_partition(*crf) - crf_path_score(*crf, gold)
-    log_marg = crf_log_marginals(*crf)[0]
-    picked = log_marg[range(len(gold)), gold]
+    n = unary.shape[0]
+    score = start[labels[0]] + end[labels[-1]] + tsum(unary[range(n), labels])
+    if n > 1:
+        score = score + tsum(transitions[labels[:-1], labels[1:]])
+    return score
+
+
+def reference_crf_loss(unary, transitions, start, end, gold):
+    """One sentence's CRF NLL plus weighted marginal cross-entropy, composed from tape ops with two
+    forward passes: log Z from ``reference_crf_log_partition``, the marginals from their own.
+
+    The package's ``crf_loss`` is one node over a padded batch that takes
+    log Z from the marginals' pass; over one sentence, values and gradients
+    must agree within 1e-12.
+    """
+    from idiomatize.extractor import MARGINAL_WEIGHTS
+    from idiomatize.numerics import tsum
+
+    crf = (unary, transitions, start, end)
+    nll = reference_crf_log_partition(*crf) - reference_crf_path_score(*crf, gold)
+    picked = reference_crf_log_marginals(*crf)[range(len(gold)), gold]
     weights = np.array([MARGINAL_WEIGHTS[g] for g in gold])
     return nll - tsum(picked * weights)
+
+
+def reference_extractor_loss(model, batch):
+    """The extractor loss of a minibatch of (sentence, definition, gold) instances as the sum of each
+    instance's ``reference_crf_loss`` over its own ``unary_scores``, added in batch order.
+
+    The package's ``extractor_loss`` encodes the minibatch with one encoder
+    node and scores it with one ``crf_loss`` node; values and gradients must
+    agree within 1e-12.
+    """
+    from idiomatize.extractor import unary_scores
+
+    total = 0.0
+    for sentence, definition, gold in batch:
+        unary = unary_scores(model, [(sentence, definition)])[0]
+        total = total + reference_crf_loss(unary, model.transitions, model.start, model.end, gold)
+    return total
 
 
 _PUNCT = set(".,!?;:\"'()")

@@ -78,12 +78,8 @@ def test_crf_matches_brute_force(record_criterion):
         start = np.array([rng.uniform(-2, 2) for _ in range(k)])
         end = np.array([rng.uniform(-2, 2) for _ in range(k)])
         ref_z, ref_path, ref_score, ref_marg = brute_force_crf(unary, trans, start, end)
-        log_z = crf_log_partition(
-            Tensor(unary), Tensor(trans), Tensor(start), Tensor(end)
-        ).item()
-        marg = np.exp(
-            crf_log_marginals(Tensor(unary), Tensor(trans), Tensor(start), Tensor(end))[0].data
-        )
+        log_z = float(crf_log_partition(unary[None], trans, start, end, [n])[0])
+        marg = np.exp(crf_log_marginals(unary[None], trans, start, end, [n]).log_marginals[0])
         path, score = crf_viterbi(unary, trans, start, end)
         worst = max(
             worst,

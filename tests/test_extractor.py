@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, extract_span, train_extractor
+from idiomatize import ExtractorModel, IdiomEntry, ParallelPair, extract_span, extractor, train_extractor
 from idiomatize.extractor import (
     crf_viterbi,
     extractor_loss,
@@ -34,12 +35,23 @@ def test_unary_scores_shape_and_composition(tiny_extractor):
     model = tiny_extractor
     sentence = ("the", "cat", "sat")
     definition = ("ran", "fast")
-    (scores,) = unary_scores(model, [(sentence, definition)])
-    assert scores.shape == (3, 3)
+    scores = unary_scores(model, [(sentence, definition)])
+    assert scores.shape == (1, 3, 3)
     ids = model.vocab.encode_all(["the", "cat", "sat", "<sep>", "ran", "fast"])
     states = reference_bigru_encode(model.fwd, model.bwd, [model.embedding[i : i + 1] for i in ids])
     manual = np.vecmat(states.data[:3], model.unary_w.data) + model.unary_b.data
-    assert np.array_equal(scores.data, manual)
+    assert np.array_equal(scores.data[0], manual)
+
+
+def test_unary_scores_pad_each_sentence_with_its_last_row(tiny_extractor):
+    pairs = [(("the", "cat", "sat", "on"), ("ran",)), (("a",), ("big", "red", "fox")), (("dog", "ran"), ("fast",))]
+    scores = unary_scores(tiny_extractor, pairs)
+    assert scores.shape == (3, 4, 3)
+    for row, pair in zip(scores.data, pairs):
+        alone = unary_scores(tiny_extractor, [pair]).data[0]
+        n = len(pair[0])
+        assert np.array_equal(row[:n], alone)
+        assert (row[n:] == alone[-1]).all()
 
 
 def test_unary_scores_empty_sentence(tiny_extractor):
@@ -163,30 +175,61 @@ def _graph(loss):
     return list(nodes.values())
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12])
-def test_extractor_loss_runs_one_forward_recursion(tiny_extractor, n):
-    # One forward-backward pass: n - 1 alpha and n - 1 beta steps, plus log Z.
-    # A second forward pass for log Z would add n more.
-    loss = extractor_loss(tiny_extractor, [(_LOSS_WORDS[:n], ("ran", "fast"), span_labels(n, (0, 1)))])
-    ops = [node._backward.__qualname__.split(".")[0] for node in _graph(loss) if node._backward is not None]
-    assert ops.count("logsumexp") == 2 * n - 1
+def test_extractor_fit_builds_one_crf_node_per_minibatch(demo, demo_vocab, monkeypatch):
+    # Each minibatch's loss graph is one crf_loss node over unary_scores' four
+    # nodes (a gather of the sentence rows, vecmat, bias add, reshape) and one
+    # bigru_encode node over its gathered inputs: no logsumexp node, nor any
+    # other per-position CRF op, is left on the tape.
+    lexicon, pairs = demo
+    graphs = []
+    loss_of = extractor.extractor_loss
+
+    def recorded(model, batch):
+        loss = loss_of(model, batch)
+        ops = Counter(node._backward.__qualname__.split(".")[0] for node in _graph(loss) if node._backward is not None)
+        graphs.append((len(batch), ops))
+        return loss
+
+    monkeypatch.setattr(extractor, "extractor_loss", recorded)
+    model = ExtractorModel(demo_vocab, embed_dim=8, hidden=8, seed=0)
+    train_extractor(model, pairs[:5], lexicon, epochs=1, batch_size=2)
+    assert [size for size, _ in graphs] == [2, 2, 1]
+    for size, ops in graphs:
+        # getitem: the embedding rows, each instance's input rows, the sentence rows
+        assert ops == {"crf_loss": 1, "reshape": 1, "add": 1, "vecmat": 1, "bigru_encode": 1, "getitem": size + 2}
 
 
-@pytest.mark.parametrize("n, span", [(1, (0, 1)), (4, (1, 3)), (12, (5, 12))])
-def test_extractor_loss_equals_the_two_pass_reference(tiny_vocab, n, span):
-    model = ExtractorModel(tiny_vocab, embed_dim=6, hidden=5, seed=n)
-    sentence, gold = _LOSS_WORDS[:n], span_labels(n, span)
+def _assert_loss_equals_the_composed_reference(model, batch):
+    # The one CRF node over a minibatch against each instance's composed
+    # loss on its own encoder node: the value and every parameter gradient.
     results = []
-    for loss_fn in (lambda: extractor_loss(model, [(sentence, ("big", "dog"), gold)]),
-                    lambda: reference_extractor_loss(model, sentence, ("big", "dog"), gold)):
+    for loss_fn in (extractor_loss, reference_extractor_loss):
         model.store.zero_grads()
-        loss = loss_fn()
+        loss = loss_fn(model, batch)
         loss.backward()
         results.append((loss.item(), {name: p.grad.copy() for name, p in model.store.items()}))
     (value, grads), (ref_value, ref_grads) = results
     assert abs(value - ref_value) <= 1e-12
     for name, grad in grads.items():
         assert np.max(np.abs(grad - ref_grads[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n, span", [(1, (0, 1)), (4, (1, 3)), (12, (5, 12))])
+def test_extractor_loss_equals_the_composed_reference(tiny_vocab, n, span):
+    model = ExtractorModel(tiny_vocab, embed_dim=6, hidden=5, seed=n)
+    _assert_loss_equals_the_composed_reference(model, [(_LOSS_WORDS[:n], ("big", "dog"), span_labels(n, span))])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extractor_loss_of_a_ragged_batch_equals_the_composed_reference(tiny_vocab, seed):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for _ in range(2 + seed):
+        n = int(rng.integers(1, 9))
+        s, e = sorted(rng.choice(n + 1, size=2, replace=False))
+        definition = tuple(rng.choice(_LOSS_WORDS, size=int(rng.integers(1, 4))))
+        batch.append((tuple(rng.choice(_LOSS_WORDS, size=n)), definition, span_labels(n, (int(s), int(e)))))
+    _assert_loss_equals_the_composed_reference(ExtractorModel(tiny_vocab, embed_dim=6, hidden=5, seed=seed), batch)
 
 
 def test_extractor_loss_nonnegative_nll_part(tiny_extractor):
